@@ -20,17 +20,6 @@ from .pauli import PauliString
 from .stabilizer import StabilizerCode, Syndrome
 from .tensor import CodeTensor, class_labels
 
-# PRODUCT_CODE[a, b] is the code of the (phase-free) product of two
-# single-qubit Paulis with codes a and b.
-PRODUCT_CODE = np.array(
-    [[0, 1, 2, 3],
-     [1, 0, 3, 2],
-     [2, 3, 0, 1],
-     [3, 2, 1, 0]],
-    dtype=np.uint8,
-)
-
-
 @dataclass(frozen=True, slots=True)
 class NoiseModel:
     """Independent per-qubit Pauli noise: probs[i, g] for I, X, Y, Z."""
@@ -66,14 +55,15 @@ def leaf_probabilities(
     """Per-qubit leaf vectors: leaf[i, g] = probs[i, code of E_i * g].
 
     With no pure error this is just the noise table; otherwise column g is
-    the probability of the recovery-shifted Pauli on that qubit.
+    the probability of the recovery-shifted Pauli on that qubit, whose code
+    is the XOR of the two codes.
     """
     if pure_error is None:
         return noise.probs.copy()
     if pure_error.n != noise.n:
         raise ValueError("pure error length must match the noise model")
-    e = np.array(pure_error.codes(), dtype=np.uint8)
-    return np.take_along_axis(noise.probs, PRODUCT_CODE[e].astype(np.intp), axis=1)
+    e = np.array(pure_error.codes(), dtype=np.intp)
+    return np.take_along_axis(noise.probs, e[:, None] ^ np.arange(4), axis=1)
 
 
 @dataclass(frozen=True, slots=True)

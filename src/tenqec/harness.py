@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import PRODUCT_CODE, NoiseModel, likelihoods_network
+from .decoder import NoiseModel, likelihoods_network
 from .holographic import ContractionSchedule, HolographicLayout
 from .pauli import PauliString
 
@@ -137,9 +137,9 @@ class TrialRunner:
         n = self.code.n
         xb = np.unpackbits(ex.view(np.uint8), bitorder="little", count=n)
         zb = np.unpackbits(ez.view(np.uint8), bitorder="little", count=n)
-        digits = (xb ^ zb) | (zb << 1)
+        digits = ((xb ^ zb) | (zb << 1)).astype(np.intp)
         leaves = np.take_along_axis(
-            self.noise.probs, PRODUCT_CODE[digits].astype(np.intp), axis=1
+            self.noise.probs, digits[:, None] ^ np.arange(4), axis=1
         )
         table = likelihoods_network(
             self.layout, self.schedule, self.noise, leaves=leaves

@@ -5,9 +5,18 @@ seven-leg tensors.  Ring r (1-based radius, layer r-1 here) attaches one
 child to every free leg of the previous ring; children sitting between two
 adjacent parents use two legs ("corner" nodes), the rest use one ("single"
 nodes).  The module builds the layout graph, assembles the contracted
-stabilizer code by repeated two-tensor contraction, and derives a
-ring-by-ring contraction schedule whose bond dimensions are exactly
-4^(R - r) between rings at radius r.
+stabilizer code, and derives a ring-by-ring contraction schedule whose bond
+dimensions are exactly 4^(R - r) between rings at radius r.
+
+The code is assembled as the fold of two-tensor contractions
+``contract(block, acc, binding)`` over the attachments, but on packed GF(2)
+tableaux instead of PauliStrings.  Every (node, leg) slot owns a fixed
+column.  An attachment reads the x/z bits of each row on its one or two
+bound columns, XORs in the block's canonical matching product from a 4- or
+16-entry table (derived once per in-leg tuple with
+``StabilizerCode.canonicalized_on``, as ``contract`` does), and appends the
+block's fresh stabilizer and pure-error rows.  Bound columns stay in place,
+dead.  The live columns are gathered into PauliStrings once, at the end.
 
 Chains of tensors (open paths, used for small worked examples) share the
 same node, schedule, and executor machinery with all bond dimensions 1.
@@ -15,18 +24,25 @@ same node, schedule, and executor machinery with all bond dimensions 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .pauli import PauliString
+from .pauli import PauliString, unpack
 from .stabilizer import StabilizerCode, six_qubit_code, seven_qubit_state
-from .tensor import CodeTensor, LegBinding, contract
+
+# ``contract`` is the general two-tensor API; the packed assembler below
+# reproduces its fold exactly, and it stays importable from here.
+from .tensor import CodeTensor, contract, pair_products  # noqa: F401
 
 CENTER_LEGS = 6
 BLOCK_LEGS = 7
 SINGLE_IN_LEG = 6
 CORNER_IN_LEGS = (5, 6)  # leg 5 meets the right parent, leg 6 the left
+# Tableau columns per node: seven legs and a pad, so that a node's columns
+# never straddle a 64-bit word.
+NODE_COLUMNS = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,15 +141,14 @@ def build_layout(radius: int, *, with_code: bool = True) -> HolographicLayout:
     each pair of cyclically adjacent parents (consuming the left parent's
     last free leg and the right parent's first), and one single node on
     every middle leg.  With ``with_code`` the stabilizer code is assembled
-    by repeated contraction, with the fresh block always supplying the
-    canonical side, and its qubits are permuted to boundary order
+    ring by ring on packed tableaux (see the module docstring), generator
+    for generator equal to folding ``contract(block, acc, binding)`` over
+    the same attachments, with the fresh block always supplying the
+    canonical side.  Its qubits are then permuted to boundary order
     (outermost ring first to last, free legs ascending within a node).
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
-
-    seed = CodeTensor.from_code(six_qubit_code())
-    block = CodeTensor.from_code(seven_qubit_state())
 
     rings: list[list[str]] = [["c"]]
     in_links: dict[str, tuple[tuple[int, str, int], ...]] = {"c": ()}
@@ -203,14 +218,9 @@ def build_layout(radius: int, *, with_code: bool = True) -> HolographicLayout:
 
     code = None
     if with_code:
-        acc = seed
-        acc_map: list[tuple[str, int]] = [("c", leg) for leg in range(CENTER_LEGS)]
-        for ring in rings[1:]:
-            for name in ring:
-                node = nodes[name]
-                acc, acc_map = _attach_block(block, acc, acc_map, node)
-        perm = [acc_map.index(slot) for slot in boundary]
-        code = acc.code.permuted(perm)
+        raw, live = _assemble([nodes[name] for ring in rings[1:] for name in ring])
+        position = {slot: q for q, slot in enumerate(live)}
+        code = raw.permuted([position[slot] for slot in boundary])
 
     return HolographicLayout(
         radius=radius,
@@ -221,30 +231,116 @@ def build_layout(radius: int, *, with_code: bool = True) -> HolographicLayout:
     )
 
 
-def _attach_block(
-    block: CodeTensor,
-    acc: CodeTensor,
-    acc_map: list[tuple[str, int]],
-    node: LayoutNode,
-) -> tuple[CodeTensor, list[tuple[str, int]]]:
-    """Contract one seven-leg block onto the accumulated code.
+@dataclass(frozen=True, slots=True)
+class _BlockKind:
+    """A seven-leg block bound on given in-legs, as packed (x, z) bit pairs.
 
-    The block goes in as the first argument so that the fresh small tensor,
-    which always distinguishes errors on its one or two in-legs, supplies
-    the canonical generator form; the accumulated side is never enumerated.
+    Bits sit at the block's own leg positions, with the bound legs cleared.
+    ``table[t]`` is the canonical matching product for bound-leg key t
+    (base-4 digit i is the code on in-leg i); ``stabilizers`` and
+    ``pure_errors`` are the block's fresh rows, their bound-leg action
+    cleared by the matching product.
     """
-    left_legs = tuple(leg for leg, _, _ in node.in_links)
-    right_positions = tuple(
-        acc_map.index((parent, parent_leg))
-        for _, parent, parent_leg in node.in_links
+
+    fresh_legs: tuple[int, ...]
+    table: np.ndarray  # (4^p, 2) uint64
+    stabilizers: np.ndarray  # (7 - 2p, 2) uint64
+    pure_errors: np.ndarray  # (7 - 2p, 2) uint64
+
+
+def _block_kind(in_legs: tuple[int, ...]) -> _BlockKind:
+    """Derive the packed matching table of a block bound on ``in_legs``."""
+    canon = seven_qubit_state().canonicalized_on(in_legs)
+    products = pair_products(canon, len(in_legs))
+    fresh = tuple(leg for leg in range(BLOCK_LEGS) if leg not in in_legs)
+    mask = sum(1 << leg for leg in fresh)
+
+    def packed(ops: Sequence[PauliString]) -> np.ndarray:
+        return np.array([(op.x & mask, op.z & mask) for op in ops],
+                        dtype=np.uint64).reshape(-1, 2)
+
+    def cleared(ops: Sequence[PauliString]) -> np.ndarray:
+        return packed([op * products[op.restrict(in_legs).key()] for op in ops])
+
+    rest = 2 * len(in_legs)
+    return _BlockKind(fresh, packed(products), cleared(canon.stabilizers[rest:]),
+                      cleared(canon.pure_errors[rest:]))
+
+
+def _assemble(
+    attached: Sequence[LayoutNode],
+) -> tuple[StabilizerCode, list[tuple[str, int]]]:
+    """Attach seven-leg blocks to the seed tensor, in order, on packed tableaux.
+
+    The result equals folding ``contract(block, acc, binding)`` over the
+    attachments: accumulated rows keep their order and each block appends
+    its fresh stabilizer and pure-error rows.  Returns the code with its
+    qubits in contraction order (the last block's free legs first, then the
+    earlier survivors) and the (node, leg) slot of each qubit.
+    """
+    seed = six_qubit_code()
+    kinds: dict[tuple[int, ...], _BlockKind] = {}
+    node_kinds = []
+    for node in attached:
+        in_legs = tuple(leg for leg, _, _ in node.in_links)
+        if in_legs not in kinds:
+            kinds[in_legs] = _block_kind(in_legs)
+        node_kinds.append(kinds[in_legs])
+
+    # Rows: stabilizers [0, m), pure errors [m, 2m), logical X, logical Z.
+    m = len(seed.stabilizers) + sum(len(kind.stabilizers) for kind in node_kinds)
+    k = seed.k
+    words = -(-NODE_COLUMNS * (len(attached) + 1) // 64)
+    x = np.zeros((2 * m + 2 * k, words), dtype=np.uint64)
+    z = np.zeros_like(x)
+    seed_rows = (
+        list(enumerate(seed.stabilizers))
+        + [(m + i, e) for i, e in enumerate(seed.pure_errors)]
+        + [(2 * m + i, op) for i, op in enumerate(seed.logical_x + seed.logical_z)]
     )
-    binding = LegBinding(left_legs, right_positions)
-    new_acc = contract(block, acc, binding)
-    bound = set(left_legs)
-    fresh = [(node.name, leg) for leg in range(BLOCK_LEGS) if leg not in bound]
-    consumed = set(right_positions)
-    kept = [slot for i, slot in enumerate(acc_map) if i not in consumed]
-    return new_acc, fresh + kept
+    for row, op in seed_rows:
+        x[row, 0], z[row, 0] = op.x, op.z
+
+    column = {("c", leg): leg for leg in range(CENTER_LEGS)}
+    dead: set[tuple[str, int]] = set()
+    fresh_row = len(seed.stabilizers)
+    for index, (node, kind) in enumerate(zip(attached, node_kinds), start=1):
+        key = np.zeros(len(x), dtype=np.intp)
+        for i, (_, parent, parent_leg) in enumerate(node.in_links):
+            dead.add((parent, parent_leg))
+            w, b = divmod(column[(parent, parent_leg)], 64)
+            xb, zb = (x[:, w] >> b) & 1, (z[:, w] >> b) & 1
+            key |= ((xb ^ zb) | (zb << 1)).astype(np.intp) << (2 * i)
+        w, b = divmod(NODE_COLUMNS * index, 64)
+        shift = np.uint64(b)
+        x[:, w] |= kind.table[key, 0] << shift
+        z[:, w] |= kind.table[key, 1] << shift
+        f = len(kind.stabilizers)
+        for start, rows in ((fresh_row, kind.stabilizers),
+                            (m + fresh_row, kind.pure_errors)):
+            x[start : start + f, w] = rows[:, 0] << shift
+            z[start : start + f, w] = rows[:, 1] << shift
+        fresh_row += f
+        for leg in kind.fresh_legs:
+            column[(node.name, leg)] = NODE_COLUMNS * index + leg
+
+    live = [
+        (node.name, leg)
+        for node, kind in zip(reversed(attached), reversed(node_kinds))
+        for leg in kind.fresh_legs
+        if (node.name, leg) not in dead
+    ]
+    live += [("c", leg) for leg in range(CENTER_LEGS) if ("c", leg) not in dead]
+    ops = unpack(x, z, [column[slot] for slot in live])
+    code = StabilizerCode(
+        n=len(live),
+        k=k,
+        stabilizers=tuple(ops[:m]),
+        logical_x=tuple(ops[2 * m : 2 * m + k]),
+        logical_z=tuple(ops[2 * m + k :]),
+        pure_errors=tuple(ops[m : 2 * m]),
+    )
+    return code, live
 
 
 def schedule_for(layout: HolographicLayout) -> ContractionSchedule:
@@ -328,12 +424,9 @@ def chain_layout(
     in-leg), where index 0 is the seed and index j >= 1 is block j.  Parents
     must already be attached.  Qubit order is the raw contraction order
     (each new block's free legs first, ascending, then the previous code's
-    surviving qubits); the boundary records it.  All schedule bond
-    dimensions are 1.
+    surviving qubits); the boundary records it.  The code is assembled
+    as in :func:`build_layout`.  All schedule bond dimensions are 1.
     """
-    seed = CodeTensor.from_code(six_qubit_code())
-    block = CodeTensor.from_code(seven_qubit_state())
-
     names = ["c"] + [f"b{i}" for i in range(1, len(links) + 1)]
     links_by_child: dict[str, tuple[int, str, int]] = {}
     children: dict[str, list[tuple[int, str, int]]] = {n: [] for n in names}
@@ -371,19 +464,13 @@ def chain_layout(
             leaf_legs=leaves,
         )
 
-    acc = seed
-    acc_map = [("c", leg) for leg in range(CENTER_LEGS)]
-    for name in names[1:]:
-        node = nodes[name]
-        acc, acc_map = _attach_block(block, acc, acc_map, node)
-    boundary = tuple(acc_map)
-
+    code, live = _assemble([nodes[name] for name in names[1:]])
     return HolographicLayout(
         radius=1,
         rings=(tuple(names),),
         nodes=nodes,
-        boundary=boundary,
-        code=acc.code,
+        boundary=tuple(live),
+        code=code,
     )
 
 

@@ -7,6 +7,18 @@ Multiplication is a pair of word-parallel XORs and commutation is a parity
 of two AND/popcount terms, so strings with thousands of qubits stay cheap.
 Index strings (tuples of 0..3) and text like "XZYYXI" are views of the same
 data.
+
+The codes are chosen so that a qubit's code is (x XOR z) | z << 1, which is
+linear in its (x, z) bits.  So the phase-free product is XOR on codes too,
+and on base-4 keys:
+
+    (a * b).key() == a.key() ^ b.key()
+
+Keys of a group of Pauli strings can therefore be combined as plain ints.
+
+For many operators at once, :func:`pack` turns them into rows of uint64
+words and :func:`unpack` gathers chosen columns of such rows back into
+operators, one numpy gather per block of rows.
 """
 
 from __future__ import annotations
@@ -14,17 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 PAULI_CHARS = "IXYZ"
 
 _CHAR_TO_CODE = {c: i for i, c in enumerate(PAULI_CHARS)}
 
-# Phase-free single-qubit products: PAULI_PRODUCT[a][b] = code of sigma^a sigma^b.
-PAULI_PRODUCT = (
-    (0, 1, 2, 3),
-    (1, 0, 3, 2),
-    (2, 3, 0, 1),
-    (3, 2, 1, 0),
-)
+# Rows per numpy gather in unpack: bounds the unpacked bit matrix.
+GATHER_ROWS = 32
 
 
 def _bits_to_code(x: int, z: int) -> int:
@@ -202,3 +211,44 @@ class PauliString:
             self.x | (other.x << self.n),
             self.z | (other.z << self.n),
         )
+
+
+# ---------------------------------------------------------------------------
+# Packed rows
+# ---------------------------------------------------------------------------
+
+
+def pack(ops: Sequence[PauliString], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x and z bits of ``ops`` as read-only (len(ops), words) uint64 arrays.
+
+    Bit q of a row is qubit q, little-endian across the 64-bit words.
+    """
+    nbytes = 8 * max(1, -(-n // 64))
+
+    def rows(bits: Iterable[int]) -> np.ndarray:
+        raw = b"".join(b.to_bytes(nbytes, "little") for b in bits)
+        return np.frombuffer(raw, dtype="<u8").reshape(len(ops), nbytes // 8)
+
+    return rows(op.x for op in ops), rows(op.z for op in ops)
+
+
+def unpack(x: np.ndarray, z: np.ndarray, columns: Sequence[int]) -> list[PauliString]:
+    """Operators whose qubit i is bit ``columns[i]`` of each packed row.
+
+    ``x`` and ``z`` are (rows, words) uint64 arrays as from :func:`pack`.
+    The columns are gathered in blocks of GATHER_ROWS rows.
+    """
+    cols = np.asarray(columns, dtype=np.intp)
+    n = len(cols)
+    out: list[PauliString] = []
+    for start in range(0, len(x), GATHER_ROWS):
+        stop = start + GATHER_ROWS
+        block = np.concatenate((x[start:stop], z[start:stop])).astype("<u8", copy=False)
+        bits = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")
+        rows = [
+            int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(bits[:, cols], axis=1, bitorder="little")
+        ]
+        half = len(rows) // 2
+        out.extend(PauliString(n, a, b) for a, b in zip(rows[:half], rows[half:]))
+    return out

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .pauli import PauliString
+from .pauli import PauliString, pack, unpack
 
 ENUMERATION_CAP = 20  # largest n - k for which 2^(n-k) coset listings are allowed
 
@@ -385,18 +385,17 @@ class StabilizerCode:
     # -- reshaping ----------------------------------------------------------
 
     def permuted(self, order: Sequence[int]) -> "StabilizerCode":
-        """Relabel qubits so that new qubit i is old qubit ``order[i]``."""
+        """Relabel qubits so that new qubit i is old qubit ``order[i]``.
+
+        Equal to ``restrict(order)`` on every operator, done as one packed
+        column gather over all of them.
+        """
         if sorted(order) != list(range(self.n)):
             raise ValueError("order must be a permutation of range(n)")
-        move = lambda op: op.restrict(order)
-        return StabilizerCode(
-            self.n,
-            self.k,
-            tuple(move(s) for s in self.stabilizers),
-            tuple(move(a) for a in self.logical_x),
-            tuple(move(a) for a in self.logical_z),
-            tuple(move(e) for e in self.pure_errors),
-        )
+        groups = (self.stabilizers, self.logical_x, self.logical_z, self.pure_errors)
+        moved = iter(unpack(*pack([op for g in groups for op in g], self.n), order))
+        stabs, lx, lz, pure = (tuple(next(moved) for _ in g) for g in groups)
+        return StabilizerCode(self.n, self.k, stabs, lx, lz, pure)
 
 
 def _as_pauli(op: PauliString | str) -> PauliString:

@@ -150,7 +150,7 @@ class CodeTensor:
         the identity class, the coset rule class(L) * class(L') within
         class(LL'), and per-member syndrome/class consistency.  Product
         checks sample deterministically once classes exceed ``pair_samples``
-        pairs.
+        pairs; a product's key is the XOR of the two keys.
         """
         violations: list[str] = []
         code = self.code
@@ -191,11 +191,7 @@ class CodeTensor:
                     (rng.choice(ka), rng.choice(kb)) for _ in range(pair_samples)
                 )
             for key_a, key_b in pairs:
-                prod = (
-                    PauliString.from_key(code.n, key_a)
-                    * PauliString.from_key(code.n, key_b)
-                ).key()
-                if prod not in target:
+                if key_a ^ key_b not in target:
                     violations.append(
                         f"product of {key_a} ({la}) and {key_b} ({lb}) "
                         f"escapes class {la * lb}"
@@ -211,15 +207,16 @@ class CheckReport:
 
 
 def _coset_keys(code: StabilizerCode, label: PauliString) -> frozenset[int]:
-    """Enumerate a logical class by a Gray-code walk over generator products."""
-    rep = code.class_representative(label)
-    gens = code.stabilizers
-    current = rep
-    keys = {current.key()}
+    """Enumerate a logical class by a Gray-code walk over generator products.
+
+    The walk runs on base-4 keys, where a product is an XOR.
+    """
+    current = code.class_representative(label).key()
+    gens = [s.key() for s in code.stabilizers]
+    keys = {current}
     for step in range(1, 1 << len(gens)):
-        flip = (step & -step).bit_length() - 1
-        current = current * gens[flip]
-        keys.add(current.key())
+        current ^= gens[(step & -step).bit_length() - 1]
+        keys.add(current)
     return frozenset(keys)
 
 
@@ -248,6 +245,14 @@ def contract(
     order, then b's; its logical qubits are a's then b's.  The returned
     tensor carries the contracted StabilizerCode and enumerates its class
     listings lazily.
+
+    Each operator of the non-canonical side is lifted by pairing it with
+    the :func:`pair_products` entry that matches its bound-leg action; each
+    remaining operator of the canonical side has that action cleared the
+    same way.  The holographic assembler
+    (:func:`tenqec.holographic.build_layout`) applies exactly this rule to
+    packed tableaux, and a fold of this function over the same attachments
+    is its reference.
     """
     code_a, code_b = a.code, b.code
     _check_binding(binding, code_a.n, code_b.n)
@@ -270,21 +275,12 @@ def contract(
 
     canon = c_code.canonicalized_on(c_bound)
     n_pairs = len(c_bound)
-    pair_x = canon.stabilizers[0 : 2 * n_pairs : 2]
-    pair_z = canon.stabilizers[1 : 2 * n_pairs : 2]
+    products = pair_products(canon, n_pairs)
 
-    def matching_product(codes: Sequence[int]) -> PauliString:
-        """The unique canonical-pair product acting as ``codes`` on c's legs."""
-        op = PauliString.identity(c_code.n)
-        for i, g in enumerate(codes):
-            if g in (1, 2):
-                op = op * pair_x[i]
-            if g in (2, 3):
-                op = op * pair_z[i]
-        return op
+    def matching_product(op: PauliString, bound: Sequence[int]) -> PauliString:
+        """The canonical-pair product acting on c's legs as ``op`` does on ``bound``."""
+        return products[op.restrict(bound).key()]
 
-    a_unbound = [q for q in range(code_a.n) if q not in set(binding.left)]
-    b_unbound = [q for q in range(code_b.n) if q not in set(binding.right)]
     drop_a, drop_b = sorted(binding.left), sorted(binding.right)
 
     def place(c_op: PauliString, d_op: PauliString) -> PauliString:
@@ -293,19 +289,15 @@ def contract(
             return c_op.without(drop_a).concat(d_op.without(drop_b))
         return d_op.without(drop_a).concat(c_op.without(drop_b))
 
-    id_c = PauliString.identity(c_code.n)
     id_d = PauliString.identity(d_code.n)
 
     def lift_d(op: PauliString) -> PauliString:
         """Lift a d-side operator by pairing it with its canonical match."""
-        codes = [op.code_at(q) for q in d_bound]
-        return place(matching_product(codes), op)
+        return place(matching_product(op, d_bound), op)
 
     def lift_c(op: PauliString) -> PauliString:
         """Lift a c-side operator after clearing its bound-leg action."""
-        codes = [op.code_at(q) for q in c_bound]
-        cleared = op * matching_product(codes)
-        return place(cleared, id_d)
+        return place(op * matching_product(op, c_bound), id_d)
 
     stabilizers = [lift_d(s) for s in d_code.stabilizers]
     stabilizers += [lift_c(s) for s in canon.stabilizers[2 * n_pairs :]]
@@ -338,6 +330,23 @@ def contract(
     if validate:
         new_code.validate()
     return CodeTensor(new_code)
+
+
+def pair_products(canon: StabilizerCode, n_pairs: int) -> list[PauliString]:
+    """Products of the leading canonical generator pairs, indexed by key.
+
+    ``canon`` is leg-canonical on some bound legs (see
+    :meth:`StabilizerCode.canonicalized_on`), so generators 2i and 2i+1
+    act as X and Z on bound leg i.  Entry t is the unique product of those
+    pairs that acts on bound leg i as base-4 digit i of t: I, X, Y, Z select
+    nothing, the X generator, both, or the Z generator.
+    """
+    products = [PauliString.identity(canon.n)]
+    for i in range(n_pairs):
+        gx, gz = canon.stabilizers[2 * i], canon.stabilizers[2 * i + 1]
+        factors = (PauliString.identity(canon.n), gx, gx * gz, gz)
+        products = [p * f for f in factors for p in products]
+    return products
 
 
 def _check_binding(binding: LegBinding, n_left: int, n_right: int) -> None:

@@ -1,0 +1,137 @@
+"""The packed layout assembler against its reference, a fold of contract."""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tenqec import (
+    CodeTensor,
+    LegBinding,
+    StabilizerCode,
+    build_layout,
+    chain_layout,
+    code_to_json_dict,
+    contract,
+    decoder,
+    harness,
+    holographic,
+    pauli,
+    seven_qubit_state,
+    six_qubit_code,
+    tensor,
+)
+from tenqec.pauli import pack
+
+# sha256 of json.dumps(code_to_json_dict(build_layout(r).code)), measured on
+# the contraction-fold assembler that the packed one replaced.
+CODE_DIGESTS = {
+    1: "5919a91fd1fa24f1652f049f9999692c83e3f43607981e5fb24f3a4e394d7b3e",
+    2: "efcae02ae23837922a28aad89ac8ea881ca8ec1b13d8d39e65b60d45e6a1e8c6",
+    3: "5ab3328c16f61717c53a666689296bc7e84f1efc37f3c3e84a95b035e1ecbac5",
+    4: "e0fa144b1107d1cd4451aa733282b8202fd56ba522309adda33213fd802f8e57",
+}
+CHAINS = ([(0, 5, 0)], [(0, 5, 0), (1, 6, 0)])
+
+
+def contract_fold(attached):
+    """Contract one block per node onto the seed, in order, with contract.
+
+    Returns the code in contraction order and the (node, leg) slot of each
+    of its qubits.
+    """
+    block = CodeTensor(seven_qubit_state())
+    acc = CodeTensor(six_qubit_code())
+    slots = [("c", leg) for leg in range(6)]
+    for node in attached:
+        left = tuple(leg for leg, _, _ in node.in_links)
+        right = tuple(slots.index((parent, leg)) for _, parent, leg in node.in_links)
+        acc = contract(block, acc, LegBinding(left, right))
+        fresh = [(node.name, leg) for leg in range(7) if leg not in left]
+        slots = fresh + [slot for i, slot in enumerate(slots) if i not in right]
+    return acc.code, slots
+
+
+def restricted(code, order):
+    """``code`` with every operator restricted to ``order``, one at a time."""
+    move = lambda ops: tuple(op.restrict(order) for op in ops)
+    return StabilizerCode(code.n, code.k, move(code.stabilizers), move(code.logical_x),
+                          move(code.logical_z), move(code.pure_errors))
+
+
+def digest(code):
+    return hashlib.sha256(json.dumps(code_to_json_dict(code)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_layout_code_equals_contract_fold(radius):
+    layout = build_layout(radius)
+    attached = [layout.nodes[name] for ring in layout.rings[1:] for name in ring]
+    code, slots = contract_fold(attached)
+    want = restricted(code, [slots.index(slot) for slot in layout.boundary])
+    assert layout.code == want
+
+
+@pytest.mark.parametrize("links", CHAINS)
+def test_chain_code_equals_contract_fold(links):
+    chain = chain_layout(links)
+    code, slots = contract_fold([chain.nodes[name] for name in chain.rings[0][1:]])
+    assert chain.code == code
+    assert list(chain.boundary) == slots
+
+
+def test_pinned_code_digests(holo):
+    for radius, want in CODE_DIGESTS.items():
+        assert digest(holo[radius][0].code) == want, radius
+
+
+def symplectic_parities(x, z, ox, oz):
+    """Parity of the symplectic product of packed rows (x, z) with one row."""
+    counts = np.bitwise_count(x & oz) + np.bitwise_count(z & ox)
+    return counts.sum(axis=1) & 1
+
+
+def test_radius_five_code():
+    code = build_layout(5).code
+    assert (code.n, code.k) == (3996, 1)
+    assert len(code.stabilizers) == len(code.pure_errors) == 3995
+    sx, sz = pack(code.stabilizers, code.n)
+    ex, ez = pack(code.pure_errors, code.n)
+    # rows 0 and 1: logical X and logical Z
+    ax, az = pack(code.logical_x + code.logical_z, code.n)
+    sample = np.random.default_rng(5).choice(3995, size=64, replace=False)
+    for i in sample:
+        anti = symplectic_parities(sx, sz, ex[i], ez[i])
+        assert np.flatnonzero(anti).tolist() == [i]
+    for row in (0, 1):
+        assert not symplectic_parities(sx[sample], sz[sample], ax[row], az[row]).any()
+    assert symplectic_parities(ax[:1], az[:1], ax[1], az[1]).tolist() == [1]
+
+
+def test_topology_only_builds_no_tensors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("topology-only build touched code tensors")
+
+    monkeypatch.setattr(tensor.CodeTensor, "from_code", refuse)
+    monkeypatch.setattr(StabilizerCode, "canonicalized_on", refuse)
+    assert build_layout(4, with_code=False).n == 834
+
+
+def test_benchmark_entry_points_resolve(monkeypatch):
+    """Every name the traced benchmark wraps is still bound."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    names = [(owner, attr) for _, owner, attr, _ in spans.ENTRY_POINTS]
+    names += [(pauli.PauliString, attr) for attr in spans.COUNTED]
+    names += [(owner, "likelihoods_network") for owner in (decoder, harness)]
+    names += [(tensor.CodeTensor, "from_code"), (tensor, "contract")]
+    for owner, attr in names:
+        spans._lookup(owner, attr)  # raises TraceError when the name is gone
+    assert holographic.contract is tensor.contract

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tenqec import PauliString
+from tenqec.pauli import pack, unpack
 
 
 def all_paulis(n):
@@ -101,6 +102,20 @@ def test_key_is_base_four_little_endian():
     p = PauliString.from_text("XIZ")
     assert p.codes() == (1, 0, 3)
     assert p.key() == 1 + 0 * 4 + 3 * 16
+
+
+@given(pauli_pairs())
+def test_product_key_is_xor_of_keys(pair):
+    a, b = pair
+    assert (a * b).key() == a.key() ^ b.key()
+
+
+@given(st.lists(paulis(n=70), min_size=0, max_size=40), st.randoms())
+def test_pack_unpack_gathers_columns(ops, rnd):
+    columns = rnd.sample(range(70), rnd.randint(0, 70))
+    x, z = pack(ops, 70)
+    assert x.shape == z.shape == (len(ops), 2)
+    assert unpack(x, z, columns) == [op.restrict(columns) for op in ops]
 
 
 def test_single_places_one_operator():

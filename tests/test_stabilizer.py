@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tenqec import (
     DependentGeneratorsError,
@@ -169,6 +170,39 @@ def test_permuted_moves_operators(six_code):
     texts = {s.to_text() for s in perm.stabilizers}
     # ZIZIII with qubit 5 pulled to the front becomes IZIZII
     assert "IZIZII" in texts
+
+
+@st.composite
+def codes_and_orders(draw):
+    """An unvalidated "code" of random operators and a permutation of its qubits.
+
+    ``permuted`` only moves operators, so they need not form a code.
+    """
+    n = draw(st.integers(min_value=1, max_value=140))
+    k = draw(st.integers(min_value=0, max_value=3))
+    op = st.builds(
+        lambda x, z: PauliString(n, x, z),
+        st.integers(0, (1 << n) - 1),
+        st.integers(0, (1 << n) - 1),
+    )
+    groups = [draw(st.lists(op, min_size=size, max_size=size))
+              for size in (draw(st.integers(0, 40)), k, k, draw(st.integers(0, 40)))]
+    order = draw(st.permutations(range(n)))
+    return StabilizerCode(n, k, *map(tuple, groups)), order
+
+
+@given(codes_and_orders())
+@settings(max_examples=60)
+def test_permuted_equals_restrict(case):
+    code, order = case
+    moved = code.permuted(order)
+    for got, want in (
+        (moved.stabilizers, code.stabilizers),
+        (moved.logical_x, code.logical_x),
+        (moved.logical_z, code.logical_z),
+        (moved.pure_errors, code.pure_errors),
+    ):
+        assert got == tuple(op.restrict(order) for op in want)
 
 
 def test_json_round_trip(six_code):

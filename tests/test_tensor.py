@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tenqec import (
     CodeTensor,
@@ -86,6 +87,26 @@ def test_self_check_catches_corruption(six_code, six_tensor):
     report = bad.self_check()
     assert not report.passed
     assert report.violations
+
+
+@given(
+    st.integers(0, 3),
+    st.integers(0, 31),
+    st.integers(0, 5),
+    st.integers(1, 3),
+)
+@settings(max_examples=40)
+def test_self_check_catches_shifted_member(
+    six_code, six_tensor, cls, member, qubit, code
+):
+    """A member moved off its coset by a single-qubit Pauli is reported."""
+    label = class_labels(1)[cls]
+    tables = dict(six_tensor.class_tables)
+    keys = sorted(tables[label])
+    moved = keys[member] ^ (code << (2 * qubit))
+    tables[label] = frozenset(keys[:member] + [moved] + keys[member + 1 :])
+    report = CodeTensor(six_code, tables).self_check()
+    assert not report.passed
 
 
 def check_against_oracle(a, b, binding):
