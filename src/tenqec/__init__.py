@@ -7,7 +7,6 @@ from .decoder import (
     OpCounter,
     decode,
     leaf_probabilities,
-    likelihoods_direct,
     likelihoods_network,
 )
 from .harness import (
@@ -25,7 +24,6 @@ from .holographic import (
     LayoutNode,
     build_layout,
     chain_layout,
-    chain_schedule,
     predicted_op_count,
     schedule_for,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "ThresholdFit",
     "build_layout",
     "chain_layout",
-    "chain_schedule",
     "code_from_json_dict",
     "code_to_json_dict",
     "class_labels",
@@ -90,7 +87,6 @@ __all__ = [
     "exhaustive_likelihoods",
     "fit_threshold",
     "leaf_probabilities",
-    "likelihoods_direct",
     "likelihoods_network",
     "predicted_op_count",
     "read_points",

@@ -23,7 +23,6 @@ from .oracle import ExhaustiveDecoder, exhaustive_contract
 from .stabilizer import (
     StabilizerCode,
     Syndrome,
-    code_from_json_dict,
     code_to_json_dict,
     six_qubit_code,
     seven_qubit_state,
@@ -64,33 +63,27 @@ def _layout_sidecar(layout) -> dict:
     }
 
 
-def _cmd_build_code(args) -> int:
-    if args.holographic:
-        layout = build_layout(args.radius)
-        payload = code_to_json_dict(layout.code)
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=1)
-                fh.write("\n")
-            sidecar = args.out.rsplit(".", 1)[0] + ".layout.json"
-            with open(sidecar, "w") as fh:
-                json.dump(_layout_sidecar(layout), fh, indent=1)
-                fh.write("\n")
-            print(f"wrote {args.out} and {sidecar}")
-        else:
-            json.dump(payload, sys.stdout, indent=1)
-            print()
-        return 0
-    code = _builtin_code(args.builtin)
-    payload = code_to_json_dict(code)
-    if args.out:
-        with open(args.out, "w") as fh:
+def _write_json(payload: dict, path: str | None) -> None:
+    """Write ``payload`` as indented JSON to ``path``, or to stdout."""
+    if path:
+        with open(path, "w") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
-        print(f"wrote {args.out}")
+        print(f"wrote {path}")
     else:
         json.dump(payload, sys.stdout, indent=1)
         print()
+
+
+def _cmd_build_code(args) -> int:
+    if args.holographic:
+        layout = build_layout(args.radius)
+        _write_json(code_to_json_dict(layout.code), args.out)
+        if args.out:
+            sidecar = args.out.rsplit(".", 1)[0] + ".layout.json"
+            _write_json(_layout_sidecar(layout), sidecar)
+        return 0
+    _write_json(code_to_json_dict(_builtin_code(args.builtin)), args.out)
     return 0
 
 
@@ -108,20 +101,7 @@ def _parse_syndrome(text: str, length: int) -> Syndrome:
 
 
 def _cmd_decode(args) -> int:
-    if args.holographic:
-        layout = build_layout(args.radius)
-    else:
-        with open(args.code) as fh:
-            code = code_from_json_dict(json.load(fh))
-        if code.n == 6 and code.k == 1:
-            layout = build_layout(1)
-            if layout.code.stabilizers != code.stabilizers:
-                raise ValueError("only the built-in six-qubit code decodes directly")
-        else:
-            raise ValueError(
-                "decoding arbitrary code files is not supported; "
-                "use --holographic with a radius"
-            )
+    layout = build_layout(args.radius)
     code = layout.code
     syndrome = _parse_syndrome(args.syndrome, code.n - code.k)
     noise = NoiseModel.depolarizing(code.n, args.p)
@@ -198,14 +178,7 @@ def _cmd_fit_threshold(args) -> int:
         "coeffs": list(fit.coeffs),
         "rss": fit.rss,
     }
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    else:
-        json.dump(payload, sys.stdout, indent=1)
-        print()
+    _write_json(payload, args.out)
     return 0
 
 
@@ -284,9 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     p_build.set_defaults(func=_cmd_build_code)
 
     p_dec = sub.add_parser("decode", help="decode one syndrome")
-    p_dec.add_argument("--code", help="code JSON (six-qubit only)")
-    p_dec.add_argument("--holographic", action="store_true")
-    p_dec.add_argument("--radius", type=int, default=2)
+    p_dec.add_argument("--radius", type=int, default=2,
+                       help="nested-ring radius (1 is the six-qubit code)")
     p_dec.add_argument("--syndrome", required=True,
                        help="sign string like '+-+..' or an integer")
     p_dec.add_argument("--p", type=float, required=True,

@@ -2,10 +2,11 @@
 
 Given independent single-qubit noise, the likelihood of each logical class
 is a sum of products of per-qubit probabilities over the class's coset.
-Small codes evaluate the sum directly from their class listings; layouts
-evaluate it by contracting the network ring by ring with messages whose
-bond dimensions stay at 4^(radius - r).  Both paths agree to floating
-point accuracy, which the test suite leans on heavily.
+Every layout, nested rings and open chains alike, evaluates that sum by
+contracting its own network along :func:`tenqec.holographic.schedule_for`,
+children before parents, with messages whose bond dimensions stay at
+4^(radius - r).  The brute-force reference is :mod:`tenqec.oracle`, which
+the test suite compares against to 1e-10.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 
 from .holographic import ContractionSchedule, HolographicLayout, ScheduleStep
 from .pauli import PauliString
-from .stabilizer import StabilizerCode, Syndrome
-from .tensor import CodeTensor, class_labels
+from .stabilizer import Syndrome
+
 
 @dataclass(frozen=True, slots=True)
 class NoiseModel:
@@ -100,32 +101,6 @@ class LikelihoodTable:
         return self.labels[int(np.argmax(self.mantissas))]
 
 
-def likelihoods_direct(
-    tensor: CodeTensor,
-    noise: NoiseModel,
-    syndrome: Syndrome | None = None,
-    *,
-    pure_error: PauliString | None = None,
-    leaves: np.ndarray | None = None,
-) -> LikelihoodTable:
-    """Evaluate class likelihoods straight from the class listings."""
-    code = tensor.code
-    if leaves is None:
-        if pure_error is None and syndrome is not None:
-            pure_error = code.pure_error(syndrome)
-        leaves = leaf_probabilities(noise, pure_error)
-    cols = np.arange(code.n)
-    labels = tuple(class_labels(code.k))
-    values = np.empty(len(labels))
-    tables = tensor.digit_tables()
-    for i, label in enumerate(labels):
-        digits = tables[label]
-        values[i] = leaves[cols, digits].prod(axis=1).sum()
-    return LikelihoodTable(
-        labels=labels, mantissas=values, log_scale=0.0, syndrome=syndrome
-    )
-
-
 @dataclass(slots=True)
 class OpCounter:
     """Multiply-accumulate tally for the network executor.
@@ -163,7 +138,7 @@ def likelihoods_network(
 ) -> LikelihoodTable:
     """Contract the layout's network against leaf vectors.
 
-    Messages flow from the outermost ring inward; each node batches over
+    Messages flow from the leaves toward the seed; each node batches over
     its tensor entries, chains its children's messages with matrix
     products, and scatters into an output indexed by its parent-facing
     legs.  Every message is renormalized by its largest entry, with the
@@ -192,7 +167,7 @@ def likelihoods_network(
             for i, label in enumerate(labels):
                 digits = schedule.seed_digits[label]
                 chain = _entry_sum(step, digits, leaves, messages, counter)
-                if step.closes_ring and chain.shape[1] > 1:
+                if chain.shape[1] > 1:  # the ring around the seed closes
                     per_entry = np.einsum("eii->e", chain)
                     if counter is not None:
                         counter.add(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .decoder import NoiseModel, likelihoods_network
 from .holographic import ContractionSchedule, HolographicLayout
-from .pauli import PauliString
+from .pauli import pack
 
 CSV_HEADER = ("radius", "n", "p", "trials", "failures", "failure_rate", "std_err")
 SYNDROME_CACHE_CAP = 12  # cache decode results when n - k is at most this
@@ -52,20 +52,13 @@ class ThresholdFit:
     rss: float
 
 
-def _label_bits(label: PauliString) -> int:
-    bits = 0
-    for alpha in range(label.n):
-        bits |= ((label.x >> alpha) & 1) << (2 * alpha)
-        bits |= ((label.z >> alpha) & 1) << (2 * alpha + 1)
-    return bits
-
-
-def _pack_words(value: int, words: int) -> np.ndarray:
-    return np.frombuffer(value.to_bytes(words * 8, "little"), dtype=np.uint64).copy()
-
-
 class TrialRunner:
-    """Bit-packed per-trial sampling, syndrome extraction, and decoding."""
+    """Bit-packed per-trial sampling, syndrome extraction, and decoding.
+
+    A logical class is held as bits x | z << k: bit alpha is set when the
+    operator anticommutes with logical Z_alpha, bit k + alpha when it
+    anticommutes with logical X_alpha, so label L has bits L.x | L.z << k.
+    """
 
     def __init__(
         self,
@@ -85,40 +78,22 @@ class TrialRunner:
         n = code.n
         m = n - code.k
         self.words = (n + 63) // 64
-        self.sx = np.vstack([_pack_words(s.x, self.words) for s in code.stabilizers])
-        self.sz = np.vstack([_pack_words(s.z, self.words) for s in code.stabilizers])
-        self.pex = np.vstack([_pack_words(e.x, self.words) for e in code.pure_errors])
-        self.pez = np.vstack([_pack_words(e.z, self.words) for e in code.pure_errors])
-        self.lxx = np.vstack([_pack_words(g.x, self.words) for g in code.logical_x])
-        self.lxz = np.vstack([_pack_words(g.z, self.words) for g in code.logical_x])
-        self.lzx = np.vstack([_pack_words(g.x, self.words) for g in code.logical_z])
-        self.lzz = np.vstack([_pack_words(g.z, self.words) for g in code.logical_z])
-        self.pure_cls = np.array(
-            [self._class_bits_of(e.x, e.z) for e in code.pure_errors],
-            dtype=np.int64,
-        )
+        self.sx, self.sz = pack(code.stabilizers, n)
+        self.pex, self.pez = pack(code.pure_errors, n)
+        # logical rows Z_0 .. Z_{k-1}, then X_0 .. X_{k-1}, in class-bit order
+        self.gx, self.gz = pack(code.logical_z + code.logical_x, n)
+        self.class_weights = np.uint64(1) << np.arange(2 * code.k, dtype=np.uint64)
+        self.pure_cls = self._class_bits(self.pex, self.pez)
         self.cum = np.cumsum(noise.probs, axis=1)
         self.cache: dict[bytes, int] | None = {} if m <= SYNDROME_CACHE_CAP else None
 
-    def _class_bits_of(self, x: int, z: int) -> int:
-        ex = _pack_words(x, self.words)
-        ez = _pack_words(z, self.words)
-        return int(self._class_bits(ex, ez))
-
-    def _class_bits(self, ex: np.ndarray, ez: np.ndarray) -> int:
-        bits = 0
-        for alpha in range(self.code.k):
-            anti_z = int(
-                (np.bitwise_count(ex & self.lzz[alpha])
-                 + np.bitwise_count(ez & self.lzx[alpha])).sum()
-            ) & 1
-            anti_x = int(
-                (np.bitwise_count(ex & self.lxz[alpha])
-                 + np.bitwise_count(ez & self.lxx[alpha])).sum()
-            ) & 1
-            bits |= anti_z << (2 * alpha)
-            bits |= anti_x << (2 * alpha + 1)
-        return bits
+    def _class_bits(self, ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
+        """Class bits of packed operators, one per row of ``ex``/``ez``."""
+        anti = (
+            np.bitwise_count(ex[..., None, :] & self.gz)
+            + np.bitwise_count(ez[..., None, :] & self.gx)
+        ).sum(axis=-1) & 1
+        return anti.astype(np.uint64) @ self.class_weights
 
     def _pack_bits(self, bits: np.ndarray) -> np.ndarray:
         raw = np.packbits(bits, bitorder="little")
@@ -144,8 +119,9 @@ class TrialRunner:
         table = likelihoods_network(
             self.layout, self.schedule, self.noise, leaves=leaves
         )
-        chosen = _label_bits(table.argmax_class())
-        pure_bits = int(np.bitwise_xor.reduce(self.pure_cls * syn.astype(np.int64)))
+        label = table.argmax_class()
+        chosen = label.x | label.z << self.code.k
+        pure_bits = int(np.bitwise_xor.reduce(self.pure_cls * syn.astype(np.uint64)))
         target = chosen ^ pure_bits
         if self.cache is not None:
             self.cache[key] = target
@@ -171,7 +147,7 @@ class TrialRunner:
              + np.bitwise_count(ez[None, :] & self.sx)).sum(axis=1)
         ).astype(np.uint8) & 1
         target = self._decode_target(syn)
-        return self._class_bits(ex, ez) != target
+        return int(self._class_bits(ex, ez)) != target
 
 
 def _count_failures(
@@ -206,6 +182,8 @@ def run_point(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if seed < 0 or point_index < 0:
         raise ValueError("seed and point_index must be nonnegative")
     noise = NoiseModel.depolarizing(layout.n, p)

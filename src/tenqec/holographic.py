@@ -5,8 +5,8 @@ seven-leg tensors.  Ring r (1-based radius, layer r-1 here) attaches one
 child to every free leg of the previous ring; children sitting between two
 adjacent parents use two legs ("corner" nodes), the rest use one ("single"
 nodes).  The module builds the layout graph, assembles the contracted
-stabilizer code, and derives a ring-by-ring contraction schedule whose bond
-dimensions are exactly 4^(R - r) between rings at radius r.
+stabilizer code, and derives a contraction schedule whose bond dimensions
+are exactly 4^(R - r) between rings at radius r.
 
 The code is assembled as the fold of two-tensor contractions
 ``contract(block, acc, binding)`` over the attachments, but on packed GF(2)
@@ -18,8 +18,11 @@ bound columns, XORs in the block's canonical matching product from a 4- or
 block's fresh stabilizer and pure-error rows.  Bound columns stay in place,
 dead.  The live columns are gathered into PauliStrings once, at the end.
 
-Chains of tensors (open paths, used for small worked examples) share the
-same node, schedule, and executor machinery with all bond dimensions 1.
+Chains of tensors (open trees of blocks, used for small worked examples)
+share the node derivation, the assembler, and :func:`schedule_for`, with
+all bond dimensions 1.  Every layout numbers its nodes' ``layer`` so that
+a child's layer exceeds its parent's, and the schedule visits nodes in
+descending layer, which puts every child before its parent.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ class LayoutNode:
     name: str
     kind: str  # "center", "single", "corner", or "plain" for chain nodes
     layer: int
-    ring_pos: int
     in_links: tuple[tuple[int, str, int], ...]
     children: tuple[tuple[int, str, int], ...]
     leaf_legs: tuple[int, ...]
@@ -84,9 +86,7 @@ class ScheduleStep:
     chain: tuple[tuple[int, str, bool], ...]  # (own leg, child, corner?)
     deferred_leg: int | None
     leaf_legs: tuple[tuple[int, int], ...]  # (own leg, boundary qubit)
-    d_child: int
     d_out: int
-    closes_ring: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,12 +96,6 @@ class ContractionSchedule:
     steps: tuple[ScheduleStep, ...]
     block_digits: np.ndarray  # (entries, 7) uint8 for every seven-leg node
     seed_digits: dict[PauliString, np.ndarray]  # label -> (entries, 6) uint8
-
-    def step_for(self, name: str) -> ScheduleStep:
-        for step in self.steps:
-            if step.name == name:
-                return step
-        raise KeyError(name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,9 +111,6 @@ class HolographicLayout:
     @property
     def n(self) -> int:
         return len(self.boundary)
-
-    def node_count(self) -> int:
-        return len(self.nodes)
 
 
 def _free_leg_span(kind: str) -> tuple[int, ...]:
@@ -154,18 +145,12 @@ def build_layout(radius: int, *, with_code: bool = True) -> HolographicLayout:
     in_links: dict[str, tuple[tuple[int, str, int], ...]] = {"c": ()}
     kinds: dict[str, str] = {"c": "center"}
     layers: dict[str, int] = {"c": 0}
-    ring_pos: dict[str, int] = {"c": 0}
-    children: dict[str, list[tuple[int, str, int]]] = {"c": []}
 
-    def add_node(name: str, kind: str, layer: int, pos: int,
+    def add_node(name: str, kind: str, layer: int,
                  links: list[tuple[int, str, int]]) -> None:
         kinds[name] = kind
         layers[name] = layer
-        ring_pos[name] = pos
         in_links[name] = tuple(links)
-        children[name] = []
-        for own_leg, parent, parent_leg in links:
-            children[parent].append((parent_leg, name, own_leg))
 
     for layer in range(1, radius):
         prev = rings[-1]
@@ -173,7 +158,7 @@ def build_layout(radius: int, *, with_code: bool = True) -> HolographicLayout:
         if layer == 1:
             for j in range(CENTER_LEGS):
                 name = f"1.{j}"
-                add_node(name, "single", 1, j, [(SINGLE_IN_LEG, "c", j)])
+                add_node(name, "single", 1, [(SINGLE_IN_LEG, "c", j)])
                 ring.append(name)
         else:
             for j, parent in enumerate(prev):
@@ -181,37 +166,18 @@ def build_layout(radius: int, *, with_code: bool = True) -> HolographicLayout:
                 free_left = _free_leg_span(kinds[left])
                 free_right = _free_leg_span(kinds[parent])
                 corner = f"{layer}.{len(ring)}"
-                add_node(corner, "corner", layer, len(ring), [
+                add_node(corner, "corner", layer, [
                     (CORNER_IN_LEGS[0], parent, free_right[0]),
                     (CORNER_IN_LEGS[1], left, free_left[-1]),
                 ])
                 ring.append(corner)
                 for leg in free_right[1:-1]:
                     name = f"{layer}.{len(ring)}"
-                    add_node(name, "single", layer, len(ring),
-                             [(SINGLE_IN_LEG, parent, leg)])
+                    add_node(name, "single", layer, [(SINGLE_IN_LEG, parent, leg)])
                     ring.append(name)
         rings.append(ring)
 
-    nodes: dict[str, LayoutNode] = {}
-    for name, kind in kinds.items():
-        bound_to_parent = {leg for leg, _, _ in in_links[name]}
-        child_legs = {leg for leg, _, _ in children[name]}
-        all_legs = CENTER_LEGS if kind == "center" else BLOCK_LEGS
-        leaves = tuple(
-            leg for leg in range(all_legs)
-            if leg not in bound_to_parent and leg not in child_legs
-        )
-        nodes[name] = LayoutNode(
-            name=name,
-            kind=kind,
-            layer=layers[name],
-            ring_pos=ring_pos[name],
-            in_links=in_links[name],
-            children=tuple(sorted(children[name])),
-            leaf_legs=leaves,
-        )
-
+    nodes = _derive_nodes(kinds, layers, in_links)
     boundary = tuple(
         (name, leg) for name in rings[-1] for leg in nodes[name].leaf_legs
     )
@@ -229,6 +195,36 @@ def build_layout(radius: int, *, with_code: bool = True) -> HolographicLayout:
         boundary=boundary,
         code=code,
     )
+
+
+def _derive_nodes(
+    kinds: dict[str, str],
+    layers: dict[str, int],
+    in_links: dict[str, tuple[tuple[int, str, int], ...]],
+) -> dict[str, LayoutNode]:
+    """Complete a layout graph from its in-links, in the order of ``kinds``.
+
+    A node's children are the nodes linked to it; its leaf legs are the
+    legs bound neither to its parents nor to its children.
+    """
+    children: dict[str, list[tuple[int, str, int]]] = {name: [] for name in kinds}
+    for name, links in in_links.items():
+        for own_leg, parent, parent_leg in links:
+            children[parent].append((parent_leg, name, own_leg))
+    nodes: dict[str, LayoutNode] = {}
+    for name, kind in kinds.items():
+        bound = {leg for leg, _, _ in in_links[name]}
+        bound |= {leg for leg, _, _ in children[name]}
+        all_legs = CENTER_LEGS if kind == "center" else BLOCK_LEGS
+        nodes[name] = LayoutNode(
+            name=name,
+            kind=kind,
+            layer=layers[name],
+            in_links=in_links[name],
+            children=tuple(sorted(children[name])),
+            leaf_legs=tuple(leg for leg in range(all_legs) if leg not in bound),
+        )
+    return nodes
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,70 +340,65 @@ def _assemble(
 
 
 def schedule_for(layout: HolographicLayout) -> ContractionSchedule:
-    """Derive the outermost-first contraction schedule for a layout.
+    """Derive the leaves-to-root contraction schedule of a layout.
 
-    Each node's chain starts with the corner child on its first child-bound
-    leg (the corner it consumes), followed by its single children; the
-    corner on its last child-bound leg is deferred to the neighbour and its
-    leg index joins the right bond.  Bond dimensions between layers l and
-    l+1 are 4^(radius - 1 - l).
+    Nodes are visited in descending ``layer``, in insertion order within a
+    layer, so every child comes before its parent: the outermost ring first
+    for nested rings, the deepest block first for chains.  Each node's chain
+    starts with the corner child on its first child-bound leg (the corner
+    it consumes), followed by its other children; the corner on its last
+    child-bound leg is deferred to the neighbour and its leg index joins
+    the right bond.  Bond dimensions between layers l and l+1 are
+    4^(radius - 1 - l); chains have radius 1, so all their bonds are 1.
     """
     radius = layout.radius
     qubit_of = {slot: q for q, slot in enumerate(layout.boundary)}
     steps: list[ScheduleStep] = []
-    for ring in reversed(layout.rings):
-        for name in ring:
-            node = layout.nodes[name]
-            corner_links = [
-                (leg, child, in_leg)
-                for leg, child, in_leg in node.children
-                if layout.nodes[child].kind == "corner"
-            ]
-            single_links = [
-                (leg, child, in_leg)
-                for leg, child, in_leg in node.children
-                if layout.nodes[child].kind != "corner"
-            ]
-            consumed = [
-                (leg, child, True)
-                for leg, child, in_leg in corner_links
-                if in_leg == CORNER_IN_LEGS[0]
-            ]
-            deferred = [
-                leg
-                for leg, _, in_leg in corner_links
-                if in_leg == CORNER_IN_LEGS[1]
-            ]
-            chain = tuple(
-                sorted(consumed + [(leg, child, False) for leg, child, _ in single_links])
+    for node in sorted(layout.nodes.values(), key=lambda node: -node.layer):
+        name = node.name
+        corner_links = [
+            (leg, child, in_leg)
+            for leg, child, in_leg in node.children
+            if layout.nodes[child].kind == "corner"
+        ]
+        single_links = [
+            (leg, child, in_leg)
+            for leg, child, in_leg in node.children
+            if layout.nodes[child].kind != "corner"
+        ]
+        consumed = [
+            (leg, child, True)
+            for leg, child, in_leg in corner_links
+            if in_leg == CORNER_IN_LEGS[0]
+        ]
+        deferred = [
+            leg
+            for leg, _, in_leg in corner_links
+            if in_leg == CORNER_IN_LEGS[1]
+        ]
+        chain = tuple(
+            sorted(consumed + [(leg, child, False) for leg, child, _ in single_links])
+        )
+        d_out = 4 ** max(radius - 1 - node.layer, 0)
+        steps.append(
+            ScheduleStep(
+                name=name,
+                kind=node.kind,
+                in_legs=tuple(leg for leg, _, _ in node.in_links),
+                chain=chain,
+                deferred_leg=deferred[0] if deferred else None,
+                leaf_legs=tuple(
+                    (leg, qubit_of[(name, leg)]) for leg in node.leaf_legs
+                ),
+                d_out=1 if node.kind == "center" else d_out,
             )
-            d_out = 4 ** max(radius - 1 - node.layer, 0)
-            d_child = 4 ** max(radius - 2 - node.layer, 0)
-            steps.append(
-                ScheduleStep(
-                    name=name,
-                    kind=node.kind,
-                    in_legs=tuple(leg for leg, _, _ in node.in_links),
-                    chain=chain,
-                    deferred_leg=deferred[0] if deferred else None,
-                    leaf_legs=tuple(
-                        (leg, qubit_of[(name, leg)]) for leg in node.leaf_legs
-                    ),
-                    d_child=d_child,
-                    d_out=1 if node.kind == "center" else d_out,
-                    closes_ring=node.kind == "center" and bool(node.children),
-                )
-            )
+        )
+    (block_digits,) = CodeTensor.from_code(seven_qubit_state()).digit_tables().values()
     return ContractionSchedule(
         steps=tuple(steps),
-        block_digits=_group_digits(CodeTensor.from_code(seven_qubit_state())),
+        block_digits=block_digits,
         seed_digits=CodeTensor.from_code(six_qubit_code()).digit_tables(),
     )
-
-
-def _group_digits(tensor: CodeTensor) -> np.ndarray:
-    (table,) = tensor.digit_tables().values()
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +413,14 @@ def chain_layout(
 
     ``links[i]`` attaches block i+1 as (parent index, parent leg, own
     in-leg), where index 0 is the seed and index j >= 1 is block j.  Parents
-    must already be attached.  Qubit order is the raw contraction order
-    (each new block's free legs first, ascending, then the previous code's
-    surviving qubits); the boundary records it.  The code is assembled
-    as in :func:`build_layout`.  All schedule bond dimensions are 1.
+    must already be attached.  Block j sits at layer j.  Qubit order is the
+    raw contraction order (each new block's free legs first, ascending, then
+    the previous code's surviving qubits); the boundary records it.  The
+    code is assembled as in :func:`build_layout`.  All schedule bond
+    dimensions are 1.
     """
     names = ["c"] + [f"b{i}" for i in range(1, len(links) + 1)]
-    links_by_child: dict[str, tuple[int, str, int]] = {}
-    children: dict[str, list[tuple[int, str, int]]] = {n: [] for n in names}
+    in_links: dict[str, tuple[tuple[int, str, int], ...]] = {"c": ()}
     used_legs: dict[str, set[int]] = {n: set() for n in names}
     for i, (parent_idx, parent_leg, own_leg) in enumerate(links, start=1):
         if not 0 <= parent_idx < i:
@@ -441,29 +432,12 @@ def chain_layout(
         if not 0 <= own_leg < BLOCK_LEGS:
             raise ValueError("in-leg out of range")
         used_legs[parent].add(parent_leg)
-        name = names[i]
-        links_by_child[name] = (own_leg, parent, parent_leg)
-        used_legs[name].add(own_leg)
-        children[parent].append((parent_leg, name, own_leg))
+        used_legs[names[i]].add(own_leg)
+        in_links[names[i]] = ((own_leg, parent, parent_leg),)
 
-    nodes: dict[str, LayoutNode] = {}
-    for idx, name in enumerate(names):
-        kind = "center" if name == "c" else "plain"
-        n_legs = CENTER_LEGS if kind == "center" else BLOCK_LEGS
-        in_link = () if name == "c" else (links_by_child[name],)
-        leaves = tuple(
-            leg for leg in range(n_legs) if leg not in used_legs[name]
-        )
-        nodes[name] = LayoutNode(
-            name=name,
-            kind=kind,
-            layer=0 if name == "c" else idx,
-            ring_pos=idx,
-            in_links=in_link,
-            children=tuple(sorted(children[name])),
-            leaf_legs=leaves,
-        )
-
+    kinds = {name: "center" if name == "c" else "plain" for name in names}
+    layers = {name: i for i, name in enumerate(names)}
+    nodes = _derive_nodes(kinds, layers, in_links)
     code, live = _assemble([nodes[name] for name in names[1:]])
     return HolographicLayout(
         radius=1,
@@ -474,64 +448,17 @@ def chain_layout(
     )
 
 
-def chain_schedule(layout: HolographicLayout) -> ContractionSchedule:
-    """Leaves-to-seed schedule for a chain layout (all bonds 1)."""
-    qubit_of = {slot: q for q, slot in enumerate(layout.boundary)}
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def visit(name: str) -> None:
-        for _, child, _ in layout.nodes[name].children:
-            visit(child)
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
-
-    visit("c")
-    steps = []
-    for name in order:
-        node = layout.nodes[name]
-        steps.append(
-            ScheduleStep(
-                name=name,
-                kind=node.kind,
-                in_legs=tuple(leg for leg, _, _ in node.in_links),
-                chain=tuple((leg, child, False) for leg, child, _ in node.children),
-                deferred_leg=None,
-                leaf_legs=tuple(
-                    (leg, qubit_of[(name, leg)]) for leg in node.leaf_legs
-                ),
-                d_child=1,
-                d_out=1,
-                closes_ring=False,
-            )
-        )
-    return ContractionSchedule(
-        steps=tuple(steps),
-        block_digits=_group_digits(CodeTensor.from_code(seven_qubit_state())),
-        seed_digits=CodeTensor.from_code(six_qubit_code()).digit_tables(),
-    )
-
-
-def predicted_op_count(
-    layout: HolographicLayout, *, n_mat: int = 3, c_mat: float = 1.0
-) -> float:
+def predicted_op_count(layout: HolographicLayout) -> float:
     """Closed-form work bound for contracting the layout's network.
 
-    Sums, over every node with m legs and child bond dimension D, the term
-    2^(m+2) * (m - 3) * c_mat * D^n_mat.  With the defaults this bounds the
-    multiply-accumulate count of the schedule executor; the radius-1 layout
-    comes out at exactly 768.
+    Sums, over every node with m legs and child bond dimension
+    D = 4^max(radius - 2 - layer, 0), the term 2^(m+2) * (m - 3) * D^3.
+    This bounds the multiply-accumulate count of the schedule executor;
+    the radius-1 layout comes out at exactly 768.
     """
     total = 0.0
-    radius = layout.radius
     for node in layout.nodes.values():
         m = node.n_legs
-        if node.kind in ("center", "plain") and radius == 1:
-            d_child = 1
-        else:
-            d_child = 4 ** max(radius - 2 - node.layer, 0)
-        if not node.children:
-            d_child = 1
-        total += (2 ** (m + 2)) * (m - 3) * c_mat * float(d_child) ** n_mat
+        d_child = 4 ** max(layout.radius - 2 - node.layer, 0)
+        total += (2 ** (m + 2)) * (m - 3) * float(d_child) ** 3
     return total

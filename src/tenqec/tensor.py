@@ -42,10 +42,6 @@ class LegBinding:
         if not self.left:
             raise ValueError("a binding needs at least one leg pair")
 
-    @classmethod
-    def of(cls, left: Sequence[int], right: Sequence[int]) -> "LegBinding":
-        return cls(tuple(left), tuple(right))
-
 
 def class_labels(k: int) -> list[PauliString]:
     """All 4^k class labels in the fixed order I < X < Z < Y per qubit."""
@@ -55,12 +51,6 @@ def class_labels(k: int) -> list[PauliString]:
     # itertools.product varies the last position fastest; reversing the code
     # tuple makes qubit 0 the fastest-varying (least significant) position.
     return labels
-
-
-def class_order_key(label: PauliString) -> tuple[int, ...]:
-    """Sort key realizing the tie-break order I < X < Z < Y per qubit."""
-    rank = (0, 1, 3, 2)  # code -> rank
-    return tuple(rank[c] for c in reversed(label.codes()))
 
 
 class CodeTensor:
@@ -88,14 +78,6 @@ class CodeTensor:
         tensor = cls(code)
         tensor.class_tables  # force materialization (and the cap check)
         return tensor
-
-    @property
-    def n_legs(self) -> int:
-        return self.code.n
-
-    @property
-    def k_logical(self) -> int:
-        return self.code.k
 
     @property
     def class_tables(self) -> dict[PauliString, frozenset[int]]:
@@ -139,9 +121,6 @@ class CodeTensor:
         if table is None:
             raise ValueError(f"unknown class label {label}")
         return 1 if key in table else 0
-
-    def contract(self, other: "CodeTensor", binding: LegBinding) -> "CodeTensor":
-        return contract(self, other, binding)
 
     def self_check(self, *, pair_samples: int = 4096, seed: int = 7) -> "CheckReport":
         """Verify the indicator-tensor laws on the enumerated classes.
@@ -218,11 +197,6 @@ def _coset_keys(code: StabilizerCode, label: PauliString) -> frozenset[int]:
         current ^= gens[(step & -step).bit_length() - 1]
         keys.add(current)
     return frozenset(keys)
-
-
-def tensor_from_code(code: StabilizerCode) -> CodeTensor:
-    """Module-level alias of :meth:`CodeTensor.from_code`."""
-    return CodeTensor.from_code(code)
 
 
 # ---------------------------------------------------------------------------

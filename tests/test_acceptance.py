@@ -26,7 +26,6 @@ from tenqec import (
     StabilizerCode,
     Syndrome,
     chain_layout,
-    chain_schedule,
     class_labels,
     contract,
     crossing_point,
@@ -39,6 +38,7 @@ from tenqec import (
     predicted_op_count,
     run_mc,
     run_point,
+    schedule_for,
     seven_qubit_state,
     spans_same_group,
     write_points,
@@ -76,7 +76,7 @@ def test_criterion_1_exact_decoder_matches_enumeration(holo):
 
     # (b) the eleven-qubit two-tensor code: every syndrome at p = 0.1
     chain = chain_layout([(0, 5, 0)])
-    schedule11 = chain_schedule(chain)
+    schedule11 = schedule_for(chain)
     oracle11 = ExhaustiveDecoder(chain.code)
     noise11 = NoiseModel.depolarizing(11, 0.1)
     syndromes11 = [Syndrome(10, bits) for bits in range(1024)]
@@ -87,7 +87,7 @@ def test_criterion_1_exact_decoder_matches_enumeration(holo):
 
     # (c) a sixteen-qubit three-tensor chain: 200 random syndromes
     chain16 = chain_layout([(0, 5, 0), (1, 6, 0)])
-    schedule16 = chain_schedule(chain16)
+    schedule16 = schedule_for(chain16)
     oracle16 = ExhaustiveDecoder(chain16.code)
     noise16 = NoiseModel.depolarizing(16, 0.1)
     rng = np.random.default_rng(2026)

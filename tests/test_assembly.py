@@ -135,3 +135,8 @@ def test_benchmark_entry_points_resolve(monkeypatch):
     for owner, attr in names:
         spans._lookup(owner, attr)  # raises TraceError when the name is gone
     assert holographic.contract is tensor.contract
+    # the trace patches the harness's own binding of the network decoder
+    assert harness.likelihoods_network is decoder.likelihoods_network
+    # one schedule derivation serves rings and chains
+    chain = chain_layout([(0, 5, 0)])
+    assert len(holographic.schedule_for(chain).steps) == len(chain.nodes)

@@ -41,12 +41,9 @@ def test_unknown_subcommand_exits_one(capsys):
     assert info.value.code == 1
 
 
-def test_decode_prints_table(tmp_path, capsys):
-    out = tmp_path / "six.json"
-    main(["build-code", "--builtin", "six_qubit", "--out", str(out)])
-    capsys.readouterr()
+def test_decode_prints_table(capsys):
     code = main(
-        ["decode", "--code", str(out), "--syndrome", "+-+++", "--p", "0.1"]
+        ["decode", "--radius", "1", "--syndrome", "+-+++", "--p", "0.1"]
     )
     assert code == 0
     text = capsys.readouterr().out
@@ -54,24 +51,27 @@ def test_decode_prints_table(tmp_path, capsys):
     assert "correction" in text
     # a leading minus sign needs the equals spelling
     assert main(
-        ["decode", "--code", str(out), "--syndrome=-++++", "--p", "0.1"]
+        ["decode", "--radius", "1", "--syndrome=-++++", "--p", "0.1"]
     ) == 0
 
 
 def test_decode_holographic(capsys):
     assert main(
-        ["decode", "--holographic", "--radius", "2", "--syndrome", "1",
-         "--p", "0.15"]
+        ["decode", "--radius", "2", "--syndrome", "1", "--p", "0.15"]
     ) == 0
     text = capsys.readouterr().out
     assert "class I" in text
 
 
-def test_decode_rejects_wrong_syndrome_length(tmp_path, capsys):
-    out = tmp_path / "six.json"
-    main(["build-code", "--builtin", "six_qubit", "--out", str(out)])
+def test_decode_defaults_to_radius_two(capsys):
+    assert main(["decode", "--syndrome", "1", "--p", "0.1"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("syndrome: -" + "+" * 34 + "\n")
+
+
+def test_decode_rejects_wrong_syndrome_length(capsys):
     assert main(
-        ["decode", "--code", str(out), "--syndrome", "++", "--p", "0.1"]
+        ["decode", "--radius", "1", "--syndrome", "++", "--p", "0.1"]
     ) == 1
 
 
@@ -132,8 +132,7 @@ def test_fit_threshold_single_radius_fails(tmp_path, capsys):
 
 
 def test_missing_file_is_reported(capsys):
-    assert main(["decode", "--code", "/nonexistent.json", "--syndrome", "+",
-                 "--p", "0.1"]) == 1
+    assert main(["fit-threshold", "/nonexistent.csv"]) == 1
 
 
 def test_verify_passes(capsys):

@@ -1,4 +1,4 @@
-"""Likelihood evaluation: direct, networked, and their bookkeeping."""
+"""Network likelihood evaluation and its bookkeeping."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from tenqec import (
     Syndrome,
     decode,
     leaf_probabilities,
-    likelihoods_direct,
     likelihoods_network,
 )
 
@@ -43,29 +42,17 @@ def test_leaf_probabilities_permute_rows():
     assert np.allclose(leaves, [[0.1, 0.2, 0.3, 0.4]])
 
 
-def test_direct_matches_oracle(six_tensor):
-    noise = NoiseModel.depolarizing(6, 0.1)
-    oracle = ExhaustiveDecoder(six_tensor.code)
-    for bits in range(32):
-        syn = Syndrome(5, bits)
-        mine = likelihoods_direct(six_tensor, noise, syn)
-        want = oracle.likelihoods(noise, syn)
-        for label in mine.labels:
-            assert mine.absolute(label) == pytest.approx(
-                want.absolute(label), rel=1e-12
-            )
-
-
-def test_network_matches_direct(six_tensor, holo):
+def test_network_matches_oracle(holo):
     layout, schedule = holo[1]
     noise = NoiseModel.depolarizing(6, 0.17)
+    oracle = ExhaustiveDecoder(layout.code)
     for bits in range(32):
         syn = Syndrome(5, bits)
         net = likelihoods_network(layout, schedule, noise, syn)
-        direct = likelihoods_direct(six_tensor, noise, syn)
+        want = oracle.likelihoods(noise, syn)
         for label in net.labels:
             assert net.absolute(label) == pytest.approx(
-                direct.absolute(label), rel=1e-12
+                want.absolute(label), rel=1e-12
             )
 
 

@@ -1,5 +1,6 @@
 """Monte Carlo harness: reproducibility, statistics, and the scaling fit."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -78,6 +79,27 @@ def test_workers_match_single_thread(holo):
     serial = run_point(layout, schedule, 0.19, 60, seed=13)
     forked = run_point(layout, schedule, 0.19, 60, seed=13, workers=2)
     assert serial == forked
+
+
+def test_workers_must_be_positive(holo):
+    layout, schedule = holo[2]
+    with pytest.raises(ValueError):
+        run_point(layout, schedule, 0.19, 10, seed=13, workers=0)
+    with pytest.raises(ValueError):
+        run_mc(layout, schedule, [0.19], 10, seed=13, workers=-1)
+
+
+def test_pinned_radius_three_csv(tmp_path, holo):
+    # radius 3 has no near-tied classes at these p, so its decisions do
+    # not hang on the last ulp of the contraction
+    layout, schedule = holo[3]
+    points = run_mc(layout, schedule, [0.16, 0.18, 0.20], 200, seed=2026)
+    assert [pt.failures for pt in points] == [19, 46, 72]
+    path = tmp_path / "r3.csv"
+    write_points(str(path), points)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "44fbb18e95d0a1b3d5daa9f30247d730bc16770be2ef15e62aeb6c0efc6b775c"
+    )
 
 
 def test_monte_carlo_convergence_rate(holo):

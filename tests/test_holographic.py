@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from tenqec import (
-    CodeTensor,
+    ExhaustiveDecoder,
     LegBinding,
     NoiseModel,
+    Syndrome,
     build_layout,
     chain_layout,
-    chain_schedule,
     contract,
     exhaustive_contract,
     likelihoods_network,
     predicted_op_count,
+    schedule_for,
     seven_qubit_state,
-    six_qubit_code,
 )
 from tenqec.holographic import CORNER_IN_LEGS, SINGLE_IN_LEG
 
@@ -26,7 +26,7 @@ QUBIT_COUNTS = {1: 6, 2: 36, 3: 174, 4: 834}
 
 def test_node_and_qubit_counts(holo):
     for r, (layout, _) in holo.items():
-        assert layout.node_count() == NODE_COUNTS[r]
+        assert len(layout.nodes) == NODE_COUNTS[r]
         assert layout.n == QUBIT_COUNTS[r]
         assert layout.code is not None
         assert layout.code.n == layout.n
@@ -124,14 +124,15 @@ def test_schedule_covers_all_nodes(holo):
 
 def test_schedule_bond_dimensions(holo):
     for r, (layout, schedule) in holo.items():
+        d_out = {step.name: step.d_out for step in schedule.steps}
         for step in schedule.steps:
             node = layout.nodes[step.name]
             if step.kind == "center":
                 assert step.d_out == 1  # no parent, scalar output per class
             else:
                 assert step.d_out == 4 ** max(r - 1 - node.layer, 0)
-            if node.children:
-                assert step.d_child == 4 ** max(r - 2 - node.layer, 0)
+            for _, child, _ in node.children:
+                assert d_out[child] == 4 ** max(r - 2 - node.layer, 0)
 
 
 def test_schedule_digit_tables(holo):
@@ -159,13 +160,57 @@ def test_chain_layout_rejects_bad_links():
         chain_layout([(0, 5, 0), (0, 5, 0)])  # parent leg reused
 
 
-def test_chain_schedule_decodes(six_code):
+def test_chain_schedule_decodes():
     chain = chain_layout([(0, 5, 0)])
-    schedule = chain_schedule(chain)
+    schedule = schedule_for(chain)
     noise = NoiseModel.depolarizing(chain.n, 0.1)
     table = likelihoods_network(chain, schedule, noise)
     total = sum(table.absolute(label) for label in table.labels)
     assert total > 0
+
+
+CHAINS = (
+    [(0, 5, 0)],
+    [(0, 5, 0), (1, 6, 0)],
+    [(0, 5, 0), (0, 2, 0)],  # two blocks on the seed
+    [(0, 5, 0), (0, 2, 0), (1, 3, 1)],  # and one more on the first block
+)
+
+
+@pytest.mark.parametrize("links", CHAINS)
+def test_schedule_for_chains_leaves_first(links):
+    chain = chain_layout(links)
+    schedule = schedule_for(chain)
+    names = [step.name for step in schedule.steps]
+    assert sorted(names) == sorted(chain.nodes)
+    for step in schedule.steps:
+        assert step.d_out == 1
+        assert step.deferred_leg is None
+        assert all(not corner for _, _, corner in step.chain)
+        # every child is absorbed before its parent
+        for _, child, _ in chain.nodes[step.name].children:
+            assert names.index(child) < names.index(step.name)
+    bonds = {}
+    likelihoods_network(chain, schedule, NoiseModel.depolarizing(chain.n, 0.1),
+                        bond_observer=bonds)
+    assert set(bonds.values()) == {(1, 1)}
+
+
+def test_schedule_for_branching_chain_matches_oracle():
+    # the seed contracts two children; n - k = 15 keeps the oracle quick
+    chain = chain_layout([(0, 5, 0), (0, 2, 0)])
+    schedule = schedule_for(chain)
+    oracle = ExhaustiveDecoder(chain.code)
+    noise = NoiseModel.depolarizing(chain.n, 0.1)
+    rng = np.random.default_rng(2026)
+    for bits in rng.integers(0, 1 << 15, size=50):
+        syn = Syndrome(15, int(bits))
+        net = likelihoods_network(chain, schedule, noise, syn)
+        want = oracle.likelihoods(noise, syn)
+        for label in net.labels:
+            assert net.absolute(label) == pytest.approx(
+                want.absolute(label), rel=1e-10
+            )
 
 
 def test_predicted_op_count_radius_one(holo):

@@ -15,7 +15,7 @@ from tenqec import (
     exhaustive_contract,
     exhaustive_failure_rate,
     exhaustive_likelihoods,
-    likelihoods_direct,
+    likelihoods_network,
 )
 
 
@@ -28,12 +28,13 @@ def test_exhaustive_likelihoods_total_mass(six_code):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_exhaustive_agrees_with_direct(six_tensor):
+def test_exhaustive_agrees_with_network(holo):
+    layout, schedule = holo[1]
     noise = NoiseModel.depolarizing(6, 0.07)
     for bits in (0, 3, 17, 31):
         syn = Syndrome(5, bits)
-        a = exhaustive_likelihoods(six_tensor.code, noise, syn)
-        b = likelihoods_direct(six_tensor, noise, syn)
+        a = exhaustive_likelihoods(layout.code, noise, syn)
+        b = likelihoods_network(layout, schedule, noise, syn)
         for label in a.labels:
             assert a.absolute(label) == pytest.approx(
                 b.absolute(label), rel=1e-12
@@ -69,8 +70,6 @@ def test_failure_rate_zero_noise(six_code, holo):
 
 
 def test_failure_rate_ml_beats_constant_chooser(six_code, holo):
-    from tenqec import likelihoods_network
-
     layout, schedule = holo[1]
     noise = NoiseModel.depolarizing(6, 0.2)
 
