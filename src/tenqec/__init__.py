@@ -32,7 +32,6 @@ from .oracle import (
     ExhaustiveDecoder,
     exhaustive_contract,
     exhaustive_failure_rate,
-    exhaustive_likelihoods,
 )
 from .pauli import PauliString
 from .stabilizer import (
@@ -84,7 +83,6 @@ __all__ = [
     "decode",
     "exhaustive_contract",
     "exhaustive_failure_rate",
-    "exhaustive_likelihoods",
     "fit_threshold",
     "leaf_probabilities",
     "likelihoods_network",

@@ -131,7 +131,6 @@ def likelihoods_network(
     noise: NoiseModel,
     syndrome: Syndrome | None = None,
     *,
-    pure_error: PauliString | None = None,
     leaves: np.ndarray | None = None,
     counter: OpCounter | None = None,
     bond_observer: dict[str, tuple[int, int]] | None = None,
@@ -143,12 +142,14 @@ def likelihoods_network(
     products, and scatters into an output indexed by its parent-facing
     legs.  Every message is renormalized by its largest entry, with the
     logs pooled into the table's log_scale, so deep layouts never
-    underflow.  ``leaves`` overrides the noise/pure-error leaf table;
+    underflow.  ``leaves`` replaces the default leaf table,
+    ``leaf_probabilities(noise, layout.code.pure_error(syndrome))``;
     ``bond_observer`` collects each message's observed (left, right) bond
     dimensions.
     """
     if leaves is None:
-        if pure_error is None and syndrome is not None and not syndrome.is_trivial():
+        pure_error = None
+        if syndrome is not None and not syndrome.is_trivial():
             if layout.code is None:
                 raise ValueError("layout carries no code to map the syndrome")
             pure_error = layout.code.pure_error(syndrome)

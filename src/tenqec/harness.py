@@ -24,6 +24,12 @@ from .pauli import pack
 
 CSV_HEADER = ("radius", "n", "p", "trials", "failures", "failure_rate", "std_err")
 SYNDROME_CACHE_CAP = 12  # cache decode results when n - k is at most this
+# fit_threshold: (p_th, nu) search box, grid points per axis, stages, shrink.
+FIT_P_RANGE = (0.05, 0.40)
+FIT_NU_RANGE = (0.8, 6.0)
+FIT_GRID = 21
+FIT_STAGES = 5
+FIT_SHRINK = 0.25
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,15 +299,7 @@ def crossing_point(
     raise ValueError("curves do not cross on the sampled grid")
 
 
-def fit_threshold(
-    points: list[McPoint],
-    *,
-    p_range: tuple[float, float] = (0.05, 0.40),
-    nu_range: tuple[float, float] = (0.8, 6.0),
-    grid: int = 21,
-    stages: int = 5,
-    shrink: float = 0.25,
-) -> ThresholdFit:
+def fit_threshold(points: list[McPoint]) -> ThresholdFit:
     """Fit (p_th, nu) by collapsing all radii onto one quadratic.
 
     For each candidate pair, the points of the largest code are fit by a
@@ -334,23 +332,23 @@ def fit_threshold(
         resid = rates - np.polynomial.polynomial.polyval(x, coeffs)
         return float(resid @ resid), coeffs
 
-    p_lo, p_hi = p_range
-    nu_lo, nu_hi = nu_range
+    p_lo, p_hi = FIT_P_RANGE
+    nu_lo, nu_hi = FIT_NU_RANGE
     best = None
-    for _ in range(stages):
-        for p_th in np.linspace(p_lo, p_hi, grid):
-            for nu in np.linspace(nu_lo, nu_hi, grid):
+    for _ in range(FIT_STAGES):
+        for p_th in np.linspace(p_lo, p_hi, FIT_GRID):
+            for nu in np.linspace(nu_lo, nu_hi, FIT_GRID):
                 rss, coeffs = objective(float(p_th), float(nu))
                 key = (rss, float(p_th), float(nu))
                 if best is None or key < best[0]:
                     best = (key, coeffs)
         (_, p_c, nu_c), _ = best
-        p_half = (p_hi - p_lo) * shrink / 2
-        nu_half = (nu_hi - nu_lo) * shrink / 2
-        p_lo = max(p_range[0], p_c - p_half)
-        p_hi = min(p_range[1], p_c + p_half)
-        nu_lo = max(nu_range[0], nu_c - nu_half)
-        nu_hi = min(nu_range[1], nu_c + nu_half)
+        p_half = (p_hi - p_lo) * FIT_SHRINK / 2
+        nu_half = (nu_hi - nu_lo) * FIT_SHRINK / 2
+        p_lo = max(FIT_P_RANGE[0], p_c - p_half)
+        p_hi = min(FIT_P_RANGE[1], p_c + p_half)
+        nu_lo = max(FIT_NU_RANGE[0], nu_c - nu_half)
+        nu_hi = min(FIT_NU_RANGE[1], nu_c + nu_half)
 
     (rss, p_th, nu), coeffs = best
     return ThresholdFit(

@@ -25,6 +25,11 @@ from .stabilizer import (
 from .tensor import CodeTensor, LegBinding, class_labels
 
 
+# Coset members per block of ExhaustiveDecoder's sum: bounds its temporaries
+# to O(SUM_ROWS * n) however large 2^(n-k) is.
+SUM_ROWS = 1 << 12
+
+
 class DuplicateEntryError(ValueError):
     """A contraction produced an entry of 2 or more: not an indicator tensor."""
 
@@ -70,40 +75,25 @@ class ExhaustiveDecoder:
         self.tables = _class_digit_walk(code)
 
     def likelihoods(
-        self,
-        noise: NoiseModel,
-        syndrome: Syndrome | None = None,
-        *,
-        pure_error: PauliString | None = None,
+        self, noise: NoiseModel, syndrome: Syndrome | None = None
     ) -> LikelihoodTable:
         code = self.code
-        if pure_error is None:
-            if syndrome is not None:
-                pure_error = code.pure_error(syndrome)
-            else:
-                pure_error = PauliString.identity(code.n)
+        if syndrome is None:
+            pure_error = PauliString.identity(code.n)
+        else:
+            pure_error = code.pure_error(syndrome)
         err = np.array(pure_error.codes(), dtype=np.uint8)
         cols = np.arange(code.n)
         labels = tuple(self.tables)
-        values = np.empty(len(labels))
+        values = np.zeros(len(labels))
         for i, label in enumerate(labels):
-            shifted = _PRODUCT[err[None, :], self.tables[label]]
-            values[i] = noise.probs[cols[None, :], shifted].prod(axis=1).sum()
+            table = self.tables[label]
+            for start in range(0, len(table), SUM_ROWS):
+                shifted = _PRODUCT[err, table[start : start + SUM_ROWS]]
+                values[i] += noise.probs[cols, shifted].prod(axis=1).sum()
         return LikelihoodTable(
             labels=labels, mantissas=values, log_scale=0.0, syndrome=syndrome
         )
-
-
-def exhaustive_likelihoods(
-    code: StabilizerCode,
-    noise: NoiseModel,
-    syndrome: Syndrome | None = None,
-    *,
-    pure_error: PauliString | None = None,
-) -> LikelihoodTable:
-    return ExhaustiveDecoder(code).likelihoods(
-        noise, syndrome, pure_error=pure_error
-    )
 
 
 @dataclass(frozen=True, slots=True)

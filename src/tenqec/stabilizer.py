@@ -28,30 +28,31 @@ class DependentGeneratorsError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank of a bit-matrix whose rows are packed into integers."""
+def gf2_basis(rows: Iterable[int]) -> list[int]:
+    """An echelon basis of the row space of packed bit rows.
+
+    ``min(row, row ^ b)`` clears b's leading bit.  Each kept row lacks the
+    leading bits of the rows kept before it, so one pass in insertion order
+    reduces a row to zero exactly when it lies in their span.
+    """
     basis: list[int] = []
-    rank = 0
     for row in rows:
         for b in basis:
             row = min(row, row ^ b)
         if row:
             basis.append(row)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+    return basis
+
+
+def gf2_rank(rows: Iterable[int]) -> int:
+    """Rank of a bit-matrix whose rows are packed into integers."""
+    return len(gf2_basis(rows))
 
 
 def gf2_row_space(rows: Iterable[int]) -> tuple[int, ...]:
     """Canonical (reduced row echelon) basis of the row space."""
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
+    basis = sorted(gf2_basis(rows), reverse=True)
     # reduce above pivots for a unique canonical form
-    basis.sort(reverse=True)
     for i in range(len(basis)):
         pivot = 1 << (basis[i].bit_length() - 1)
         for j in range(i):
@@ -326,23 +327,15 @@ class StabilizerCode:
     def distinguishes_errors_on(self, legs: Sequence[int]) -> bool:
         """True iff every nontrivial Pauli on ``legs`` has a distinct syndrome.
 
-        Equivalently each of the 4^len(legs)-1 nontrivial strings supported
-        on the listed legs anticommutes with at least one generator, since
-        the syndrome map is a group homomorphism.
+        The syndrome map is a group homomorphism, so this holds exactly when
+        only the identity on the legs has a trivial syndrome, that is, when
+        the syndromes of X and Z on each listed leg are linearly independent.
         """
         legs = list(legs)
         if len(set(legs)) != len(legs):
             raise ValueError("legs must be distinct")
-        for codes in itertools.product(range(4), repeat=len(legs)):
-            if not any(codes):
-                continue
-            op = PauliString.identity(self.n)
-            for q, c in zip(legs, codes):
-                if c:
-                    op = op * PauliString.single(self.n, q, c)
-            if self.syndrome(op).is_trivial():
-                return False
-        return True
+        singles = [PauliString.single(self.n, q, c) for q in legs for c in (1, 3)]
+        return gf2_rank(self.syndrome(op).bits for op in singles) == len(singles)
 
     def canonicalized_on(self, legs: Sequence[int]) -> "StabilizerCode":
         """Re-derive generators in leg-canonical form.

@@ -8,19 +8,22 @@ can distinguish every error on its bound legs, the contraction is again the
 indicator tensor of a stabilizer code, and that code is built here
 constructively from a leg-canonical generator form instead of by summing
 entries.
+
+Index strings are base-4 keys whose XOR is the phase-free product, so class
+listings are cosets of the identity class; :meth:`CodeTensor.self_check`
+checks them as such, exhaustively.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .pauli import PauliString
-from .stabilizer import ENUMERATION_CAP, StabilizerCode
+from .stabilizer import ENUMERATION_CAP, StabilizerCode, gf2_basis
 
 
 class ContractionPreconditionError(ValueError):
@@ -122,14 +125,20 @@ class CodeTensor:
             raise ValueError(f"unknown class label {label}")
         return 1 if key in table else 0
 
-    def self_check(self, *, pair_samples: int = 4096, seed: int = 7) -> "CheckReport":
+    def self_check(self, *, seed: int = 7) -> "CheckReport":
         """Verify the indicator-tensor laws on the enumerated classes.
 
-        Checks 0/1-ness via exact class sizes and disjointness, closure of
-        the identity class, the coset rule class(L) * class(L') within
-        class(LL'), and per-member syndrome/class consistency.  Product
-        checks sample deterministically once classes exceed ``pair_samples``
-        pairs; a product's key is the XOR of the two keys.
+        Keys XOR as Pauli products, so the classes are checked as cosets of
+        the identity class S: every class has 2^(n-k) strings and no string
+        is in two (the tensor is 0/1); a GF(2) basis of S has n - k rows,
+        each classifying as I (S is the stabilizer group); every class is
+        ``r ^ S`` for its smallest member r, which classifies as the label;
+        and ``r_a ^ r_b`` lies in class(L_a L_b) for every label pair.
+        Syndromes and labels are linear in the key, so this proves every
+        member's label and the product rule for every pair of members, with
+        (n - k) + 4^k ``logical_class`` calls and nothing sampled.  ``seed``
+        is unused; it stays because the benchmark's code-build workload
+        passes it.
         """
         violations: list[str] = []
         code = self.code
@@ -147,35 +156,36 @@ class CodeTensor:
                         f"string {key} appears in classes {seen[key]} and {label}"
                     )
                 seen[key] = label
-        for label, keys in tables.items():
-            for key in keys:
-                op = PauliString.from_key(code.n, key)
-                got = code.logical_class(op)
-                if got != label:
-                    violations.append(
-                        f"string {op} listed under {label} but classifies as {got}"
-                    )
-                    break
-        rng = random.Random(seed)
-        for la, lb in [(a, b) for a in tables for b in tables]:
-            target = tables.get(la * lb)
-            if target is None:
-                violations.append(f"missing product class {la * lb}")
-                continue
-            ka, kb = sorted(tables[la]), sorted(tables[lb])
-            if len(ka) * len(kb) <= pair_samples:
-                pairs = itertools.product(ka, kb)
-            else:
-                pairs = (
-                    (rng.choice(ka), rng.choice(kb)) for _ in range(pair_samples)
+        identity = PauliString.identity(code.k)
+        group = tables.get(identity, frozenset())
+        basis = gf2_basis(group)
+        if 1 << len(basis) != expected:
+            violations.append(
+                f"identity class spans {1 << len(basis)} strings, expected {expected}"
+            )
+        for row in basis:
+            got = code.logical_class(PauliString.from_key(code.n, row))
+            if got != identity:
+                violations.append(f"identity-class basis row {row} classifies as {got}")
+        reps = {label: min(keys) for label, keys in tables.items() if keys}
+        for label, rep in reps.items():
+            if frozenset(rep ^ s for s in group) != tables[label]:
+                violations.append(f"class {label} is not the coset of its member {rep}")
+            got = code.logical_class(PauliString.from_key(code.n, rep))
+            if got != label:
+                violations.append(
+                    f"string {rep} listed under {label} but classifies as {got}"
                 )
-            for key_a, key_b in pairs:
-                if key_a ^ key_b not in target:
+        for la, ra in reps.items():
+            for lb, rb in reps.items():
+                target = tables.get(la * lb)
+                if target is None:
+                    violations.append(f"missing product class {la * lb}")
+                elif ra ^ rb not in target:
                     violations.append(
-                        f"product of {key_a} ({la}) and {key_b} ({lb}) "
+                        f"product of {ra} ({la}) and {rb} ({lb}) "
                         f"escapes class {la * lb}"
                     )
-                    break
         return CheckReport(passed=not violations, violations=tuple(violations))
 
 

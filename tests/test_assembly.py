@@ -140,3 +140,15 @@ def test_benchmark_entry_points_resolve(monkeypatch):
     # one schedule derivation serves rings and chains
     chain = chain_layout([(0, 5, 0)])
     assert len(holographic.schedule_for(chain).steps) == len(chain.nodes)
+    # code-build passes a seed to self_check, and the trace needs it to
+    # classify through StabilizerCode.logical_class
+    calls = []
+    classify = StabilizerCode.logical_class
+
+    def counted(code, op):
+        calls.append(op)
+        return classify(code, op)
+
+    monkeypatch.setattr(StabilizerCode, "logical_class", counted)
+    assert CodeTensor.from_code(six_qubit_code()).self_check(seed=5).passed
+    assert calls

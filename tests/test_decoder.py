@@ -111,7 +111,8 @@ def test_relabeling_covariance(holo):
     base = likelihoods_network(layout, schedule, noise, syn)
 
     shifted = likelihoods_network(
-        layout, schedule, noise, syn, pure_error=pure * code.stabilizers[2]
+        layout, schedule, noise, syn,
+        leaves=leaf_probabilities(noise, pure * code.stabilizers[2]),
     )
     for label in base.labels:
         assert shifted.absolute(label) == pytest.approx(
@@ -120,7 +121,7 @@ def test_relabeling_covariance(holo):
 
     mover = code.logical_x[0]
     relabeled = likelihoods_network(
-        layout, schedule, noise, syn, pure_error=pure * mover
+        layout, schedule, noise, syn, leaves=leaf_probabilities(noise, pure * mover)
     )
     x_label = PauliString.from_text("X")
     for label in base.labels:

@@ -14,16 +14,16 @@ from tenqec import (
     Syndrome,
     exhaustive_contract,
     exhaustive_failure_rate,
-    exhaustive_likelihoods,
     likelihoods_network,
 )
 
 
 def test_exhaustive_likelihoods_total_mass(six_code):
     noise = NoiseModel.depolarizing(6, 0.21)
+    oracle = ExhaustiveDecoder(six_code)
     total = 0.0
     for bits in range(32):
-        table = exhaustive_likelihoods(six_code, noise, Syndrome(5, bits))
+        table = oracle.likelihoods(noise, Syndrome(5, bits))
         total += sum(table.absolute(label) for label in table.labels)
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -31,14 +31,24 @@ def test_exhaustive_likelihoods_total_mass(six_code):
 def test_exhaustive_agrees_with_network(holo):
     layout, schedule = holo[1]
     noise = NoiseModel.depolarizing(6, 0.07)
+    oracle = ExhaustiveDecoder(layout.code)
     for bits in (0, 3, 17, 31):
         syn = Syndrome(5, bits)
-        a = exhaustive_likelihoods(layout.code, noise, syn)
+        a = oracle.likelihoods(noise, syn)
         b = likelihoods_network(layout, schedule, noise, syn)
         for label in a.labels:
             assert a.absolute(label) == pytest.approx(
                 b.absolute(label), rel=1e-12
             )
+
+
+def test_block_sum_matches_one_block(monkeypatch, six_code):
+    """Summing each class in ragged blocks of 3 members changes nothing."""
+    noise = NoiseModel.depolarizing(6, 0.13)
+    whole = ExhaustiveDecoder(six_code).likelihoods(noise, Syndrome(5, 9))
+    monkeypatch.setattr("tenqec.oracle.SUM_ROWS", 3)
+    blocks = ExhaustiveDecoder(six_code).likelihoods(noise, Syndrome(5, 9))
+    np.testing.assert_allclose(blocks.mantissas, whole.mantissas, rtol=1e-14)
 
 
 def test_exhaustive_contract_rebuilds_valid_code(six_tensor, block_tensor):

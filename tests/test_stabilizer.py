@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tenqec import (
+    CodeTensor,
     DependentGeneratorsError,
+    LegBinding,
     PauliString,
     StabilizerCode,
     Syndrome,
@@ -15,6 +17,7 @@ from tenqec import (
     code_to_json_dict,
     seven_qubit_state,
     six_qubit_code,
+    contract,
     solve_pure_errors,
     spans_same_group,
 )
@@ -137,6 +140,31 @@ def test_distinguishes_errors_on(six_code):
     assert not state.distinguishes_errors_on([0, 1, 2, 3])
     # 63 sub-Paulis on three legs cannot fit into 31 nontrivial syndromes
     assert not six_code.distinguishes_errors_on([0, 1, 2])
+
+
+def enumerated_distinguishes(code, legs):
+    """Reference: each of the 4^len(legs) - 1 nontrivial Paulis on ``legs``
+    has a nontrivial syndrome."""
+    for codes in itertools.product(range(4), repeat=len(legs)):
+        if any(codes):
+            op = PauliString.identity(code.n)
+            for q, c in zip(legs, codes):
+                op = op * PauliString.single(code.n, q, c)
+            if code.syndrome(op).is_trivial():
+                return False
+    return True
+
+
+def test_distinguishes_errors_on_matches_enumeration(six_code, six_tensor, block_tensor):
+    eleven = contract(six_tensor, block_tensor, LegBinding((5,), (0,))).code
+    # every ordered tuple of distinct legs up to the given length
+    for code, longest in ((six_code, 4), (block_tensor.code, 4), (eleven, 3)):
+        for length in range(longest + 1):
+            for legs in itertools.permutations(range(code.n), length):
+                want = enumerated_distinguishes(code, legs)
+                assert code.distinguishes_errors_on(legs) == want, legs
+    with pytest.raises(ValueError):
+        six_code.distinguishes_errors_on([1, 1])
 
 
 def test_dependent_generators_rejected(six_code):

@@ -1,8 +1,9 @@
 """Code tensors and the constructive contraction against brute force."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from tenqec import (
     CodeTensor,
@@ -74,39 +75,61 @@ def test_digit_tables_shapes(six_tensor):
 def test_self_check_passes(six_tensor, block_tensor):
     assert six_tensor.self_check().passed
     assert block_tensor.self_check().passed
+    two_centers = contract(six_tensor, six_tensor, LegBinding((5,), (0,)))
+    assert two_centers.self_check().passed
 
 
 def test_self_check_catches_corruption(six_code, six_tensor):
-    tables = {k: set(v) for k, v in six_tensor.class_tables.items()}
+    tables = six_tensor.class_tables
     i_label = PauliString.from_text("I")
     x_label = PauliString.from_text("X")
-    moved = min(tables[x_label])
-    tables[x_label] = frozenset(tables[x_label] - {moved})
-    tables[i_label] = frozenset(tables[i_label] | {moved})
-    bad = CodeTensor(six_code, {k: frozenset(v) for k, v in tables.items()})
-    report = bad.self_check()
-    assert not report.passed
-    assert report.violations
+    to_i, to_x = min(tables[x_label]), min(tables[i_label])
+    # one member moved from X to I, then one member swapped between them,
+    # which keeps every class size and the disjointness intact
+    for moved_back in (set(), {to_x}):
+        bad = dict(tables)
+        bad[x_label] = frozenset(tables[x_label] - {to_i} | moved_back)
+        bad[i_label] = frozenset(tables[i_label] - moved_back | {to_i})
+        report = CodeTensor(six_code, bad).self_check()
+        assert not report.passed
+        assert report.violations
 
 
-@given(
-    st.integers(0, 3),
-    st.integers(0, 31),
-    st.integers(0, 5),
-    st.integers(1, 3),
-)
-@settings(max_examples=40)
-def test_self_check_catches_shifted_member(
-    six_code, six_tensor, cls, member, qubit, code
+def test_self_check_catches_shifted_member(six_code, six_tensor):
+    """Every member moved off its coset by a single-qubit Pauli is reported."""
+    for label, keys in six_tensor.class_tables.items():
+        for member in keys:
+            for qubit, code in itertools.product(range(6), (1, 2, 3)):
+                tables = dict(six_tensor.class_tables)
+                moved = member ^ (code << (2 * qubit))
+                tables[label] = keys - {member} | {moved}
+                report = CodeTensor(six_code, tables).self_check()
+                assert not report.passed, (label, member, qubit, code)
+
+
+@pytest.mark.parametrize("second", ["six_tensor", "block_tensor"])
+def test_self_check_classifies_only_coset_representatives(
+    monkeypatch, request, six_tensor, second
 ):
-    """A member moved off its coset by a single-qubit Pauli is reported."""
-    label = class_labels(1)[cls]
-    tables = dict(six_tensor.class_tables)
-    keys = sorted(tables[label])
-    moved = keys[member] ^ (code << (2 * qubit))
-    tables[label] = frozenset(keys[:member] + [moved] + keys[member + 1 :])
-    report = CodeTensor(six_code, tables).self_check()
-    assert not report.passed
+    """(n - k) + 4^k logical_class calls: one per generator and per class.
+
+    Run on the 10-qubit k = 2 and the 11-qubit k = 1 contraction.
+    """
+    other = request.getfixturevalue(second)
+    tensor = CodeTensor.from_code(
+        contract(six_tensor, other, LegBinding((5,), (0,))).code
+    )
+    calls = []
+    classify = StabilizerCode.logical_class
+
+    def counted(code, op):
+        calls.append(op)
+        return classify(code, op)
+
+    monkeypatch.setattr(StabilizerCode, "logical_class", counted)
+    assert tensor.self_check().passed
+    n, k = tensor.code.n, tensor.code.k
+    assert 0 < len(calls) <= (n - k) + 4**k
 
 
 def check_against_oracle(a, b, binding):
