@@ -248,10 +248,11 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build-code", help="emit a code as JSON")
-    p_build.add_argument("--builtin", choices=["six_qubit", "seven_qubit_state"],
-                         help="one of the built-in small codes")
-    p_build.add_argument("--holographic", action="store_true",
-                         help="build the nested-ring code instead")
+    source = p_build.add_mutually_exclusive_group(required=True)
+    source.add_argument("--builtin", choices=["six_qubit", "seven_qubit_state"],
+                        help="one of the built-in small codes")
+    source.add_argument("--holographic", action="store_true",
+                        help="build the nested-ring code instead")
     p_build.add_argument("--radius", type=int, default=2)
     p_build.add_argument("--out", help="output JSON path (default stdout)")
     p_build.set_defaults(func=_cmd_build_code)
@@ -284,8 +285,6 @@ def main(argv: list[str] | None = None) -> int:
     p_ver.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    if args.command == "build-code" and not args.holographic and not args.builtin:
-        parser.error("build-code needs --builtin or --holographic")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .holographic import ContractionSchedule, HolographicLayout, ScheduleStep
-from .pauli import PauliString
+from .pauli import PauliString, pack
 from .stabilizer import Syndrome
 
 
@@ -63,7 +63,11 @@ def leaf_probabilities(
         return noise.probs.copy()
     if pure_error.n != noise.n:
         raise ValueError("pure error length must match the noise model")
-    e = np.array(pure_error.codes(), dtype=np.intp)
+    x, z = (
+        np.unpackbits(words[0].view(np.uint8), count=noise.n, bitorder="little")
+        for words in pack([pure_error], noise.n)
+    )
+    e = ((x ^ z) | (z << 1)).astype(np.intp)  # qubit codes, as in tenqec.pauli
     return np.take_along_axis(noise.probs, e[:, None] ^ np.arange(4), axis=1)
 
 
@@ -309,8 +313,6 @@ def decode(
     schedule: ContractionSchedule,
     noise: NoiseModel,
     syndrome: Syndrome,
-    *,
-    counter: OpCounter | None = None,
 ) -> DecodeResult:
     """Most likely logical class for a syndrome, plus a matching recovery.
 
@@ -319,9 +321,7 @@ def decode(
     """
     if layout.code is None:
         raise ValueError("layout carries no code; rebuild with with_code=True")
-    table = likelihoods_network(
-        layout, schedule, noise, syndrome, counter=counter
-    )
+    table = likelihoods_network(layout, schedule, noise, syndrome)
     label = table.argmax_class()
     correction = layout.code.class_representative(label) * layout.code.pure_error(
         syndrome

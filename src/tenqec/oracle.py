@@ -2,7 +2,7 @@
 
 Everything here recomputes results by direct enumeration, sharing as
 little machinery as possible with the production paths: class listings are
-rebuilt by walking generator products, single-qubit algebra is rederived
+rebuilt from generator products, single-qubit algebra is rederived
 from the Pauli layer at import time, and contraction is performed as a
 literal sum over entry pairs.  These routines are slow and size-capped;
 they exist so the fast paths have something independent to agree with.
@@ -47,8 +47,12 @@ def _single_product_table() -> np.ndarray:
 _PRODUCT = _single_product_table()
 
 
-def _class_digit_walk(code: StabilizerCode) -> dict[PauliString, np.ndarray]:
-    """Per-class digit tables rebuilt by a Gray-code generator walk."""
+def _class_digit_tables(code: StabilizerCode) -> dict[PauliString, np.ndarray]:
+    """Per-class digit tables rebuilt by doubling over the generators.
+
+    Row r is the representative times the generators selected by r's bits:
+    each generator appends the product of every row so far with it.
+    """
     m = code.n - code.k
     if m > ENUMERATION_CAP:
         raise ValueError(f"code too large to enumerate (2^{m} per class)")
@@ -56,13 +60,10 @@ def _class_digit_walk(code: StabilizerCode) -> dict[PauliString, np.ndarray]:
     out = {}
     for label in class_labels(code.k):
         rep = code.class_representative(label)
-        current = np.array(rep.codes(), dtype=np.uint8)
         rows = np.empty((1 << m, code.n), dtype=np.uint8)
-        rows[0] = current
-        for step in range(1, 1 << m):
-            flip = (step & -step).bit_length() - 1
-            current = _PRODUCT[current, gen_digits[flip]]
-            rows[step] = current
+        rows[0] = rep.codes()
+        for j, g in enumerate(gen_digits):
+            rows[1 << j : 2 << j] = _PRODUCT[rows[: 1 << j], g]
         out[label] = rows
     return out
 
@@ -72,7 +73,7 @@ class ExhaustiveDecoder:
 
     def __init__(self, code: StabilizerCode) -> None:
         self.code = code
-        self.tables = _class_digit_walk(code)
+        self.tables = _class_digit_tables(code)
 
     def likelihoods(
         self, noise: NoiseModel, syndrome: Syndrome | None = None
@@ -123,8 +124,8 @@ def exhaustive_contract(
     """
     code_a = a.code if isinstance(a, CodeTensor) else a
     code_b = b.code if isinstance(b, CodeTensor) else b
-    tables_a = _class_digit_walk(code_a)
-    tables_b = _class_digit_walk(code_b)
+    tables_a = _class_digit_tables(code_a)
+    tables_b = _class_digit_tables(code_b)
     a_unbound = [q for q in range(code_a.n) if q not in set(binding.left)]
     b_unbound = [q for q in range(code_b.n) if q not in set(binding.right)]
     n_out = len(a_unbound) + len(b_unbound)

@@ -61,44 +61,6 @@ def gf2_row_space(rows: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(basis, reverse=True))
 
 
-def _gf2_solve_particular(
-    equations: list[tuple[int, int]], width: int, n_targets: int
-) -> list[int]:
-    """Solve ``A v = b_t`` over GF(2) for several right-hand sides at once.
-
-    ``equations`` holds (row mask over ``width`` columns, packed RHS bits,
-    bit t for target t).  Returns one particular solution per target with
-    all free variables set to zero.  Raises if any target is inconsistent.
-    """
-    rows = [mask | (rhs << width) for mask, rhs in equations]
-    pivots: list[tuple[int, int]] = []  # (pivot column, row value)
-    for row in rows:
-        for col, prow in pivots:
-            if (row >> col) & 1:
-                row ^= prow
-        body = row & ((1 << width) - 1)
-        if body:
-            col = body.bit_length() - 1
-            pivots.append((col, row))
-        elif row >> width:
-            raise DependentGeneratorsError(
-                "singular system: stabilizer generators are dependent"
-            )
-    body_mask = (1 << width) - 1
-    solutions: list[int] = []
-    for t in range(n_targets):
-        v = 0
-        # A pivot is its row's highest set bit, so every other coefficient
-        # of that row sits at a lower column; sweeping pivots in ascending
-        # order therefore only reads already-fixed bits (free bits stay 0).
-        for col, prow in sorted(pivots, key=lambda p: p[0]):
-            rhs_bit = (prow >> (width + t)) & 1
-            if ((prow & body_mask & v).bit_count() & 1) ^ rhs_bit:
-                v |= 1 << col
-        solutions.append(v)
-    return solutions
-
-
 # ---------------------------------------------------------------------------
 # Syndromes
 # ---------------------------------------------------------------------------
@@ -186,7 +148,6 @@ class StabilizerCode:
         *,
         n: int | None = None,
         pure_errors: Sequence[PauliString | str] | None = None,
-        validate: bool = True,
     ) -> "StabilizerCode":
         """Assemble and check a code; pure errors are solved for if absent."""
         stabs = tuple(_as_pauli(p) for p in stabilizers)
@@ -209,45 +170,54 @@ class StabilizerCode:
         else:
             pure = tuple(_as_pauli(p) for p in pure_errors)
         code = cls(n, k, stabs, lx, lz, pure)
-        if validate:
-            code.validate()
+        code.validate()
         return code
 
     def validate(self) -> None:
-        """Check every construction invariant; raise ValueError on failure."""
-        base = self.stabilizers + self.logical_x + self.logical_z + self.pure_errors
-        for op in base:
+        """Check every construction invariant; raise ValueError on failure.
+
+        Lengths and counts must fit n and k, and the stabilizer generators
+        must be independent.  The operators must keep the symplectic pattern:
+
+        - S_i and S_j commute, as do X_a and X_b, and Z_a and Z_b;
+        - X_a and Z_a commute with every S_j;
+        - X_a and Z_b anticommute exactly when a == b;
+        - E_i and S_j anticommute exactly when i == j.
+
+        The pure errors' relations among themselves are not checked.
+        """
+        stabs, lx, lz = self.stabilizers, self.logical_x, self.logical_z
+        for op in stabs + lx + lz + self.pure_errors:
             if op.n != self.n:
                 raise ValueError(f"operator {op} has wrong length for n={self.n}")
-        if len(self.logical_x) != self.k or len(self.logical_z) != self.k:
+        if len(lx) != self.k or len(lz) != self.k:
             raise ValueError("logical operator count must equal k")
-        if len(self.stabilizers) != self.n - self.k:
+        if len(stabs) != self.n - self.k:
             raise ValueError("stabilizer count must equal n-k")
         if len(self.pure_errors) != self.n - self.k:
             raise ValueError("pure error count must equal n-k")
-        for i, a in enumerate(self.stabilizers):
-            for b in self.stabilizers[i + 1 :]:
-                if a.anticommutes(b):
-                    raise ValueError(f"stabilizers {a} and {b} anticommute")
-        rows = [_symplectic_row(s) for s in self.stabilizers]
-        if gf2_rank(rows) != len(rows):
+        if gf2_rank(_symplectic_row(s) for s in stabs) != len(stabs):
             raise DependentGeneratorsError("stabilizer generators are dependent")
-        for a in self.logical_x + self.logical_z:
-            for s in self.stabilizers:
-                if a.anticommutes(s):
-                    raise ValueError(f"logical {a} anticommutes with stabilizer {s}")
-        for a_idx, a in enumerate(self.logical_x):
-            for b_idx, b in enumerate(self.logical_z):
-                want = a_idx == b_idx
-                if a.anticommutes(b) != want:
-                    raise ValueError(
-                        f"logical pair relation broken for X_{a_idx}, Z_{b_idx}"
-                    )
-        for i, e in enumerate(self.pure_errors):
-            for j, s in enumerate(self.stabilizers):
-                want = i == j
-                if e.anticommutes(s) != want:
-                    raise ValueError(f"pure error {i} has wrong pattern at generator {j}")
+        # (name, operators, name, operators, anticommute on the diagonal);
+        # pairs within one group are checked once.
+        relations = (
+            ("stabilizer", stabs, "stabilizer", stabs, False),
+            ("logical X", lx, "stabilizer", stabs, False),
+            ("logical Z", lz, "stabilizer", stabs, False),
+            ("logical X", lx, "logical X", lx, False),
+            ("logical Z", lz, "logical Z", lz, False),
+            ("logical X", lx, "logical Z", lz, True),
+            ("pure error", self.pure_errors, "stabilizer", stabs, True),
+        )
+        for name_a, ops_a, name_b, ops_b, diagonal in relations:
+            for i, a in enumerate(ops_a):
+                for j in range(i + 1 if name_a == name_b else 0, len(ops_b)):
+                    want = diagonal and i == j
+                    if a.anticommutes(ops_b[j]) != want:
+                        raise ValueError(
+                            f"{name_a} {i} and {name_b} {j} must "
+                            f"{'anticommute' if want else 'commute'}"
+                        )
 
     # -- basic queries -----------------------------------------------------
 
@@ -414,10 +384,11 @@ def solve_pure_errors(
 ) -> list[PauliString]:
     """Find pure errors E_i with E_i S_j anticommuting exactly when i == j.
 
-    Solves one GF(2) linear system with n-k right-hand sides; the extra
-    rows force each E_i to commute with every logical representative, and a
-    final symplectic sweep makes the E_i mutually commute, so the result is
-    canonical for a given generator order.  Raises DependentGeneratorsError
+    Solves one GF(2) linear system with n-k right-hand sides, eliminated
+    by :func:`gf2_basis`; the extra rows force each E_i to commute with
+    every logical representative, and a final symplectic sweep makes the
+    E_i mutually commute, so the result is canonical for a given generator
+    order.  Raises DependentGeneratorsError
     when the generators are dependent (the system is singular).
     """
     stabilizers = list(stabilizers)
@@ -425,16 +396,31 @@ def solve_pure_errors(
         return []
     if n is None:
         n = stabilizers[0].n
-    width = 2 * n
     m = len(stabilizers)
-    equations: list[tuple[int, int]] = []
-    for i, s in enumerate(stabilizers):
-        equations.append((_symplectic_row(s), 1 << i))
-    for op in list(logical_x) + list(logical_z):
-        equations.append((_symplectic_row(op), 0))
-    solutions = _gf2_solve_particular(equations, width, m)
+    # One equation per operator: its symplectic row above m right-hand-side
+    # bits, bit t set when E_t must anticommute with it.  With the RHS below
+    # the row, a basis row's leading bit is its pivot column, unless its row
+    # part is zero, which makes the system singular.
+    basis = gf2_basis(
+        [(_symplectic_row(s) << m) | (1 << i) for i, s in enumerate(stabilizers)]
+        + [_symplectic_row(op) << m for op in (*logical_x, *logical_z)]
+    )
+    if any(row >> m == 0 for row in basis):
+        raise DependentGeneratorsError(
+            "singular system: stabilizer generators are dependent"
+        )
+    # Leading bits are distinct, so sorting by value sorts by pivot.  Every
+    # other coefficient of a row sits below its pivot, so sweeping pivots in
+    # ascending order only reads already-fixed bits (free bits stay 0).
+    basis.sort()
     mask = (1 << n) - 1
-    errors = [PauliString(n, v & mask, v >> n) for v in solutions]
+    errors = []
+    for t in range(m):
+        v = 0
+        for row in basis:
+            if (((row >> m) & v).bit_count() ^ (row >> t)) & 1:
+                v |= 1 << (row.bit_length() - 1 - m)
+        errors.append(PauliString(n, v & mask, v >> n))
     # Make the pure errors mutually commute; multiplying E_j by S_i leaves
     # every other required relation intact.
     for i in range(m):
@@ -509,7 +495,7 @@ def code_to_json_dict(code: StabilizerCode) -> dict:
     }
 
 
-def code_from_json_dict(data: dict, *, validate: bool = True) -> StabilizerCode:
+def code_from_json_dict(data: dict) -> StabilizerCode:
     """Load a code description; pure errors are optional and re-solved."""
     try:
         n = int(data["n"])
@@ -525,7 +511,6 @@ def code_from_json_dict(data: dict, *, validate: bool = True) -> StabilizerCode:
         logical_z=logical_z,
         n=n,
         pure_errors=pure,
-        validate=validate,
     )
     if int(data.get("k", code.k)) != code.k:
         raise ValueError("declared k does not match the operator lists")

@@ -214,13 +214,7 @@ def _coset_keys(code: StabilizerCode, label: PauliString) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
-def contract(
-    a: CodeTensor,
-    b: CodeTensor,
-    binding: LegBinding,
-    *,
-    validate: bool = False,
-) -> CodeTensor:
+def contract(a: CodeTensor, b: CodeTensor, binding: LegBinding) -> CodeTensor:
     """Contract two code tensors over the bound leg pairs.
 
     Requires at least one side to distinguish every error on its bound
@@ -311,8 +305,6 @@ def contract(
         logical_z=tuple(logical_z),
         pure_errors=tuple(pure_errors),
     )
-    if validate:
-        new_code.validate()
     return CodeTensor(new_code)
 
 

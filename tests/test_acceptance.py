@@ -113,7 +113,7 @@ def test_criterion_2_contraction_equals_literal_sum(six_tensor, block_tensor):
 
     # six-qubit tensor against the seven-qubit block on its last leg,
     # the pairing that yields the eleven-qubit code
-    got = contract(six_tensor, block_tensor, LegBinding((5,), (0,)), validate=True)
+    got = contract(six_tensor, block_tensor, LegBinding((5,), (0,)))
     want = exhaustive_contract(six_tensor, block_tensor, LegBinding((5,), (0,)))
     assert got.class_tables == want.classes
     got.code.validate()
@@ -121,7 +121,7 @@ def test_criterion_2_contraction_equals_literal_sum(six_tensor, block_tensor):
     assert got.self_check().passed
 
     # two six-qubit tensors joined by one leg
-    got2 = contract(six_tensor, six_tensor, LegBinding((5,), (0,)), validate=True)
+    got2 = contract(six_tensor, six_tensor, LegBinding((5,), (0,)))
     want2 = exhaustive_contract(six_tensor, six_tensor, LegBinding((5,), (0,)))
     assert got2.class_tables == want2.classes
     got2.code.validate()

@@ -35,6 +35,14 @@ def test_build_code_needs_a_source(capsys):
     assert info.value.code == 1
 
 
+def test_build_code_takes_one_source(capsys):
+    argv = ["build-code", "--builtin", "six_qubit", "--holographic", "--radius", "2"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

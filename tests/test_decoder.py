@@ -42,6 +42,17 @@ def test_leaf_probabilities_permute_rows():
     assert np.allclose(leaves, [[0.1, 0.2, 0.3, 0.4]])
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_leaf_probabilities_match_codes_gather(n):
+    rng = np.random.default_rng(n)
+    model = NoiseModel(rng.dirichlet(np.ones(4), size=n))
+    for _ in range(5):
+        op = PauliString.from_codes(rng.integers(0, 4, size=n).tolist())
+        e = np.array(op.codes())
+        want = model.probs[np.arange(n)[:, None], e[:, None] ^ np.arange(4)]
+        assert np.array_equal(leaf_probabilities(model, op), want)
+
+
 def test_network_matches_oracle(holo):
     layout, schedule = holo[1]
     noise = NoiseModel.depolarizing(6, 0.17)

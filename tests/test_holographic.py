@@ -94,9 +94,12 @@ def test_every_scheduled_contraction_distinguishes():
 
 
 def test_small_codes_validate(holo):
-    for r in (2, 3):
+    for r in (1, 2, 3, 4):
         layout, _ = holo[r]
         layout.code.validate()
+    # the chain codes of acceptance criterion 1
+    for blocks in ([(0, 5, 0)], [(0, 5, 0), (1, 6, 0)]):
+        chain_layout(blocks).code.validate()
 
 
 def test_subnetwork_matches_brute_force(six_tensor, block_tensor):
@@ -105,7 +108,8 @@ def test_subnetwork_matches_brute_force(six_tensor, block_tensor):
     rng = np.random.default_rng(11)
     leg = int(rng.integers(0, 6))
     binding = LegBinding((SINGLE_IN_LEG,), (leg,))
-    got = contract(block_tensor, six_tensor, binding, validate=True)
+    got = contract(block_tensor, six_tensor, binding)
+    got.code.validate()
     want = exhaustive_contract(block_tensor, six_tensor, binding)
     assert got.class_tables == want.classes
 
@@ -197,20 +201,28 @@ def test_schedule_for_chains_leaves_first(links):
 
 
 def test_schedule_for_branching_chain_matches_oracle():
-    # the seed contracts two children; n - k = 15 keeps the oracle quick
-    chain = chain_layout([(0, 5, 0), (0, 2, 0)])
-    schedule = schedule_for(chain)
-    oracle = ExhaustiveDecoder(chain.code)
-    noise = NoiseModel.depolarizing(chain.n, 0.1)
-    rng = np.random.default_rng(2026)
-    for bits in rng.integers(0, 1 << 15, size=50):
-        syn = Syndrome(15, int(bits))
-        net = likelihoods_network(chain, schedule, noise, syn)
-        want = oracle.likelihoods(noise, syn)
-        for label in net.labels:
-            assert net.absolute(label) == pytest.approx(
-                want.absolute(label), rel=1e-10
-            )
+    cases = (
+        # the seed contracts two children (n - k = 15)
+        ([(0, 5, 0), (0, 2, 0)], 50),
+        # a third block hangs off the first child (n - k = 20); each oracle
+        # call sums 2^20 members per class, so fewer syndromes
+        ([(0, 5, 0), (0, 2, 0), (1, 3, 1)], 4),
+    )
+    for blocks, n_syndromes in cases:
+        chain = chain_layout(blocks)
+        schedule = schedule_for(chain)
+        oracle = ExhaustiveDecoder(chain.code)
+        noise = NoiseModel.depolarizing(chain.n, 0.1)
+        m = chain.n - chain.code.k
+        rng = np.random.default_rng(2026)
+        for bits in rng.integers(0, 1 << m, size=n_syndromes):
+            syn = Syndrome(m, int(bits))
+            net = likelihoods_network(chain, schedule, noise, syn)
+            want = oracle.likelihoods(noise, syn)
+            for label in net.labels:
+                assert net.absolute(label) == pytest.approx(
+                    want.absolute(label), rel=1e-10
+                )
 
 
 def test_predicted_op_count_radius_one(holo):

@@ -108,11 +108,15 @@ def test_failure_rate_wrong_chooser_fails_often(six_code):
 
 
 def test_failure_rate_caps():
-    big = StabilizerCode.from_operators(
-        ["Z" * 9 + "I" * 0] + ["I" * i + "ZZ" + "I" * (7 - i) for i in range(7)],
-        logical_x=["X" * 9],
-        logical_z=["ZIIIIIIII"],
-        validate=False,
+    # an oversized stand-in: the raw constructor skips validation
+    stabs = ["Z" * 9] + ["I" * i + "ZZ" + "I" * (7 - i) for i in range(7)]
+    big = StabilizerCode(
+        9,
+        1,
+        tuple(PauliString.from_text(s) for s in stabs),
+        (PauliString.from_text("X" * 9),),
+        (PauliString.from_text("ZIIIIIIII"),),
+        (),
     )
     noise = NoiseModel.depolarizing(9, 0.1)
     with pytest.raises(ValueError):

@@ -183,6 +183,34 @@ def test_anticommuting_generators_rejected():
         StabilizerCode.from_operators(["XI", "ZI"])
 
 
+def _load_by_json(stabilizers, logical_x, logical_z, n):
+    data = {"n": n, "stabilizers": stabilizers,
+            "logical_x": logical_x, "logical_z": logical_z}
+    return code_from_json_dict(data)
+
+
+def _load_by_operators(stabilizers, logical_x, logical_z, n):
+    return StabilizerCode.from_operators(
+        stabilizers, logical_x=logical_x, logical_z=logical_z, n=n
+    )
+
+
+@pytest.mark.parametrize("load", [_load_by_operators, _load_by_json], ids=["operators", "json"])
+@pytest.mark.parametrize(
+    "logical_x, logical_z",
+    [
+        (["XI", "ZX"], ["ZI", "IZ"]),  # X_0 and X_1 anticommute
+        (["XI", "IX"], ["ZX", "IZ"]),  # Z_0 and Z_1 anticommute
+    ],
+    ids=["x_pair", "z_pair"],
+)
+def test_anticommuting_logical_pair_rejected(load, logical_x, logical_z):
+    # every X_a / Z_b relation holds; only the same-type pair is broken
+    with pytest.raises(ValueError, match="must commute"):
+        load([], logical_x, logical_z, 2)
+    load([], ["XI", "IX"], ["ZI", "IZ"], 2)  # the valid basis loads
+
+
 def test_permuted_round_trip(six_code):
     order = [3, 1, 4, 0, 5, 2]
     inverse = [order.index(q) for q in range(6)]
