@@ -84,7 +84,6 @@ class LikelihoodTable:
     labels: tuple[PauliString, ...]
     mantissas: np.ndarray
     log_scale: float
-    syndrome: Syndrome | None = None
 
     def value(self, label: PauliString) -> float:
         return float(self.mantissas[self.labels.index(label)])
@@ -163,58 +162,53 @@ def likelihoods_network(
 
     messages: dict[str, np.ndarray] = {}
     log_scale = 0.0
-    result: np.ndarray | None = None
     labels = tuple(schedule.seed_digits)
 
     for step in schedule.steps:
         if step.kind == "center":
-            values = np.empty(len(labels))
-            for i, label in enumerate(labels):
-                digits = schedule.seed_digits[label]
-                chain = _entry_sum(step, digits, leaves, messages, counter)
-                if chain.shape[1] > 1:  # the ring around the seed closes
-                    per_entry = np.einsum("eii->e", chain)
-                    if counter is not None:
-                        counter.add(
-                            step.name, "trace", chain.shape[0] * chain.shape[1]
-                        )
-                else:
-                    per_entry = chain.reshape(chain.shape[0], -1).sum(axis=1)
-                values[i] = per_entry.sum()
-            for _, child, _ in step.chain:
-                del messages[child]
-            scale = float(values.max())
-            if scale > 0:
-                values = values / scale
-                log_scale += math.log(scale)
-            result = values
+            out = np.array([
+                _close_ring(step, schedule.seed_digits[label], leaves, messages, counter)
+                for label in labels
+            ])
         else:
             digits = schedule.block_digits
             chain = _entry_sum(step, digits, leaves, messages, counter)
-            for _, child, _ in step.chain:
-                del messages[child]
-            message = _scatter(step, digits, chain, counter)
+            out = _scatter(step, digits, chain, counter)
             if bond_observer is not None:
-                bond_observer[step.name] = message.shape[-2:]
-            if message.shape[-1] != step.d_out or message.shape[-2] != step.d_out:
+                bond_observer[step.name] = out.shape[-2:]
+            if out.shape[-1] != step.d_out or out.shape[-2] != step.d_out:
                 raise AssertionError(
-                    f"node {step.name}: bond dims {message.shape[-2:]} "
+                    f"node {step.name}: bond dims {out.shape[-2:]} "
                     f"differ from scheduled {step.d_out}"
                 )
-            scale = float(message.max())
-            if scale > 0:
-                message = message / scale
-                log_scale += math.log(scale)
-            messages[step.name] = message
+        for _, child, _ in step.chain:
+            del messages[child]
+        scale = float(out.max())
+        if scale > 0:
+            out = out / scale
+            log_scale += math.log(scale)
+        messages[step.name] = out
 
-    if result is None:
-        raise ValueError("schedule has no center step")
+    center = schedule.steps[-1]
+    if center.kind != "center":
+        raise ValueError("schedule does not end at its center step")
     return LikelihoodTable(
-        labels=labels,
-        mantissas=result,
-        log_scale=log_scale,
-        syndrome=syndrome,
+        labels=labels, mantissas=messages[center.name], log_scale=log_scale
     )
+
+
+def _close_ring(
+    step: ScheduleStep,
+    digits: np.ndarray,
+    leaves: np.ndarray,
+    messages: dict[str, np.ndarray],
+    counter: OpCounter | None,
+) -> float:
+    """The center's value for one label: trace of each entry's chain, summed."""
+    chain = _entry_sum(step, digits, leaves, messages, counter)
+    if counter is not None and chain.shape[1] > 1:
+        counter.add(step.name, "trace", chain.shape[0] * chain.shape[1])
+    return np.einsum("eii->e", chain).sum()
 
 
 def _entry_sum(
@@ -226,20 +220,19 @@ def _entry_sum(
 ) -> np.ndarray:
     """Leaf weights times the child-message chain, per tensor entry.
 
-    Returns an (entries, left, right) stack of matrices.
+    Returns an (entries, left, right) stack of matrices.  Every node has
+    children or leaf legs, so the stack is never empty.
     """
-    n_entries = digits.shape[0]
     weights: np.ndarray | None = None
-    for leg, qubit in step.leaf_legs:
-        factor = leaves[qubit, digits[:, leg].astype(np.intp)]
-        weights = factor if weights is None else weights * factor
+    if step.leaf_legs:
+        legs, qubits = zip(*step.leaf_legs)
+        weights = np.multiply.reduce(leaves[qubits, digits[:, legs]], axis=1)
         if counter is not None:
-            counter.add(step.name, "leaf", n_entries)
+            counter.add(step.name, "leaf", digits.shape[0] * len(legs))
 
     chain: np.ndarray | None = None
     for leg, child, is_corner in step.chain:
-        message = messages[child]
-        picked = message[digits[:, leg].astype(np.intp)]
+        picked = messages[child][digits[:, leg]]
         if is_corner:
             e, four, d_l, d_r = picked.shape
             picked = picked.reshape(e, four * d_l, d_r)
@@ -256,8 +249,6 @@ def _entry_sum(
             chain = chain @ picked
 
     if chain is None:
-        if weights is None:
-            weights = np.ones(n_entries)
         return weights[:, None, None]
     if weights is not None:
         chain = chain * weights[:, None, None]
@@ -319,11 +310,13 @@ def decode(
     The correction is the class representative times the syndrome's pure
     error, so it reproduces the syndrome and lands in the chosen class.
     """
-    if layout.code is None:
+    code = layout.code
+    if code is None:
         raise ValueError("layout carries no code; rebuild with with_code=True")
-    table = likelihoods_network(layout, schedule, noise, syndrome)
-    label = table.argmax_class()
-    correction = layout.code.class_representative(label) * layout.code.pure_error(
-        syndrome
+    pure = code.pure_error(syndrome)
+    table = likelihoods_network(
+        layout, schedule, noise, leaves=leaf_probabilities(noise, pure)
     )
+    label = table.argmax_class()
+    correction = code.class_representative(label) * pure
     return DecodeResult(table=table, label=label, correction=correction)

@@ -21,8 +21,10 @@ import numpy as np
 from .decoder import NoiseModel, likelihoods_network
 from .holographic import ContractionSchedule, HolographicLayout
 from .pauli import pack
+from .stabilizer import Syndrome
 
 CSV_HEADER = ("radius", "n", "p", "trials", "failures", "failure_rate", "std_err")
+CSV_TYPES = (int, int, float, int, int, float, float)
 SYNDROME_CACHE_CAP = 12  # cache decode results when n - k is at most this
 # fit_threshold: (p_th, nu) search box, grid points per axis, stages, shrink.
 FIT_P_RANGE = (0.05, 0.40)
@@ -85,45 +87,26 @@ class TrialRunner:
         m = n - code.k
         self.words = (n + 63) // 64
         self.sx, self.sz = pack(code.stabilizers, n)
-        self.pex, self.pez = pack(code.pure_errors, n)
         # logical rows Z_0 .. Z_{k-1}, then X_0 .. X_{k-1}, in class-bit order
         self.gx, self.gz = pack(code.logical_z + code.logical_x, n)
         self.class_weights = np.uint64(1) << np.arange(2 * code.k, dtype=np.uint64)
-        self.pure_cls = self._class_bits(self.pex, self.pez)
+        self.pure_cls = self._class_bits(*pack(code.pure_errors, n))
         self.cum = np.cumsum(noise.probs, axis=1)
         self.cache: dict[bytes, int] | None = {} if m <= SYNDROME_CACHE_CAP else None
 
     def _class_bits(self, ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
         """Class bits of packed operators, one per row of ``ex``/``ez``."""
-        anti = (
-            np.bitwise_count(ex[..., None, :] & self.gz)
-            + np.bitwise_count(ez[..., None, :] & self.gx)
-        ).sum(axis=-1) & 1
+        anti = _odd_overlaps(ex, ez, self.gx, self.gz)
         return anti.astype(np.uint64) @ self.class_weights
-
-    def _pack_bits(self, bits: np.ndarray) -> np.ndarray:
-        raw = np.packbits(bits, bitorder="little")
-        padded = np.zeros(self.words * 8, dtype=np.uint8)
-        padded[: raw.size] = raw
-        return padded.view(np.uint64)
 
     def _decode_target(self, syn: np.ndarray) -> int:
         """Class bits of (chosen label) * (syndrome's pure error)."""
         key = syn.tobytes()
         if self.cache is not None and key in self.cache:
             return self.cache[key]
-        mask = (syn.astype(np.uint64) * np.uint64(0xFFFFFFFFFFFFFFFF))[:, None]
-        ex = np.bitwise_xor.reduce(self.pex & mask, axis=0)
-        ez = np.bitwise_xor.reduce(self.pez & mask, axis=0)
-        n = self.code.n
-        xb = np.unpackbits(ex.view(np.uint8), bitorder="little", count=n)
-        zb = np.unpackbits(ez.view(np.uint8), bitorder="little", count=n)
-        digits = ((xb ^ zb) | (zb << 1)).astype(np.intp)
-        leaves = np.take_along_axis(
-            self.noise.probs, digits[:, None] ^ np.arange(4), axis=1
-        )
+        bits = int.from_bytes(np.packbits(syn, bitorder="little").tobytes(), "little")
         table = likelihoods_network(
-            self.layout, self.schedule, self.noise, leaves=leaves
+            self.layout, self.schedule, self.noise, Syndrome(len(syn), bits)
         )
         label = table.argmax_class()
         chosen = label.x | label.z << self.code.k
@@ -138,22 +121,32 @@ class TrialRunner:
         rng = np.random.default_rng(
             np.random.SeedSequence([seed, point_index, trial])
         )
-        u = rng.random(self.code.n)
+        n = self.code.n
+        u = rng.random(n)
         codes = (
             (u >= self.cum[:, 0]).astype(np.uint8)
             + (u >= self.cum[:, 1])
             + (u >= self.cum[:, 2])
         )
-        xb = ((codes == 1) | (codes == 2)).astype(np.uint8)
-        zb = ((codes == 2) | (codes == 3)).astype(np.uint8)
-        ex = self._pack_bits(xb)
-        ez = self._pack_bits(zb)
-        syn = (
-            (np.bitwise_count(ex[None, :] & self.sz)
-             + np.bitwise_count(ez[None, :] & self.sx)).sum(axis=1)
-        ).astype(np.uint8) & 1
+        bits = np.zeros((2, self.words * 64), dtype=np.uint8)
+        bits[0, :n] = (codes == 1) | (codes == 2)
+        bits[1, :n] = (codes == 2) | (codes == 3)
+        ex, ez = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+        syn = _odd_overlaps(ex, ez, self.sx, self.sz)
         target = self._decode_target(syn)
         return int(self._class_bits(ex, ez)) != target
+
+
+def _odd_overlaps(
+    ex: np.ndarray, ez: np.ndarray, rows_x: np.ndarray, rows_z: np.ndarray
+) -> np.ndarray:
+    """Parities of symplectic products: (..., words) operators against
+    (rows, words) packed rows, as a (..., rows) uint8 array of 0/1."""
+    overlap = (
+        np.bitwise_count(ex[..., None, :] & rows_z)
+        + np.bitwise_count(ez[..., None, :] & rows_x)
+    ).sum(axis=-1)
+    return overlap.astype(np.uint8) & 1
 
 
 def _count_failures(
@@ -255,23 +248,32 @@ def write_points(path: str, points: list[McPoint]) -> None:
 
 
 def read_points(path: str) -> list[McPoint]:
+    """Read a sweep CSV; a bad header or row raises ValueError naming its line."""
+    points = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}")
-        return [
-            McPoint(
-                radius=int(row[0]),
-                n=int(row[1]),
-                p=float(row[2]),
-                trials=int(row[3]),
-                failures=int(row[4]),
-                failure_rate=float(row[5]),
-                std_err=float(row[6]),
+            raise ValueError(
+                f"{path}: line 1: expected header {','.join(CSV_HEADER)}, "
+                f"got {','.join(header) or 'nothing'}"
             )
-            for row in reader
-        ]
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(
+                    f"{where}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+                )
+            try:
+                pt = McPoint(*(parse(v) for parse, v in zip(CSV_TYPES, row)))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not 0 <= pt.failures <= pt.trials:
+                raise ValueError(
+                    f"{where}: failures {pt.failures} outside [0, {pt.trials}]"
+                )
+            points.append(pt)
+    return points
 
 
 def crossing_point(

@@ -94,8 +94,8 @@ class ContractionSchedule:
     """Leaf-to-root ordering of steps plus shared entry digit tables."""
 
     steps: tuple[ScheduleStep, ...]
-    block_digits: np.ndarray  # (entries, 7) uint8 for every seven-leg node
-    seed_digits: dict[PauliString, np.ndarray]  # label -> (entries, 6) uint8
+    block_digits: np.ndarray  # (entries, 7) intp for every seven-leg node
+    seed_digits: dict[PauliString, np.ndarray]  # label -> (entries, 6) intp
 
 
 @dataclass(frozen=True, slots=True)
@@ -394,10 +394,11 @@ def schedule_for(layout: HolographicLayout) -> ContractionSchedule:
             )
         )
     (block_digits,) = CodeTensor.from_code(seven_qubit_state()).digit_tables().values()
+    seed_digits = CodeTensor.from_code(six_qubit_code()).digit_tables()
     return ContractionSchedule(
         steps=tuple(steps),
-        block_digits=block_digits,
-        seed_digits=CodeTensor.from_code(six_qubit_code()).digit_tables(),
+        block_digits=block_digits.astype(np.intp),
+        seed_digits={label: t.astype(np.intp) for label, t in seed_digits.items()},
     )
 
 

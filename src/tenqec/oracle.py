@@ -92,9 +92,7 @@ class ExhaustiveDecoder:
             for start in range(0, len(table), SUM_ROWS):
                 shifted = _PRODUCT[err, table[start : start + SUM_ROWS]]
                 values[i] += noise.probs[cols, shifted].prod(axis=1).sum()
-        return LikelihoodTable(
-            labels=labels, mantissas=values, log_scale=0.0, syndrome=syndrome
-        )
+        return LikelihoodTable(labels=labels, mantissas=values, log_scale=0.0)
 
 
 @dataclass(frozen=True, slots=True)

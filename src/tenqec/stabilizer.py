@@ -237,13 +237,14 @@ class StabilizerCode:
         """
         if syndrome.length != len(self.stabilizers):
             raise ValueError("syndrome length does not match generator count")
-        op = PauliString.identity(self.n)
+        x = z = 0
         bits = syndrome.bits
         while bits:
-            i = (bits & -bits).bit_length() - 1
-            op = op * self.pure_errors[i]
+            row = self.pure_errors[(bits & -bits).bit_length() - 1]
+            x ^= row.x
+            z ^= row.z
             bits &= bits - 1
-        return op
+        return PauliString(self.n, x, z)
 
     def logical_class(self, op: PauliString) -> PauliString | None:
         """The k-qubit class label of ``op``, or None outside the normalizer.

@@ -143,6 +143,21 @@ def test_missing_file_is_reported(capsys):
     assert main(["fit-threshold", "/nonexistent.csv"]) == 1
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "radius,n,p,trials,failures,failure_rate,std_err\n2,36,0.18\n",
+    "radius,n,p,trials,failures,failure_rate,std_err\n2,36,x,100,7,0.07,0.02\n",
+    "radius,n,p,trials,failures,failure_rate,std_err\n2,36,0.18,100,700,7.0,0.0\n",
+], ids=["empty", "short-row", "bad-field", "failures-over-trials"])
+def test_fit_threshold_reports_bad_csv(tmp_path, capsys, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main(["fit-threshold", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line ")
+    assert "Traceback" not in err
+
+
 def test_verify_passes(capsys):
     assert main(["verify"]) == 0
     text = capsys.readouterr().out

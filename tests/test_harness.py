@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,31 @@ def test_read_points_rejects_other_headers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
+        read_points(str(path))
+
+
+HEADER = "radius,n,p,trials,failures,failure_rate,std_err\n"
+BAD_CSVS = {
+    "empty": ("", "line 1: expected header"),
+    "short row": (HEADER + "2,36,0.18,100,7\n", "line 2: expected 7 fields"),
+    "long row": (HEADER + "2,36,0.18,100,7,0.07,0.02,9\n", "line 2: expected 7"),
+    "bad field": (HEADER + "2,36,0.18,many,7,0.07,0.02\n", "line 2: invalid"),
+    "too many failures": (
+        HEADER + "2,36,0.18,100,7,0.07,0.02\n3,174,0.18,100,101,1.01,0.0\n",
+        "line 3: failures 101 outside [0, 100]",
+    ),
+    "negative failures": (
+        HEADER + "2,36,0.18,100,-1,0.0,0.0\n", "line 2: failures -1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CSVS))
+def test_read_points_names_file_and_line(tmp_path, case):
+    text, message = BAD_CSVS[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         read_points(str(path))
 
 
