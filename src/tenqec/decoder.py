@@ -20,6 +20,10 @@ from .holographic import ContractionSchedule, HolographicLayout, ScheduleStep
 from .pauli import PauliString, pack
 from .stabilizer import Syndrome
 
+# Relative tie tolerance of LikelihoodTable.argmax_class.  Reordering the
+# contraction's float sums moves mantissas by up to about 1e-13 through
+# radius 5, while genuine top-two gaps stay above 1e-6.
+TIE_RTOL = 1e-9
 
 @dataclass(frozen=True, slots=True)
 class NoiseModel:
@@ -76,9 +80,10 @@ class LikelihoodTable:
     """Relative class likelihoods with a shared log scale.
 
     The absolute likelihood of label L is mantissa(L) * exp(log_scale);
-    mantissas alone suffice for comparisons.  Ties in argmax_class resolve
-    to the earliest label in enumeration order, which for one logical qubit
-    is I, X, Z, Y.
+    mantissas alone suffice for comparisons.  argmax_class counts labels
+    within a relative TIE_RTOL of the largest mantissa as tied and picks
+    the earliest in enumeration order, which for one logical qubit is
+    I, X, Z, Y, so the decision never rests on summation order.
     """
 
     labels: tuple[PauliString, ...]
@@ -101,7 +106,8 @@ class LikelihoodTable:
         }
 
     def argmax_class(self) -> PauliString:
-        return self.labels[int(np.argmax(self.mantissas))]
+        tied = self.mantissas >= self.mantissas.max() * (1.0 - TIE_RTOL)
+        return self.labels[int(np.argmax(tied))]
 
 
 @dataclass(slots=True)

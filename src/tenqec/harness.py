@@ -3,9 +3,10 @@
 Trials are reproducible by construction: trial t of point i under master
 seed s draws from default_rng(SeedSequence([s, i, t])), so results do not
 depend on how trials are split across workers, and a rerun with the same
-arguments is byte-identical.  The per-trial fast path works on bit-packed
-numpy words throughout; the only per-trial python-object work is the
-network contraction itself.
+arguments is byte-identical.  Sampling, syndrome extraction and class
+bits work on bit-packed numpy words; each decoded trial also builds a
+``Syndrome`` and hands it to ``likelihoods_network``, which maps it to a
+pure-error ``PauliString`` and contracts the network.
 """
 
 from __future__ import annotations

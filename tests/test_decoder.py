@@ -1,5 +1,7 @@
 """Network likelihood evaluation and its bookkeeping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,8 +93,8 @@ def test_argmax_tie_breaks_to_identity(holo):
 
 
 def test_argmax_scale_invariance(holo):
-    # syndromes with a unique maximum; fully degenerate syndromes tie
-    # exactly and the winner is then set by round-off, not by the rule
+    # syndromes with a unique maximum keep their normalized table; tied
+    # syndromes are covered by test_decisions_ignore_summation_order
     layout, schedule = holo[1]
     noise = NoiseModel.depolarizing(6, 0.13)
     for bits in (0, 6, 11, 30):
@@ -108,6 +110,47 @@ def test_argmax_scale_invariance(holo):
             assert scaled.normalized()[label] == pytest.approx(
                 plain.normalized()[label], rel=1e-12
             )
+
+
+def _shuffled(schedule, rng):
+    """The same schedule with its entry rows in another order."""
+    return dataclasses.replace(
+        schedule,
+        block_digits=rng.permutation(schedule.block_digits),
+        seed_digits={
+            label: rng.permutation(table)
+            for label, table in schedule.seed_digits.items()
+        },
+    )
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_decisions_ignore_summation_order(holo, radius):
+    # shuffled entry rows and rescaled leaves change only the order and
+    # rounding of the float sums, so exactly tied classes may differ in
+    # their last bits; the chosen class must not
+    layout, schedule = holo[radius]
+    code = layout.code
+    m = len(code.stabilizers)
+    rng = np.random.default_rng(radius)
+    others = [_shuffled(schedule, rng) for _ in range(3)]
+    ps = (0.14, 0.18, 0.24)
+    if radius == 1:
+        cases = [(p, bits) for p in ps for bits in range(1 << m)]
+    else:
+        cases = [(ps[i % 3], int(rng.integers(1 << m))) for i in range(300)]
+    for p, bits in cases:
+        noise = NoiseModel.depolarizing(layout.n, p)
+        leaves = leaf_probabilities(noise, code.pure_error(Syndrome(m, bits)))
+        want = likelihoods_network(
+            layout, schedule, noise, leaves=leaves
+        ).argmax_class()
+        scale = rng.uniform(0.5, 2.0, size=(layout.n, 1))
+        for sched, leaf in [(s, leaves) for s in others] + [
+            (schedule, leaves * scale)
+        ]:
+            got = likelihoods_network(layout, sched, noise, leaves=leaf)
+            assert got.argmax_class() == want, (p, bits)
 
 
 def test_relabeling_covariance(holo):

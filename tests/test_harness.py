@@ -128,6 +128,24 @@ def test_pinned_radius_three_csv(tmp_path, holo):
     )
 
 
+@pytest.mark.parametrize("radius, trials, failures, digest", [
+    (1, 2000, [400, 493, 574],
+     "88902674c1239b900aaf05b0c65697637f5b9dbde523c53944b2da4eba472d69"),
+    (2, 400, [64, 91, 113],
+     "8d7565efd4d646f97256eb6685563beaad67a95a4c84dae3ad43598d0a5acf74"),
+])
+def test_pinned_radius_one_and_two_csv(tmp_path, holo, radius, trials,
+                                       failures, digest):
+    # radii 1 and 2 have many exactly tied classes at these p; the tie
+    # rule, not the last ulp of the contraction, settles their decisions
+    layout, schedule = holo[radius]
+    points = run_mc(layout, schedule, [0.16, 0.18, 0.20], trials, seed=2026)
+    assert [pt.failures for pt in points] == failures
+    path = tmp_path / f"r{radius}.csv"
+    write_points(str(path), points)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_monte_carlo_convergence_rate(holo):
     # the estimate tightens like 1/sqrt(trials) against the exact rate
     layout, schedule = holo[1]
