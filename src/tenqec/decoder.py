@@ -25,6 +25,7 @@ from .stabilizer import Syndrome
 # radius 5, while genuine top-two gaps stay above 1e-6.
 TIE_RTOL = 1e-9
 
+
 @dataclass(frozen=True, slots=True)
 class NoiseModel:
     """Independent per-qubit Pauli noise: probs[i, g] for I, X, Y, Z."""
@@ -118,8 +119,9 @@ class OpCounter:
     batched products (entries * rows * inner * cols), 'combine' passes that
     scale by leaf weights or accumulate into the output block (entries *
     rows * cols), and 'trace' ring closures (entries * bond, only when the
-    bond dimension exceeds 1; closing a bond of dimension 1 is a reshape).
-    Final scalar reductions contribute no multiplies and are not counted.
+    bond dimension exceeds 1; a bond of dimension 1 closes with no
+    multiply).  Final scalar reductions contribute no multiplies and are
+    not counted.
     """
 
     by_category: dict[str, int] = field(default_factory=dict)
@@ -173,8 +175,8 @@ def likelihoods_network(
     for step in schedule.steps:
         if step.kind == "center":
             out = np.array([
-                _close_ring(step, schedule.seed_digits[label], leaves, messages, counter)
-                for label in labels
+                _close_ring(step, digits, leaves, messages, counter)
+                for digits in schedule.seed_digits.values()
             ])
         else:
             digits = schedule.block_digits
