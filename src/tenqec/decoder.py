@@ -20,9 +20,8 @@ from .holographic import ContractionSchedule, HolographicLayout, ScheduleStep
 from .pauli import PauliString, pack
 from .stabilizer import Syndrome
 
-# Relative tie tolerance of LikelihoodTable.argmax_class.  Reordering the
-# contraction's float sums moves mantissas by up to about 1e-13 through
-# radius 5, while genuine top-two gaps stay above 1e-6.
+# Relative tie tolerance of argmax_class: reordered float sums move mantissas
+# by up to about 1e-13 through radius 5; genuine top-two gaps exceed 1e-6.
 TIE_RTOL = 1e-9
 
 
@@ -119,9 +118,8 @@ class OpCounter:
     batched products (entries * rows * inner * cols), 'combine' passes that
     scale by leaf weights or accumulate into the output block (entries *
     rows * cols), and 'trace' ring closures (entries * bond, only when the
-    bond dimension exceeds 1; a bond of dimension 1 closes with no
-    multiply).  Final scalar reductions contribute no multiplies and are
-    not counted.
+    bond dimension exceeds 1).  Final scalar reductions contribute no
+    multiplies and are not counted.
     """
 
     by_category: dict[str, int] = field(default_factory=dict)
@@ -180,8 +178,11 @@ def likelihoods_network(
             ])
         else:
             digits = schedule.block_digits
-            chain = _entry_sum(step, digits, leaves, messages, counter)
-            out = _scatter(step, digits, chain, counter)
+            # no name keeps the entry stack, so it is freed before the next node
+            out = _scatter(
+                step, digits, _entry_sum(step, digits, leaves, messages, counter),
+                counter,
+            )
             if bond_observer is not None:
                 bond_observer[step.name] = out.shape[-2:]
             if out.shape[-1] != step.d_out or out.shape[-2] != step.d_out:
@@ -197,12 +198,9 @@ def likelihoods_network(
             log_scale += math.log(scale)
         messages[step.name] = out
 
-    center = schedule.steps[-1]
-    if center.kind != "center":
-        raise ValueError("schedule does not end at its center step")
-    return LikelihoodTable(
-        labels=labels, mantissas=messages[center.name], log_scale=log_scale
-    )
+    # every message but the center's has been consumed by its parent
+    (mantissas,) = messages.values()
+    return LikelihoodTable(labels=labels, mantissas=mantissas, log_scale=log_scale)
 
 
 def _close_ring(
@@ -318,13 +316,12 @@ def decode(
     The correction is the class representative times the syndrome's pure
     error, so it reproduces the syndrome and lands in the chosen class.
     """
-    code = layout.code
-    if code is None:
+    if layout.code is None:
         raise ValueError("layout carries no code; rebuild with with_code=True")
-    pure = code.pure_error(syndrome)
+    pure = layout.code.pure_error(syndrome)
     table = likelihoods_network(
         layout, schedule, noise, leaves=leaf_probabilities(noise, pure)
     )
     label = table.argmax_class()
-    correction = code.class_representative(label) * pure
+    correction = layout.code.class_representative(label) * pure
     return DecodeResult(table=table, label=label, correction=correction)

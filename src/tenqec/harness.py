@@ -124,14 +124,10 @@ class TrialRunner:
         )
         n = self.code.n
         u = rng.random(n)
-        codes = (
-            (u >= self.cum[:, 0]).astype(np.uint8)
-            + (u >= self.cum[:, 1])
-            + (u >= self.cum[:, 2])
-        )
+        # cum is nondecreasing: X or Y below cum[:, 2], Y or Z from cum[:, 1]
         bits = np.zeros((2, self.words * 64), dtype=np.uint8)
-        bits[0, :n] = (codes == 1) | (codes == 2)
-        bits[1, :n] = (codes == 2) | (codes == 3)
+        bits[0, :n] = (u >= self.cum[:, 0]) & (u < self.cum[:, 2])
+        bits[1, :n] = u >= self.cum[:, 1]
         ex, ez = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
         syn = _odd_overlaps(ex, ez, self.sx, self.sz)
         target = self._decode_target(syn)
@@ -255,10 +251,7 @@ def read_points(path: str) -> list[McPoint]:
         reader = csv.reader(fh)
         header = tuple(next(reader, ()))
         if header != CSV_HEADER:
-            raise ValueError(
-                f"{path}: line 1: expected header {','.join(CSV_HEADER)}, "
-                f"got {','.join(header) or 'nothing'}"
-            )
+            raise ValueError(f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
         for row in reader:
             where = f"{path}: line {reader.line_num}"
             if len(row) != len(CSV_HEADER):

@@ -145,6 +145,9 @@ def test_schedule_digit_tables(holo):
     assert len(schedule.seed_digits) == 4
     for table in schedule.seed_digits.values():
         assert table.shape == (32, 6)
+    # stored as index arrays, so the executor gathers with them as they are
+    for table in (schedule.block_digits, *schedule.seed_digits.values()):
+        assert table.dtype == np.intp
 
 
 def test_chain_layout_shapes():
