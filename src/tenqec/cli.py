@@ -118,39 +118,43 @@ def _cmd_decode(args) -> int:
     return 0
 
 
+CONFIG_KEYS = ("radius", "p", "trials", "seed", "workers", "out")
+
+
 def _read_config(path: str) -> dict[str, str]:
     out = {}
     with open(path) as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line: {raw.rstrip()}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+                raise ValueError(f"{path}: line {number}: bad config line: {line}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"{path}: line {number}: unknown key {key!r}")
+            out[key] = value
     return out
 
 
 def _cmd_mc_run(args) -> int:
-    settings: dict[str, str] = {}
-    if args.config:
-        settings = _read_config(args.config)
-    radius = args.radius if args.radius is not None else int(settings.get("radius", 0))
+    settings = _read_config(args.config) if args.config else {}
+    for key in CONFIG_KEYS:  # flags win over the config file
+        if getattr(args, key) is not None:
+            settings[key] = str(getattr(args, key))
+    radius = int(settings.get("radius", 0))
     if radius < 1:
         raise ValueError("a radius of at least 1 is required (flag or config)")
-    p_text = args.p if args.p is not None else settings.get("p")
+    p_text = settings.get("p")
     if not p_text:
         raise ValueError("a comma-separated p list is required (flag or config)")
     ps = [float(tok) for tok in p_text.split(",") if tok]
-    trials = args.trials if args.trials is not None else int(settings.get("trials", 0))
+    trials = int(settings.get("trials", 0))
     if trials < 1:
         raise ValueError("a positive trial count is required (flag or config)")
-    seed = args.seed if args.seed is not None else int(settings.get("seed", 0))
-    workers = args.workers if args.workers is not None else int(
-        settings.get("workers", 1)
-    )
-    out = args.out or settings.get("out")
+    seed = int(settings.get("seed", 0))
+    workers = int(settings.get("workers", 1))
+    out = settings.get("out")
 
     layout = build_layout(radius)
     schedule = schedule_for(layout)

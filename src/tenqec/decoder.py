@@ -148,10 +148,11 @@ def likelihoods_network(
 
     Messages flow from the leaves toward the seed; each node batches over
     its tensor entries, chains its children's messages with matrix
-    products, and scatters into an output indexed by its parent-facing
-    legs.  Every message is renormalized by its largest entry, with the
-    logs pooled into the table's log_scale, so deep layouts never
-    underflow.  ``leaves`` replaces the default leaf table,
+    products, and sums the entries' run for each output slot into a
+    message indexed by its parent-facing legs.  Every message is
+    renormalized by its largest entry, with the logs pooled into the
+    table's log_scale, so deep layouts never underflow.  ``leaves``
+    replaces the default leaf table,
     ``leaf_probabilities(noise, layout.code.pure_error(syndrome))``;
     ``bond_observer`` collects each message's observed (left, right) bond
     dimensions.
@@ -168,19 +169,18 @@ def likelihoods_network(
 
     messages: dict[str, np.ndarray] = {}
     log_scale = 0.0
-    labels = tuple(schedule.seed_digits)
 
     for step in schedule.steps:
         if step.kind == "center":
+            # one label's run at a time keeps the center's chain arrays small
             out = np.array([
                 _close_ring(step, digits, leaves, messages, counter)
-                for digits in schedule.seed_digits.values()
+                for digits in np.split(step.digits, len(schedule.labels))
             ])
         else:
-            digits = schedule.block_digits
             # no name keeps the entry stack, so it is freed before the next node
-            out = _scatter(
-                step, digits, _entry_sum(step, digits, leaves, messages, counter),
+            out = _sum_runs(
+                step, _entry_sum(step, step.digits, leaves, messages, counter),
                 counter,
             )
             if bond_observer is not None:
@@ -190,7 +190,7 @@ def likelihoods_network(
                     f"node {step.name}: bond dims {out.shape[-2:]} "
                     f"differ from scheduled {step.d_out}"
                 )
-        for _, child, _ in step.chain:
+        for _, child in step.chain:
             del messages[child]
         scale = float(out.max())
         if scale > 0:
@@ -200,7 +200,7 @@ def likelihoods_network(
 
     # every message but the center's has been consumed by its parent
     (mantissas,) = messages.values()
-    return LikelihoodTable(labels=labels, mantissas=mantissas, log_scale=log_scale)
+    return LikelihoodTable(schedule.labels, mantissas, log_scale)
 
 
 def _close_ring(
@@ -237,11 +237,10 @@ def _entry_sum(
             counter.add(step.name, "leaf", digits.shape[0] * len(legs))
 
     chain: np.ndarray | None = None
-    for leg, child, is_corner in step.chain:
+    for leg, child in step.chain:
+        # a corner child's second parent-facing index joins the left bond
         picked = messages[child][digits[:, leg]]
-        if is_corner:
-            e, four, d_l, d_r = picked.shape
-            picked = picked.reshape(e, four * d_l, d_r)
+        picked = picked.reshape(len(digits), -1, picked.shape[-1])
         if chain is None:
             chain = picked
         else:
@@ -266,36 +265,25 @@ def _entry_sum(
     return chain
 
 
-def _scatter(
+def _sum_runs(
     step: ScheduleStep,
-    digits: np.ndarray,
     chain: np.ndarray,
     counter: OpCounter | None,
 ) -> np.ndarray:
-    """Accumulate entry matrices into the node's outgoing message.
+    """Sum entry matrices into the node's outgoing message.
 
-    The message is indexed by the node's parent-facing legs (first in-leg
-    major), then the left bond, then the right bond with any deferred
-    corner leg fused in as the major component.
+    The step's entries come in equal runs per output slot, so each slot
+    sums one run.  The message is indexed by the node's parent-facing legs
+    (first in-leg major), then the left bond, then the right bond with any
+    deferred corner leg fused in as the major component.
     """
     n_entries, d_l, d_r = chain.shape
-    in_index = np.zeros(n_entries, dtype=np.intp)
-    for leg in step.in_legs:
-        in_index = in_index * 4 + digits[:, leg]
-    n_in = 4 ** len(step.in_legs)
-
-    if step.deferred_leg is not None:
-        slot = in_index * 4 + digits[:, step.deferred_leg]
-        out = np.zeros((n_in * 4, d_l, d_r))
-        np.add.at(out, slot, chain)
-        out = out.reshape(n_in, 4, d_l, d_r).transpose(0, 2, 1, 3)
-        out = out.reshape(n_in, d_l, 4 * d_r)
-    else:
-        out = np.zeros((n_in, d_l, d_r))
-        np.add.at(out, in_index, chain)
+    fold = 1 if step.deferred_leg is None else 4
+    out = chain.reshape(4 ** len(step.in_legs), fold, -1, d_l, d_r).sum(axis=2)
     if counter is not None:
         counter.add(step.name, "combine", n_entries * d_l * d_r)
-    return out.reshape((4,) * len(step.in_legs) + out.shape[1:])
+    shape = (4,) * len(step.in_legs) + (d_l, fold * d_r)
+    return out.transpose(0, 2, 1, 3).reshape(shape)
 
 
 @dataclass(frozen=True, slots=True)

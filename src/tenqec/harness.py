@@ -12,6 +12,7 @@ pure-error ``PauliString`` and contracts the network.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import multiprocessing
 import warnings
@@ -245,28 +246,34 @@ def write_points(path: str, points: list[McPoint]) -> None:
 
 
 def read_points(path: str) -> list[McPoint]:
-    """Read a sweep CSV; a bad header or row raises ValueError naming its line."""
+    """Read a sweep CSV; a bad byte, header or row raises ValueError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = tuple(next(reader, ()))
+    if header != CSV_HEADER:
+        raise ValueError(f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
     points = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(
-                    f"{where}: expected {len(CSV_HEADER)} fields, got {len(row)}"
-                )
-            try:
-                pt = McPoint(*(parse(v) for parse, v in zip(CSV_TYPES, row)))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            if not 0 <= pt.failures <= pt.trials:
-                raise ValueError(
-                    f"{where}: failures {pt.failures} outside [0, {pt.trials}]"
-                )
-            points.append(pt)
+    for row in reader:
+        where = f"{path}: line {reader.line_num}"
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(
+                f"{where}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+            )
+        try:
+            pt = McPoint(*(parse(v) for parse, v in zip(CSV_TYPES, row)))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if not 0 <= pt.failures <= pt.trials:
+            raise ValueError(
+                f"{where}: failures {pt.failures} outside [0, {pt.trials}]"
+            )
+        points.append(pt)
     return points
 
 

@@ -37,7 +37,7 @@ from .stabilizer import StabilizerCode, six_qubit_code, seven_qubit_state
 
 # ``contract`` is the general two-tensor API; the packed assembler below
 # reproduces its fold exactly, and it stays importable from here.
-from .tensor import CodeTensor, contract, pair_products  # noqa: F401
+from .tensor import CodeTensor, class_labels, contract, pair_products  # noqa: F401
 
 CENTER_LEGS = 6
 BLOCK_LEGS = 7
@@ -74,28 +74,30 @@ class ScheduleStep:
     """Instructions for absorbing one node during network contraction.
 
     ``chain`` lists the children whose messages this node consumes, in
-    matrix-product order; a child flagged ``corner=True`` brings a second
-    parent-facing index that is fused into this node's left bond.
+    matrix-product order; a corner child brings a second parent-facing
+    index that is fused into this node's left bond.
     ``deferred_leg`` is the leg bound to the corner child consumed by the
     next node around the ring; its index joins the right bond.
+    ``digits`` lists the node's tensor entries as per-leg codes, in equal
+    contiguous runs, one per output slot (see :func:`schedule_for`).
     """
 
     name: str
     kind: str
     in_legs: tuple[int, ...]
-    chain: tuple[tuple[int, str, bool], ...]  # (own leg, child, corner?)
+    chain: tuple[tuple[int, str], ...]  # (own leg, child)
     deferred_leg: int | None
     leaf_legs: tuple[tuple[int, int], ...]  # (own leg, boundary qubit)
     d_out: int
+    digits: np.ndarray  # (entries, legs) intp
 
 
 @dataclass(frozen=True, slots=True)
 class ContractionSchedule:
-    """Leaf-to-root ordering of steps plus shared entry digit tables."""
+    """Leaf-to-root ordering of steps, and the class label of each center run."""
 
     steps: tuple[ScheduleStep, ...]
-    block_digits: np.ndarray  # (entries, 7) intp for every seven-leg node
-    seed_digits: dict[PauliString, np.ndarray]  # label -> (entries, 6) intp
+    labels: tuple[PauliString, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -350,56 +352,61 @@ def schedule_for(layout: HolographicLayout) -> ContractionSchedule:
     child-bound leg is deferred to the neighbour and its leg index joins
     the right bond.  Bond dimensions between layers l and l+1 are
     4^(radius - 1 - l); chains have radius 1, so all their bonds are 1.
+    Every step reads the block's digit table grouped by output slot (in-leg
+    codes, first in-leg major, then the deferred leg's code); the seed reads
+    it grouped by the block's reference leg 0, in class order, leg dropped.
     """
     radius = layout.radius
     qubit_of = {slot: q for q, slot in enumerate(layout.boundary)}
+    (block,) = CodeTensor.from_code(seven_qubit_state()).digit_tables().values()
+    block = block.astype(np.intp)
+    labels = tuple(class_labels(1))
+    rank = np.argsort([label.key() for label in labels])  # leg-0 code -> run
+    # a table depends only on its slot legs; the center has none of its own
+    tables = {(): _grouped(block, rank[block[:, 0]], len(labels))[:, 1:]}
     steps: list[ScheduleStep] = []
     for node in sorted(layout.nodes.values(), key=lambda node: -node.layer):
         name = node.name
-        corner_links = [
-            (leg, child, in_leg)
-            for leg, child, in_leg in node.children
-            if layout.nodes[child].kind == "corner"
-        ]
-        single_links = [
-            (leg, child, in_leg)
-            for leg, child, in_leg in node.children
-            if layout.nodes[child].kind != "corner"
-        ]
-        consumed = [
-            (leg, child, True)
-            for leg, child, in_leg in corner_links
-            if in_leg == CORNER_IN_LEGS[0]
-        ]
-        deferred = [
-            leg
-            for leg, _, in_leg in corner_links
-            if in_leg == CORNER_IN_LEGS[1]
-        ]
-        chain = tuple(
-            sorted(consumed + [(leg, child, False) for leg, child, _ in single_links])
-        )
+        chain: list[tuple[int, str]] = []  # in ascending own-leg order
+        deferred: list[int] = []
+        for leg, child, in_leg in node.children:
+            if layout.nodes[child].kind == "corner" and in_leg == CORNER_IN_LEGS[1]:
+                deferred.append(leg)
+            else:
+                chain.append((leg, child))
+        in_legs = tuple(leg for leg, _, _ in node.in_links)
+        slot_legs = in_legs + tuple(deferred)
+        if slot_legs not in tables:
+            slot = block[:, slot_legs] @ 4 ** np.arange(len(slot_legs))[::-1]
+            tables[slot_legs] = _grouped(block, slot, 4 ** len(slot_legs))
         d_out = 4 ** max(radius - 1 - node.layer, 0)
         steps.append(
             ScheduleStep(
                 name=name,
                 kind=node.kind,
-                in_legs=tuple(leg for leg, _, _ in node.in_links),
-                chain=chain,
+                in_legs=in_legs,
+                chain=tuple(chain),
                 deferred_leg=deferred[0] if deferred else None,
                 leaf_legs=tuple(
                     (leg, qubit_of[(name, leg)]) for leg in node.leaf_legs
                 ),
                 d_out=1 if node.kind == "center" else d_out,
+                digits=tables[slot_legs],
             )
         )
-    (block_digits,) = CodeTensor.from_code(seven_qubit_state()).digit_tables().values()
-    seed_digits = CodeTensor.from_code(six_qubit_code()).digit_tables()
-    return ContractionSchedule(
-        steps=tuple(steps),
-        block_digits=block_digits.astype(np.intp),
-        seed_digits={label: t.astype(np.intp) for label, t in seed_digits.items()},
-    )
+    return ContractionSchedule(steps=tuple(steps), labels=labels)
+
+
+def _grouped(table: np.ndarray, slot: np.ndarray, n_slots: int) -> np.ndarray:
+    """The rows of ``table`` stably sorted by ``slot``, one equal run per slot.
+
+    Every slot in range(n_slots) must own the same number of rows, since
+    the executor sums the runs by reshaping; otherwise ValueError.
+    """
+    counts = np.bincount(slot, minlength=n_slots)
+    if np.any(counts != counts[0]):
+        raise ValueError(f"uneven rows per output slot: {counts.tolist()}")
+    return table[np.argsort(slot, kind="stable")]
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,14 @@ def test_mc_run_config_file_with_flag_override(tmp_path, capsys):
     assert points[0].p == 0.18
 
 
+def test_mc_run_config_rejects_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("radius=1\np=0.1\ntrials=5\nsead=5\n")
+    assert main(["mc-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: line 4: unknown key 'sead'")
+
+
 def test_fit_threshold_from_csv(tmp_path, capsys):
     # synthetic curves with a known collapse; the fit must find it
     from tenqec import McPoint, write_points
@@ -137,6 +145,14 @@ def test_fit_threshold_single_radius_fails(tmp_path, capsys):
     path = tmp_path / "one.csv"
     write_points(str(path), rows)
     assert main(["fit-threshold", str(path)]) == 1
+
+
+def test_fit_threshold_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main(["fit-threshold", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 1: not UTF-8")
 
 
 def test_missing_file_is_reported(capsys):

@@ -113,14 +113,22 @@ def test_argmax_scale_invariance(holo):
 
 
 def _shuffled(schedule, rng):
-    """The same schedule with its entry rows in another order."""
+    """The same schedule with each step's rows reordered within their slot runs.
+
+    The runs (output slots, class labels at the center) must stay in
+    place, so this is all the summation-order freedom the executor has.
+    """
+    def shuffle(step):
+        if step.kind == "center":
+            n_slots = len(schedule.labels)
+        else:
+            n_slots = 4 ** (len(step.in_legs) + (step.deferred_leg is not None))
+        runs = np.split(step.digits, n_slots)
+        digits = np.concatenate([rng.permutation(run) for run in runs])
+        return dataclasses.replace(step, digits=digits)
+
     return dataclasses.replace(
-        schedule,
-        block_digits=rng.permutation(schedule.block_digits),
-        seed_digits={
-            label: rng.permutation(table)
-            for label, table in schedule.seed_digits.items()
-        },
+        schedule, steps=tuple(shuffle(step) for step in schedule.steps)
     )
 
 

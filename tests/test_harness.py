@@ -100,6 +100,13 @@ def test_read_points_names_file_and_line(tmp_path, case):
         read_points(str(path))
 
 
+def test_read_points_names_the_line_of_a_non_utf8_byte(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(HEADER.encode() + b"2,36,0.18,100,7,0.07,0.02\n2,36,\xff\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: not UTF-8")):
+        read_points(str(path))
+
+
 def test_workers_match_single_thread(holo):
     layout, schedule = holo[2]
     serial = run_point(layout, schedule, 0.19, 60, seed=13)

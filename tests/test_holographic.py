@@ -17,7 +17,7 @@ from tenqec import (
     schedule_for,
     seven_qubit_state,
 )
-from tenqec.holographic import CORNER_IN_LEGS, SINGLE_IN_LEG
+from tenqec.holographic import CORNER_IN_LEGS, SINGLE_IN_LEG, _grouped
 
 
 NODE_COUNTS = {1: 1, 2: 7, 3: 37, 4: 181}
@@ -121,7 +121,7 @@ def test_schedule_covers_all_nodes(holo):
         # leaves-first: every chained child appears before its parent
         seen = set()
         for step in schedule.steps:
-            for _, child, _ in step.chain:
+            for _, child in step.chain:
                 assert child in seen
             seen.add(step.name)
 
@@ -139,15 +139,60 @@ def test_schedule_bond_dimensions(holo):
                 assert d_out[child] == 4 ** max(r - 2 - node.layer, 0)
 
 
-def test_schedule_digit_tables(holo):
-    _, schedule = holo[2]
-    assert schedule.block_digits.shape == (128, 7)
-    assert len(schedule.seed_digits) == 4
-    for table in schedule.seed_digits.values():
-        assert table.shape == (32, 6)
-    # stored as index arrays, so the executor gathers with them as they are
-    for table in (schedule.block_digits, *schedule.seed_digits.values()):
-        assert table.dtype == np.intp
+def _row_slots(step):
+    """Each row's output slot, read from its own digits, and the slot count."""
+    legs = step.in_legs + (() if step.deferred_leg is None else (step.deferred_leg,))
+    slot = np.zeros(len(step.digits), dtype=np.intp)
+    for leg in legs:
+        slot = slot * 4 + step.digits[:, leg]
+    return slot, 4 ** len(legs)
+
+
+def _assert_slot_grouped(step, block_keys):
+    # the block's own rows, reordered so that row i lies in slot i // run
+    assert step.digits.shape == (128, 7)
+    assert sorted(_keys(step.digits)) == block_keys
+    slot, n_slots = _row_slots(step)
+    assert np.array_equal(slot, np.arange(128) // (128 // n_slots))
+
+
+def _keys(digits):
+    return [sum(int(c) << (2 * i) for i, c in enumerate(row)) for row in digits]
+
+
+def _block_keys(block_tensor):
+    (members,) = block_tensor.class_tables.values()
+    return sorted(members)
+
+
+def test_schedule_digit_tables(holo, block_tensor):
+    block_keys = _block_keys(block_tensor)
+    for _, schedule in holo.values():
+        for step in schedule.steps:
+            # stored as index arrays, so the executor gathers with them as they are
+            assert step.digits.dtype == np.intp
+            if step.kind == "center":
+                assert step.digits.shape == (128, 6)  # rows checked below
+            else:
+                _assert_slot_grouped(step, block_keys)
+
+
+def test_center_table_is_the_seed(holo, six_tensor):
+    # the block grouped by its reference leg is the seed, label by label
+    seed = six_tensor.digit_tables()
+    for _, schedule in holo.values():
+        (center,) = [step for step in schedule.steps if step.kind == "center"]
+        assert list(schedule.labels) == list(seed)
+        runs = np.split(center.digits, len(schedule.labels))
+        for label, run in zip(schedule.labels, runs):
+            assert np.array_equal(run, seed[label])
+
+
+def test_uneven_slots_raise():
+    with pytest.raises(ValueError, match="uneven"):
+        _grouped(np.zeros((4, 7), dtype=np.intp), np.array([0, 0, 0, 1]), 2)
+    with pytest.raises(ValueError, match="uneven"):
+        _grouped(np.zeros((4, 7), dtype=np.intp), np.array([0, 0, 1, 1]), 3)
 
 
 def test_chain_layout_shapes():
@@ -185,6 +230,14 @@ CHAINS = (
 
 
 @pytest.mark.parametrize("links", CHAINS)
+def test_every_chain_step_table_is_slot_grouped(links, block_tensor):
+    block_keys = _block_keys(block_tensor)
+    for step in schedule_for(chain_layout(links)).steps:
+        if step.kind != "center":
+            _assert_slot_grouped(step, block_keys)
+
+
+@pytest.mark.parametrize("links", CHAINS)
 def test_schedule_for_chains_leaves_first(links):
     chain = chain_layout(links)
     schedule = schedule_for(chain)
@@ -193,7 +246,7 @@ def test_schedule_for_chains_leaves_first(links):
     for step in schedule.steps:
         assert step.d_out == 1
         assert step.deferred_leg is None
-        assert all(not corner for _, _, corner in step.chain)
+        assert all(chain.nodes[child].kind != "corner" for _, child in step.chain)
         # every child is absorbed before its parent
         for _, child, _ in chain.nodes[step.name].children:
             assert names.index(child) < names.index(step.name)
