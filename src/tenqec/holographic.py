@@ -10,13 +10,15 @@ are exactly 4^(R - r) between rings at radius r.
 
 The code is assembled as the fold of two-tensor contractions
 ``contract(block, acc, binding)`` over the attachments, but on packed GF(2)
-tableaux instead of PauliStrings.  Every (node, leg) slot owns a fixed
-column.  An attachment reads the x/z bits of each row on its one or two
-bound columns, XORs in the block's canonical matching product from a 4- or
-16-entry table (derived once per in-leg tuple with
-``StabilizerCode.canonicalized_on``, as ``contract`` does), and appends the
-block's fresh stabilizer and pure-error rows.  Bound columns stay in place,
-dead.  The live columns are gathered into PauliStrings once, at the end.
+tableaux instead of PauliStrings.  Node i, in attachment order with the
+seed first, owns columns ``NODE_COLUMNS * i + leg``.  An attachment reads
+the x/z bits of each row on its one or two bound columns, XORs in the
+block's canonical matching product from a 4- or 16-entry table (derived
+once per in-leg tuple with ``StabilizerCode.canonicalized_on``, as
+``contract`` does), and appends the block's fresh stabilizer and
+pure-error rows.  Bound columns stay in place,
+dead.  The live columns, the layout's leaf legs, are gathered into
+PauliStrings once, at the end.
 
 Chains of tensors (open trees of blocks, used for small worked examples)
 share the node derivation, the assembler, and :func:`schedule_for`, with
@@ -66,7 +68,12 @@ class LayoutNode:
 
     @property
     def n_legs(self) -> int:
-        return CENTER_LEGS if self.kind == "center" else BLOCK_LEGS
+        return _n_legs(self.kind)
+
+
+def _n_legs(kind: str) -> int:
+    """Legs of a node of the given kind: six for the seed, seven for a block."""
+    return CENTER_LEGS if kind == "center" else BLOCK_LEGS
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,17 +122,6 @@ class HolographicLayout:
         return len(self.boundary)
 
 
-def _free_leg_span(kind: str) -> tuple[int, ...]:
-    """Legs of a node that face outward (everything but its in-legs)."""
-    if kind == "center":
-        return tuple(range(CENTER_LEGS))
-    if kind == "single":
-        return tuple(range(6))
-    if kind == "corner":
-        return tuple(range(5))
-    raise ValueError(f"no fixed leg span for kind {kind!r}")
-
-
 def build_layout(radius: int, *, with_code: bool = True) -> HolographicLayout:
     """Build the nested-ring layout of the given radius.
 
@@ -154,19 +150,23 @@ def build_layout(radius: int, *, with_code: bool = True) -> HolographicLayout:
         layers[name] = layer
         in_links[name] = tuple(links)
 
+    def outward(name: str) -> list[int]:
+        """A node's legs that are not its in-legs, ascending."""
+        own = {leg for leg, _, _ in in_links[name]}
+        return [leg for leg in range(_n_legs(kinds[name])) if leg not in own]
+
     for layer in range(1, radius):
         prev = rings[-1]
         ring: list[str] = []
         if layer == 1:
-            for j in range(CENTER_LEGS):
+            for j in outward("c"):
                 name = f"1.{j}"
                 add_node(name, "single", 1, [(SINGLE_IN_LEG, "c", j)])
                 ring.append(name)
         else:
             for j, parent in enumerate(prev):
                 left = prev[(j - 1) % len(prev)]
-                free_left = _free_leg_span(kinds[left])
-                free_right = _free_leg_span(kinds[parent])
+                free_left, free_right = outward(left), outward(parent)
                 corner = f"{layer}.{len(ring)}"
                 add_node(corner, "corner", layer, [
                     (CORNER_IN_LEGS[0], parent, free_right[0]),
@@ -186,7 +186,7 @@ def build_layout(radius: int, *, with_code: bool = True) -> HolographicLayout:
 
     code = None
     if with_code:
-        raw, live = _assemble([nodes[name] for ring in rings[1:] for name in ring])
+        raw, live = _assemble(list(nodes.values()))
         position = {slot: q for q, slot in enumerate(live)}
         code = raw.permuted([position[slot] for slot in boundary])
 
@@ -217,14 +217,13 @@ def _derive_nodes(
     for name, kind in kinds.items():
         bound = {leg for leg, _, _ in in_links[name]}
         bound |= {leg for leg, _, _ in children[name]}
-        all_legs = CENTER_LEGS if kind == "center" else BLOCK_LEGS
         nodes[name] = LayoutNode(
             name=name,
             kind=kind,
             layer=layers[name],
             in_links=in_links[name],
             children=tuple(sorted(children[name])),
-            leaf_legs=tuple(leg for leg in range(all_legs) if leg not in bound),
+            leaf_legs=tuple(leg for leg in range(_n_legs(kind)) if leg not in bound),
         )
     return nodes
 
@@ -240,7 +239,6 @@ class _BlockKind:
     cleared by the matching product.
     """
 
-    fresh_legs: tuple[int, ...]
     table: np.ndarray  # (4^p, 2) uint64
     stabilizers: np.ndarray  # (7 - 2p, 2) uint64
     pure_errors: np.ndarray  # (7 - 2p, 2) uint64
@@ -250,8 +248,7 @@ def _block_kind(in_legs: tuple[int, ...]) -> _BlockKind:
     """Derive the packed matching table of a block bound on ``in_legs``."""
     canon = seven_qubit_state().canonicalized_on(in_legs)
     products = pair_products(canon, len(in_legs))
-    fresh = tuple(leg for leg in range(BLOCK_LEGS) if leg not in in_legs)
-    mask = sum(1 << leg for leg in fresh)
+    mask = sum(1 << leg for leg in range(BLOCK_LEGS) if leg not in in_legs)
 
     def packed(ops: Sequence[PauliString]) -> np.ndarray:
         return np.array([(op.x & mask, op.z & mask) for op in ops],
@@ -261,34 +258,33 @@ def _block_kind(in_legs: tuple[int, ...]) -> _BlockKind:
         return packed([op * products[op.restrict(in_legs).key()] for op in ops])
 
     rest = 2 * len(in_legs)
-    return _BlockKind(fresh, packed(products), cleared(canon.stabilizers[rest:]),
+    return _BlockKind(packed(products), cleared(canon.stabilizers[rest:]),
                       cleared(canon.pure_errors[rest:]))
 
 
 def _assemble(
-    attached: Sequence[LayoutNode],
+    nodes: Sequence[LayoutNode],
 ) -> tuple[StabilizerCode, list[tuple[str, int]]]:
     """Attach seven-leg blocks to the seed tensor, in order, on packed tableaux.
 
-    The result equals folding ``contract(block, acc, binding)`` over the
-    attachments: accumulated rows keep their order and each block appends
-    its fresh stabilizer and pure-error rows.  Returns the code with its
-    qubits in contraction order (the last block's free legs first, then the
-    earlier survivors) and the (node, leg) slot of each qubit.
+    ``nodes`` lists the seed first, then the blocks in attachment order;
+    node i owns columns ``NODE_COLUMNS * i + leg``.  The result equals
+    folding ``contract(block, acc, binding)`` over the attachments:
+    accumulated rows keep their order and each block appends its fresh
+    stabilizer and pure-error rows.  Returns the code with its qubits in
+    contraction order (the last block's leaf legs first, then the earlier
+    nodes') and the (node, leg) slot of each qubit.
     """
     seed = six_qubit_code()
-    kinds: dict[tuple[int, ...], _BlockKind] = {}
-    node_kinds = []
-    for node in attached:
-        in_legs = tuple(leg for leg, _, _ in node.in_links)
-        if in_legs not in kinds:
-            kinds[in_legs] = _block_kind(in_legs)
-        node_kinds.append(kinds[in_legs])
+    index = {node.name: i for i, node in enumerate(nodes)}
+    live = [(node.name, leg) for node in reversed(nodes) for leg in node.leaf_legs]
+    kinds: dict[tuple[int, ...], _BlockKind] = {}  # derived afresh for every build
 
-    # Rows: stabilizers [0, m), pure errors [m, 2m), logical X, logical Z.
-    m = len(seed.stabilizers) + sum(len(kind.stabilizers) for kind in node_kinds)
+    # Rows: stabilizers [0, m), pure errors [m, 2m), logical X, logical Z;
+    # the contracted code has n - k stabilizers.
     k = seed.k
-    words = -(-NODE_COLUMNS * (len(attached) + 1) // 64)
+    m = len(live) - k
+    words = -(-NODE_COLUMNS * len(nodes) // 64)
     x = np.zeros((2 * m + 2 * k, words), dtype=np.uint64)
     z = np.zeros_like(x)
     seed_rows = (
@@ -299,17 +295,18 @@ def _assemble(
     for row, op in seed_rows:
         x[row, 0], z[row, 0] = op.x, op.z
 
-    column = {("c", leg): leg for leg in range(CENTER_LEGS)}
-    dead: set[tuple[str, int]] = set()
     fresh_row = len(seed.stabilizers)
-    for index, (node, kind) in enumerate(zip(attached, node_kinds), start=1):
+    for i, node in enumerate(nodes[1:], start=1):
+        in_legs = tuple(leg for leg, _, _ in node.in_links)
+        if in_legs not in kinds:
+            kinds[in_legs] = _block_kind(in_legs)
+        kind = kinds[in_legs]
         key = np.zeros(len(x), dtype=np.intp)
-        for i, (_, parent, parent_leg) in enumerate(node.in_links):
-            dead.add((parent, parent_leg))
-            w, b = divmod(column[(parent, parent_leg)], 64)
+        for j, (_, parent, parent_leg) in enumerate(node.in_links):
+            w, b = divmod(NODE_COLUMNS * index[parent] + parent_leg, 64)
             xb, zb = (x[:, w] >> b) & 1, (z[:, w] >> b) & 1
-            key |= ((xb ^ zb) | (zb << 1)).astype(np.intp) << (2 * i)
-        w, b = divmod(NODE_COLUMNS * index, 64)
+            key |= ((xb ^ zb) | (zb << 1)).astype(np.intp) << (2 * j)
+        w, b = divmod(NODE_COLUMNS * i, 64)
         shift = np.uint64(b)
         x[:, w] |= kind.table[key, 0] << shift
         z[:, w] |= kind.table[key, 1] << shift
@@ -319,17 +316,8 @@ def _assemble(
             x[start : start + f, w] = rows[:, 0] << shift
             z[start : start + f, w] = rows[:, 1] << shift
         fresh_row += f
-        for leg in kind.fresh_legs:
-            column[(node.name, leg)] = NODE_COLUMNS * index + leg
 
-    live = [
-        (node.name, leg)
-        for node, kind in zip(reversed(attached), reversed(node_kinds))
-        for leg in kind.fresh_legs
-        if (node.name, leg) not in dead
-    ]
-    live += [("c", leg) for leg in range(CENTER_LEGS) if ("c", leg) not in dead]
-    ops = unpack(x, z, [column[slot] for slot in live])
+    ops = unpack(x, z, [NODE_COLUMNS * index[name] + leg for name, leg in live])
     code = StabilizerCode(
         n=len(live),
         k=k,
@@ -428,14 +416,14 @@ def chain_layout(
     dimensions are 1.
     """
     names = ["c"] + [f"b{i}" for i in range(1, len(links) + 1)]
+    kinds = {name: "center" if name == "c" else "plain" for name in names}
     in_links: dict[str, tuple[tuple[int, str, int], ...]] = {"c": ()}
     used_legs: dict[str, set[int]] = {n: set() for n in names}
     for i, (parent_idx, parent_leg, own_leg) in enumerate(links, start=1):
         if not 0 <= parent_idx < i:
             raise ValueError("parent must be attached before its child")
         parent = names[parent_idx]
-        n_parent = CENTER_LEGS if parent == "c" else BLOCK_LEGS
-        if not 0 <= parent_leg < n_parent or parent_leg in used_legs[parent]:
+        if not 0 <= parent_leg < _n_legs(kinds[parent]) or parent_leg in used_legs[parent]:
             raise ValueError(f"leg {parent_leg} of {parent} is not available")
         if not 0 <= own_leg < BLOCK_LEGS:
             raise ValueError("in-leg out of range")
@@ -443,10 +431,9 @@ def chain_layout(
         used_legs[names[i]].add(own_leg)
         in_links[names[i]] = ((own_leg, parent, parent_leg),)
 
-    kinds = {name: "center" if name == "c" else "plain" for name in names}
     layers = {name: i for i, name in enumerate(names)}
     nodes = _derive_nodes(kinds, layers, in_links)
-    code, live = _assemble([nodes[name] for name in names[1:]])
+    code, live = _assemble(list(nodes.values()))
     return HolographicLayout(
         radius=1,
         rings=(tuple(names),),

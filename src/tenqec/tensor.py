@@ -224,86 +224,48 @@ def contract(a: CodeTensor, b: CodeTensor, binding: LegBinding) -> CodeTensor:
     tensor carries the contracted StabilizerCode and enumerates its class
     listings lazily.
 
-    Each operator of the non-canonical side is lifted by pairing it with
-    the :func:`pair_products` entry that matches its bound-leg action; each
-    remaining operator of the canonical side has that action cleared the
-    same way.  The holographic assembler
+    One rule lifts every operator.  The canonical side c is put in
+    leg-canonical form on its bound legs (see
+    :meth:`StabilizerCode.canonicalized_on`), and each operator meets the :func:`pair_products` entry that matches
+    its bound-leg action: an operator of the other side is paired with it,
+    and one of c's has that action cleared by it.  Stabilizers and pure
+    errors list the other side's rows, then c's rows after the canonical
+    pairs.  The holographic assembler
     (:func:`tenqec.holographic.build_layout`) applies exactly this rule to
     packed tableaux, and a fold of this function over the same attachments
     is its reference.
     """
-    code_a, code_b = a.code, b.code
-    _check_binding(binding, code_a.n, code_b.n)
-    if code_a.distinguishes_errors_on(binding.left):
-        canon_is_a = True
-    elif code_b.distinguishes_errors_on(binding.right):
-        canon_is_a = False
-    else:
+    codes, bound = (a.code, b.code), (binding.left, binding.right)
+    _check_binding(binding, codes[0].n, codes[1].n)
+    c = next((i for i in (0, 1) if codes[i].distinguishes_errors_on(bound[i])), None)
+    if c is None:
         raise ContractionPreconditionError(
             "neither code distinguishes all errors on its bound legs; "
             "the contraction is not a stabilizer-code tensor"
         )
+    d = 1 - c
+    canon = codes[c].canonicalized_on(bound[c])
+    rest = 2 * len(bound[c])
+    products = pair_products(canon, len(bound[c]))
+    drops = (sorted(binding.left), sorted(binding.right))
+    id_d = PauliString.identity(codes[d].n)
 
-    if canon_is_a:
-        c_code, d_code = code_a, code_b
-        c_bound, d_bound = binding.left, binding.right
-    else:
-        c_code, d_code = code_b, code_a
-        c_bound, d_bound = binding.right, binding.left
-
-    canon = c_code.canonicalized_on(c_bound)
-    n_pairs = len(c_bound)
-    products = pair_products(canon, n_pairs)
-
-    def matching_product(op: PauliString, bound: Sequence[int]) -> PauliString:
-        """The canonical-pair product acting on c's legs as ``op`` does on ``bound``."""
-        return products[op.restrict(bound).key()]
-
-    drop_a, drop_b = sorted(binding.left), sorted(binding.right)
-
-    def place(c_op: PauliString, d_op: PauliString) -> PauliString:
-        """Assemble a contracted operator in the fixed output leg order."""
-        if canon_is_a:
-            return c_op.without(drop_a).concat(d_op.without(drop_b))
-        return d_op.without(drop_a).concat(c_op.without(drop_b))
-
-    id_d = PauliString.identity(d_code.n)
-
-    def lift_d(op: PauliString) -> PauliString:
-        """Lift a d-side operator by pairing it with its canonical match."""
-        return place(matching_product(op, d_bound), op)
-
-    def lift_c(op: PauliString) -> PauliString:
-        """Lift a c-side operator after clearing its bound-leg action."""
-        return place(op * matching_product(op, c_bound), id_d)
-
-    stabilizers = [lift_d(s) for s in d_code.stabilizers]
-    stabilizers += [lift_c(s) for s in canon.stabilizers[2 * n_pairs :]]
-    pure_errors = [lift_d(e) for e in d_code.pure_errors]
-    pure_errors += [lift_c(e) for e in canon.pure_errors[2 * n_pairs :]]
-
-    if canon_is_a:
-        logical_x = [lift_c(op) for op in canon.logical_x] + [
-            lift_d(op) for op in d_code.logical_x
-        ]
-        logical_z = [lift_c(op) for op in canon.logical_z] + [
-            lift_d(op) for op in d_code.logical_z
-        ]
-    else:
-        logical_x = [lift_d(op) for op in d_code.logical_x] + [
-            lift_c(op) for op in canon.logical_x
-        ]
-        logical_z = [lift_d(op) for op in d_code.logical_z] + [
-            lift_c(op) for op in canon.logical_z
-        ]
+    def lift(op: PauliString, side: int) -> PauliString:
+        """Place one side's operator in the fixed output leg order."""
+        match = products[op.restrict(bound[side]).key()]
+        on_c, on_d = (op * match, id_d) if side == c else (match, op)
+        first, second = (on_c, on_d) if c == 0 else (on_d, on_c)
+        return first.without(drops[0]).concat(second.without(drops[1]))
 
     new_code = StabilizerCode(
-        n=code_a.n + code_b.n - 2 * n_pairs,
-        k=code_a.k + code_b.k,
-        stabilizers=tuple(stabilizers),
-        logical_x=tuple(logical_x),
-        logical_z=tuple(logical_z),
-        pure_errors=tuple(pure_errors),
+        n=codes[0].n + codes[1].n - rest,
+        k=codes[0].k + codes[1].k,
+        stabilizers=tuple([lift(s, d) for s in codes[d].stabilizers]
+                          + [lift(s, c) for s in canon.stabilizers[rest:]]),
+        logical_x=tuple(lift(op, i) for i in (0, 1) for op in codes[i].logical_x),
+        logical_z=tuple(lift(op, i) for i in (0, 1) for op in codes[i].logical_z),
+        pure_errors=tuple([lift(e, d) for e in codes[d].pure_errors]
+                          + [lift(e, c) for e in canon.pure_errors[rest:]]),
     )
     return CodeTensor(new_code)
 

@@ -1,6 +1,8 @@
 """Code tensors and the constructive contraction against brute force."""
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from tenqec import (
     PauliString,
     StabilizerCode,
     class_labels,
+    code_to_json_dict,
     contract,
     exhaustive_contract,
     seven_qubit_state,
@@ -243,3 +246,48 @@ def test_contract_preserves_pure_error_pattern(six_tensor, block_tensor):
     for stab in code.stabilizers:
         for logical in code.logical_x + code.logical_z:
             assert stab.commutes(logical)
+
+
+WEAK = ("ZZ", "XX", "ZI")  # a [[2, 1]] code that distinguishes no leg
+# sha256 of json.dumps(code_to_json_dict(contract(a, b, binding).code)),
+# measured on the two-branch contract; the last five have only b canonical.
+CONTRACT_DIGESTS = [
+    ("six", "block", (5,), (0,),
+     "2b8e4c25132e7f2559e7213fa95a58cb4e5f11f48eddcf81c684ab6c95ab443f"),
+    ("six", "six", (5,), (0,),
+     "728cc426e84fa61b7d76b6fea7f9bf3d84d94cc826faa6b5fe9bcc4cc258d2d1"),
+    ("block", "block", (5, 6), (0, 1),
+     "21aba4ea7da6754ab92c686bfece768b671515aab721356c22dc4143041484e0"),
+    ("block", "six", (6,), (2,),
+     "060969de854626d8494fb8e918827f4fc3d79bae7536b7093e7825aedf29f3f7"),
+    ("six", "block", (1, 3), (4, 2),
+     "6b8fba85aa8d8e2a3b5a3f6048a35433bd7da5075de783bfacfe73b5040bbdd7"),
+    ("six", "block", (3, 1), (6, 0),
+     "7db5de0c1253fdae9d7ce8f7f90e17af8d710fb0519af9ef2605b2e605429bb6"),
+    ("weak", "six", (1,), (5,),
+     "ef75b78fbe7b60e6740925e5eed55370716a993fc5495e95b8a2f8d69000f638"),
+    ("weak", "block", (1,), (5,),
+     "0d14a0efbcc8eb4e84ac4be281bc466290b392c8ae053a792fdf4e8b57dfe9e3"),
+    ("weak", "block", (0, 1), (5, 6),
+     "580f2ed2eb730e484563ad8c19778667ea123e618169ba26a134608502bc96c6"),
+    ("weak", "block", (1, 0), (6, 2),
+     "9f72626f5108e0f005adb74d55eec365cd591f14cab3074974147fa93584ceff"),
+    ("weak", "six", (0, 1), (3, 0),
+     "9bce045874c89afcb8fb5c97314c2e00635f4f4c6a53dfe687e238c5a336f1ea"),
+]
+
+
+@pytest.mark.parametrize("a, b, left, right, want", CONTRACT_DIGESTS)
+def test_contract_pinned_digests(request, a, b, left, right, want):
+    """Both canonical sides give the same generators, in the same order."""
+    stabs, lx, lz = WEAK
+    weak = CodeTensor(
+        StabilizerCode.from_operators([stabs], logical_x=[lx], logical_z=[lz])
+    )
+    tensors = {"weak": weak, "six": request.getfixturevalue("six_tensor"),
+               "block": request.getfixturevalue("block_tensor")}
+    ta, tb = tensors[a], tensors[b]
+    assert ta.code.distinguishes_errors_on(left) == (a != "weak")
+    code = contract(ta, tb, LegBinding(left, right)).code
+    text = json.dumps(code_to_json_dict(code)).encode()
+    assert hashlib.sha256(text).hexdigest() == want
