@@ -8,6 +8,7 @@ Exit codes: 0 on success, 1 on usage errors, 2 when verification fails.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -15,6 +16,7 @@ from .decoder import NoiseModel, OpCounter, decode, likelihoods_network
 from .harness import (
     fit_threshold,
     read_points,
+    read_text,
     run_mc,
     write_points,
 )
@@ -121,40 +123,58 @@ def _cmd_decode(args) -> int:
 CONFIG_KEYS = ("radius", "p", "trials", "seed", "workers", "out")
 
 
-def _read_config(path: str) -> dict[str, str]:
+def _read_config(path: str) -> dict[str, tuple[str, str]]:
+    """Config values by key, each with the file and line it came from."""
     out = {}
-    with open(path) as fh:
-        for number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {number}: bad config line: {line}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ValueError(f"{path}: line {number}: unknown key {key!r}")
-            out[key] = value
+    for number, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        where = f"{path}: line {number}"
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{where}: bad config line: {line}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        out[key] = (value, where)
     return out
+
+
+def _p_list(text: str) -> list[float]:
+    ps = [float(tok) for tok in text.split(",") if tok]
+    if not ps:
+        raise ValueError("no p values")
+    return ps
 
 
 def _cmd_mc_run(args) -> int:
     settings = _read_config(args.config) if args.config else {}
     for key in CONFIG_KEYS:  # flags win over the config file
         if getattr(args, key) is not None:
-            settings[key] = str(getattr(args, key))
-    radius = int(settings.get("radius", 0))
+            settings[key] = (str(getattr(args, key)), f"--{key}")
+
+    def setting(key: str, parse, default):
+        """The parsed value of ``key``; a bad one names its flag or line."""
+        if key not in settings:
+            return default
+        text, where = settings[key]
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad {key} value: {exc}") from None
+
+    radius = setting("radius", int, 0)
     if radius < 1:
         raise ValueError("a radius of at least 1 is required (flag or config)")
-    p_text = settings.get("p")
-    if not p_text:
+    ps = setting("p", _p_list, None)
+    if ps is None:
         raise ValueError("a comma-separated p list is required (flag or config)")
-    ps = [float(tok) for tok in p_text.split(",") if tok]
-    trials = int(settings.get("trials", 0))
+    trials = setting("trials", int, 0)
     if trials < 1:
         raise ValueError("a positive trial count is required (flag or config)")
-    seed = int(settings.get("seed", 0))
-    workers = int(settings.get("workers", 1))
-    out = settings.get("out")
+    seed = setting("seed", int, 0)
+    workers = setting("workers", int, 1)
+    out = setting("out", str, None)
 
     layout = build_layout(radius)
     schedule = schedule_for(layout)

@@ -151,19 +151,21 @@ def likelihoods_network(
     products, and sums the entries' run for each output slot into a
     message indexed by its parent-facing legs.  Every message is
     renormalized by its largest entry, with the logs pooled into the
-    table's log_scale, so deep layouts never underflow.  ``leaves``
-    replaces the default leaf table,
-    ``leaf_probabilities(noise, layout.code.pure_error(syndrome))``;
+    table's log_scale, so deep layouts never underflow.  The leaf table
+    is ``leaves`` when given, else
+    ``leaf_probabilities(noise, layout.code.pure_error(syndrome))``, or the
+    noise table when neither is given; passing both raises ValueError.
     ``bond_observer`` collects each message's observed (left, right) bond
     dimensions.
     """
-    if leaves is None:
-        pure_error = None
-        if syndrome is not None and not syndrome.is_trivial():
-            if layout.code is None:
-                raise ValueError("layout carries no code to map the syndrome")
-            pure_error = layout.code.pure_error(syndrome)
-        leaves = leaf_probabilities(noise, pure_error)
+    if syndrome is not None:
+        if leaves is not None:
+            raise ValueError("pass a syndrome or a leaf table, not both")
+        if layout.code is None:
+            raise ValueError("layout carries no code to map the syndrome")
+        leaves = leaf_probabilities(noise, layout.code.pure_error(syndrome))
+    elif leaves is None:
+        leaves = leaf_probabilities(noise)
     if leaves.shape != (layout.n, 4):
         raise ValueError("leaf table must have shape (n, 4)")
 

@@ -245,16 +245,26 @@ def write_points(path: str, points: list[McPoint]) -> None:
             ])
 
 
-def read_points(path: str) -> list[McPoint]:
-    """Read a sweep CSV; a bad byte, header or row raises ValueError naming its line."""
+def read_text(path: str) -> str:
+    """A file's UTF-8 text; a bad byte raises ValueError naming its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+
+
+def read_points(path: str) -> list[McPoint]:
+    """Read a sweep CSV; a bad byte, header or row raises ValueError naming its line.
+
+    A row must be one :func:`write_points` could write: finite p,
+    failure_rate and std_err, p in [0, 1], at least one trial and
+    0 <= failures <= trials.  failure_rate is not checked against
+    failures / trials, so idealized rates load.
+    """
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = tuple(next(reader, ()))
     if header != CSV_HEADER:
         raise ValueError(f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
@@ -269,6 +279,13 @@ def read_points(path: str) -> list[McPoint]:
             pt = McPoint(*(parse(v) for parse, v in zip(CSV_TYPES, row)))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+        for name in ("p", "failure_rate", "std_err"):
+            if not math.isfinite(getattr(pt, name)):
+                raise ValueError(f"{where}: {name} {getattr(pt, name)!r} is not finite")
+        if not 0 <= pt.p <= 1:
+            raise ValueError(f"{where}: p {pt.p!r} outside [0, 1]")
+        if pt.trials < 1:
+            raise ValueError(f"{where}: trials {pt.trials} below 1")
         if not 0 <= pt.failures <= pt.trials:
             raise ValueError(
                 f"{where}: failures {pt.failures} outside [0, {pt.trials}]"

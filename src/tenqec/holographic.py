@@ -278,7 +278,9 @@ def _assemble(
     seed = six_qubit_code()
     index = {node.name: i for i, node in enumerate(nodes)}
     live = [(node.name, leg) for node in reversed(nodes) for leg in node.leaf_legs]
-    kinds: dict[tuple[int, ...], _BlockKind] = {}  # derived afresh for every build
+    # per build: a process-wide cache would hide the blocks' canonicalization
+    # from the timing of every build after the first
+    kinds: dict[tuple[int, ...], _BlockKind] = {}
 
     # Rows: stabilizers [0, m), pure errors [m, 2m), logical X, logical Z;
     # the contracted code has n - k stabilizers.
@@ -423,7 +425,8 @@ def chain_layout(
         if not 0 <= parent_idx < i:
             raise ValueError("parent must be attached before its child")
         parent = names[parent_idx]
-        if not 0 <= parent_leg < _n_legs(kinds[parent]) or parent_leg in used_legs[parent]:
+        free = set(range(_n_legs(kinds[parent]))) - used_legs[parent]
+        if parent_leg not in free:
             raise ValueError(f"leg {parent_leg} of {parent} is not available")
         if not 0 <= own_leg < BLOCK_LEGS:
             raise ValueError("in-leg out of range")

@@ -193,9 +193,7 @@ def _code_from_listings(
         logical_x.append(PauliString.from_key(n, min(classes[x_label])))
         logical_z.append(PauliString.from_key(n, min(classes[z_label])))
 
-    pure = solve_pure_errors(
-        tuple(generators), tuple(logical_x), tuple(logical_z), n=n
-    )
+    pure = solve_pure_errors(tuple(generators), tuple(logical_x), tuple(logical_z))
     code = StabilizerCode(
         n=n,
         k=k,

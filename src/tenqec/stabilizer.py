@@ -166,7 +166,7 @@ class StabilizerCode:
                 f"need n-k={n - k} stabilizers for n={n}, k={k}; got {len(stabs)}"
             )
         if pure_errors is None:
-            pure = tuple(solve_pure_errors(stabs, lx, lz, n=n))
+            pure = tuple(solve_pure_errors(stabs, lx, lz))
         else:
             pure = tuple(_as_pauli(p) for p in pure_errors)
         code = cls(n, k, stabs, lx, lz, pure)
@@ -343,7 +343,7 @@ class StabilizerCode:
                     if i != t and gens[i].anticommutes(probe):
                         gens[i] = gens[i] * gens[t]
                 t += 1
-        pure = tuple(solve_pure_errors(gens, self.logical_x, self.logical_z, n=self.n))
+        pure = tuple(solve_pure_errors(gens, self.logical_x, self.logical_z))
         return replace(self, stabilizers=tuple(gens), pure_errors=pure)
 
     # -- reshaping ----------------------------------------------------------
@@ -380,8 +380,6 @@ def solve_pure_errors(
     stabilizers: Sequence[PauliString],
     logical_x: Sequence[PauliString] = (),
     logical_z: Sequence[PauliString] = (),
-    *,
-    n: int | None = None,
 ) -> list[PauliString]:
     """Find pure errors E_i with E_i S_j anticommuting exactly when i == j.
 
@@ -389,14 +387,17 @@ def solve_pure_errors(
     by :func:`gf2_basis`; the extra rows force each E_i to commute with
     every logical representative, and a final symplectic sweep makes the
     E_i mutually commute, so the result is canonical for a given generator
-    order.  Raises DependentGeneratorsError
-    when the generators are dependent (the system is singular).
+    order.  The qubit count is the operators' common length; mixed
+    lengths raise ValueError.  Raises DependentGeneratorsError when the
+    generators are dependent (the system is singular).
     """
     stabilizers = list(stabilizers)
+    lengths = {op.n for op in (*stabilizers, *logical_x, *logical_z)}
+    if len(lengths) > 1:
+        raise ValueError(f"operators of mixed lengths {sorted(lengths)}")
     if not stabilizers:
         return []
-    if n is None:
-        n = stabilizers[0].n
+    (n,) = lengths
     m = len(stabilizers)
     # One equation per operator: its symplectic row above m right-hand-side
     # bits, bit t set when E_t must anticommute with it.  With the RHS below

@@ -226,11 +226,12 @@ def contract(a: CodeTensor, b: CodeTensor, binding: LegBinding) -> CodeTensor:
 
     One rule lifts every operator.  The canonical side c is put in
     leg-canonical form on its bound legs (see
-    :meth:`StabilizerCode.canonicalized_on`), and each operator meets the :func:`pair_products` entry that matches
-    its bound-leg action: an operator of the other side is paired with it,
-    and one of c's has that action cleared by it.  Stabilizers and pure
-    errors list the other side's rows, then c's rows after the canonical
-    pairs.  The holographic assembler
+    :meth:`StabilizerCode.canonicalized_on`), and each operator meets the
+    :func:`pair_products` entry that matches its bound-leg action: an
+    operator of the other side is paired with it, and one of c's has that
+    action cleared by it.  Stabilizers and pure errors list the other
+    side's rows, then c's rows after the canonical pairs.  The holographic
+    assembler
     (:func:`tenqec.holographic.build_layout`) applies exactly this rule to
     packed tableaux, and a fold of this function over the same attachments
     is its reference.

@@ -337,7 +337,7 @@ def test_criterion_8_invariant_bundle(six_code, six_tensor, block_tensor, holo):
         base = likelihoods_network(layout, schedule, noise, syn)
         for factor in (1e-3, 137.5, 1e3):
             scaled = likelihoods_network(
-                layout, schedule, noise, syn, leaves=base_leaves * factor
+                layout, schedule, noise, leaves=base_leaves * factor
             )
             assert scaled.argmax_class() == base.argmax_class()
 

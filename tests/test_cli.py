@@ -115,6 +115,33 @@ def test_mc_run_config_rejects_unknown_keys(tmp_path, capsys):
     assert err.startswith(f"error: {cfg}: line 4: unknown key 'sead'")
 
 
+def test_mc_run_config_names_a_bad_value(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=0.1\nradius=abc\ntrials=5\n")
+    assert main(["mc-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: line 2: bad radius value: invalid literal")
+
+
+def test_mc_run_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"radius=1\np=0.1\ntrials=\xff\n")
+    assert main(["mc-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: line 3: not UTF-8")
+
+
+@pytest.mark.parametrize("p, message", [
+    (",", "error: --p: bad p value: no p values"),
+    ("0.1,abc", "error: --p: bad p value: could not convert"),
+])
+def test_mc_run_names_a_bad_flag_value(capsys, p, message):
+    assert main(["mc-run", "--radius", "1", "--p", p, "--trials", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert "failed" not in captured.out  # nothing ran
+
+
 def test_fit_threshold_from_csv(tmp_path, capsys):
     # synthetic curves with a known collapse; the fit must find it
     from tenqec import McPoint, write_points
@@ -164,7 +191,11 @@ def test_missing_file_is_reported(capsys):
     "radius,n,p,trials,failures,failure_rate,std_err\n2,36,0.18\n",
     "radius,n,p,trials,failures,failure_rate,std_err\n2,36,x,100,7,0.07,0.02\n",
     "radius,n,p,trials,failures,failure_rate,std_err\n2,36,0.18,100,700,7.0,0.0\n",
-], ids=["empty", "short-row", "bad-field", "failures-over-trials"])
+    "radius,n,p,trials,failures,failure_rate,std_err\n3,174,nan,0,0,0.9,0.0\n",
+    "radius,n,p,trials,failures,failure_rate,std_err\n2,36,1.5,100,7,0.07,0.02\n",
+    "radius,n,p,trials,failures,failure_rate,std_err\n2,36,0.18,0,0,0.0,0.0\n",
+], ids=["empty", "short-row", "bad-field", "failures-over-trials", "nan-p",
+        "p-above-one", "no-trials"])
 def test_fit_threshold_reports_bad_csv(tmp_path, capsys, text):
     path = tmp_path / "bad.csv"
     path.write_text(text)

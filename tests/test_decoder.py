@@ -103,7 +103,7 @@ def test_argmax_scale_invariance(holo):
         base = leaf_probabilities(noise, pure)
         plain = likelihoods_network(layout, schedule, noise, syn)
         scaled = likelihoods_network(
-            layout, schedule, noise, syn, leaves=base * 137.5
+            layout, schedule, noise, leaves=base * 137.5
         )
         assert scaled.argmax_class() == plain.argmax_class()
         for label in plain.labels:
@@ -173,7 +173,7 @@ def test_relabeling_covariance(holo):
     base = likelihoods_network(layout, schedule, noise, syn)
 
     shifted = likelihoods_network(
-        layout, schedule, noise, syn,
+        layout, schedule, noise,
         leaves=leaf_probabilities(noise, pure * code.stabilizers[2]),
     )
     for label in base.labels:
@@ -183,7 +183,7 @@ def test_relabeling_covariance(holo):
 
     mover = code.logical_x[0]
     relabeled = likelihoods_network(
-        layout, schedule, noise, syn, leaves=leaf_probabilities(noise, pure * mover)
+        layout, schedule, noise, leaves=leaf_probabilities(noise, pure * mover)
     )
     x_label = PauliString.from_text("X")
     for label in base.labels:
@@ -248,6 +248,31 @@ def test_syndrome_requires_code():
     # trivial-syndrome contraction works without a code
     table = likelihoods_network(layout, schedule, noise)
     assert table.absolute(PauliString.from_text("I")) > 0
+    # so does an explicit leaf table
+    table = likelihoods_network(layout, schedule, noise, leaves=noise.probs)
+    assert table.absolute(PauliString.from_text("I")) > 0
+
+
+def test_syndrome_and_leaves_together_raise(holo):
+    layout, schedule = holo[2]
+    noise = NoiseModel.depolarizing(layout.n, 0.1)
+    with pytest.raises(ValueError, match="not both"):
+        likelihoods_network(
+            layout, schedule, noise, Syndrome(35, 5), leaves=noise.probs
+        )
+
+
+@pytest.mark.parametrize("bits", [0, 1])
+def test_syndrome_of_wrong_length_raises(holo, bits):
+    """A trivial syndrome is checked like any other."""
+    layout, schedule = holo[2]
+    noise = NoiseModel.depolarizing(layout.n, 0.1)
+    with pytest.raises(ValueError, match="syndrome length"):
+        likelihoods_network(layout, schedule, noise, Syndrome(3, bits))
+    trivial = likelihoods_network(layout, schedule, noise, Syndrome(35, 0))
+    default = likelihoods_network(layout, schedule, noise)
+    assert trivial.log_scale == default.log_scale
+    assert np.array_equal(trivial.mantissas, default.mantissas)
 
 
 def test_leaf_shape_validation(holo):

@@ -88,6 +88,18 @@ BAD_CSVS = {
     "negative failures": (
         HEADER + "2,36,0.18,100,-1,0.0,0.0\n", "line 2: failures -1",
     ),
+    "nan p": (HEADER + "3,174,nan,0,0,0.9,0.0\n", "line 2: p nan is not finite"),
+    "infinite rate": (
+        HEADER + "2,36,0.18,100,7,inf,0.02\n", "line 2: failure_rate inf is not finite",
+    ),
+    "nan std_err": (
+        HEADER + "2,36,0.18,100,7,0.07,nan\n", "line 2: std_err nan is not finite",
+    ),
+    "p above one": (
+        HEADER + "2,36,1.5,100,7,0.07,0.02\n", "line 2: p 1.5 outside [0, 1]",
+    ),
+    "negative p": (HEADER + "2,36,-0.1,100,7,0.07,0.02\n", "line 2: p -0.1 outside"),
+    "no trials": (HEADER + "2,36,0.18,0,0,0.0,0.0\n", "line 2: trials 0 below 1"),
 }
 
 

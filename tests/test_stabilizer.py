@@ -278,11 +278,22 @@ def test_json_round_trip(six_code):
 
 def test_solve_pure_errors_small_code():
     stabs = (PauliString.from_text("ZZI"), PauliString.from_text("IZZ"))
-    errors = solve_pure_errors(stabs, n=3)
+    errors = solve_pure_errors(stabs)
     assert len(errors) == 2
     for i, err in enumerate(errors):
+        assert err.n == 3
         for j, stab in enumerate(stabs):
             assert err.commutes(stab) == (i != j)
+
+
+def test_solve_pure_errors_rejects_mixed_lengths():
+    stabs = [PauliString.from_text("ZZI"), PauliString.from_text("IZZI")]
+    with pytest.raises(ValueError, match="mixed lengths"):
+        solve_pure_errors(stabs)
+    with pytest.raises(ValueError, match="mixed lengths"):
+        solve_pure_errors(stabs[:1], logical_x=[PauliString.from_text("XXXX")])
+    with pytest.raises(TypeError):
+        solve_pure_errors(stabs[:1], n=5)
 
 
 def test_gf2_rank():
