@@ -16,9 +16,9 @@ the x/z bits of each row on its one or two bound columns, XORs in the
 block's canonical matching product from a 4- or 16-entry table (derived
 once per in-leg tuple with ``StabilizerCode.canonicalized_on``, as
 ``contract`` does), and appends the block's fresh stabilizer and
-pure-error rows.  Bound columns stay in place,
-dead.  The live columns, the layout's leaf legs, are gathered into
-PauliStrings once, at the end.
+pure-error rows.  Bound columns stay in place and are never read again.
+The live columns, the layout's leaf legs, are gathered into PauliStrings
+once, at the end.
 
 Chains of tensors (open trees of blocks, used for small worked examples)
 share the node derivation, the assembler, and :func:`schedule_for`, with
