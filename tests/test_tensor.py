@@ -248,9 +248,9 @@ def test_contract_preserves_pure_error_pattern(six_tensor, block_tensor):
             assert stab.commutes(logical)
 
 
-WEAK = ("ZZ", "XX", "ZI")  # a [[2, 1]] code that distinguishes no leg
 # sha256 of json.dumps(code_to_json_dict(contract(a, b, binding).code)),
-# measured on the two-branch contract; the last five have only b canonical.
+# measured on the two-branch contract; the last five have only b canonical
+# ("weak", a [[2, 1]] code, cannot distinguish the errors on its bound legs).
 CONTRACT_DIGESTS = [
     ("six", "block", (5,), (0,),
      "2b8e4c25132e7f2559e7213fa95a58cb4e5f11f48eddcf81c684ab6c95ab443f"),
@@ -280,9 +280,8 @@ CONTRACT_DIGESTS = [
 @pytest.mark.parametrize("a, b, left, right, want", CONTRACT_DIGESTS)
 def test_contract_pinned_digests(request, a, b, left, right, want):
     """Both canonical sides give the same generators, in the same order."""
-    stabs, lx, lz = WEAK
     weak = CodeTensor(
-        StabilizerCode.from_operators([stabs], logical_x=[lx], logical_z=[lz])
+        StabilizerCode.from_operators(["ZZ"], logical_x=["XX"], logical_z=["ZI"])
     )
     tensors = {"weak": weak, "six": request.getfixturevalue("six_tensor"),
                "block": request.getfixturevalue("block_tensor")}
