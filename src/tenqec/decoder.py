@@ -143,7 +143,7 @@ def likelihoods_network(
     leaves: np.ndarray | None = None,
     counter: OpCounter | None = None,
     bond_observer: dict[str, tuple[int, int]] | None = None,
-) -> LikelihoodTable:
+) -> LikelihoodTable | list[LikelihoodTable]:
     """Contract the layout's network against leaf vectors.
 
     Messages flow from the leaves toward the seed; each node batches over
@@ -155,8 +155,15 @@ def likelihoods_network(
     is ``leaves`` when given, else
     ``leaf_probabilities(noise, layout.code.pure_error(syndrome))``, or the
     noise table when neither is given; passing both raises ValueError.
-    ``bond_observer`` collects each message's observed (left, right) bond
-    dimensions.
+
+    ``leaves`` of shape (B, n, 4) contracts B leaf tables at once, along
+    a leading batch axis of every message, and returns a list of B
+    tables; each is renormalized by its own largest entries, so row b
+    equals the (n, 4) call on ``leaves[b]``, which is the B = 1 case of
+    the same loop.  ``counter`` tallies the work of one contraction
+    whatever B is, so its counts match ``predicted_op_count`` and repeat
+    exactly across calls.  ``bond_observer`` collects each message's
+    observed (left, right) bond dimensions.
     """
     if syndrome is not None:
         if leaves is not None:
@@ -166,19 +173,26 @@ def likelihoods_network(
         leaves = leaf_probabilities(noise, layout.code.pure_error(syndrome))
     elif leaves is None:
         leaves = leaf_probabilities(noise)
-    if leaves.shape != (layout.n, 4):
-        raise ValueError("leaf table must have shape (n, 4)")
+    single = leaves.ndim == 2
+    if single:
+        leaves = leaves[None]
+    if leaves.ndim != 3 or leaves.shape[1:] != (layout.n, 4):
+        raise ValueError("leaf table must have shape (n, 4) or (B, n, 4)")
+    # (B, 4n) floats, so messages renormalize in place: entry gathers are
+    # np.take along axis 1, which keeps every stack C-ordered with the batch
+    # axis outermost, as matmul wants
+    leaves = np.ascontiguousarray(leaves, dtype=np.float64).reshape(len(leaves), -1)
 
     messages: dict[str, np.ndarray] = {}
-    log_scale = 0.0
+    log_scale = np.zeros(len(leaves))
 
     for step in schedule.steps:
         if step.kind == "center":
             # one label's run at a time keeps the center's chain arrays small
-            out = np.array([
+            out = np.stack([
                 _close_ring(step, digits, leaves, messages, counter)
                 for digits in np.split(step.digits, len(schedule.labels))
-            ])
+            ], axis=-1)
         else:
             # no name keeps the entry stack, so it is freed before the next node
             out = _sum_runs(
@@ -194,15 +208,20 @@ def likelihoods_network(
                 )
         for _, child in step.chain:
             del messages[child]
-        scale = float(out.max())
-        if scale > 0:
-            out = out / scale
-            log_scale += math.log(scale)
+        scale = out.max(axis=tuple(range(1, out.ndim)), keepdims=True)
+        if not scale.all():
+            scale[scale == 0] = 1.0  # a message that is all zero stays unscaled
+        out /= scale
+        log_scale += np.log(scale.reshape(-1))
         messages[step.name] = out
 
     # every message but the center's has been consumed by its parent
     (mantissas,) = messages.values()
-    return LikelihoodTable(schedule.labels, mantissas, log_scale)
+    tables = [
+        LikelihoodTable(schedule.labels, m, float(s))
+        for m, s in zip(mantissas, log_scale)
+    ]
+    return tables[0] if single else tables
 
 
 def _close_ring(
@@ -211,12 +230,13 @@ def _close_ring(
     leaves: np.ndarray,
     messages: dict[str, np.ndarray],
     counter: OpCounter | None,
-) -> float:
-    """The center's value for one label: trace of each entry's chain, summed."""
+) -> np.ndarray:
+    """The center's value for one label, per batch row: trace of each
+    entry's chain, summed."""
     chain = _entry_sum(step, digits, leaves, messages, counter)
-    if counter is not None and chain.shape[1] > 1:
-        counter.add(step.name, "trace", chain.shape[0] * chain.shape[1])
-    return np.einsum("eii->e", chain).sum()
+    if counter is not None and chain.shape[-1] > 1:
+        counter.add(step.name, "trace", chain.shape[-3] * chain.shape[-1])
+    return np.einsum("...eii->...e", chain).sum(axis=-1)
 
 
 def _entry_sum(
@@ -228,21 +248,22 @@ def _entry_sum(
 ) -> np.ndarray:
     """Leaf weights times the child-message chain, per tensor entry.
 
-    Returns an (entries, left, right) stack of matrices.  Every node has
-    children or leaf legs, so the stack is never empty.
+    Returns a (batch, entries, left, right) stack of matrices.  Every node
+    has children or leaf legs, so the stack is never empty.
     """
     weights: np.ndarray | None = None
     if step.leaf_legs:
         legs, qubits = zip(*step.leaf_legs)
-        weights = np.multiply.reduce(leaves[qubits, digits[:, legs]], axis=1)
+        picked = np.take(leaves, 4 * np.array(qubits) + digits[:, legs], axis=1)
+        weights = np.multiply.reduce(picked, axis=-1)
         if counter is not None:
             counter.add(step.name, "leaf", digits.shape[0] * len(legs))
 
     chain: np.ndarray | None = None
     for leg, child in step.chain:
         # a corner child's second parent-facing index joins the left bond
-        picked = messages[child][digits[:, leg]]
-        picked = picked.reshape(len(digits), -1, picked.shape[-1])
+        picked = np.take(messages[child], digits[:, leg], axis=1)
+        picked = picked.reshape(picked.shape[:2] + (-1, picked.shape[-1]))
         if chain is None:
             chain = picked
         else:
@@ -250,19 +271,19 @@ def _entry_sum(
                 counter.add(
                     step.name,
                     "matmul",
-                    chain.shape[0] * chain.shape[1] * chain.shape[2]
-                    * picked.shape[2],
+                    chain.shape[-3] * chain.shape[-2] * chain.shape[-1]
+                    * picked.shape[-1],
                 )
             chain = chain @ picked
 
     if chain is None:
-        return weights[:, None, None]
+        return weights[..., None, None]
     if weights is not None:
-        chain = chain * weights[:, None, None]
+        chain = chain * weights[..., None, None]
         if counter is not None:
             counter.add(
                 step.name, "combine",
-                chain.shape[0] * chain.shape[1] * chain.shape[2],
+                chain.shape[-3] * chain.shape[-2] * chain.shape[-1],
             )
     return chain
 
@@ -275,17 +296,18 @@ def _sum_runs(
     """Sum entry matrices into the node's outgoing message.
 
     The step's entries come in equal runs per output slot, so each slot
-    sums one run.  The message is indexed by the node's parent-facing legs
-    (first in-leg major), then the left bond, then the right bond with any
-    deferred corner leg fused in as the major component.
+    sums one run.  Behind the batch axis, the message is indexed by the
+    node's parent-facing legs (first in-leg major), then the left bond,
+    then the right bond with any deferred corner leg fused in as the major
+    component.
     """
-    n_entries, d_l, d_r = chain.shape
+    batch, n_entries, d_l, d_r = chain.shape
     fold = 1 if step.deferred_leg is None else 4
-    out = chain.reshape(4 ** len(step.in_legs), fold, -1, d_l, d_r).sum(axis=2)
+    out = chain.reshape(batch, 4 ** len(step.in_legs), fold, -1, d_l, d_r).sum(axis=3)
     if counter is not None:
         counter.add(step.name, "combine", n_entries * d_l * d_r)
-    shape = (4,) * len(step.in_legs) + (d_l, fold * d_r)
-    return out.transpose(0, 2, 1, 3).reshape(shape)
+    shape = (batch,) + (4,) * len(step.in_legs) + (d_l, fold * d_r)
+    return out.transpose(0, 1, 3, 2, 4).reshape(shape)
 
 
 @dataclass(frozen=True, slots=True)

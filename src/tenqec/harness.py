@@ -3,10 +3,13 @@
 Trials are reproducible by construction: trial t of point i under master
 seed s draws from default_rng(SeedSequence([s, i, t])), so results do not
 depend on how trials are split across workers, and a rerun with the same
-arguments is byte-identical.  Sampling, syndrome extraction and class
-bits work on bit-packed numpy words; each decoded trial also builds a
-``Syndrome`` and hands it to ``likelihoods_network``, which maps it to a
-pure-error ``PauliString`` and contracts the network.
+arguments is byte-identical.  Trials run in chunks sized by
+:func:`chunk_size`.  Sampling, syndrome extraction and class bits work on a
+chunk's bit-packed numpy words at once; the chunk's distinct syndromes are
+each mapped to a pure-error ``PauliString`` and its leaf table, and one
+``likelihoods_network`` call contracts all of those tables along a batch
+axis.  Each trial's decision depends on its syndrome alone, never on its
+chunk, so the CSV bytes do not depend on the chunk size or worker count.
 """
 
 from __future__ import annotations
@@ -20,14 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import NoiseModel, likelihoods_network
+from .decoder import NoiseModel, leaf_probabilities, likelihoods_network
 from .holographic import ContractionSchedule, HolographicLayout
 from .pauli import pack
 from .stabilizer import Syndrome
 
 CSV_HEADER = ("radius", "n", "p", "trials", "failures", "failure_rate", "std_err")
 CSV_TYPES = (int, int, float, int, int, float, float)
-SYNDROME_CACHE_CAP = 12  # cache decode results when n - k is at most this
+# Bytes of decoder temporaries that one chunk of trials may take (see
+# chunk_size): larger chunks cut per-call overhead but raise the peak RSS.
+CHUNK_BYTES = 1 << 20
 # fit_threshold: (p_th, nu) search box, grid points per axis, stages, shrink.
 FIT_P_RANGE = (0.05, 0.40)
 FIT_NU_RANGE = (0.8, 6.0)
@@ -62,8 +67,29 @@ class ThresholdFit:
     rss: float
 
 
+def trial_bytes(schedule: ContractionSchedule) -> int:
+    """Bytes of the largest per-step temporary of one trial's contraction.
+
+    A step's entry stack holds a float64 per tensor entry and per leaf leg
+    or bond-matrix element, whichever is more.
+    """
+    return max(
+        8 * len(step.digits) * max(len(step.leaf_legs), step.d_out ** 2)
+        for step in schedule.steps
+    )
+
+
+def chunk_size(schedule: ContractionSchedule) -> int:
+    """Trials decoded per ``likelihoods_network`` call: CHUNK_BYTES' worth.
+
+    About 170 at radii 1 and 2, 64 at radius 3, 4 at radius 4, and 1 from
+    radius 5 on.
+    """
+    return max(1, CHUNK_BYTES // trial_bytes(schedule))
+
+
 class TrialRunner:
-    """Bit-packed per-trial sampling, syndrome extraction, and decoding.
+    """Bit-packed chunked sampling, syndrome extraction, and decoding.
 
     A logical class is held as bits x | z << k: bit alpha is set when the
     operator anticommutes with logical Z_alpha, bit k + alpha when it
@@ -85,8 +111,8 @@ class TrialRunner:
         self.schedule = schedule
         self.noise = noise
         self.code = code
+        self.chunk = chunk_size(schedule)
         n = code.n
-        m = n - code.k
         self.words = (n + 63) // 64
         self.sx, self.sz = pack(code.stabilizers, n)
         # logical rows Z_0 .. Z_{k-1}, then X_0 .. X_{k-1}, in class-bit order
@@ -94,45 +120,55 @@ class TrialRunner:
         self.class_weights = np.uint64(1) << np.arange(2 * code.k, dtype=np.uint64)
         self.pure_cls = self._class_bits(*pack(code.pure_errors, n))
         self.cum = np.cumsum(noise.probs, axis=1)
-        self.cache: dict[bytes, int] | None = {} if m <= SYNDROME_CACHE_CAP else None
 
     def _class_bits(self, ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
         """Class bits of packed operators, one per row of ``ex``/``ez``."""
         anti = _odd_overlaps(ex, ez, self.gx, self.gz)
         return anti.astype(np.uint64) @ self.class_weights
 
-    def _decode_target(self, syn: np.ndarray) -> int:
-        """Class bits of (chosen label) * (syndrome's pure error)."""
-        key = syn.tobytes()
-        if self.cache is not None and key in self.cache:
-            return self.cache[key]
-        bits = int.from_bytes(np.packbits(syn, bitorder="little").tobytes(), "little")
-        table = likelihoods_network(
-            self.layout, self.schedule, self.noise, Syndrome(len(syn), bits)
-        )
-        label = table.argmax_class()
-        chosen = label.x | label.z << self.code.k
-        pure_bits = int(np.bitwise_xor.reduce(self.pure_cls * syn.astype(np.uint64)))
-        target = chosen ^ pure_bits
-        if self.cache is not None:
-            self.cache[key] = target
-        return target
+    def run_trial(self, seed: int, point_index: int, trials: range) -> int:
+        """Sample and decode a chunk of trials; returns how many failed.
 
-    def run_trial(self, seed: int, point_index: int, trial: int) -> bool:
-        """Sample one error and decode; True means a logical failure."""
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, point_index, trial])
-        )
+        A trial fails when its error times the recovery for its syndrome,
+        (chosen label) * (pure error), lies in a nontrivial logical class.
+        """
         n = self.code.n
-        u = rng.random(n)
+        u = np.array([
+            np.random.default_rng(
+                np.random.SeedSequence([seed, point_index, t])
+            ).random(n)
+            for t in trials
+        ])
         # cum is nondecreasing: X or Y below cum[:, 2], Y or Z from cum[:, 1]
-        bits = np.zeros((2, self.words * 64), dtype=np.uint8)
-        bits[0, :n] = (u >= self.cum[:, 0]) & (u < self.cum[:, 2])
-        bits[1, :n] = u >= self.cum[:, 1]
-        ex, ez = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+        bits = np.zeros((2, len(trials), self.words * 64), dtype=np.uint8)
+        bits[0, :, :n] = (u >= self.cum[:, 0]) & (u < self.cum[:, 2])
+        bits[1, :, :n] = u >= self.cum[:, 1]
+        ex, ez = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
         syn = _odd_overlaps(ex, ez, self.sx, self.sz)
-        target = self._decode_target(syn)
-        return int(self._class_bits(ex, ez)) != target
+        # distinct syndromes by their packed bytes, numbered in first-seen order
+        slot: dict[bytes, int] = {}
+        which = [
+            slot.setdefault(key.tobytes(), len(slot))
+            for key in np.packbits(syn, axis=1, bitorder="little")
+        ]
+        m = syn.shape[1]
+        leaves = np.array([
+            leaf_probabilities(
+                self.noise,
+                self.code.pure_error(Syndrome(m, int.from_bytes(key, "little"))),
+            )
+            for key in slot
+        ])
+        tables = likelihoods_network(
+            self.layout, self.schedule, self.noise, leaves=leaves
+        )
+        labels = [table.argmax_class() for table in tables]
+        chosen = np.array(
+            [label.x | label.z << self.code.k for label in labels], dtype=np.uint64
+        )
+        pure_bits = np.bitwise_xor.reduce(self.pure_cls * syn.astype(np.uint64), axis=1)
+        target = chosen[which] ^ pure_bits
+        return int(np.count_nonzero(self._class_bits(ex, ez) != target))
 
 
 def _odd_overlaps(
@@ -151,7 +187,8 @@ def _count_failures(
     runner: TrialRunner, seed: int, point_index: int, lo: int, hi: int
 ) -> int:
     return sum(
-        runner.run_trial(seed, point_index, t) for t in range(lo, hi)
+        runner.run_trial(seed, point_index, range(t, min(t + runner.chunk, hi)))
+        for t in range(lo, hi, runner.chunk)
     )
 
 

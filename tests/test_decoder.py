@@ -282,3 +282,71 @@ def test_leaf_shape_validation(holo):
         likelihoods_network(
             layout, schedule, noise, leaves=np.ones((3, 4))
         )
+
+
+def _leaf_stack(n, noise, count, seed):
+    """Leaf tables of ``count`` random Pauli errors, on a batch axis."""
+    rng = np.random.default_rng(seed)
+    return np.array([
+        leaf_probabilities(noise, PauliString.from_codes(codes.tolist()))
+        for codes in rng.integers(0, 4, size=(count, n))
+    ])
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [1, 7])
+def test_batched_leaves_match_row_calls(holo, radius, batch):
+    # the batch axis is invisible: row b of a stacked call is the (n, 4)
+    # call on leaves[b], and the decision is the same
+    layout, schedule = holo[radius]
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    leaves = _leaf_stack(layout.n, noise, batch, radius)
+    tables = likelihoods_network(layout, schedule, noise, leaves=leaves)
+    assert len(tables) == batch
+    for table, leaf in zip(tables, leaves):
+        want = likelihoods_network(layout, schedule, noise, leaves=leaf)
+        assert table.labels == want.labels
+        np.testing.assert_allclose(table.mantissas, want.mantissas, rtol=1e-12)
+        assert table.log_scale == pytest.approx(want.log_scale, rel=1e-12)
+        assert table.argmax_class() == want.argmax_class()
+
+
+def test_op_counts_ignore_batch_size(holo):
+    # the counter tallies one contraction's work whatever the batch size
+    layout, schedule = holo[3]
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    counts = []
+    for batch in (1, 7):
+        counter = OpCounter()
+        likelihoods_network(
+            layout, schedule, noise,
+            leaves=_leaf_stack(layout.n, noise, batch, batch), counter=counter,
+        )
+        counts.append((counter.by_category, counter.by_node))
+    assert counts[0] == counts[1]
+
+
+def test_zero_leaf_row_leaves_other_rows_alone(holo):
+    # an all-zero message stays unscaled without disturbing its batch mates
+    layout, schedule = holo[2]
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    leaves = _leaf_stack(layout.n, noise, 3, 0)
+    leaves[1] = 0.0
+    tables = likelihoods_network(layout, schedule, noise, leaves=leaves)
+    assert not tables[1].mantissas.any() and tables[1].log_scale == 0.0
+    for b in (0, 2):
+        want = likelihoods_network(layout, schedule, noise, leaves=leaves[b])
+        np.testing.assert_allclose(tables[b].mantissas, want.mantissas, rtol=1e-12)
+
+
+def test_integer_leaves_contract_as_floats(holo):
+    layout, schedule = holo[2]
+    noise = NoiseModel.depolarizing(layout.n, 0.1)
+    ints = likelihoods_network(
+        layout, schedule, noise, leaves=np.ones((layout.n, 4), dtype=int)
+    )
+    floats = likelihoods_network(
+        layout, schedule, noise, leaves=np.ones((layout.n, 4))
+    )
+    assert np.array_equal(ints.mantissas, floats.mantissas)
+    assert ints.log_scale == floats.log_scale

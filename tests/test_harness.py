@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tenqec import (
     run_point,
     write_points,
 )
+from tenqec import harness
 
 
 def test_run_point_deterministic(holo):
@@ -163,6 +165,50 @@ def test_pinned_radius_one_and_two_csv(tmp_path, holo, radius, trials,
     path = tmp_path / f"r{radius}.csv"
     write_points(str(path), points)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _sweep_bytes(tmp_path, layout, schedule, trials, workers=1):
+    points = run_mc(layout, schedule, [0.16, 0.18, 0.20], trials, seed=2026,
+                    workers=workers)
+    path = tmp_path / "sweep.csv"
+    write_points(str(path), points)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("radius, trials", [(1, 2000), (2, 400), (3, 200)])
+def test_csv_bytes_ignore_chunk_size_and_workers(tmp_path, monkeypatch, holo,
+                                                 radius, trials):
+    # the pinned runs, with chunks of 1, 7 and every trial at once, and
+    # with chunks of 7 split across two workers
+    layout, schedule = holo[radius]
+    want = _sweep_bytes(tmp_path, layout, schedule, trials)
+    per_trial = harness.trial_bytes(schedule)
+    for chunk, workers in ((1, 1), (7, 1), (trials, 1), (7, 2)):
+        monkeypatch.setattr(harness, "CHUNK_BYTES", chunk * per_trial)
+        assert harness.chunk_size(schedule) == chunk
+        got = _sweep_bytes(tmp_path, layout, schedule, trials, workers)
+        assert got == want, (chunk, workers)
+
+
+def test_chunk_sizes_follow_the_schedule(holo, holo5_topology):
+    sizes = [harness.chunk_size(holo[r][1]) for r in (1, 2, 3, 4)]
+    assert sizes == [170, 170, 64, 4]
+    assert harness.chunk_size(holo5_topology[1]) == 1
+
+
+def test_full_chunk_memory_stays_near_the_budget(holo):
+    # one radius-4 chunk's contraction peaks near CHUNK_BYTES (about 0.95x
+    # measured); twice that would mean the sizing rule has gone stale
+    layout, schedule = holo[4]
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    leaves = np.repeat(noise.probs[None], harness.chunk_size(schedule), axis=0)
+    tracemalloc.start()
+    try:
+        likelihoods_network(layout, schedule, noise, leaves=leaves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * harness.CHUNK_BYTES
 
 
 def test_monte_carlo_convergence_rate(holo):
