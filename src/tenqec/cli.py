@@ -144,7 +144,20 @@ def _p_list(text: str) -> list[float]:
     ps = [float(tok) for tok in text.split(",") if tok]
     if not ps:
         raise ValueError("no p values")
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{p!r} outside [0, 1]")
     return ps
+
+
+def _at_least(low: int):
+    """A parser of ints no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"{value} is below {low}")
+        return value
+    return parse
 
 
 def _cmd_mc_run(args) -> int:
@@ -163,17 +176,17 @@ def _cmd_mc_run(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{where}: bad {key} value: {exc}") from None
 
-    radius = setting("radius", int, 0)
-    if radius < 1:
+    radius = setting("radius", _at_least(1), None)
+    if radius is None:
         raise ValueError("a radius of at least 1 is required (flag or config)")
     ps = setting("p", _p_list, None)
     if ps is None:
         raise ValueError("a comma-separated p list is required (flag or config)")
-    trials = setting("trials", int, 0)
-    if trials < 1:
+    trials = setting("trials", _at_least(1), None)
+    if trials is None:
         raise ValueError("a positive trial count is required (flag or config)")
-    seed = setting("seed", int, 0)
-    workers = setting("workers", int, 1)
+    seed = setting("seed", _at_least(0), 0)
+    workers = setting("workers", _at_least(1), 1)
     out = setting("out", str, None)
 
     layout = build_layout(radius)

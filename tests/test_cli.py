@@ -142,6 +142,26 @@ def test_mc_run_names_a_bad_flag_value(capsys, p, message):
     assert "failed" not in captured.out  # nothing ran
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--p", "0.1", "--p", "1.5"], "error: --p: bad p value: 1.5 outside [0, 1]"),
+    (["--p", "0.1", "--workers", "0"], "error: --workers: bad workers value: 0 is below 1"),
+    (["--p", "0.1", "--seed", "-1"], "error: --seed: bad seed value: -1 is below 0"),
+], ids=["p", "workers", "seed"])
+def test_mc_run_names_the_flag_of_an_out_of_range_value(capsys, flags, message):
+    assert main(["mc-run", "--radius", "1", "--trials", "2"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert "failed" not in captured.out  # nothing ran
+
+
+def test_mc_run_names_the_config_line_of_an_out_of_range_value(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("radius=1\np=0.1\ntrials=2\nworkers=0\n")
+    assert main(["mc-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: line 4: bad workers value: 0 is below 1")
+
+
 def test_fit_threshold_from_csv(tmp_path, capsys):
     # synthetic curves with a known collapse; the fit must find it
     from tenqec import McPoint, write_points
