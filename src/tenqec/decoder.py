@@ -5,8 +5,10 @@ is a sum of products of per-qubit probabilities over the class's coset.
 Every layout, nested rings and open chains alike, evaluates that sum by
 contracting its own network along :func:`tenqec.holographic.schedule_for`,
 children before parents, with messages whose bond dimensions stay at
-4^(radius - r).  The brute-force reference is :mod:`tenqec.oracle`, which
-the test suite compares against to 1e-10.
+4^(radius - r).  The outer ring's nodes, which only weigh leaves, run as a
+few groups of one gather per leaf leg each; the inner rings run node by
+node.  The brute-force reference is :mod:`tenqec.oracle`, which the test
+suite compares against to 1e-10.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .holographic import ContractionSchedule, HolographicLayout, ScheduleStep
+from .holographic import ContractionSchedule, HolographicLayout, LeafGroup, ScheduleStep
 from .pauli import PauliString, pack
 from .stabilizer import Syndrome
 
@@ -67,12 +69,24 @@ def leaf_probabilities(
         return noise.probs.copy()
     if pure_error.n != noise.n:
         raise ValueError("pure error length must match the noise model")
+    (leaves,) = packed_leaf_probabilities(noise, *pack([pure_error], noise.n))
+    return leaves
+
+
+def packed_leaf_probabilities(
+    noise: NoiseModel, ex: np.ndarray, ez: np.ndarray
+) -> np.ndarray:
+    """Leaf tables of bit-packed pure errors, one per row of ``ex``/``ez``.
+
+    Rows are (words,) uint64 x and z bits as :func:`tenqec.pauli.pack`
+    writes them; the result has shape (rows, n, 4).
+    """
     x, z = (
-        np.unpackbits(words[0].view(np.uint8), count=noise.n, bitorder="little")
-        for words in pack([pure_error], noise.n)
+        np.unpackbits(w.view(np.uint8), axis=-1, count=noise.n, bitorder="little")
+        for w in (ex, ez)
     )
     e = ((x ^ z) | (z << 1)).astype(np.intp)  # qubit codes, as in tenqec.pauli
-    return np.take_along_axis(noise.probs, e[:, None] ^ np.arange(4), axis=1)
+    return np.take_along_axis(noise.probs[None], e[..., None] ^ np.arange(4), axis=-1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,10 +160,13 @@ def likelihoods_network(
 ) -> LikelihoodTable | list[LikelihoodTable]:
     """Contract the layout's network against leaf vectors.
 
-    Messages flow from the leaves toward the seed; each node batches over
-    its tensor entries, chains its children's messages with matrix
-    products, and sums the entries' run for each output slot into a
-    message indexed by its parent-facing legs.  Every message is
+    Messages flow from the leaves toward the seed.  The nodes that consume
+    no child message, the outer ring, run first, one leaf group of
+    :attr:`ContractionSchedule.leaf_groups` at a time: a gather per leaf
+    leg weighs every entry of every node in the group.  Every other node
+    batches over its tensor entries and chains its children's messages
+    with matrix products.  Each node sums the entries' run for each output
+    slot into a message indexed by its parent-facing legs.  Every message is
     renormalized by its largest entry, with the logs pooled into the
     table's log_scale, so deep layouts never underflow.  The leaf table
     is ``leaves`` when given, else
@@ -185,8 +202,12 @@ def likelihoods_network(
 
     messages: dict[str, np.ndarray] = {}
     log_scale = np.zeros(len(leaves))
+    for group in schedule.leaf_groups:
+        log_scale += _run_leaf_group(group, leaves, messages, counter, bond_observer)
 
     for step in schedule.steps:
+        if step.leaf_only:
+            continue  # its message came from its leaf group
         if step.kind == "center":
             # one label's run at a time keeps the center's chain arrays small
             out = np.stack([
@@ -199,20 +220,10 @@ def likelihoods_network(
                 step, _entry_sum(step, step.digits, leaves, messages, counter),
                 counter,
             )
-            if bond_observer is not None:
-                bond_observer[step.name] = out.shape[-2:]
-            if out.shape[-1] != step.d_out or out.shape[-2] != step.d_out:
-                raise AssertionError(
-                    f"node {step.name}: bond dims {out.shape[-2:]} "
-                    f"differ from scheduled {step.d_out}"
-                )
+            _observe(step, out.shape[-2:], bond_observer)
         for _, child in step.chain:
             del messages[child]
-        scale = out.max(axis=tuple(range(1, out.ndim)), keepdims=True)
-        if not scale.all():
-            scale[scale == 0] = 1.0  # a message that is all zero stays unscaled
-        out /= scale
-        log_scale += np.log(scale.reshape(-1))
+        log_scale += _renormalize(out, 1)
         messages[step.name] = out
 
     # every message but the center's has been consumed by its parent
@@ -222,6 +233,70 @@ def likelihoods_network(
         for m, s in zip(mantissas, log_scale)
     ]
     return tables[0] if single else tables
+
+
+def _renormalize(out: np.ndarray, lead: int) -> np.ndarray:
+    """Divide each message in place by its largest entry; return the logs.
+
+    The first ``lead`` axes index messages and are kept; the logs are
+    summed over all but the batch axis.  A message that is all zero stays
+    unscaled.
+    """
+    scale = out.max(axis=tuple(range(lead, out.ndim)), keepdims=True)
+    if not scale.all():
+        scale[scale == 0] = 1.0
+    out /= scale
+    return np.log(scale.reshape(len(out), -1)).sum(axis=1)
+
+
+def _run_leaf_group(
+    group: LeafGroup,
+    leaves: np.ndarray,
+    messages: dict[str, np.ndarray],
+    counter: OpCounter | None,
+    bond_observer: dict[str, tuple[int, int]] | None,
+) -> np.ndarray:
+    """Store the messages of a group's leaf-only nodes; return their logs.
+
+    One ``np.take`` per leaf leg gathers a (batch, nodes, entries) slab,
+    multiplied into the product in leg order, as ``multiply.reduce`` orders
+    a single node's legs.  :func:`_sum_runs` sums the runs of every node
+    at once, and each node's message is renormalized by its own largest
+    entry.  The counter and bond observer see each node on its own.
+    """
+    first = group.steps[0]
+    weights: np.ndarray | None = None
+    for (leg, _), qubits in zip(first.leaf_legs, group.qubits.T):
+        index = 4 * qubits[:, None] + first.digits[:, leg]
+        # no name keeps a gathered slab past its product
+        if weights is None:
+            weights = np.take(leaves, index, axis=1)
+        else:
+            weights *= np.take(leaves, index, axis=1)
+    batch, size, n_entries = weights.shape
+    out = _sum_runs(first, weights.reshape(batch * size, n_entries, 1, 1), None)
+    out = out.reshape((batch, size) + out.shape[1:])
+    for g, step in enumerate(group.steps):
+        _observe(step, out.shape[-2:], bond_observer)
+        messages[step.name] = out[:, g]
+        if counter is not None:
+            counter.add(step.name, "leaf", n_entries * len(step.leaf_legs))
+            counter.add(step.name, "combine", n_entries)
+    return _renormalize(out, 2)
+
+
+def _observe(
+    step: ScheduleStep,
+    bonds: tuple[int, int],
+    bond_observer: dict[str, tuple[int, int]] | None,
+) -> None:
+    """Record a message's (left, right) bond dims; they must match the schedule."""
+    if bond_observer is not None:
+        bond_observer[step.name] = bonds
+    if bonds != (step.d_out, step.d_out):
+        raise AssertionError(
+            f"node {step.name}: bond dims {bonds} differ from scheduled {step.d_out}"
+        )
 
 
 def _close_ring(

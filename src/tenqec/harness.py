@@ -5,9 +5,10 @@ seed s draws from default_rng(SeedSequence([s, i, t])), so results do not
 depend on how trials are split across workers, and a rerun with the same
 arguments is byte-identical.  Trials run in chunks sized by
 :func:`chunk_size`.  Sampling, syndrome extraction and class bits work on a
-chunk's bit-packed numpy words at once; the chunk's distinct syndromes are
-each mapped to a pure-error ``PauliString`` and its leaf table, and one
-``likelihoods_network`` call contracts all of those tables along a batch
+chunk's bit-packed numpy words at once.  So do the chunk's distinct
+syndromes: each one's pure error is the XOR of the packed pure-error rows
+its bits select, and one gather on the noise table gives all their leaf
+tables, which one ``likelihoods_network`` call contracts along a batch
 axis.  Each trial's decision depends on its syndrome alone, never on its
 chunk, so the CSV bytes do not depend on the chunk size or worker count.
 """
@@ -23,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import NoiseModel, leaf_probabilities, likelihoods_network
+from .decoder import NoiseModel, likelihoods_network, packed_leaf_probabilities
 from .holographic import ContractionSchedule, HolographicLayout
 from .pauli import pack
-from .stabilizer import Syndrome
 
 CSV_HEADER = ("radius", "n", "p", "trials", "failures", "failure_rate", "std_err")
 CSV_TYPES = (int, int, float, int, int, float, float)
@@ -70,20 +70,25 @@ class ThresholdFit:
 def trial_bytes(schedule: ContractionSchedule) -> int:
     """Bytes of the largest per-step temporary of one trial's contraction.
 
-    A step's entry stack holds a float64 per tensor entry and per leaf leg
-    or bond-matrix element, whichever is more.
+    A leaf group holds two float64 per tensor entry of each of its nodes:
+    the running product and one gathered leg.  Any other step's entry
+    stack holds a float64 per tensor entry and per leaf leg or bond-matrix
+    element, whichever is more.
     """
     return max(
-        8 * len(step.digits) * max(len(step.leaf_legs), step.d_out ** 2)
-        for step in schedule.steps
+        [16 * len(group.steps) * len(group.steps[0].digits)
+         for group in schedule.leaf_groups]
+        + [8 * len(step.digits) * max(len(step.leaf_legs), step.d_out ** 2)
+           for step in schedule.steps if not step.leaf_only]
     )
 
 
 def chunk_size(schedule: ContractionSchedule) -> int:
     """Trials decoded per ``likelihoods_network`` call: CHUNK_BYTES' worth.
 
-    About 170 at radii 1 and 2, 64 at radius 3, 4 at radius 4, and 1 from
-    radius 5 on.
+    170 at radius 1, 85 at radius 2, 21 at radius 3 and 4 at radius 4,
+    where the outer ring's leaf group or an inner ring's bond matrices set
+    the size, and 1 from radius 5 on.
     """
     return max(1, CHUNK_BYTES // trial_bytes(schedule))
 
@@ -118,7 +123,7 @@ class TrialRunner:
         # logical rows Z_0 .. Z_{k-1}, then X_0 .. X_{k-1}, in class-bit order
         self.gx, self.gz = pack(code.logical_z + code.logical_x, n)
         self.class_weights = np.uint64(1) << np.arange(2 * code.k, dtype=np.uint64)
-        self.pure_cls = self._class_bits(*pack(code.pure_errors, n))
+        self.px, self.pz = pack(code.pure_errors, n)
         self.cum = np.cumsum(noise.probs, axis=1)
 
     def _class_bits(self, ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
@@ -147,27 +152,23 @@ class TrialRunner:
         syn = _odd_overlaps(ex, ez, self.sx, self.sz)
         # distinct syndromes by their packed bytes, numbered in first-seen order
         slot: dict[bytes, int] = {}
-        which = [
+        which = np.array([
             slot.setdefault(key.tobytes(), len(slot))
             for key in np.packbits(syn, axis=1, bitorder="little")
-        ]
-        m = syn.shape[1]
-        leaves = np.array([
-            leaf_probabilities(
-                self.noise,
-                self.code.pure_error(Syndrome(m, int.from_bytes(key, "little"))),
-            )
-            for key in slot
         ])
+        flips = syn[np.unique(which, return_index=True)[1], :, None]
+        # each distinct syndrome's pure error: the XOR of its flipped rows
+        px, pz = (np.bitwise_xor.reduce(rows * flips, axis=1)
+                  for rows in (self.px, self.pz))
         tables = likelihoods_network(
-            self.layout, self.schedule, self.noise, leaves=leaves
+            self.layout, self.schedule, self.noise,
+            leaves=packed_leaf_probabilities(self.noise, px, pz),
         )
         labels = [table.argmax_class() for table in tables]
         chosen = np.array(
             [label.x | label.z << self.code.k for label in labels], dtype=np.uint64
         )
-        pure_bits = np.bitwise_xor.reduce(self.pure_cls * syn.astype(np.uint64), axis=1)
-        target = chosen[which] ^ pure_bits
+        target = (chosen ^ self._class_bits(px, pz))[which]
         return int(np.count_nonzero(self._class_bits(ex, ez) != target))
 
 

@@ -29,7 +29,7 @@ descending layer, which puts every child before its parent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -98,13 +98,53 @@ class ScheduleStep:
     d_out: int
     digits: np.ndarray  # (entries, legs) intp
 
+    @property
+    def leaf_only(self) -> bool:
+        """A node that consumes no child message, so it runs in a leaf group."""
+        return self.kind != "center" and not self.chain
+
+
+@dataclass(frozen=True, slots=True)
+class LeafGroup:
+    """Leaf-only steps that share a digit table, leaf legs and slot legs.
+
+    The executor gathers all their entry weights at once; ``qubits[g, j]``
+    is the boundary qubit on the j-th leaf leg of ``steps[g]``.
+    """
+
+    steps: tuple[ScheduleStep, ...]
+    qubits: np.ndarray  # (steps, leaf legs) intp
+
 
 @dataclass(frozen=True, slots=True)
 class ContractionSchedule:
-    """Leaf-to-root ordering of steps, and the class label of each center run."""
+    """Leaf-to-root ordering of steps, and the class label of each center run.
+
+    ``leaf_groups`` partitions the leaf-only steps, in step order.  It is
+    derived from ``steps`` on construction, so a schedule rebuilt with other
+    steps (``dataclasses.replace``) is regrouped, never left stale.
+    """
 
     steps: tuple[ScheduleStep, ...]
     labels: tuple[PauliString, ...]
+    leaf_groups: tuple[LeafGroup, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        members: dict[tuple, tuple[list, list]] = {}
+        for step in self.steps:
+            if step.leaf_only:
+                legs, qubits = zip(*step.leaf_legs)
+                # steps of one layout share their table object; equal tables
+                # in separate arrays only cost an extra group
+                key = (id(step.digits), legs, step.in_legs, step.deferred_leg)
+                steps, rows = members.setdefault(key, ([], []))
+                steps.append(step)
+                rows.append(qubits)
+        groups = tuple(
+            LeafGroup(tuple(steps), np.array(rows, dtype=np.intp))
+            for steps, rows in members.values()
+        )
+        object.__setattr__(self, "leaf_groups", groups)
 
 
 @dataclass(frozen=True, slots=True)

@@ -81,10 +81,6 @@ class Syndrome:
             raise ValueError("syndrome bits exceed length")
 
     @classmethod
-    def trivial(cls, length: int) -> "Syndrome":
-        return cls(length, 0)
-
-    @classmethod
     def from_signs(cls, signs: Iterable[int]) -> "Syndrome":
         bits = 0
         length = 0
@@ -109,9 +105,6 @@ class Syndrome:
 
     def to_text(self) -> str:
         return "".join("-" if (self.bits >> i) & 1 else "+" for i in range(self.length))
-
-    def is_trivial(self) -> bool:
-        return self.bits == 0
 
     def __str__(self) -> str:
         return self.to_text()

@@ -15,6 +15,8 @@ from tenqec import (
     leaf_probabilities,
     likelihoods_network,
 )
+from tenqec.decoder import packed_leaf_probabilities
+from tenqec.pauli import pack
 
 
 def test_noise_model_validation():
@@ -53,6 +55,18 @@ def test_leaf_probabilities_match_codes_gather(n):
         e = np.array(op.codes())
         want = model.probs[np.arange(n)[:, None], e[:, None] ^ np.arange(4)]
         assert np.array_equal(leaf_probabilities(model, op), want)
+
+
+def test_packed_leaf_probabilities_match_row_calls():
+    # the harness builds a chunk's leaf tables from packed pure errors in
+    # one gather; each row must be leaf_probabilities on that operator
+    n = 70
+    rng = np.random.default_rng(3)
+    model = NoiseModel(rng.dirichlet(np.ones(4), size=n))
+    ops = [PauliString.from_codes(c.tolist()) for c in rng.integers(0, 4, (5, n))]
+    stacked = packed_leaf_probabilities(model, *pack(ops, n))
+    want = np.array([leaf_probabilities(model, op) for op in ops])
+    assert np.array_equal(stacked, want)
 
 
 def test_network_matches_oracle(holo):
@@ -161,6 +175,27 @@ def test_decisions_ignore_summation_order(holo, radius):
             assert got.argmax_class() == want, (p, bits)
 
 
+def test_leaf_groups_follow_replaced_steps(holo):
+    # _shuffled reorders each step's rows through dataclasses.replace; the
+    # schedule must regroup its leaf-only steps, or the shuffles above would
+    # contract the original tables and prove nothing about the leaf nodes
+    layout, schedule = holo[2]
+    leaf_only = [step for step in schedule.steps if step.leaf_only]
+    assert len(leaf_only) == 6 == len(schedule.steps) - 1
+    step = leaf_only[0]
+    # a rotated table moves rows across slot runs, so the message changes
+    moved = dataclasses.replace(step, digits=np.roll(step.digits, 1, axis=0))
+    other = dataclasses.replace(schedule, steps=tuple(
+        moved if s is step else s for s in schedule.steps
+    ))
+    assert any(s is moved for group in other.leaf_groups for s in group.steps)
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    (leaves,) = _leaf_stack(layout.n, noise, 1, 2)
+    want = likelihoods_network(layout, schedule, noise, leaves=leaves)
+    got = likelihoods_network(layout, other, noise, leaves=leaves)
+    assert not np.array_equal(got.mantissas, want.mantissas)
+
+
 def test_relabeling_covariance(holo):
     # a pure error shifted by a stabilizer leaves the table alone; shifted
     # by a logical representative it permutes the classes and leaves the
@@ -206,6 +241,31 @@ def test_op_counter_radius_one(holo):
     likelihoods_network(layout, schedule, noise, Syndrome(5, 3), counter=counter)
     assert counter.total == 768
     assert counter.by_category == {"leaf": 768}
+
+
+@pytest.mark.parametrize("radius, total, by_category", [
+    (4, 3_657_984,
+     {"leaf": 106_752, "matmul": 3_466_240, "combine": 82_944, "trace": 2_048}),
+    (5, 223_832_832,
+     {"leaf": 511_488, "matmul": 222_118_912, "combine": 1_194_240,
+      "trace": 8_192}),
+])
+def test_op_counts_charge_leaf_nodes_one_by_one(holo, holo5_topology, radius,
+                                                total, by_category):
+    # leaf groups run many nodes at once but charge each node its own work,
+    # which the per-layer benchmark metrics read from by_node
+    layout, schedule = holo[4] if radius == 4 else holo5_topology
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    counter, bonds = OpCounter(), {}
+    likelihoods_network(
+        layout, schedule, noise, counter=counter, bond_observer=bonds
+    )
+    assert counter.total == total
+    assert counter.by_category == by_category
+    for step in schedule.steps:
+        if step.leaf_only:
+            assert counter.by_node[step.name] > 0
+            assert bonds[step.name] == (1, 1)
 
 
 def test_op_counts_syndrome_independent(holo):
