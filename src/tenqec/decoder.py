@@ -5,9 +5,10 @@ is a sum of products of per-qubit probabilities over the class's coset.
 Every layout, nested rings and open chains alike, evaluates that sum by
 contracting its own network along :func:`tenqec.holographic.schedule_for`,
 children before parents, with messages whose bond dimensions stay at
-4^(radius - r).  The outer ring's nodes, which only weigh leaves, run as a
-few groups of one gather per leaf leg each; the inner rings run node by
-node.  The brute-force reference is :mod:`tenqec.oracle`, which the test
+4^(radius - r).  One executor path runs every step group of the
+schedule: the outer ring's nodes, which only weigh leaves, in a few groups
+of one gather per leaf leg each, and every inner node in a group of its
+own.  The brute-force reference is :mod:`tenqec.oracle`, which the test
 suite compares against to 1e-10.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .holographic import ContractionSchedule, HolographicLayout, LeafGroup, ScheduleStep
+from .holographic import ContractionSchedule, HolographicLayout, ScheduleStep, StepGroup
 from .pauli import PauliString, pack
 from .stabilizer import Syndrome
 
@@ -160,16 +161,16 @@ def likelihoods_network(
 ) -> LikelihoodTable | list[LikelihoodTable]:
     """Contract the layout's network against leaf vectors.
 
-    Messages flow from the leaves toward the seed.  The nodes that consume
-    no child message, the outer ring, run first, one leaf group of
-    :attr:`ContractionSchedule.leaf_groups` at a time: a gather per leaf
-    leg weighs every entry of every node in the group.  Every other node
-    batches over its tensor entries and chains its children's messages
-    with matrix products.  Each node sums the entries' run for each output
-    slot into a message indexed by its parent-facing legs.  Every message is
-    renormalized by its largest entry, with the logs pooled into the
-    table's log_scale, so deep layouts never underflow.  The leaf table
-    is ``leaves`` when given, else
+    Messages flow from the leaves toward the seed, one group of
+    :attr:`ContractionSchedule.groups` at a time, each through the same
+    sequence.  A gather per leaf leg weighs every tensor entry of every
+    node in the group; a one-step group also chains its children's
+    messages with matrix products.  Each node then sums the entries' run
+    for each output slot into a message indexed by its parent-facing legs,
+    and every message is renormalized by its largest entry, with the logs
+    pooled into the table's log_scale, so deep layouts never underflow.
+    The seed instead closes its ring, one class label's run at a time.
+    The leaf table is ``leaves`` when given, else
     ``leaf_probabilities(noise, layout.code.pure_error(syndrome))``, or the
     noise table when neither is given; passing both raises ValueError.
 
@@ -202,29 +203,27 @@ def likelihoods_network(
 
     messages: dict[str, np.ndarray] = {}
     log_scale = np.zeros(len(leaves))
-    for group in schedule.leaf_groups:
-        log_scale += _run_leaf_group(group, leaves, messages, counter, bond_observer)
-
-    for step in schedule.steps:
-        if step.leaf_only:
-            continue  # its message came from its leaf group
-        if step.kind == "center":
+    for group in schedule.groups:
+        first = group.steps[0]
+        if first.kind == "center":
             # one label's run at a time keeps the center's chain arrays small
             out = np.stack([
-                _close_ring(step, digits, leaves, messages, counter)
-                for digits in np.split(step.digits, len(schedule.labels))
+                _close_ring(group, digits, leaves, messages, counter)
+                for digits in np.split(first.digits, len(schedule.labels))
             ], axis=-1)
         else:
-            # no name keeps the entry stack, so it is freed before the next node
+            # no name keeps the entry stack, so it is freed before the next group
             out = _sum_runs(
-                step, _entry_sum(step, step.digits, leaves, messages, counter),
+                group, _entry_sum(group, first.digits, leaves, messages, counter),
                 counter,
             )
-            _observe(step, out.shape[-2:], bond_observer)
-        for _, child in step.chain:
+            for step in group.steps:
+                _observe(step, out.shape[-2:], bond_observer)
+        for _, child in first.chain:
             del messages[child]
-        log_scale += _renormalize(out, 1)
-        messages[step.name] = out
+        log_scale += _renormalize(out)
+        for g, step in enumerate(group.steps):
+            messages[step.name] = out[:, g]
 
     # every message but the center's has been consumed by its parent
     (mantissas,) = messages.values()
@@ -235,54 +234,17 @@ def likelihoods_network(
     return tables[0] if single else tables
 
 
-def _renormalize(out: np.ndarray, lead: int) -> np.ndarray:
+def _renormalize(out: np.ndarray) -> np.ndarray:
     """Divide each message in place by its largest entry; return the logs.
 
-    The first ``lead`` axes index messages and are kept; the logs are
-    summed over all but the batch axis.  A message that is all zero stays
-    unscaled.
+    The batch and node axes index messages and are kept; the logs are
+    summed over the nodes.  A message that is all zero stays unscaled.
     """
-    scale = out.max(axis=tuple(range(lead, out.ndim)), keepdims=True)
+    scale = out.max(axis=tuple(range(2, out.ndim)), keepdims=True)
     if not scale.all():
         scale[scale == 0] = 1.0
     out /= scale
     return np.log(scale.reshape(len(out), -1)).sum(axis=1)
-
-
-def _run_leaf_group(
-    group: LeafGroup,
-    leaves: np.ndarray,
-    messages: dict[str, np.ndarray],
-    counter: OpCounter | None,
-    bond_observer: dict[str, tuple[int, int]] | None,
-) -> np.ndarray:
-    """Store the messages of a group's leaf-only nodes; return their logs.
-
-    One ``np.take`` per leaf leg gathers a (batch, nodes, entries) slab,
-    multiplied into the product in leg order, as ``multiply.reduce`` orders
-    a single node's legs.  :func:`_sum_runs` sums the runs of every node
-    at once, and each node's message is renormalized by its own largest
-    entry.  The counter and bond observer see each node on its own.
-    """
-    first = group.steps[0]
-    weights: np.ndarray | None = None
-    for (leg, _), qubits in zip(first.leaf_legs, group.qubits.T):
-        index = 4 * qubits[:, None] + first.digits[:, leg]
-        # no name keeps a gathered slab past its product
-        if weights is None:
-            weights = np.take(leaves, index, axis=1)
-        else:
-            weights *= np.take(leaves, index, axis=1)
-    batch, size, n_entries = weights.shape
-    out = _sum_runs(first, weights.reshape(batch * size, n_entries, 1, 1), None)
-    out = out.reshape((batch, size) + out.shape[1:])
-    for g, step in enumerate(group.steps):
-        _observe(step, out.shape[-2:], bond_observer)
-        messages[step.name] = out[:, g]
-        if counter is not None:
-            counter.add(step.name, "leaf", n_entries * len(step.leaf_legs))
-            counter.add(step.name, "combine", n_entries)
-    return _renormalize(out, 2)
 
 
 def _observe(
@@ -300,7 +262,7 @@ def _observe(
 
 
 def _close_ring(
-    step: ScheduleStep,
+    group: StepGroup,
     digits: np.ndarray,
     leaves: np.ndarray,
     messages: dict[str, np.ndarray],
@@ -308,34 +270,43 @@ def _close_ring(
 ) -> np.ndarray:
     """The center's value for one label, per batch row: trace of each
     entry's chain, summed."""
-    chain = _entry_sum(step, digits, leaves, messages, counter)
+    chain = _entry_sum(group, digits, leaves, messages, counter)
     if counter is not None and chain.shape[-1] > 1:
-        counter.add(step.name, "trace", chain.shape[-3] * chain.shape[-1])
+        counter.add(group.steps[0].name, "trace", chain.shape[-3] * chain.shape[-1])
     return np.einsum("...eii->...e", chain).sum(axis=-1)
 
 
 def _entry_sum(
-    step: ScheduleStep,
+    group: StepGroup,
     digits: np.ndarray,
     leaves: np.ndarray,
     messages: dict[str, np.ndarray],
     counter: OpCounter | None,
 ) -> np.ndarray:
-    """Leaf weights times the child-message chain, per tensor entry.
+    """Leaf weights times the child-message chain, per node and tensor entry.
 
-    Returns a (batch, entries, left, right) stack of matrices.  Every node
-    has children or leaf legs, so the stack is never empty.
+    Returns a (batch, nodes, entries, left, right) stack of matrices.  One
+    ``np.take`` per leaf leg gathers that leg's weights for every node of
+    the group, multiplied in leg order.  Only a one-step group has
+    children; their messages chain by matrix products.  Every node has
+    children or leaf legs, so the stack is never empty.  The counter
+    charges each node its own work.
     """
+    first = group.steps[0]
     weights: np.ndarray | None = None
-    if step.leaf_legs:
-        legs, qubits = zip(*step.leaf_legs)
-        picked = np.take(leaves, 4 * np.array(qubits) + digits[:, legs], axis=1)
-        weights = np.multiply.reduce(picked, axis=-1)
-        if counter is not None:
-            counter.add(step.name, "leaf", digits.shape[0] * len(legs))
+    for (leg, _), qubits in zip(first.leaf_legs, group.qubits.T):
+        # no name keeps a gathered slab past its product
+        index = 4 * qubits[:, None] + digits[:, leg]
+        if weights is None:
+            weights = np.take(leaves, index, axis=1)
+        else:
+            weights *= np.take(leaves, index, axis=1)
+    if counter is not None:
+        for step in group.steps:
+            counter.add(step.name, "leaf", digits.shape[0] * len(step.leaf_legs))
 
     chain: np.ndarray | None = None
-    for leg, child in step.chain:
+    for leg, child in first.chain:
         # a corner child's second parent-facing index joins the left bond
         picked = np.take(messages[child], digits[:, leg], axis=1)
         picked = picked.reshape(picked.shape[:2] + (-1, picked.shape[-1]))
@@ -344,7 +315,7 @@ def _entry_sum(
         else:
             if counter is not None:
                 counter.add(
-                    step.name,
+                    first.name,
                     "matmul",
                     chain.shape[-3] * chain.shape[-2] * chain.shape[-1]
                     * picked.shape[-1],
@@ -353,36 +324,41 @@ def _entry_sum(
 
     if chain is None:
         return weights[..., None, None]
+    chain = chain[:, None]
     if weights is not None:
         chain = chain * weights[..., None, None]
         if counter is not None:
             counter.add(
-                step.name, "combine",
+                first.name, "combine",
                 chain.shape[-3] * chain.shape[-2] * chain.shape[-1],
             )
     return chain
 
 
 def _sum_runs(
-    step: ScheduleStep,
+    group: StepGroup,
     chain: np.ndarray,
     counter: OpCounter | None,
 ) -> np.ndarray:
-    """Sum entry matrices into the node's outgoing message.
+    """Sum entry matrices into the group's outgoing messages.
 
-    The step's entries come in equal runs per output slot, so each slot
-    sums one run.  Behind the batch axis, the message is indexed by the
-    node's parent-facing legs (first in-leg major), then the left bond,
+    The steps' entries come in equal runs per output slot, so each slot
+    sums one run.  Behind the batch and node axes, a message is indexed by
+    the node's parent-facing legs (first in-leg major), then the left bond,
     then the right bond with any deferred corner leg fused in as the major
     component.
     """
-    batch, n_entries, d_l, d_r = chain.shape
-    fold = 1 if step.deferred_leg is None else 4
-    out = chain.reshape(batch, 4 ** len(step.in_legs), fold, -1, d_l, d_r).sum(axis=3)
+    first = group.steps[0]
+    batch, size, n_entries, d_l, d_r = chain.shape
+    fold = 1 if first.deferred_leg is None else 4
+    out = chain.reshape(
+        batch, size, 4 ** len(first.in_legs), fold, -1, d_l, d_r
+    ).sum(axis=4)
     if counter is not None:
-        counter.add(step.name, "combine", n_entries * d_l * d_r)
-    shape = (batch,) + (4,) * len(step.in_legs) + (d_l, fold * d_r)
-    return out.transpose(0, 1, 3, 2, 4).reshape(shape)
+        for step in group.steps:
+            counter.add(step.name, "combine", n_entries * d_l * d_r)
+    shape = (batch, size) + (4,) * len(first.in_legs) + (d_l, fold * d_r)
+    return out.transpose(0, 1, 2, 4, 3, 5).reshape(shape)
 
 
 @dataclass(frozen=True, slots=True)

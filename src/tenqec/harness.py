@@ -68,18 +68,20 @@ class ThresholdFit:
 
 
 def trial_bytes(schedule: ContractionSchedule) -> int:
-    """Bytes of the largest per-step temporary of one trial's contraction.
+    """Bytes of the largest per-group temporary of one trial's contraction.
 
-    A leaf group holds two float64 per tensor entry of each of its nodes:
-    the running product and one gathered leg.  Any other step's entry
-    stack holds a float64 per tensor entry and per leaf leg or bond-matrix
-    element, whichever is more.
+    A group's leaf weights hold two float64 per tensor entry of each of its
+    nodes: the running product and one gathered leg.  A one-step group's
+    entry stack holds a bond matrix per entry.  Each entry of a group is
+    charged the larger of those, or of one node's leaf legs, which keeps a
+    lone node with leaf legs (the seed at radius 1) on the safe side.
     """
     return max(
-        [16 * len(group.steps) * len(group.steps[0].digits)
-         for group in schedule.leaf_groups]
-        + [8 * len(step.digits) * max(len(step.leaf_legs), step.d_out ** 2)
-           for step in schedule.steps if not step.leaf_only]
+        8 * len(group.steps[0].digits) * max(
+            2 * len(group.steps), len(group.steps[0].leaf_legs),
+            group.steps[0].d_out ** 2,
+        )
+        for group in schedule.groups
     )
 
 
@@ -87,7 +89,7 @@ def chunk_size(schedule: ContractionSchedule) -> int:
     """Trials decoded per ``likelihoods_network`` call: CHUNK_BYTES' worth.
 
     170 at radius 1, 85 at radius 2, 21 at radius 3 and 4 at radius 4,
-    where the outer ring's leaf group or an inner ring's bond matrices set
+    where the outer ring's leaf groups or an inner ring's bond matrices set
     the size, and 1 from radius 5 on.
     """
     return max(1, CHUNK_BYTES // trial_bytes(schedule))

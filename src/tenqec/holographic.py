@@ -100,16 +100,22 @@ class ScheduleStep:
 
     @property
     def leaf_only(self) -> bool:
-        """A node that consumes no child message, so it runs in a leaf group."""
+        """A node that consumes no child message, so it may share a step
+        group with other nodes like it."""
         return self.kind != "center" and not self.chain
 
 
-@dataclass(frozen=True, slots=True)
-class LeafGroup:
-    """Leaf-only steps that share a digit table, leaf legs and slot legs.
+# the qubits of a one-step group without leaf legs; shared, never written
+_NO_QUBITS = np.empty((1, 0), dtype=np.intp)
 
-    The executor gathers all their entry weights at once; ``qubits[g, j]``
-    is the boundary qubit on the j-th leaf leg of ``steps[g]``.
+
+@dataclass(frozen=True, slots=True)
+class StepGroup:
+    """Steps that the executor contracts as one.
+
+    Either leaf-only steps that share a digit table, leaf legs, in-legs and
+    deferred leg, or any other single step.  ``qubits[g, j]`` is the
+    boundary qubit on the j-th leaf leg of ``steps[g]``.
     """
 
     steps: tuple[ScheduleStep, ...]
@@ -120,17 +126,19 @@ class LeafGroup:
 class ContractionSchedule:
     """Leaf-to-root ordering of steps, and the class label of each center run.
 
-    ``leaf_groups`` partitions the leaf-only steps, in step order.  It is
-    derived from ``steps`` on construction, so a schedule rebuilt with other
-    steps (``dataclasses.replace``) is regrouped, never left stale.
+    ``groups`` partitions the steps: the leaf-only groups first, then every
+    other step alone, in step order, so the center's group comes last.  It
+    is derived from ``steps`` on construction, so a schedule rebuilt with
+    other steps (``dataclasses.replace``) is regrouped, never left stale.
     """
 
     steps: tuple[ScheduleStep, ...]
     labels: tuple[PauliString, ...]
-    leaf_groups: tuple[LeafGroup, ...] = field(init=False, repr=False, compare=False)
+    groups: tuple[StepGroup, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         members: dict[tuple, tuple[list, list]] = {}
+        alone: list[StepGroup] = []
         for step in self.steps:
             if step.leaf_only:
                 legs, qubits = zip(*step.leaf_legs)
@@ -140,11 +148,16 @@ class ContractionSchedule:
                 steps, rows = members.setdefault(key, ([], []))
                 steps.append(step)
                 rows.append(qubits)
+            else:
+                qubits = _NO_QUBITS
+                if step.leaf_legs:
+                    qubits = np.array([[q for _, q in step.leaf_legs]], dtype=np.intp)
+                alone.append(StepGroup((step,), qubits))
         groups = tuple(
-            LeafGroup(tuple(steps), np.array(rows, dtype=np.intp))
+            StepGroup(tuple(steps), np.array(rows, dtype=np.intp))
             for steps, rows in members.values()
         )
-        object.__setattr__(self, "leaf_groups", groups)
+        object.__setattr__(self, "groups", groups + tuple(alone))
 
 
 @dataclass(frozen=True, slots=True)

@@ -188,7 +188,7 @@ def test_leaf_groups_follow_replaced_steps(holo):
     other = dataclasses.replace(schedule, steps=tuple(
         moved if s is step else s for s in schedule.steps
     ))
-    assert any(s is moved for group in other.leaf_groups for s in group.steps)
+    assert any(s is moved for group in other.groups for s in group.steps)
     noise = NoiseModel.depolarizing(layout.n, 0.18)
     (leaves,) = _leaf_stack(layout.n, noise, 1, 2)
     want = likelihoods_network(layout, schedule, noise, leaves=leaves)

@@ -256,6 +256,45 @@ def test_schedule_for_chains_leaves_first(links):
     assert set(bonds.values()) == {(1, 1)}
 
 
+def _assert_groups_partition(layout, schedule):
+    groups = schedule.groups
+    flat = [step for group in groups for step in group.steps]
+    assert sorted(map(id, flat)) == sorted(map(id, schedule.steps))
+    where = {step.name: i for i, group in enumerate(groups) for step in group.steps}
+    for group in groups:
+        first = group.steps[0]
+        assert group.qubits.shape == (len(group.steps), len(first.leaf_legs))
+        for step, qubits in zip(group.steps, group.qubits):
+            assert [q for _, q in step.leaf_legs] == qubits.tolist()
+        if len(group.steps) > 1:
+            for step in group.steps:
+                assert step.leaf_only and step.digits is first.digits
+                assert [leg for leg, _ in step.leaf_legs] == [
+                    leg for leg, _ in first.leaf_legs
+                ]
+                assert step.in_legs == first.in_legs
+                assert step.deferred_leg == first.deferred_leg
+        if first.chain:
+            assert len(group.steps) == 1
+    for name, node in layout.nodes.items():
+        for _, child, _ in node.children:
+            assert where[child] < where[name]
+    (center,) = groups[-1].steps
+    assert center.kind == "center"
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4, 5])
+def test_step_groups_partition_ring_schedules(radius):
+    layout = build_layout(radius, with_code=False)
+    _assert_groups_partition(layout, schedule_for(layout))
+
+
+@pytest.mark.parametrize("links", CHAINS)
+def test_step_groups_partition_chain_schedules(links):
+    chain = chain_layout(links)
+    _assert_groups_partition(chain, schedule_for(chain))
+
+
 def test_schedule_for_branching_chain_matches_oracle():
     cases = (
         # the seed contracts two children (n - k = 15)
