@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 
 from .decoder import NoiseModel, OpCounter, decode, likelihoods_network
@@ -79,12 +80,14 @@ def _write_json(payload: dict, path: str | None) -> None:
 
 def _cmd_build_code(args) -> int:
     if args.holographic:
-        layout = build_layout(args.radius)
+        layout = build_layout(2 if args.radius is None else args.radius)
         _write_json(code_to_json_dict(layout.code), args.out)
         if args.out:
-            sidecar = args.out.rsplit(".", 1)[0] + ".layout.json"
+            sidecar = os.path.splitext(args.out)[0] + ".layout.json"
             _write_json(_layout_sidecar(layout), sidecar)
         return 0
+    if args.radius is not None:
+        raise ValueError("--radius applies only to --holographic")
     _write_json(code_to_json_dict(_builtin_code(args.builtin)), args.out)
     return 0
 
@@ -290,7 +293,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="one of the built-in small codes")
     source.add_argument("--holographic", action="store_true",
                         help="build the nested-ring code instead")
-    p_build.add_argument("--radius", type=int, default=2)
+    p_build.add_argument("--radius", type=int,
+                         help="nested-ring radius for --holographic (default 2)")
     p_build.add_argument("--out", help="output JSON path (default stdout)")
     p_build.set_defaults(func=_cmd_build_code)
 

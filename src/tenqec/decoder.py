@@ -172,7 +172,8 @@ def likelihoods_network(
     The seed instead closes its ring, one class label's run at a time.
     The leaf table is ``leaves`` when given, else
     ``leaf_probabilities(noise, layout.code.pure_error(syndrome))``, or the
-    noise table when neither is given; passing both raises ValueError.
+    noise table when neither is given; passing both raises ValueError, and
+    so does a leaf entry that is negative or not finite.
 
     ``leaves`` of shape (B, n, 4) contracts B leaf tables at once, along
     a leading batch axis of every message, and returns a list of B
@@ -200,6 +201,8 @@ def likelihoods_network(
     # np.take along axis 1, which keeps every stack C-ordered with the batch
     # axis outermost, as matmul wants
     leaves = np.ascontiguousarray(leaves, dtype=np.float64).reshape(len(leaves), -1)
+    if not (np.isfinite(leaves).all() and (leaves >= 0).all()):
+        raise ValueError("leaf table entries must be finite and nonnegative")
 
     messages: dict[str, np.ndarray] = {}
     log_scale = np.zeros(len(leaves))

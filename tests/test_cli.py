@@ -29,6 +29,24 @@ def test_build_code_holographic_with_sidecar(tmp_path):
     assert len(sidecar["nodes"]) == 7
 
 
+def test_build_code_sidecar_beside_a_dotted_directory(tmp_path, monkeypatch):
+    # the sidecar takes the extension off the file name, never the directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.d").mkdir()
+    assert main(["build-code", "--holographic", "--out", "out.d/code"]) == 0
+    sidecar = json.loads((tmp_path / "out.d" / "code.layout.json").read_text())
+    assert sidecar["radius"] == 2
+    assert not (tmp_path / "out.layout.json").exists()
+
+
+def test_build_code_builtin_rejects_radius(capsys):
+    argv = ["build-code", "--builtin", "six_qubit", "--radius", "7"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "--radius" in captured.err
+    assert captured.out == ""
+
+
 def test_build_code_needs_a_source(capsys):
     with pytest.raises(SystemExit) as info:
         main(["build-code"])

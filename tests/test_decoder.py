@@ -353,6 +353,21 @@ def _leaf_stack(n, noise, count, seed):
     ])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+@pytest.mark.parametrize("batched", [False, True])
+def test_bad_leaf_entries_raise(holo, bad, batched):
+    # one bad entry would otherwise yield NaN or negative mantissas, and
+    # argmax_class would still pick a class from them
+    layout, schedule = holo[1]
+    noise = NoiseModel.depolarizing(layout.n, 0.1)
+    leaves = _leaf_stack(layout.n, noise, 3, 4)
+    leaves[-1, 2, 1] = bad
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        likelihoods_network(
+            layout, schedule, noise, leaves=leaves if batched else leaves[-1]
+        )
+
+
 @pytest.mark.parametrize("radius", [1, 2, 3, 4])
 @pytest.mark.parametrize("batch", [1, 7])
 def test_batched_leaves_match_row_calls(holo, radius, batch):
