@@ -129,12 +129,13 @@ class LikelihoodTable:
 class OpCounter:
     """Multiply-accumulate tally for the network executor.
 
-    Categories: 'leaf' gathers (one per entry per open leg), 'matmul'
-    batched products (entries * rows * inner * cols), 'combine' passes that
-    scale by leaf weights or accumulate into the output block (entries *
-    rows * cols), and 'trace' ring closures (entries * bond, only when the
-    bond dimension exceeds 1).  Final scalar reductions contribute no
-    multiplies and are not counted.
+    Categories: 'leaf' gathers (one per entry per open leg); 'matmul'
+    products (rows * inner * cols each), one per trie node below a trie's
+    first level and one per (slot, prefix) pair; 'combine' passes (rows *
+    cols per matrix) that scale suffixes by leaf weights, sum each pair's
+    entries, or sum each slot's pairs into the output block; and 'trace'
+    the ring's closing inner products (rows * cols per pair).  Final
+    scalar reductions contribute no multiplies and are not counted.
     """
 
     by_category: dict[str, int] = field(default_factory=dict)
@@ -164,12 +165,15 @@ def likelihoods_network(
     Messages flow from the leaves toward the seed, one group of
     :attr:`ContractionSchedule.groups` at a time, each through the same
     sequence.  A gather per leaf leg weighs every tensor entry of every
-    node in the group; a one-step group also chains its children's
-    messages with matrix products.  Each node then sums the entries' run
-    for each output slot into a message indexed by its parent-facing legs,
-    and every message is renormalized by its largest entry, with the logs
-    pooled into the table's log_scale, so deep layouts never underflow.
-    The seed instead closes its ring, one class label's run at a time.
+    node in the group.  A one-step group also multiplies its children's
+    messages along the static split of its
+    :class:`~tenqec.holographic.SplitPlan`: one matmul per distinct digit
+    prefix and suffix, and one per (output slot, prefix) pair.  Each node
+    then sums the pairs' run for each output slot into a message indexed
+    by its parent-facing legs, and every message is renormalized by its
+    largest entry, with the logs pooled into the table's log_scale, so
+    deep layouts never underflow.  The seed instead closes its ring, one
+    class label's pairs at a time.
     The leaf table is ``leaves`` when given, else
     ``leaf_probabilities(noise, layout.code.pure_error(syndrome))``, or the
     noise table when neither is given; passing both raises ValueError, and
@@ -207,23 +211,18 @@ def likelihoods_network(
     messages: dict[str, np.ndarray] = {}
     log_scale = np.zeros(len(leaves))
     for group in schedule.groups:
-        first = group.steps[0]
-        if first.kind == "center":
-            # one label's run at a time keeps the center's chain arrays small
-            out = np.stack([
-                _close_ring(group, digits, leaves, messages, counter)
-                for digits in np.split(first.digits, len(schedule.labels))
-            ], axis=-1)
+        factors = _factors(group, leaves, messages, counter)
+        if group.steps[0].kind == "center":
+            # one label's pairs at a time keeps the gathered matrices small
+            n = len(schedule.labels)
+            out = np.stack([_close_pairs(group, label, n, *factors, counter)
+                            for label in range(n)], axis=-1)
         else:
-            # no name keeps the entry stack, so it is freed before the next group
-            out = _sum_runs(
-                group, _entry_sum(group, first.digits, leaves, messages, counter),
-                counter,
-            )
+            # no name keeps the pair stack, so it is freed before the next group
+            out = _sum_runs(group, _close_pairs(group, 0, 1, *factors, counter),
+                            counter)
             for step in group.steps:
                 _observe(step, out.shape[-2:], bond_observer)
-        for _, child in first.chain:
-            del messages[child]
         log_scale += _renormalize(out)
         for g, step in enumerate(group.steps):
             messages[step.name] = out[:, g]
@@ -264,78 +263,102 @@ def _observe(
         )
 
 
-def _close_ring(
-    group: StepGroup,
-    digits: np.ndarray,
-    leaves: np.ndarray,
-    messages: dict[str, np.ndarray],
+def _factors(
+    group: StepGroup, leaves: np.ndarray, messages: dict[str, np.ndarray],
     counter: OpCounter | None,
-) -> np.ndarray:
-    """The center's value for one label, per batch row: trace of each
-    entry's chain, summed."""
-    chain = _entry_sum(group, digits, leaves, messages, counter)
-    if counter is not None and chain.shape[-1] > 1:
-        counter.add(group.steps[0].name, "trace", chain.shape[-3] * chain.shape[-1])
-    return np.einsum("...eii->...e", chain).sum(axis=-1)
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """The group's leaf weights and the two sides of its split chain.
 
-
-def _entry_sum(
-    group: StepGroup,
-    digits: np.ndarray,
-    leaves: np.ndarray,
-    messages: dict[str, np.ndarray],
-    counter: OpCounter | None,
-) -> np.ndarray:
-    """Leaf weights times the child-message chain, per node and tensor entry.
-
-    Returns a (batch, nodes, entries, left, right) stack of matrices.  One
+    Weights are (batch, nodes, entries) over the plan's digit rows: one
     ``np.take`` per leaf leg gathers that leg's weights for every node of
     the group, multiplied in leg order.  Only a one-step group has
-    children; their messages chain by matrix products.  Every node has
-    children or leaf legs, so the stack is never empty.  The counter
-    charges each node its own work.
+    children; their messages go into the prefix and suffix products of
+    :func:`_trie`.  The seed closes its ring as tr(P·S) = ⟨P, Sᵀ⟩, so it
+    builds Sᵀ from transposed factors.  A part the group lacks is None.
     """
-    first = group.steps[0]
+    plan, first = group.plan, group.steps[0]
     weights: np.ndarray | None = None
     for (leg, _), qubits in zip(first.leaf_legs, group.qubits.T):
         # no name keeps a gathered slab past its product
-        index = 4 * qubits[:, None] + digits[:, leg]
+        index = 4 * qubits[:, None] + plan.digits[:, leg]
         if weights is None:
             weights = np.take(leaves, index, axis=1)
         else:
             weights *= np.take(leaves, index, axis=1)
     if counter is not None:
         for step in group.steps:
-            counter.add(step.name, "leaf", digits.shape[0] * len(step.leaf_legs))
+            counter.add(step.name, "leaf", len(plan.digits) * len(step.leaf_legs))
+    # a corner child's second parent-facing index joins the left bond
+    mats = [m.reshape(len(m), 4, -1, m.shape[-1])
+            for m in (messages.pop(child) for _, child in first.chain)]
+    split, ring = len(plan.prefix), first.kind == "center"
+    suffix = [m.mT if ring else m for m in mats[split:]][::-1]
+    return (weights, _trie(first.name, mats[:split], plan.prefix, True, counter),
+            _trie(first.name, suffix, plan.suffix, ring, counter))
 
-    chain: np.ndarray | None = None
-    for leg, child in first.chain:
-        # a corner child's second parent-facing index joins the left bond
-        picked = np.take(messages[child], digits[:, leg], axis=1)
-        picked = picked.reshape(picked.shape[:2] + (-1, picked.shape[-1]))
-        if chain is None:
-            chain = picked
-        else:
+
+def _trie(name: str, factors: list[np.ndarray], levels: tuple[np.ndarray, ...],
+          left: bool, counter: OpCounter | None) -> np.ndarray | None:
+    """One product per trie node, (batch, nodes, rows, cols), level by level.
+
+    A level multiplies each node above, from the left if ``left``, by its
+    factor's matrices for its children's last digits; parents broadcast
+    over their fan-out, so only the factor is gathered.
+    """
+    out = None
+    for factor, digits in zip(factors, levels):
+        picked = np.take(factor, digits, axis=1)
+        if out is not None:
+            above = out[:, :, None]
+            picked = above @ picked if left else picked @ above
             if counter is not None:
-                counter.add(
-                    first.name,
-                    "matmul",
-                    chain.shape[-3] * chain.shape[-2] * chain.shape[-1]
-                    * picked.shape[-1],
-                )
-            chain = chain @ picked
+                inner = above.shape[-1] if left else above.shape[-2]
+                counter.add(name, "matmul", picked[0].size * inner)
+        out = picked.reshape((len(picked), -1) + picked.shape[-2:])
+    return out
 
-    if chain is None:
-        return weights[..., None, None]
-    chain = chain[:, None]
-    if weights is not None:
-        chain = chain * weights[..., None, None]
-        if counter is not None:
-            counter.add(
-                first.name, "combine",
-                chain.shape[-3] * chain.shape[-2] * chain.shape[-1],
-            )
-    return chain
+
+def _close_pairs(
+    group: StepGroup, part: int, parts: int, weights: np.ndarray | None,
+    prefix: np.ndarray | None, suffix: np.ndarray | None, counter: OpCounter | None,
+) -> np.ndarray:
+    """Close the (slot, prefix) pairs in one of ``parts`` of the plan's rows.
+
+    Each pair sums its entries' weighted suffixes, Σ w·S, in equal runs by
+    reshape, and one matmul by its prefix gives its matrix: (batch, nodes,
+    pairs, left, right), in runs per output slot.  The seed, holding Sᵀ,
+    sums tr(P·Σ w·S) = ⟨P, Σ w·Sᵀ⟩ over the pairs instead, by one
+    contiguous ``np.vecdot``, with no last matmul or strided trace:
+    (batch, 1).  With no suffix the weights stand in for the sums, one pair
+    per entry; with no prefix (bond 1) the sums are the pairs' matrices.
+    """
+    plan, first = group.plan, group.steps[0]
+    size = len(plan.digits) // parts
+    rows = slice(part * size, (part + 1) * size)
+    if suffix is None:
+        sums = weights[..., rows, None, None]
+    else:
+        sums = np.take(suffix, plan.entry_suffix[rows], axis=1)[:, None]
+        if weights is not None:
+            sums = sums * weights[..., rows, None, None]
+        if counter is not None:  # the weighting, then the runs' accumulation
+            counter.add(first.name, "combine",
+                        (1 + (weights is not None)) * sums[0].size)
+        run = len(plan.digits) // len(plan.pair_prefix)
+        if run > 1:  # a run of one entry is its own sum; reducing it would copy
+            sums = sums.reshape(sums.shape[:2] + (-1, run) + sums.shape[-2:]).sum(3)
+    ring = first.kind == "center"
+    if prefix is None:
+        return np.einsum("...ii->...", sums).sum(axis=-1) if ring else sums
+    pairs = len(plan.pair_prefix) // parts
+    picked = np.take(prefix, plan.pair_prefix[part * pairs:][:pairs], axis=1)[:, None]
+    if counter is not None:
+        counter.add(first.name, "trace" if ring else "matmul",
+                    picked[0].size * (1 if ring else sums.shape[-1]))
+    if ring:
+        return np.vecdot(picked.reshape(picked.shape[:3] + (-1,)),
+                         sums.reshape(sums.shape[:3] + (-1,))).sum(axis=-1)
+    return picked @ sums
 
 
 def _sum_runs(
@@ -343,23 +366,23 @@ def _sum_runs(
     chain: np.ndarray,
     counter: OpCounter | None,
 ) -> np.ndarray:
-    """Sum entry matrices into the group's outgoing messages.
+    """Sum pair matrices into the group's outgoing messages.
 
-    The steps' entries come in equal runs per output slot, so each slot
+    The steps' pairs come in equal runs per output slot, so each slot
     sums one run.  Behind the batch and node axes, a message is indexed by
     the node's parent-facing legs (first in-leg major), then the left bond,
     then the right bond with any deferred corner leg fused in as the major
     component.
     """
     first = group.steps[0]
-    batch, size, n_entries, d_l, d_r = chain.shape
+    batch, size, n_pairs, d_l, d_r = chain.shape
     fold = 1 if first.deferred_leg is None else 4
     out = chain.reshape(
         batch, size, 4 ** len(first.in_legs), fold, -1, d_l, d_r
     ).sum(axis=4)
     if counter is not None:
         for step in group.steps:
-            counter.add(step.name, "combine", n_entries * d_l * d_r)
+            counter.add(step.name, "combine", n_pairs * d_l * d_r)
     shape = (batch, size) + (4,) * len(first.in_legs) + (d_l, fold * d_r)
     return out.transpose(0, 1, 2, 4, 3, 5).reshape(shape)
 

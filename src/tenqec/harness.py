@@ -72,9 +72,10 @@ def trial_bytes(schedule: ContractionSchedule) -> int:
 
     A group's leaf weights hold two float64 per tensor entry of each of its
     nodes: the running product and one gathered leg.  A one-step group's
-    entry stack holds a bond matrix per entry.  Each entry of a group is
-    charged the larger of those, or of one node's leaf legs, which keeps a
-    lone node with leaf legs (the seed at radius 1) on the safe side.
+    trie, suffix and pair stacks hold at most a bond matrix per entry.
+    Each entry of a group is charged the larger of those, or of one node's
+    leaf legs, which keeps a lone node with leaf legs (the seed at radius 1)
+    on the safe side.
     """
     return max(
         8 * len(group.steps[0].digits) * max(

@@ -29,6 +29,8 @@ descending layer, which puts every child before its parent.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -105,8 +107,23 @@ class ScheduleStep:
         return self.kind != "center" and not self.chain
 
 
-# the qubits of a one-step group without leaf legs; shared, never written
-_NO_QUBITS = np.empty((1, 0), dtype=np.intp)
+@dataclass(frozen=True, slots=True)
+class SplitPlan:
+    """A step's child chain split into two product tries, fixed statically.
+
+    The prefix trie multiplies the first ``len(prefix)`` children, the
+    suffix trie the rest from the far end.  A level lists its nodes' last
+    digits as a (parents, fan-out) array, or as one row if every parent
+    extends alike.  ``digits`` are the step's entry rows sorted by (output
+    slot, prefix), in equal runs per pair; ``entry_suffix`` and
+    ``pair_prefix`` index the tries' last levels.
+    """
+
+    prefix: tuple[np.ndarray, ...]
+    suffix: tuple[np.ndarray, ...]
+    digits: np.ndarray  # (entries, legs) intp
+    entry_suffix: np.ndarray  # (entries,) intp
+    pair_prefix: np.ndarray  # (pairs,) intp
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,16 +137,18 @@ class StepGroup:
 
     steps: tuple[ScheduleStep, ...]
     qubits: np.ndarray  # (steps, leaf legs) intp
+    plan: SplitPlan
 
 
 @dataclass(frozen=True, slots=True)
 class ContractionSchedule:
     """Leaf-to-root ordering of steps, and the class label of each center run.
 
-    ``groups`` partitions the steps: the leaf-only groups first, then every
-    other step alone, in step order, so the center's group comes last.  It
-    is derived from ``steps`` on construction, so a schedule rebuilt with
-    other steps (``dataclasses.replace``) is regrouped, never left stale.
+    ``groups`` partitions the steps, each group at its first step, so the
+    center's group comes last.  It is derived from ``steps`` on
+    construction, with each group's :class:`SplitPlan`, so a schedule
+    rebuilt with other steps (``dataclasses.replace``) is regrouped and
+    replanned, never left stale.
     """
 
     steps: tuple[ScheduleStep, ...]
@@ -137,27 +156,68 @@ class ContractionSchedule:
     groups: tuple[StepGroup, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        members: dict[tuple, tuple[list, list]] = {}
-        alone: list[StepGroup] = []
+        members: dict[object, tuple[list, list]] = {}
         for step in self.steps:
-            if step.leaf_only:
-                legs, qubits = zip(*step.leaf_legs)
-                # steps of one layout share their table object; equal tables
-                # in separate arrays only cost an extra group
-                key = (id(step.digits), legs, step.in_legs, step.deferred_leg)
-                steps, rows = members.setdefault(key, ([], []))
-                steps.append(step)
-                rows.append(qubits)
-            else:
-                qubits = _NO_QUBITS
-                if step.leaf_legs:
-                    qubits = np.array([[q for _, q in step.leaf_legs]], dtype=np.intp)
-                alone.append(StepGroup((step,), qubits))
-        groups = tuple(
-            StepGroup(tuple(steps), np.array(rows, dtype=np.intp))
-            for steps, rows in members.values()
-        )
-        object.__setattr__(self, "groups", groups + tuple(alone))
+            legs, qubits = zip(*step.leaf_legs) if step.leaf_legs else ((), ())
+            # steps of one layout share their table object; equal tables in
+            # separate arrays only cost an extra group
+            key = ((id(step.digits), legs, step.in_legs, step.deferred_leg)
+                   if step.leaf_only else step.name)
+            steps, rows = members.setdefault(key, ([], []))
+            steps.append(step)
+            rows.append(qubits)
+        plans: dict[tuple, SplitPlan] = {}
+        groups = []
+        for steps, rows in members.values():
+            first = steps[0]
+            slots = (len(self.labels) if first.kind == "center" else
+                     4 ** (len(first.in_legs) + (first.deferred_leg is not None)))
+            key = (id(first.digits), next(zip(*first.chain), ()), slots)
+            if key not in plans:
+                plans[key] = _split_plan(first.digits, key[1], slots)
+            qubits = np.array(rows, dtype=np.intp).reshape(len(rows), -1)
+            groups.append(StepGroup(tuple(steps), qubits, plans[key]))
+        object.__setattr__(self, "groups", tuple(groups))
+
+
+def _split_plan(digits: np.ndarray, legs: tuple[int, ...], slots: int) -> SplitPlan:
+    """Split the chain over ``legs`` at its midpoint into two product tries.
+
+    Entry keys are base-4 integers of their digits, outer chain legs major,
+    so a trie node's parent key is its own key // 4.  Raises ValueError if
+    the (slot, prefix) pairs or a trie level are uneven.
+    """
+    n, split = len(digits), len(legs) // 2
+    (prefix, at_prefix), (suffix, at_suffix) = (
+        _trie(list(itertools.accumulate((digits[:, leg] for leg in side),
+                                        lambda key, digit: 4 * key + digit,
+                                        initial=np.zeros(n, dtype=np.intp))))
+        for side in (legs[:split], legs[split:][::-1])
+    )
+    pair = np.arange(n) // (n // slots) * n + at_prefix
+    order = np.argsort(pair, kind="stable")
+    run = np.bincount(pair)
+    run = run[run > 0]
+    if np.ptp(run):
+        raise ValueError("uneven entries per (slot, prefix) pair")
+    return SplitPlan(prefix, suffix, digits[order], at_suffix[order],
+                     at_prefix[order][:: run[0]])
+
+
+def _trie(keys: list[np.ndarray]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """A product trie's levels over ever longer entry keys, root key first,
+    and each entry's node at the last level."""
+    levels: list[np.ndarray] = []
+    nodes = np.zeros(1, dtype=np.intp)
+    for key in keys[1:]:
+        counts = np.bincount(key)
+        parents, nodes = len(nodes), np.flatnonzero(counts)  # parent-major
+        # equal entries per node make every fan-out equal
+        if np.ptp(counts[nodes]):
+            raise ValueError("uneven entries per product-trie node")
+        last = (nodes % 4).reshape(parents, -1)
+        levels.append(last[:1] if np.all(last == last[0]) else last)
+    return tuple(levels), np.searchsorted(nodes, keys[-1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -401,8 +461,7 @@ def schedule_for(layout: HolographicLayout) -> ContractionSchedule:
     """
     radius = layout.radius
     qubit_of = {slot: q for q, slot in enumerate(layout.boundary)}
-    (block,) = CodeTensor.from_code(seven_qubit_state()).digit_tables().values()
-    block = block.astype(np.intp)
+    block = _block_digits()
     labels = tuple(class_labels(1))
     rank = np.argsort([label.key() for label in labels])  # leg-0 code -> run
     # a table depends only on its slot legs; the center has none of its own
@@ -430,14 +489,21 @@ def schedule_for(layout: HolographicLayout) -> ContractionSchedule:
                 in_legs=in_legs,
                 chain=tuple(chain),
                 deferred_leg=deferred[0] if deferred else None,
-                leaf_legs=tuple(
-                    (leg, qubit_of[(name, leg)]) for leg in node.leaf_legs
-                ),
+                leaf_legs=tuple([(leg, qubit_of[name, leg]) for leg in node.leaf_legs]),
                 d_out=1 if node.kind == "center" else d_out,
                 digits=tables[slot_legs],
             )
         )
     return ContractionSchedule(steps=tuple(steps), labels=labels)
+
+
+@functools.cache
+def _block_digits() -> np.ndarray:
+    """The seven-qubit block's digit table, one row per tensor entry; read-only."""
+    (block,) = CodeTensor.from_code(seven_qubit_state()).digit_tables().values()
+    block = block.astype(np.intp)
+    block.flags.writeable = False
+    return block
 
 
 def _grouped(table: np.ndarray, slot: np.ndarray, n_slots: int) -> np.ndarray:

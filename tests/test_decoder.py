@@ -1,6 +1,7 @@
 """Network likelihood evaluation and its bookkeeping."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,63 @@ def test_leaf_groups_follow_replaced_steps(holo):
     assert not np.array_equal(got.mantissas, want.mantissas)
 
 
+@pytest.mark.parametrize("name, runs", [("c", 4), ("1.0", 16)])
+def test_split_plans_follow_replaced_steps(holo, name, runs):
+    # split plans live on the schedule and are derived again from replaced
+    # steps.  Rolling a table by one run hands each label's (or slot's) rows
+    # to the next, so the mantissas change only if the plan follows the rows
+    layout, schedule = holo[3]
+    (step,) = [s for s in schedule.steps if s.name == name]
+    assert step.chain
+    moved = dataclasses.replace(
+        step, digits=np.roll(step.digits, len(step.digits) // runs, axis=0)
+    )
+    other = dataclasses.replace(schedule, steps=tuple(
+        moved if s is step else s for s in schedule.steps
+    ))
+    (group,) = [g for g in other.groups if g.steps == (moved,)]
+    (old,) = [g for g in schedule.groups if g.steps == (step,)]
+    assert not np.array_equal(group.plan.digits, old.plan.digits)
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    (leaves,) = _leaf_stack(layout.n, noise, 1, 3)
+    want = likelihoods_network(layout, schedule, noise, leaves=leaves)
+    got = likelihoods_network(layout, other, noise, leaves=leaves)
+    assert not np.array_equal(got.mantissas, want.mantissas)
+    if name == "c":  # label L now closes label L - 1's rows
+        np.testing.assert_allclose(got.mantissas, np.roll(want.mantissas, 1),
+                                   rtol=1e-12)
+
+
+def test_uneven_split_plans_raise(holo):
+    # a table whose entries no longer form the tensor's group leaves some
+    # (slot, prefix) pair or trie node short, which must fail loudly
+    layout, schedule = holo[3]
+    (step,) = [s for s in schedule.steps if s.name == "1.0"]
+    digits = step.digits.copy()
+    legs = [leg for leg, _ in step.chain]
+    digits[0, legs] = digits[1, legs]  # entries 0 and 1 now share a pair
+    bad = dataclasses.replace(step, digits=digits)
+    with pytest.raises(ValueError, match="uneven"):
+        dataclasses.replace(schedule, steps=tuple(
+            bad if s is step else s for s in schedule.steps
+        ))
+
+
+def test_radius_five_decode_memory_stays_small(holo5_topology):
+    # whole-table tries and one label's pairs at a time: about 5.5 MB, where
+    # the chain per entry peaked at 4.0 MB and gathering every pair of the
+    # seed at once at 13.4 MB
+    layout, schedule = holo5_topology
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    tracemalloc.start()
+    try:
+        likelihoods_network(layout, schedule, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
+
+
 def test_relabeling_covariance(holo):
     # a pure error shifted by a stabilizer leaves the table alone; shifted
     # by a logical representative it permutes the classes and leaves the
@@ -244,11 +302,12 @@ def test_op_counter_radius_one(holo):
 
 
 @pytest.mark.parametrize("radius, total, by_category", [
-    (4, 3_657_984,
-     {"leaf": 106_752, "matmul": 3_466_240, "combine": 82_944, "trace": 2_048}),
-    (5, 223_832_832,
-     {"leaf": 511_488, "matmul": 222_118_912, "combine": 1_194_240,
-      "trace": 8_192}),
+    pytest.param(4, 1_066_848,
+                 {"leaf": 106_752, "matmul": 795_488, "combine": 131_840,
+                  "trace": 32_768}, id="4"),
+    pytest.param(5, 54_034_560,
+                 {"leaf": 511_488, "matmul": 51_003_776, "combine": 1_995_008,
+                  "trace": 524_288}, id="5"),
 ])
 def test_op_counts_charge_leaf_nodes_one_by_one(holo, holo5_topology, radius,
                                                 total, by_category):
