@@ -139,6 +139,8 @@ def _read_config(path: str) -> dict[str, tuple[str, str]]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"{where}: unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"{where}: key {key!r} repeats {out[key][1]}")
         out[key] = (value, where)
     return out
 

@@ -213,10 +213,10 @@ def likelihoods_network(
     for group in schedule.groups:
         factors = _factors(group, leaves, messages, counter)
         if group.steps[0].kind == "center":
-            # one label's pairs at a time keeps the gathered matrices small
-            n = len(schedule.labels)
-            out = np.stack([_close_pairs(group, label, n, *factors, counter)
-                            for label in range(n)], axis=-1)
+            # one label's pairs at a time, at its slot label.key() of the
+            # seed's four, keeps the gathered matrices small
+            out = np.stack([_close_pairs(group, label.key(), 4, *factors, counter)
+                            for label in schedule.labels], axis=-1)
         else:
             # no name keeps the pair stack, so it is freed before the next group
             out = _sum_runs(group, _close_pairs(group, 0, 1, *factors, counter),

@@ -78,7 +78,7 @@ def trial_bytes(schedule: ContractionSchedule) -> int:
     on the safe side.
     """
     return max(
-        8 * len(group.steps[0].digits) * max(
+        8 * len(group.plan.digits) * max(
             2 * len(group.steps), len(group.steps[0].leaf_legs),
             group.steps[0].d_out ** 2,
         )

@@ -6,7 +6,9 @@ child to every free leg of the previous ring; children sitting between two
 adjacent parents use two legs ("corner" nodes), the rest use one ("single"
 nodes).  The module builds the layout graph, assembles the contracted
 stabilizer code, and derives a contraction schedule whose bond dimensions
-are exactly 4^(R - r) between rings at radius r.
+are exactly 4^(R - r) between rings at radius r.  Every step of a schedule
+reads the block's one digit table; the seed is the block with its
+reference leg 0, which carries the class label, bound as an in-leg.
 
 The code is assembled as the fold of two-tensor contractions
 ``contract(block, acc, binding)`` over the attachments, but on packed GF(2)
@@ -86,9 +88,11 @@ class ScheduleStep:
     matrix-product order; a corner child brings a second parent-facing
     index that is fused into this node's left bond.
     ``deferred_leg`` is the leg bound to the corner child consumed by the
-    next node around the ring; its index joins the right bond.
-    ``digits`` lists the node's tensor entries as per-leg codes, in equal
-    contiguous runs, one per output slot (see :func:`schedule_for`).
+    next node around the ring; its index joins the right bond.  Legs are
+    numbered as the block's, whose one table every step reads, and an
+    entry's output slot is its code on ``in_legs`` (first in-leg major),
+    then on ``deferred_leg``.  The seed's in-leg is the block's reference
+    leg 0, which carries the class label, and seed leg j is block leg j + 1.
     """
 
     name: str
@@ -98,7 +102,6 @@ class ScheduleStep:
     deferred_leg: int | None
     leaf_legs: tuple[tuple[int, int], ...]  # (own leg, boundary qubit)
     d_out: int
-    digits: np.ndarray  # (entries, legs) intp
 
     @property
     def leaf_only(self) -> bool:
@@ -114,9 +117,10 @@ class SplitPlan:
     The prefix trie multiplies the first ``len(prefix)`` children, the
     suffix trie the rest from the far end.  A level lists its nodes' last
     digits as a (parents, fan-out) array, or as one row if every parent
-    extends alike.  ``digits`` are the step's entry rows sorted by (output
-    slot, prefix), in equal runs per pair; ``entry_suffix`` and
-    ``pair_prefix`` index the tries' last levels.
+    extends alike.  ``digits`` are the block's entry rows sorted by
+    (output slot, prefix), in equal runs per slot and per pair, so the
+    executor sums them by reshaping; ``entry_suffix`` and ``pair_prefix``
+    index the tries' last levels.
     """
 
     prefix: tuple[np.ndarray, ...]
@@ -130,9 +134,9 @@ class SplitPlan:
 class StepGroup:
     """Steps that the executor contracts as one.
 
-    Either leaf-only steps that share a digit table, leaf legs, in-legs and
-    deferred leg, or any other single step.  ``qubits[g, j]`` is the
-    boundary qubit on the j-th leaf leg of ``steps[g]``.
+    Either leaf-only steps that share leaf legs, in-legs and deferred leg,
+    or any other single step.  ``qubits[g, j]`` is the boundary qubit on
+    the j-th leaf leg of ``steps[g]``.
     """
 
     steps: tuple[ScheduleStep, ...]
@@ -142,26 +146,27 @@ class StepGroup:
 
 @dataclass(frozen=True, slots=True)
 class ContractionSchedule:
-    """Leaf-to-root ordering of steps, and the class label of each center run.
+    """Leaf-to-root ordering of steps over one block table, and the labels.
 
-    ``groups`` partitions the steps, each group at its first step, so the
-    center's group comes last.  It is derived from ``steps`` on
+    ``block`` holds the seven-qubit block's entries as per-leg codes, one
+    row per tensor entry in any order; every step reads it.  ``groups``
+    partitions the steps, each group at its first step, so the center's
+    group comes last.  It is derived from ``steps`` and ``block`` on
     construction, with each group's :class:`SplitPlan`, so a schedule
-    rebuilt with other steps (``dataclasses.replace``) is regrouped and
-    replanned, never left stale.
+    rebuilt with other steps or another table (``dataclasses.replace``) is
+    regrouped and replanned, never left stale.
     """
 
     steps: tuple[ScheduleStep, ...]
     labels: tuple[PauliString, ...]
+    block: np.ndarray  # (entries, 7) intp
     groups: tuple[StepGroup, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         members: dict[object, tuple[list, list]] = {}
         for step in self.steps:
             legs, qubits = zip(*step.leaf_legs) if step.leaf_legs else ((), ())
-            # steps of one layout share their table object; equal tables in
-            # separate arrays only cost an extra group
-            key = ((id(step.digits), legs, step.in_legs, step.deferred_leg)
+            key = ((legs, step.in_legs, step.deferred_leg)
                    if step.leaf_only else step.name)
             steps, rows = members.setdefault(key, ([], []))
             steps.append(step)
@@ -170,37 +175,42 @@ class ContractionSchedule:
         groups = []
         for steps, rows in members.values():
             first = steps[0]
-            slots = (len(self.labels) if first.kind == "center" else
-                     4 ** (len(first.in_legs) + (first.deferred_leg is not None)))
-            key = (id(first.digits), next(zip(*first.chain), ()), slots)
+            deferred = () if first.deferred_leg is None else (first.deferred_leg,)
+            key = (next(zip(*first.chain), ()), first.in_legs + deferred)
             if key not in plans:
-                plans[key] = _split_plan(first.digits, key[1], slots)
+                plans[key] = _split_plan(self.block, *key)
             qubits = np.array(rows, dtype=np.intp).reshape(len(rows), -1)
             groups.append(StepGroup(tuple(steps), qubits, plans[key]))
         object.__setattr__(self, "groups", tuple(groups))
 
 
-def _split_plan(digits: np.ndarray, legs: tuple[int, ...], slots: int) -> SplitPlan:
-    """Split the chain over ``legs`` at its midpoint into two product tries.
+def _split_plan(block: np.ndarray, chain_legs: tuple[int, ...],
+                slot_legs: tuple[int, ...]) -> SplitPlan:
+    """Split the chain over ``chain_legs`` at its midpoint into two product tries.
 
-    Entry keys are base-4 integers of their digits, outer chain legs major,
-    so a trie node's parent key is its own key // 4.  Raises ValueError if
-    the (slot, prefix) pairs or a trie level are uneven.
+    Entry keys are base-4 integers of their digits, outer legs major, so a
+    trie node's parent key is its own key // 4; an entry's output slot is
+    its key over ``slot_legs``.  The plan's rows are the block's, stably
+    sorted by (slot, prefix).  Raises ValueError if the slots, the (slot,
+    prefix) pairs or a trie level are uneven.
     """
-    n, split = len(digits), len(legs) // 2
+    n, split = len(block), len(chain_legs) // 2
     (prefix, at_prefix), (suffix, at_suffix) = (
-        _trie(list(itertools.accumulate((digits[:, leg] for leg in side),
+        _trie(list(itertools.accumulate((block[:, leg] for leg in side),
                                         lambda key, digit: 4 * key + digit,
                                         initial=np.zeros(n, dtype=np.intp))))
-        for side in (legs[:split], legs[split:][::-1])
+        for side in (chain_legs[:split], chain_legs[split:][::-1])
     )
-    pair = np.arange(n) // (n // slots) * n + at_prefix
+    slot = block[:, list(slot_legs)] @ 4 ** np.arange(len(slot_legs))[::-1]
+    if np.ptp(np.bincount(slot, minlength=4 ** len(slot_legs))):
+        raise ValueError("uneven entries per output slot")
+    pair = slot * n + at_prefix
     order = np.argsort(pair, kind="stable")
     run = np.bincount(pair)
     run = run[run > 0]
     if np.ptp(run):
         raise ValueError("uneven entries per (slot, prefix) pair")
-    return SplitPlan(prefix, suffix, digits[order], at_suffix[order],
+    return SplitPlan(prefix, suffix, block[order], at_suffix[order],
                      at_prefix[order][:: run[0]])
 
 
@@ -455,32 +465,24 @@ def schedule_for(layout: HolographicLayout) -> ContractionSchedule:
     child-bound leg is deferred to the neighbour and its leg index joins
     the right bond.  Bond dimensions between layers l and l+1 are
     4^(radius - 1 - l); chains have radius 1, so all their bonds are 1.
-    Every step reads the block's digit table grouped by output slot (in-leg
-    codes, first in-leg major, then the deferred leg's code); the seed reads
-    it grouped by the block's reference leg 0, in class order, leg dropped.
+    Every step reads the one block table, :func:`_block_digits`, with legs
+    and output slots as :class:`ScheduleStep` describes, so the seed's
+    slots are the class labels' keys.
     """
     radius = layout.radius
     qubit_of = {slot: q for q, slot in enumerate(layout.boundary)}
-    block = _block_digits()
-    labels = tuple(class_labels(1))
-    rank = np.argsort([label.key() for label in labels])  # leg-0 code -> run
-    # a table depends only on its slot legs; the center has none of its own
-    tables = {(): _grouped(block, rank[block[:, 0]], len(labels))[:, 1:]}
     steps: list[ScheduleStep] = []
     for node in sorted(layout.nodes.values(), key=lambda node: -node.layer):
         name = node.name
+        shift = int(node.kind == "center")  # seed leg j is block leg j + 1
         chain: list[tuple[int, str]] = []  # in ascending own-leg order
         deferred: list[int] = []
         for leg, child, in_leg in node.children:
             if layout.nodes[child].kind == "corner" and in_leg == CORNER_IN_LEGS[1]:
-                deferred.append(leg)
+                deferred.append(leg + shift)
             else:
-                chain.append((leg, child))
-        in_legs = tuple(leg for leg, _, _ in node.in_links)
-        slot_legs = in_legs + tuple(deferred)
-        if slot_legs not in tables:
-            slot = block[:, slot_legs] @ 4 ** np.arange(len(slot_legs))[::-1]
-            tables[slot_legs] = _grouped(block, slot, 4 ** len(slot_legs))
+                chain.append((leg + shift, child))
+        in_legs = (0,) if shift else tuple(leg for leg, _, _ in node.in_links)
         d_out = 4 ** max(radius - 1 - node.layer, 0)
         steps.append(
             ScheduleStep(
@@ -489,12 +491,13 @@ def schedule_for(layout: HolographicLayout) -> ContractionSchedule:
                 in_legs=in_legs,
                 chain=tuple(chain),
                 deferred_leg=deferred[0] if deferred else None,
-                leaf_legs=tuple([(leg, qubit_of[name, leg]) for leg in node.leaf_legs]),
+                leaf_legs=tuple([(leg + shift, qubit_of[name, leg])
+                                 for leg in node.leaf_legs]),
                 d_out=1 if node.kind == "center" else d_out,
-                digits=tables[slot_legs],
             )
         )
-    return ContractionSchedule(steps=tuple(steps), labels=labels)
+    return ContractionSchedule(steps=tuple(steps), labels=tuple(class_labels(1)),
+                               block=_block_digits())
 
 
 @functools.cache
@@ -504,18 +507,6 @@ def _block_digits() -> np.ndarray:
     block = block.astype(np.intp)
     block.flags.writeable = False
     return block
-
-
-def _grouped(table: np.ndarray, slot: np.ndarray, n_slots: int) -> np.ndarray:
-    """The rows of ``table`` stably sorted by ``slot``, one equal run per slot.
-
-    Every slot in range(n_slots) must own the same number of rows, since
-    the executor sums the runs by reshaping; otherwise ValueError.
-    """
-    counts = np.bincount(slot, minlength=n_slots)
-    if np.any(counts != counts[0]):
-        raise ValueError(f"uneven rows per output slot: {counts.tolist()}")
-    return table[np.argsort(slot, kind="stable")]
 
 
 # ---------------------------------------------------------------------------

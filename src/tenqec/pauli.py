@@ -100,6 +100,8 @@ class PauliString:
     def single(cls, n: int, qubit: int, code: int | str) -> "PauliString":
         """A single-qubit operator embedded in ``n`` qubits."""
         if isinstance(code, str):
+            if code.upper() not in _CHAR_TO_CODE:
+                raise ValueError(f"invalid Pauli character {code!r}")
             code = _CHAR_TO_CODE[code.upper()]
         if not 0 <= qubit < n:
             raise ValueError(f"qubit {qubit} out of range for n={n}")

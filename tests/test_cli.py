@@ -133,6 +133,14 @@ def test_mc_run_config_rejects_unknown_keys(tmp_path, capsys):
     assert err.startswith(f"error: {cfg}: line 4: unknown key 'sead'")
 
 
+def test_mc_run_config_rejects_repeated_keys(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("radius=1\np=0.1\ntrials=5\ntrials=7\n")
+    assert main(["mc-run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: line 4: key 'trials' repeats {cfg}: line 3")
+
+
 def test_mc_run_config_names_a_bad_value(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p=0.1\nradius=abc\ntrials=5\n")

@@ -17,7 +17,7 @@ from tenqec import (
     schedule_for,
     seven_qubit_state,
 )
-from tenqec.holographic import CORNER_IN_LEGS, SINGLE_IN_LEG, _grouped
+from tenqec.holographic import CORNER_IN_LEGS, SINGLE_IN_LEG, _block_digits, _split_plan
 
 
 NODE_COUNTS = {1: 1, 2: 7, 3: 37, 4: 181}
@@ -139,21 +139,21 @@ def test_schedule_bond_dimensions(holo):
                 assert d_out[child] == 4 ** max(r - 2 - node.layer, 0)
 
 
-def _row_slots(step):
-    """Each row's output slot, read from its own digits, and the slot count."""
-    legs = step.in_legs + (() if step.deferred_leg is None else (step.deferred_leg,))
-    slot = np.zeros(len(step.digits), dtype=np.intp)
-    for leg in legs:
-        slot = slot * 4 + step.digits[:, leg]
-    return slot, 4 ** len(legs)
-
-
-def _assert_slot_grouped(step, block_keys):
-    # the block's own rows, reordered so that row i lies in slot i // run
-    assert step.digits.shape == (128, 7)
-    assert sorted(_keys(step.digits)) == block_keys
-    slot, n_slots = _row_slots(step)
-    assert np.array_equal(slot, np.arange(128) // (128 // n_slots))
+def _assert_reads_block(schedule, block_keys):
+    # one table of the block's own rows, stored as an index array so the
+    # executor gathers with it as it is
+    assert schedule.block is _block_digits()
+    assert schedule.block.dtype == np.intp
+    assert schedule.block.shape == (128, 7)
+    assert sorted(_keys(schedule.block)) == block_keys
+    # each plan reorders it so that row i lies in slot i // run, the slot
+    # read from the row's own in-leg and deferred-leg digits
+    for group in schedule.groups:
+        first = group.steps[0]
+        deferred = () if first.deferred_leg is None else (first.deferred_leg,)
+        legs = first.in_legs + deferred
+        slot = group.plan.digits[:, legs] @ 4 ** np.arange(len(legs))[::-1]
+        assert np.array_equal(slot, np.arange(128) // (128 // 4 ** len(legs)))
 
 
 def _keys(digits):
@@ -168,31 +168,33 @@ def _block_keys(block_tensor):
 def test_schedule_digit_tables(holo, block_tensor):
     block_keys = _block_keys(block_tensor)
     for _, schedule in holo.values():
-        for step in schedule.steps:
-            # stored as index arrays, so the executor gathers with them as they are
-            assert step.digits.dtype == np.intp
-            if step.kind == "center":
-                assert step.digits.shape == (128, 6)  # rows checked below
-            else:
-                _assert_slot_grouped(step, block_keys)
+        _assert_reads_block(schedule, block_keys)
 
 
 def test_center_table_is_the_seed(holo, six_tensor):
-    # the block grouped by its reference leg is the seed, label by label
+    # the block's rows at reference-leg code label.key() are the seed's
+    # rows of that label, on block legs 1-6
     seed = six_tensor.digit_tables()
     for _, schedule in holo.values():
-        (center,) = [step for step in schedule.steps if step.kind == "center"]
+        (center,) = schedule.groups[-1].steps
+        assert center.in_legs == (0,)
         assert list(schedule.labels) == list(seed)
-        runs = np.split(center.digits, len(schedule.labels))
-        for label, run in zip(schedule.labels, runs):
-            assert np.array_equal(run, seed[label])
+        runs = np.split(schedule.groups[-1].plan.digits, len(schedule.labels))
+        for label in schedule.labels:
+            assert sorted(_keys(runs[label.key()][:, 1:])) == sorted(
+                _keys(seed[label]))
 
 
 def test_uneven_slots_raise():
-    with pytest.raises(ValueError, match="uneven"):
-        _grouped(np.zeros((4, 7), dtype=np.intp), np.array([0, 0, 0, 1]), 2)
-    with pytest.raises(ValueError, match="uneven"):
-        _grouped(np.zeros((4, 7), dtype=np.intp), np.array([0, 0, 1, 1]), 3)
+    # slot 0 owns three entries and slot 1 one
+    with pytest.raises(ValueError, match="uneven entries per output slot"):
+        _split_plan(np.array([[0], [0], [0], [1]]), (), (0,))
+    # even slots (leg 0) and tries, but each slot splits its four entries
+    # 3 + 1 over the prefixes on leg 1
+    table = np.array([[slot, prefix, i % 2] for slot in range(4) for i, prefix
+                      in enumerate([slot // 2] * 3 + [1 - slot // 2])])
+    with pytest.raises(ValueError, match="uneven entries per \\(slot, prefix\\)"):
+        _split_plan(table, (1, 2), (0,))
 
 
 def test_chain_layout_shapes():
@@ -231,10 +233,7 @@ CHAINS = (
 
 @pytest.mark.parametrize("links", CHAINS)
 def test_every_chain_step_table_is_slot_grouped(links, block_tensor):
-    block_keys = _block_keys(block_tensor)
-    for step in schedule_for(chain_layout(links)).steps:
-        if step.kind != "center":
-            _assert_slot_grouped(step, block_keys)
+    _assert_reads_block(schedule_for(chain_layout(links)), _block_keys(block_tensor))
 
 
 @pytest.mark.parametrize("links", CHAINS)
@@ -268,7 +267,7 @@ def _assert_groups_partition(layout, schedule):
             assert [q for _, q in step.leaf_legs] == qubits.tolist()
         if len(group.steps) > 1:
             for step in group.steps:
-                assert step.leaf_only and step.digits is first.digits
+                assert step.leaf_only
                 assert [leg for leg, _ in step.leaf_legs] == [
                     leg for leg, _ in first.leaf_legs
                 ]
@@ -286,7 +285,13 @@ def _assert_groups_partition(layout, schedule):
 @pytest.mark.parametrize("radius", [1, 2, 3, 4, 5])
 def test_step_groups_partition_ring_schedules(radius):
     layout = build_layout(radius, with_code=False)
-    _assert_groups_partition(layout, schedule_for(layout))
+    schedule = schedule_for(layout)
+    _assert_groups_partition(layout, schedule)
+    # groups with the same chain and slot legs share one plan; a plan per
+    # step would cost about 0.26 ms each, 181 times over at radius 5
+    assert len(schedule.groups) == {1: 1, 2: 2, 3: 9, 4: 39, 5: 183}[radius]
+    plans = {id(group.plan) for group in schedule.groups}
+    assert len(plans) == {1: 1, 2: 2, 3: 4, 4: 5, 5: 5}[radius]
 
 
 @pytest.mark.parametrize("links", CHAINS)

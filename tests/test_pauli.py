@@ -160,6 +160,13 @@ def test_from_text_rejects_garbage():
         PauliString.from_text("XQZ")
 
 
+def test_single_rejects_garbage():
+    with pytest.raises(ValueError, match="invalid Pauli character 'Q'"):
+        PauliString.single(3, 0, "Q")
+    with pytest.raises(ValueError, match="invalid Pauli character 'XY'"):
+        PauliString.single(3, 0, "XY")
+
+
 def test_mismatched_lengths_rejected():
     a = PauliString.from_text("XX")
     b = PauliString.from_text("XXX")
