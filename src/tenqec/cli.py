@@ -269,10 +269,11 @@ def _cmd_verify(args) -> int:
     observed: dict[str, tuple[int, int]] = {}
     sched2 = schedule_for(r2)
     noise2 = NoiseModel.depolarizing(r2.n, 0.1)
-    likelihoods_network(r2, sched2, noise2, bond_observer=observed)
+    likelihoods_network(r2, sched2, noise2, leaves=noise2.probs,
+                        bond_observer=observed)
     bonds_ok = all(dims == (1, 1) for dims in observed.values())
     counter = OpCounter()
-    likelihoods_network(r2, sched2, noise2, counter=counter)
+    likelihoods_network(r2, sched2, noise2, leaves=noise2.probs, counter=counter)
     bound = predicted_op_count(r2)
     check("radius-2 bond dims and work bound",
           bonds_ok and counter.total <= bound,

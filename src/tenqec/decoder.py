@@ -8,8 +8,9 @@ children before parents, with messages whose bond dimensions stay at
 4^(radius - r).  One executor path runs every step group of the
 schedule: the outer ring's nodes, which only weigh leaves, in a few groups
 of one gather per leaf leg each, and every inner node in a group of its
-own.  The brute-force reference is :mod:`tenqec.oracle`, which the test
-suite compares against to 1e-10.
+own, on a syndrome or a leaf table; :func:`row_bytes` charges one row's
+temporaries.  The brute-force reference is :mod:`tenqec.oracle`, which
+the test suite compares against to 1e-10.
 """
 
 from __future__ import annotations
@@ -57,17 +58,12 @@ class NoiseModel:
         return cls(np.tile(row, (n, 1)))
 
 
-def leaf_probabilities(
-    noise: NoiseModel, pure_error: PauliString | None = None
-) -> np.ndarray:
+def leaf_probabilities(noise: NoiseModel, pure_error: PauliString) -> np.ndarray:
     """Per-qubit leaf vectors: leaf[i, g] = probs[i, code of E_i * g].
 
-    With no pure error this is just the noise table; otherwise column g is
-    the probability of the recovery-shifted Pauli on that qubit, whose code
-    is the XOR of the two codes.
+    Column g is the probability of the recovery-shifted Pauli on that
+    qubit, whose code is the XOR of the two codes.
     """
-    if pure_error is None:
-        return noise.probs.copy()
     if pure_error.n != noise.n:
         raise ValueError("pure error length must match the noise model")
     (leaves,) = packed_leaf_probabilities(noise, *pack([pure_error], noise.n))
@@ -174,10 +170,11 @@ def likelihoods_network(
     largest entry, with the logs pooled into the table's log_scale, so
     deep layouts never underflow.  The seed instead closes its ring, one
     class label's pairs at a time.
-    The leaf table is ``leaves`` when given, else
-    ``leaf_probabilities(noise, layout.code.pure_error(syndrome))``, or the
-    noise table when neither is given; passing both raises ValueError, and
-    so does a leaf entry that is negative or not finite.
+    The leaf table is ``leaves`` or, for a syndrome,
+    ``leaf_probabilities(noise, layout.code.pure_error(syndrome))``.
+    Passing neither or both raises ValueError, and so do a leaf entry that
+    is negative or not finite and a schedule whose leaf qubits do not
+    number ``layout.n``.
 
     ``leaves`` of shape (B, n, 4) contracts B leaf tables at once, along
     a leading batch axis of every message, and returns a list of B
@@ -188,23 +185,24 @@ def likelihoods_network(
     exactly across calls.  ``bond_observer`` collects each message's
     observed (left, right) bond dimensions.
     """
+    qubits = sum(group.qubits.size for group in schedule.groups)
+    if qubits != layout.n:
+        raise ValueError(f"schedule has {qubits} leaf qubits, layout has {layout.n}")
+    if (syndrome is None) == (leaves is None):
+        raise ValueError("pass a syndrome or a leaf table, not both or neither")
     if syndrome is not None:
-        if leaves is not None:
-            raise ValueError("pass a syndrome or a leaf table, not both")
         if layout.code is None:
             raise ValueError("layout carries no code to map the syndrome")
         leaves = leaf_probabilities(noise, layout.code.pure_error(syndrome))
-    elif leaves is None:
-        leaves = leaf_probabilities(noise)
+    if (leaves.ndim not in (2, 3) or leaves.shape[-2:] != (layout.n, 4)
+            or not leaves.size):
+        raise ValueError(f"leaf table of shape {leaves.shape} is not (n, 4) or "
+                         f"(B, n, 4) with n = {layout.n} and B >= 1")
     single = leaves.ndim == 2
-    if single:
-        leaves = leaves[None]
-    if leaves.ndim != 3 or leaves.shape[1:] != (layout.n, 4):
-        raise ValueError("leaf table must have shape (n, 4) or (B, n, 4)")
     # (B, 4n) floats, so messages renormalize in place: entry gathers are
     # np.take along axis 1, which keeps every stack C-ordered with the batch
     # axis outermost, as matmul wants
-    leaves = np.ascontiguousarray(leaves, dtype=np.float64).reshape(len(leaves), -1)
+    leaves = np.ascontiguousarray(leaves, dtype=np.float64).reshape(-1, 4 * layout.n)
     if not (np.isfinite(leaves).all() and (leaves >= 0).all()):
         raise ValueError("leaf table entries must be finite and nonnegative")
 
@@ -234,6 +232,14 @@ def likelihoods_network(
         for m, s in zip(mantissas, log_scale)
     ]
     return tables[0] if single else tables
+
+
+def row_bytes(schedule: ContractionSchedule) -> int:
+    """Bytes of the largest group temporary per row of a leaf stack: for each
+    entry of each node, two float64 of leaf weights (running product and one
+    gathered leg) or, with children, one bond matrix of its trie or pairs."""
+    return max(8 * len(group.plan.digits) * len(group.steps)
+               * max(2, group.steps[0].d_out ** 2) for group in schedule.groups)
 
 
 def _renormalize(out: np.ndarray) -> np.ndarray:

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import NoiseModel, likelihoods_network, packed_leaf_probabilities
+from .decoder import (
+    NoiseModel, likelihoods_network, packed_leaf_probabilities, row_bytes,
+)
 from .holographic import ContractionSchedule, HolographicLayout
 from .pauli import pack
 
@@ -67,33 +69,14 @@ class ThresholdFit:
     rss: float
 
 
-def trial_bytes(schedule: ContractionSchedule) -> int:
-    """Bytes of the largest per-group temporary of one trial's contraction.
-
-    A group's leaf weights hold two float64 per tensor entry of each of its
-    nodes: the running product and one gathered leg.  A one-step group's
-    trie, suffix and pair stacks hold at most a bond matrix per entry.
-    Each entry of a group is charged the larger of those, or of one node's
-    leaf legs, which keeps a lone node with leaf legs (the seed at radius 1)
-    on the safe side.
-    """
-    return max(
-        8 * len(group.plan.digits) * max(
-            2 * len(group.steps), len(group.steps[0].leaf_legs),
-            group.steps[0].d_out ** 2,
-        )
-        for group in schedule.groups
-    )
-
-
 def chunk_size(schedule: ContractionSchedule) -> int:
-    """Trials decoded per ``likelihoods_network`` call: CHUNK_BYTES' worth.
+    """Trials decoded per ``likelihoods_network`` call: CHUNK_BYTES // row_bytes.
 
-    170 at radius 1, 85 at radius 2, 21 at radius 3 and 4 at radius 4,
-    where the outer ring's leaf groups or an inner ring's bond matrices set
-    the size, and 1 from radius 5 on.
+    512 at radius 1, 85 at radius 2, 21 at radius 3 and 4 at radius 4,
+    where the seed's or the outer ring's leaf weights or an inner ring's
+    bond matrices set the size, and 1 from radius 5 on.
     """
-    return max(1, CHUNK_BYTES // trial_bytes(schedule))
+    return max(1, CHUNK_BYTES // row_bytes(schedule))
 
 
 class TrialRunner:
@@ -301,9 +284,10 @@ def read_points(path: str) -> list[McPoint]:
     """Read a sweep CSV; a bad byte, header or row raises ValueError naming its line.
 
     A row must be one :func:`write_points` could write: finite p,
-    failure_rate and std_err, p in [0, 1], at least one trial and
-    0 <= failures <= trials.  failure_rate is not checked against
-    failures / trials, so idealized rates load.
+    failure_rate and std_err, p in [0, 1], at least one trial,
+    0 <= failures <= trials, failure_rate in [0, 1] and std_err >= 0.
+    failure_rate is not checked against failures / trials, so idealized
+    rates load.
     """
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = tuple(next(reader, ()))
@@ -323,14 +307,18 @@ def read_points(path: str) -> list[McPoint]:
         for name in ("p", "failure_rate", "std_err"):
             if not math.isfinite(getattr(pt, name)):
                 raise ValueError(f"{where}: {name} {getattr(pt, name)!r} is not finite")
-        if not 0 <= pt.p <= 1:
-            raise ValueError(f"{where}: p {pt.p!r} outside [0, 1]")
         if pt.trials < 1:
             raise ValueError(f"{where}: trials {pt.trials} below 1")
         if not 0 <= pt.failures <= pt.trials:
             raise ValueError(
                 f"{where}: failures {pt.failures} outside [0, {pt.trials}]"
             )
+        for name in ("p", "failure_rate"):
+            value = getattr(pt, name)
+            if not 0 <= value <= 1:
+                raise ValueError(f"{where}: {name} {value!r} outside [0, 1]")
+        if pt.std_err < 0:
+            raise ValueError(f"{where}: std_err {pt.std_err!r} is negative")
         points.append(pt)
     return points
 

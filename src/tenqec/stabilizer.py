@@ -491,22 +491,24 @@ def code_to_json_dict(code: StabilizerCode) -> dict:
 
 
 def code_from_json_dict(data: dict) -> StabilizerCode:
-    """Load a code description; pure errors are optional and re-solved."""
-    try:
-        n = int(data["n"])
-        stabilizers = list(data["stabilizers"])
-        logical_x = list(data.get("logical_x", []))
-        logical_z = list(data.get("logical_z", []))
-    except KeyError as exc:
-        raise ValueError(f"code description missing field {exc.args[0]!r}") from exc
-    pure = data.get("pure_errors")
+    """Load a code description: integers ``n`` and ``k`` (optional) and
+    arrays of Pauli strings, whose pure errors are optional and re-solved.
+    A missing or mistyped field raises ValueError naming it."""
+    for name in ("n", "stabilizers"):
+        if name not in data:
+            raise ValueError(f"code description missing field {name!r}")
+    for name in ("n", "k"):
+        if type(data.get(name, 0)) is not int:
+            raise ValueError(f"code description field {name!r} must be an integer")
+    for name in ("stabilizers", "logical_x", "logical_z", "pure_errors"):
+        value = data.get(name, [])
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise ValueError(
+                f"code description field {name!r} must be an array of strings")
     code = StabilizerCode.from_operators(
-        stabilizers,
-        logical_x=logical_x,
-        logical_z=logical_z,
-        n=n,
-        pure_errors=pure,
+        data["stabilizers"], data.get("logical_x", []), data.get("logical_z", []),
+        n=data["n"], pure_errors=data.get("pure_errors"),
     )
-    if int(data.get("k", code.k)) != code.k:
+    if data.get("k", code.k) != code.k:
         raise ValueError("declared k does not match the operator lists")
     return code

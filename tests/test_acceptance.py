@@ -184,7 +184,7 @@ def test_criterion_4_layered_construction_validity(holo):
         observed = {}
         noise = NoiseModel.depolarizing(layout.n, 0.1)
         likelihoods_network(
-            layout, schedule, noise, bond_observer=observed
+            layout, schedule, noise, leaves=noise.probs, bond_observer=observed
         )
         for step in schedule.steps:
             if step.kind == "center":
@@ -236,7 +236,8 @@ def test_criterion_6_decode_work_bound(holo, holo5_topology):
         layout, schedule = holo[r] if r in holo else holo5_topology
         noise = NoiseModel.depolarizing(layout.n, 0.1)
         counter = OpCounter()
-        likelihoods_network(layout, schedule, noise, counter=counter)
+        likelihoods_network(layout, schedule, noise, leaves=noise.probs,
+                            counter=counter)
         measured[r] = counter.total
         bounds[r] = predicted_op_count(layout)
         sizes[r] = layout.n

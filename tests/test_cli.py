@@ -189,7 +189,9 @@ def test_mc_run_names_the_config_line_of_an_out_of_range_value(tmp_path, capsys)
 
 
 def test_fit_threshold_from_csv(tmp_path, capsys):
-    # synthetic curves with a known collapse; the fit must find it
+    # synthetic curves with a known collapse; the fit must find it.  The
+    # rates stay within [0.005, 0.952], since read_points rejects a
+    # failure_rate outside [0, 1]
     from tenqec import McPoint, write_points
 
     rows = []
@@ -198,7 +200,7 @@ def test_fit_threshold_from_csv(tmp_path, capsys):
             p = 0.14 + 0.005 * i
             x = (p - 0.188) * n ** (1 / 2.97)
             rows.append(
-                McPoint(radius, n, p, 2000, 0, 0.12 + 0.9 * x + 1.4 * x * x, 0.01)
+                McPoint(radius, n, p, 2000, 0, 0.15 + 0.9 * x + 1.4 * x * x, 0.01)
             )
     path = tmp_path / "synth.csv"
     write_points(str(path), rows)

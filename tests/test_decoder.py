@@ -33,8 +33,8 @@ def test_noise_model_validation():
 
 def test_leaf_probabilities_identity_pure_error():
     model = NoiseModel.depolarizing(2, 0.3)
-    leaves = leaf_probabilities(model)
-    assert np.allclose(leaves, model.probs)
+    leaves = leaf_probabilities(model, PauliString.identity(2))
+    assert np.array_equal(leaves, model.probs)
 
 
 def test_leaf_probabilities_permute_rows():
@@ -229,7 +229,7 @@ def test_radius_five_decode_memory_stays_small(holo5_topology):
     noise = NoiseModel.depolarizing(layout.n, 0.18)
     tracemalloc.start()
     try:
-        likelihoods_network(layout, schedule, noise)
+        likelihoods_network(layout, schedule, noise, leaves=noise.probs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -299,7 +299,8 @@ def test_op_counts_charge_leaf_nodes_one_by_one(holo, holo5_topology, radius,
     noise = NoiseModel.depolarizing(layout.n, 0.18)
     counter, bonds = OpCounter(), {}
     likelihoods_network(
-        layout, schedule, noise, counter=counter, bond_observer=bonds
+        layout, schedule, noise, leaves=noise.probs, counter=counter,
+        bond_observer=bonds,
     )
     assert counter.total == total
     assert counter.by_category == by_category
@@ -346,10 +347,10 @@ def test_syndrome_requires_code():
     noise = NoiseModel.depolarizing(layout.n, 0.1)
     with pytest.raises(ValueError):
         likelihoods_network(layout, schedule, noise, Syndrome(35, 1))
-    # trivial-syndrome contraction works without a code
-    table = likelihoods_network(layout, schedule, noise)
-    assert table.absolute(PauliString.from_text("I")) > 0
-    # so does an explicit leaf table
+    # neither a syndrome nor a leaf table is no input at all
+    with pytest.raises(ValueError, match="neither"):
+        likelihoods_network(layout, schedule, noise)
+    # an explicit leaf table contracts without a code
     table = likelihoods_network(layout, schedule, noise, leaves=noise.probs)
     assert table.absolute(PauliString.from_text("I")) > 0
 
@@ -370,10 +371,8 @@ def test_syndrome_of_wrong_length_raises(holo, bits):
     noise = NoiseModel.depolarizing(layout.n, 0.1)
     with pytest.raises(ValueError, match="syndrome length"):
         likelihoods_network(layout, schedule, noise, Syndrome(3, bits))
-    trivial = likelihoods_network(layout, schedule, noise, Syndrome(35, 0))
-    default = likelihoods_network(layout, schedule, noise)
-    assert trivial.log_scale == default.log_scale
-    assert np.array_equal(trivial.mantissas, default.mantissas)
+    with pytest.raises(ValueError, match="neither"):
+        likelihoods_network(layout, schedule, noise)
 
 
 def test_leaf_shape_validation(holo):
@@ -383,6 +382,26 @@ def test_leaf_shape_validation(holo):
         likelihoods_network(
             layout, schedule, noise, leaves=np.ones((3, 4))
         )
+    # an empty stack names its shape rather than failing in a reshape
+    with pytest.raises(ValueError, match=r"shape \(0, 6, 4\)"):
+        likelihoods_network(
+            layout, schedule, noise, leaves=np.ones((0, layout.n, 4))
+        )
+
+
+@pytest.mark.parametrize("layout_radius, schedule_radius", [(3, 2), (2, 3)])
+def test_schedule_from_another_layout_raises(holo, layout_radius,
+                                             schedule_radius):
+    # a smaller schedule would silently contract only some of the qubits,
+    # a larger one would index past the leaf table
+    layout, _ = holo[layout_radius]
+    _, schedule = holo[schedule_radius]
+    noise = NoiseModel.depolarizing(layout.n, 0.1)
+    with pytest.raises(ValueError, match="leaf qubits"):
+        likelihoods_network(layout, schedule, noise, leaves=noise.probs)
+    with pytest.raises(ValueError, match="leaf qubits"):
+        likelihoods_network(layout, schedule, noise,
+                            Syndrome(len(layout.code.stabilizers), 1))
 
 
 def _leaf_stack(n, noise, count, seed):

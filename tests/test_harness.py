@@ -21,7 +21,7 @@ from tenqec import (
     run_point,
     write_points,
 )
-from tenqec import harness
+from tenqec import decoder, harness
 
 
 def test_run_point_deterministic(holo):
@@ -102,6 +102,13 @@ BAD_CSVS = {
     ),
     "negative p": (HEADER + "2,36,-0.1,100,7,0.07,0.02\n", "line 2: p -0.1 outside"),
     "no trials": (HEADER + "2,36,0.18,0,0,0.0,0.0\n", "line 2: trials 0 below 1"),
+    "rate above one": (
+        HEADER + "2,36,0.18,100,7,1.5,0.02\n",
+        "line 2: failure_rate 1.5 outside [0, 1]",
+    ),
+    "negative std_err": (
+        HEADER + "2,36,0.18,100,7,0.07,-0.2\n", "line 2: std_err -0.2 is negative",
+    ),
 }
 
 
@@ -134,6 +141,15 @@ def test_workers_must_be_positive(holo):
         run_point(layout, schedule, 0.19, 10, seed=13, workers=0)
     with pytest.raises(ValueError):
         run_mc(layout, schedule, [0.19], 10, seed=13, workers=-1)
+
+
+@pytest.mark.parametrize("layout_radius, schedule_radius", [(2, 3), (3, 2)])
+def test_run_point_rejects_a_schedule_from_another_layout(holo, layout_radius,
+                                                          schedule_radius):
+    layout, _ = holo[layout_radius]
+    _, schedule = holo[schedule_radius]
+    with pytest.raises(ValueError, match="leaf qubits"):
+        run_point(layout, schedule, 0.18, 10, seed=1)
 
 
 def test_pinned_radius_three_csv(tmp_path, holo):
@@ -182,7 +198,7 @@ def test_csv_bytes_ignore_chunk_size_and_workers(tmp_path, monkeypatch, holo,
     # with chunks of 7 split across two workers
     layout, schedule = holo[radius]
     want = _sweep_bytes(tmp_path, layout, schedule, trials)
-    per_trial = harness.trial_bytes(schedule)
+    per_trial = decoder.row_bytes(schedule)
     for chunk, workers in ((1, 1), (7, 1), (trials, 1), (7, 2)):
         monkeypatch.setattr(harness, "CHUNK_BYTES", chunk * per_trial)
         assert harness.chunk_size(schedule) == chunk
@@ -191,14 +207,14 @@ def test_csv_bytes_ignore_chunk_size_and_workers(tmp_path, monkeypatch, holo,
 
 
 def test_chunk_sizes_follow_the_schedule(holo, holo5_topology):
-    # radii 2 and 3 are sized by the outer ring's leaf group, radius 4 by
-    # its inner rings' bond matrices
+    # radius 1 is sized by the seed's leaf weights, radii 2 and 3 by the
+    # outer ring's leaf group, radius 4 by its inner rings' bond matrices
     sizes = [harness.chunk_size(holo[r][1]) for r in (1, 2, 3, 4)]
-    assert sizes == [170, 85, 21, 4]
+    assert sizes == [512, 85, 21, 4]
     assert harness.chunk_size(holo5_topology[1]) == 1
 
 
-@pytest.mark.parametrize("radius", [2, 3, 4])
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
 def test_full_chunk_memory_stays_near_the_budget(holo, radius):
     # a full chunk's contraction peaks near CHUNK_BYTES (about 1.0-1.03x
     # measured); twice that would mean the sizing rule has gone stale

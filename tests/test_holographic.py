@@ -218,7 +218,7 @@ def test_chain_schedule_decodes():
     chain = chain_layout([(0, 5, 0)])
     schedule = schedule_for(chain)
     noise = NoiseModel.depolarizing(chain.n, 0.1)
-    table = likelihoods_network(chain, schedule, noise)
+    table = likelihoods_network(chain, schedule, noise, leaves=noise.probs)
     total = sum(table.absolute(label) for label in table.labels)
     assert total > 0
 
@@ -250,7 +250,8 @@ def test_schedule_for_chains_leaves_first(links):
         for _, child, _ in chain.nodes[step.name].children:
             assert names.index(child) < names.index(step.name)
     bonds = {}
-    likelihoods_network(chain, schedule, NoiseModel.depolarizing(chain.n, 0.1),
+    noise = NoiseModel.depolarizing(chain.n, 0.1)
+    likelihoods_network(chain, schedule, noise, leaves=noise.probs,
                         bond_observer=bonds)
     assert set(bonds.values()) == {(1, 1)}
 

@@ -1,6 +1,7 @@
 """Stabilizer code construction, syndromes, pure errors, canonical forms."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +275,31 @@ def test_json_round_trip(six_code):
     for i, err in enumerate(resolved.pure_errors):
         for j, stab in enumerate(resolved.stabilizers):
             assert err.commutes(stab) == (i != j)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("stabilizers", "ZZ", "'stabilizers' must be an array of strings"),
+    ("logical_x", [3], "'logical_x' must be an array of strings"),
+    ("pure_errors", "XIIIII", "'pure_errors' must be an array of strings"),
+    ("n", "x", "'n' must be an integer"),
+    ("n", 6.0, "'n' must be an integer"),
+    ("k", "a", "'k' must be an integer"),
+    ("k", True, "'k' must be an integer"),
+])
+def test_json_field_types_are_checked(six_code, field, value, message):
+    # a string would otherwise be split into one-letter operators and a
+    # bad integer reported by int() with no field name
+    data = code_to_json_dict(six_code)
+    data[field] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        code_from_json_dict(data)
+
+
+def test_json_missing_field_is_named(six_code):
+    data = code_to_json_dict(six_code)
+    del data["stabilizers"]
+    with pytest.raises(ValueError, match="missing field 'stabilizers'"):
+        code_from_json_dict(data)
 
 
 def test_solve_pure_errors_small_code():
