@@ -24,7 +24,6 @@ from .harness import (
 from .holographic import build_layout, predicted_op_count, schedule_for
 from .oracle import ExhaustiveDecoder, exhaustive_contract
 from .stabilizer import (
-    StabilizerCode,
     Syndrome,
     code_to_json_dict,
     six_qubit_code,
@@ -40,12 +39,8 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _builtin_code(name: str) -> StabilizerCode:
-    if name == "six_qubit":
-        return six_qubit_code()
-    if name == "seven_qubit_state":
-        return seven_qubit_state()
-    raise ValueError(f"unknown builtin code {name!r}")
+# the built-in small codes: the --builtin choices and their constructors
+BUILTINS = {"six_qubit": six_qubit_code, "seven_qubit_state": seven_qubit_state}
 
 
 def _layout_sidecar(layout) -> dict:
@@ -88,7 +83,7 @@ def _cmd_build_code(args) -> int:
         return 0
     if args.radius is not None:
         raise ValueError("--radius applies only to --holographic")
-    _write_json(code_to_json_dict(_builtin_code(args.builtin)), args.out)
+    _write_json(code_to_json_dict(BUILTINS[args.builtin]()), args.out)
     return 0
 
 
@@ -269,11 +264,10 @@ def _cmd_verify(args) -> int:
     observed: dict[str, tuple[int, int]] = {}
     sched2 = schedule_for(r2)
     noise2 = NoiseModel.depolarizing(r2.n, 0.1)
-    likelihoods_network(r2, sched2, noise2, leaves=noise2.probs,
-                        bond_observer=observed)
-    bonds_ok = all(dims == (1, 1) for dims in observed.values())
     counter = OpCounter()
-    likelihoods_network(r2, sched2, noise2, leaves=noise2.probs, counter=counter)
+    likelihoods_network(r2, sched2, noise2, leaves=noise2.probs,
+                        counter=counter, bond_observer=observed)
+    bonds_ok = all(dims == (1, 1) for dims in observed.values())
     bound = predicted_op_count(r2)
     check("radius-2 bond dims and work bound",
           bonds_ok and counter.total <= bound,
@@ -292,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_build = sub.add_parser("build-code", help="emit a code as JSON")
     source = p_build.add_mutually_exclusive_group(required=True)
-    source.add_argument("--builtin", choices=["six_qubit", "seven_qubit_state"],
+    source.add_argument("--builtin", choices=BUILTINS,
                         help="one of the built-in small codes")
     source.add_argument("--holographic", action="store_true",
                         help="build the nested-ring code instead")

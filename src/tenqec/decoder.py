@@ -411,12 +411,8 @@ def decode(
     The correction is the class representative times the syndrome's pure
     error, so it reproduces the syndrome and lands in the chosen class.
     """
-    if layout.code is None:
-        raise ValueError("layout carries no code; rebuild with with_code=True")
-    pure = layout.code.pure_error(syndrome)
-    table = likelihoods_network(
-        layout, schedule, noise, leaves=leaf_probabilities(noise, pure)
-    )
+    table = likelihoods_network(layout, schedule, noise, syndrome)
     label = table.argmax_class()
-    correction = layout.code.class_representative(label) * pure
+    code = layout.code
+    correction = code.class_representative(label) * code.pure_error(syndrome)
     return DecodeResult(table=table, label=label, correction=correction)

@@ -170,19 +170,14 @@ def _odd_overlaps(
     return overlap.astype(np.uint8) & 1
 
 
-def _count_failures(
-    runner: TrialRunner, seed: int, point_index: int, lo: int, hi: int
-) -> int:
+def _count_failures(job) -> int:
+    """Failures among trials [lo, hi) of one point, run in the runner's chunks."""
+    layout, schedule, noise, seed, point_index, lo, hi = job
+    runner = TrialRunner(layout, schedule, noise)
     return sum(
         runner.run_trial(seed, point_index, range(t, min(t + runner.chunk, hi)))
         for t in range(lo, hi, runner.chunk)
     )
-
-
-def _chunk_worker(args) -> int:
-    layout, schedule, noise, seed, point_index, lo, hi = args
-    runner = TrialRunner(layout, schedule, noise)
-    return _count_failures(runner, seed, point_index, lo, hi)
 
 
 def run_point(
@@ -197,9 +192,10 @@ def run_point(
 ) -> McPoint:
     """Estimate the failure rate at one noise strength.
 
-    With ``workers`` above 1 the trial range is split across forked
-    processes; the per-trial seeding makes the result identical either
-    way.
+    The trials split into one job per worker, and every job runs through
+    :func:`_count_failures`: a single non-empty job runs in-process, two or
+    more in forked processes.  The per-trial seeding makes the result the
+    same for every worker count.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -208,19 +204,14 @@ def run_point(
     if seed < 0 or point_index < 0:
         raise ValueError("seed and point_index must be nonnegative")
     noise = NoiseModel.depolarizing(layout.n, p)
-    if workers > 1:
-        bounds = np.linspace(0, trials, workers + 1).astype(int)
-        jobs = [
-            (layout, schedule, noise, seed, point_index, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(len(jobs)) as pool:
-            failures = sum(pool.map(_chunk_worker, jobs))
+    bounds = np.linspace(0, trials, workers + 1).astype(int)
+    jobs = [(layout, schedule, noise, seed, point_index, int(lo), int(hi))
+            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    if len(jobs) == 1:
+        failures = _count_failures(jobs[0])
     else:
-        runner = TrialRunner(layout, schedule, noise)
-        failures = _count_failures(runner, seed, point_index, 0, trials)
+        with multiprocessing.get_context("fork").Pool(len(jobs)) as pool:
+            failures = sum(pool.map(_count_failures, jobs))
     rate = failures / trials
     return McPoint(
         radius=layout.radius,

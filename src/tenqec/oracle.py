@@ -75,15 +75,11 @@ class ExhaustiveDecoder:
         self.code = code
         self.tables = _class_digit_tables(code)
 
-    def likelihoods(
-        self, noise: NoiseModel, syndrome: Syndrome | None = None
-    ) -> LikelihoodTable:
+    def likelihoods(self, noise: NoiseModel, syndrome: Syndrome) -> LikelihoodTable:
         code = self.code
-        if syndrome is None:
-            pure_error = PauliString.identity(code.n)
-        else:
-            pure_error = code.pure_error(syndrome)
-        err = np.array(pure_error.codes(), dtype=np.uint8)
+        if noise.n != code.n:
+            raise ValueError(f"noise model has {noise.n} qubits, the code {code.n}")
+        err = np.array(code.pure_error(syndrome).codes(), dtype=np.uint8)
         cols = np.arange(code.n)
         labels = tuple(self.tables)
         values = np.zeros(len(labels))
@@ -243,6 +239,8 @@ def exhaustive_failure_rate(
         raise ValueError("full error enumeration is capped at n = 8")
     if m > 12:
         raise ValueError("syndrome enumeration is capped at n - k = 12")
+    if noise.n != n:
+        raise ValueError(f"noise model has {noise.n} qubits, the code {n}")
 
     syn1 = np.zeros((n, 4), dtype=np.int64)
     cls1 = np.zeros((n, 4), dtype=np.int64)
@@ -271,7 +269,10 @@ def exhaustive_failure_rate(
 
     chosen = np.zeros(1 << m, dtype=np.int64)
     for s in range(1 << m):
-        chosen[s] = _label_bits(chooser(Syndrome(m, s)))
+        label = chooser(Syndrome(m, s))
+        if label.n != k:
+            raise ValueError(f"chooser returned a {label.n}-qubit label; k = {k}")
+        chosen[s] = _label_bits(label)
 
     failed = (cls ^ pure_cls[syndromes] ^ chosen[syndromes]) != 0
     return float(prob[failed].sum())

@@ -493,7 +493,9 @@ def code_to_json_dict(code: StabilizerCode) -> dict:
 def code_from_json_dict(data: dict) -> StabilizerCode:
     """Load a code description: integers ``n`` and ``k`` (optional) and
     arrays of Pauli strings, whose pure errors are optional and re-solved.
-    A missing or mistyped field raises ValueError naming it."""
+    A missing or mistyped field raises ValueError naming it; so does a non-object."""
+    if not isinstance(data, dict):
+        raise ValueError("code description must be a JSON object")
     for name in ("n", "stabilizers"):
         if name not in data:
             raise ValueError(f"code description missing field {name!r}")

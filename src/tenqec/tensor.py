@@ -115,6 +115,8 @@ class CodeTensor:
         """The 0/1 tensor entry for a class label and an index string."""
         if isinstance(indices, int):
             key = indices
+            if not 0 <= key < 4 ** self.code.n:
+                raise ValueError(f"index key {key} outside [0, 4^{self.code.n})")
         else:
             codes = list(indices)
             if len(codes) != self.code.n:

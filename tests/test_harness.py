@@ -135,6 +135,18 @@ def test_workers_match_single_thread(holo):
     assert serial == forked
 
 
+def test_a_single_job_runs_in_process(monkeypatch, holo):
+    # one trial over three workers leaves one non-empty job: no pool is made
+    layout, schedule = holo[2]
+    serial = run_point(layout, schedule, 0.19, 1, seed=13)
+
+    def no_pool(method):
+        raise AssertionError(f"a {method} pool was started for one job")
+
+    monkeypatch.setattr(harness.multiprocessing, "get_context", no_pool)
+    assert run_point(layout, schedule, 0.19, 1, seed=13, workers=3) == serial
+
+
 def test_workers_must_be_positive(holo):
     layout, schedule = holo[2]
     with pytest.raises(ValueError):

@@ -133,3 +133,21 @@ def test_chooser_called_once_per_syndrome(six_code):
 
     exhaustive_failure_rate(six_code, noise, chooser)
     assert sorted(calls) == list(range(32))
+
+
+@pytest.mark.parametrize("qubits", [4, 9])
+def test_noise_model_size_is_checked(six_code, qubits):
+    # the reference must not read only the first six rows of a larger
+    # model, nor index past the rows of a smaller one
+    noise = NoiseModel.depolarizing(qubits, 0.1)
+    with pytest.raises(ValueError, match=f"noise model has {qubits} qubits"):
+        ExhaustiveDecoder(six_code).likelihoods(noise, Syndrome(5, 3))
+    with pytest.raises(ValueError, match=f"noise model has {qubits} qubits"):
+        exhaustive_failure_rate(six_code, noise, lambda s: PauliString.from_text("I"))
+
+
+def test_chooser_label_size_is_checked(six_code):
+    # a 2-qubit label on a k = 1 code must not be read as some 1-qubit class
+    noise = NoiseModel.depolarizing(6, 0.1)
+    with pytest.raises(ValueError, match="2-qubit label; k = 1"):
+        exhaustive_failure_rate(six_code, noise, lambda s: PauliString.from_text("XI"))

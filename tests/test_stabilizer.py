@@ -295,6 +295,13 @@ def test_json_field_types_are_checked(six_code, field, value, message):
         code_from_json_dict(data)
 
 
+@pytest.mark.parametrize("data", [["n"], "six_qubit", 5, None])
+def test_json_top_level_must_be_an_object(data):
+    # JSON that parses to anything but an object is not a code description
+    with pytest.raises(ValueError, match="code description must be a JSON object"):
+        code_from_json_dict(data)
+
+
 def test_json_missing_field_is_named(six_code):
     data = code_to_json_dict(six_code)
     del data["stabilizers"]

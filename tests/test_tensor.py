@@ -64,6 +64,15 @@ def test_entry_lookup(six_tensor):
         six_tensor.entry(i_label, [0, 0])
 
 
+@pytest.mark.parametrize("key", [4**6 + 5, 4**6, -3])
+def test_entry_rejects_an_int_key_out_of_range(six_tensor, key):
+    # like an index string of the wrong length, not a silent 0
+    i_label = PauliString.from_text("I")
+    assert six_tensor.entry(i_label, 0) == 1  # the identity, the lowest key
+    with pytest.raises(ValueError, match="outside"):
+        six_tensor.entry(i_label, key)
+
+
 def test_digit_tables_shapes(six_tensor):
     tables = six_tensor.digit_tables()
     for label, table in tables.items():
