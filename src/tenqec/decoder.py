@@ -6,11 +6,14 @@ Every layout, nested rings and open chains alike, evaluates that sum by
 contracting its own network along :func:`tenqec.holographic.schedule_for`,
 children before parents, with messages whose bond dimensions stay at
 4^(radius - r).  One executor path runs every step group of the
-schedule: the outer ring's nodes, which only weigh leaves, in a few groups
-of one gather per leaf leg each, and every inner node in a group of its
-own, on a syndrome or a leaf table; :func:`row_bytes` charges one row's
-temporaries.  The brute-force reference is :mod:`tenqec.oracle`, which
-the test suite compares against to 1e-10.
+schedule, on a syndrome or a leaf table: the outer ring's nodes, which
+only weigh leaves, in a few groups of one gather per leaf leg each, and
+the inner nodes of each layer in groups of like nodes whose children's
+messages are stacked along a node axis, the seed alone.
+:func:`row_bytes` charges one row's temporaries; no fused group charges
+more than the largest group of the unfused grouping.  The brute-force
+reference is :mod:`tenqec.oracle`, which the test suite compares against
+to 1e-10.
 """
 
 from __future__ import annotations
@@ -161,10 +164,11 @@ def likelihoods_network(
     Messages flow from the leaves toward the seed, one group of
     :attr:`ContractionSchedule.groups` at a time, each through the same
     sequence.  A gather per leaf leg weighs every tensor entry of every
-    node in the group.  A one-step group also multiplies its children's
-    messages along the static split of its
-    :class:`~tenqec.holographic.SplitPlan`: one matmul per distinct digit
-    prefix and suffix, and one per (output slot, prefix) pair.  Each node
+    node in the group.  A group with children also multiplies their
+    messages, stacked per chain position along the group's node axis,
+    along the static split of its :class:`~tenqec.holographic.SplitPlan`:
+    one matmul per node and distinct digit prefix and suffix, and one per
+    node and (output slot, prefix) pair.  Each node
     then sums the pairs' run for each output slot into a message indexed
     by its parent-facing legs, and every message is renormalized by its
     largest entry, with the logs pooled into the table's log_scale, so
@@ -237,9 +241,11 @@ def likelihoods_network(
 def row_bytes(schedule: ContractionSchedule) -> int:
     """Bytes of the largest group temporary per row of a leaf stack: for each
     entry of each node, two float64 of leaf weights (running product and one
-    gathered leg) or, with children, one bond matrix of its trie or pairs."""
-    return max(8 * len(group.plan.digits) * len(group.steps)
-               * max(2, group.steps[0].d_out ** 2) for group in schedule.groups)
+    gathered leg) or, with children, one bond matrix of its trie or pairs.
+    Groups of steps with children fuse only up to the largest charge of the
+    unfused grouping, so fusion leaves this charge, and the chunks, as
+    they were."""
+    return max(group.row_bytes for group in schedule.groups)
 
 
 def _renormalize(out: np.ndarray) -> np.ndarray:
@@ -277,10 +283,12 @@ def _factors(
 
     Weights are (batch, nodes, entries) over the plan's digit rows: one
     ``np.take`` per leaf leg gathers that leg's weights for every node of
-    the group, multiplied in leg order.  Only a one-step group has
-    children; their messages go into the prefix and suffix products of
-    :func:`_trie`.  The seed closes its ring as tr(P·S) = ⟨P, Sᵀ⟩, so it
-    builds Sᵀ from transposed factors.  A part the group lacks is None.
+    the group, multiplied in leg order.  Its nodes' children's messages
+    are stacked per chain position along the node axis, (batch, nodes, 4,
+    rows, cols), and go into the prefix and suffix products of
+    :func:`_trie`.  The seed, always alone, closes its ring as tr(P·S) =
+    ⟨P, Sᵀ⟩, so it builds Sᵀ from transposed factors.  A part the group
+    lacks is None.
     """
     plan, first = group.plan, group.steps[0]
     weights: np.ndarray | None = None
@@ -291,36 +299,45 @@ def _factors(
             weights = np.take(leaves, index, axis=1)
         else:
             weights *= np.take(leaves, index, axis=1)
-    if counter is not None:
-        for step in group.steps:
-            counter.add(step.name, "leaf", len(plan.digits) * len(step.leaf_legs))
-    # a corner child's second parent-facing index joins the left bond
-    mats = [m.reshape(len(m), 4, -1, m.shape[-1])
-            for m in (messages.pop(child) for _, child in first.chain)]
+    _credit(counter, group, "leaf", len(plan.digits) * len(first.leaf_legs))
+    mats = []
+    for position in zip(*(step.chain for step in group.steps)):
+        m = np.stack([messages.pop(child) for _, child in position], axis=1)
+        # a corner child's second parent-facing index joins the left bond
+        mats.append(m.reshape(m.shape[:2] + (4, -1, m.shape[-1])))
     split, ring = len(plan.prefix), first.kind == "center"
     suffix = [m.mT if ring else m for m in mats[split:]][::-1]
-    return (weights, _trie(first.name, mats[:split], plan.prefix, True, counter),
-            _trie(first.name, suffix, plan.suffix, ring, counter))
+    return (weights, _trie(group, mats[:split], plan.prefix, True, counter),
+            _trie(group, suffix, plan.suffix, ring, counter))
 
 
-def _trie(name: str, factors: list[np.ndarray], levels: tuple[np.ndarray, ...],
-          left: bool, counter: OpCounter | None) -> np.ndarray | None:
-    """One product per trie node, (batch, nodes, rows, cols), level by level.
+def _credit(counter: OpCounter | None, group: StepGroup, category: str,
+            count: int) -> None:
+    """Charge each node of the group its own ``count`` MACs of ``category``."""
+    if counter is not None:
+        for step in group.steps:
+            counter.add(step.name, category, count)
 
-    A level multiplies each node above, from the left if ``left``, by its
-    factor's matrices for its children's last digits; parents broadcast
+
+def _trie(group: StepGroup, factors: list[np.ndarray],
+          levels: tuple[np.ndarray, ...], left: bool,
+          counter: OpCounter | None) -> np.ndarray | None:
+    """One product per node and trie node, (batch, nodes, trie nodes, rows,
+    cols), level by level.
+
+    A level multiplies each trie node above, from the left if ``left``, by
+    its factor's matrices for its children's last digits; parents broadcast
     over their fan-out, so only the factor is gathered.
     """
     out = None
     for factor, digits in zip(factors, levels):
-        picked = np.take(factor, digits, axis=1)
+        picked = np.take(factor, digits, axis=2)
         if out is not None:
-            above = out[:, :, None]
+            above = out[:, :, :, None]
             picked = above @ picked if left else picked @ above
-            if counter is not None:
-                inner = above.shape[-1] if left else above.shape[-2]
-                counter.add(name, "matmul", picked[0].size * inner)
-        out = picked.reshape((len(picked), -1) + picked.shape[-2:])
+            inner = above.shape[-1] if left else above.shape[-2]
+            _credit(counter, group, "matmul", picked[0, 0].size * inner)
+        out = picked.reshape(picked.shape[:2] + (-1,) + picked.shape[-2:])
     return out
 
 
@@ -344,12 +361,12 @@ def _close_pairs(
     if suffix is None:
         sums = weights[..., rows, None, None]
     else:
-        sums = np.take(suffix, plan.entry_suffix[rows], axis=1)[:, None]
+        sums = np.take(suffix, plan.entry_suffix[rows], axis=2)
         if weights is not None:
             sums = sums * weights[..., rows, None, None]
-        if counter is not None:  # the weighting, then the runs' accumulation
-            counter.add(first.name, "combine",
-                        (1 + (weights is not None)) * sums[0].size)
+        # the weighting, then the runs' accumulation
+        _credit(counter, group, "combine",
+                (1 + (weights is not None)) * sums[0, 0].size)
         run = len(plan.digits) // len(plan.pair_prefix)
         if run > 1:  # a run of one entry is its own sum; reducing it would copy
             sums = sums.reshape(sums.shape[:2] + (-1, run) + sums.shape[-2:]).sum(3)
@@ -357,10 +374,9 @@ def _close_pairs(
     if prefix is None:
         return np.einsum("...ii->...", sums).sum(axis=-1) if ring else sums
     pairs = len(plan.pair_prefix) // parts
-    picked = np.take(prefix, plan.pair_prefix[part * pairs:][:pairs], axis=1)[:, None]
-    if counter is not None:
-        counter.add(first.name, "trace" if ring else "matmul",
-                    picked[0].size * (1 if ring else sums.shape[-1]))
+    picked = np.take(prefix, plan.pair_prefix[part * pairs:][:pairs], axis=2)
+    _credit(counter, group, "trace" if ring else "matmul",
+            picked[0, 0].size * (1 if ring else sums.shape[-1]))
     if ring:
         return np.vecdot(picked.reshape(picked.shape[:3] + (-1,)),
                          sums.reshape(sums.shape[:3] + (-1,))).sum(axis=-1)
@@ -386,9 +402,7 @@ def _sum_runs(
     out = chain.reshape(
         batch, size, 4 ** len(first.in_legs), fold, -1, d_l, d_r
     ).sum(axis=4)
-    if counter is not None:
-        for step in group.steps:
-            counter.add(step.name, "combine", n_pairs * d_l * d_r)
+    _credit(counter, group, "combine", n_pairs * d_l * d_r)
     shape = (batch, size) + (4,) * len(first.in_legs) + (d_l, fold * d_r)
     return out.transpose(0, 1, 2, 4, 3, 5).reshape(shape)
 

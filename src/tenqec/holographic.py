@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -105,8 +106,8 @@ class ScheduleStep:
 
     @property
     def leaf_only(self) -> bool:
-        """A node that consumes no child message, so it may share a step
-        group with other nodes like it."""
+        """A node that consumes no child message; only such nodes share a
+        step group in the unfused grouping that caps every group's charge."""
         return self.kind != "center" and not self.chain
 
 
@@ -132,16 +133,30 @@ class SplitPlan:
 
 @dataclass(frozen=True, slots=True)
 class StepGroup:
-    """Steps that the executor contracts as one.
+    """Steps that the executor contracts as one, along a node axis.
 
-    Either leaf-only steps that share leaf legs, in-legs and deferred leg,
-    or any other single step.  ``qubits[g, j]`` is the boundary qubit on
-    the j-th leaf leg of ``steps[g]``.
+    Its steps share kind, chain legs, in-legs, deferred leg, leaf legs and
+    output bond, their children's message shapes position by position, and
+    their height above the leaves, so none feeds another.  The seed is
+    always alone.  ``qubits[g, j]`` is the boundary qubit on the j-th leaf
+    leg of ``steps[g]``.
     """
 
     steps: tuple[ScheduleStep, ...]
     qubits: np.ndarray  # (steps, leaf legs) intp
     plan: SplitPlan
+
+    @property
+    def row_bytes(self) -> int:
+        """Bytes of the group's largest temporary per row of a leaf stack."""
+        return len(self.steps) * _node_bytes(len(self.plan.digits), self.steps[0].d_out)
+
+
+def _node_bytes(entries: int, d_out: int) -> int:
+    """One node's share of a group temporary per leaf-stack row: for each
+    entry, two float64 of leaf weights (running product and one gathered
+    leg) or, with children, one bond matrix of its trie or pairs."""
+    return 8 * entries * max(2, d_out ** 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,11 +165,16 @@ class ContractionSchedule:
 
     ``block`` holds the seven-qubit block's entries as per-leg codes, one
     row per tensor entry in any order; every step reads it.  ``groups``
-    partitions the steps, each group at its first step, so the center's
-    group comes last.  It is derived from ``steps`` and ``block`` on
+    partitions the steps into step groups in ascending height, so every
+    child's group precedes its parent's and the center's group comes
+    last.  Steps of one fusion key share a group up to the largest
+    :attr:`StepGroup.row_bytes` of the unfused grouping, in which only
+    leaf-only steps share one, so fusing never raises the charge that
+    sizes the chunks.  Groups are derived from ``steps`` and ``block`` on
     construction, with each group's :class:`SplitPlan`, so a schedule
     rebuilt with other steps or another table (``dataclasses.replace``) is
-    regrouped and replanned, never left stale.
+    regrouped and replanned, never left stale.  Raises ValueError if a
+    step comes before one of its children.
     """
 
     steps: tuple[ScheduleStep, ...]
@@ -163,14 +183,29 @@ class ContractionSchedule:
     groups: tuple[StepGroup, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # one pass, children first.  A step's info is its height, one above
+        # its highest child's, then its message shape; the key holds its
+        # children's infos, so members share a height and none feeds another
+        info: dict[str, tuple[int, int, bool, int]] = {}
         members: dict[object, tuple[list, list]] = {}
         for step in self.steps:
+            chain_legs, children = zip(*step.chain) if step.chain else ((), ())
             legs, qubits = zip(*step.leaf_legs) if step.leaf_legs else ((), ())
-            key = ((legs, step.in_legs, step.deferred_leg)
-                   if step.leaf_only else step.name)
+            below = tuple(map(info.get, children))
+            if None in below:
+                raise ValueError(f"step {step.name} comes before a child of it")
+            info[step.name] = (1 + max(below)[0] if below else 0, len(step.in_legs),
+                               step.deferred_leg is None, step.d_out)
+            key = step.name if step.kind == "center" else (
+                step.kind, chain_legs, step.in_legs, step.deferred_leg, legs, below,
+                step.d_out)
             steps, rows = members.setdefault(key, ([], []))
             steps.append(step)
             rows.append(qubits)
+        entries = len(self.block)
+        cap = max(_node_bytes(entries, steps[0].d_out)
+                  * (len(steps) if steps[0].leaf_only else 1)
+                  for steps, _ in members.values())
         plans: dict[tuple, SplitPlan] = {}
         groups = []
         for steps, rows in members.values():
@@ -179,8 +214,13 @@ class ContractionSchedule:
             key = (next(zip(*first.chain), ()), first.in_legs + deferred)
             if key not in plans:
                 plans[key] = _split_plan(self.block, *key)
-            qubits = np.array(rows, dtype=np.intp).reshape(len(rows), -1)
-            groups.append(StepGroup(tuple(steps), qubits, plans[key]))
+            size = cap // _node_bytes(entries, first.d_out)
+            for start in range(0, len(steps), size):
+                run = rows[start : start + size]
+                qubits = np.array(run, dtype=np.intp).reshape(len(run), -1)
+                groups.append(StepGroup(tuple(steps[start : start + size]), qubits,
+                                        plans[key]))
+        groups.sort(key=lambda group: info[group.steps[0].name][0])
         object.__setattr__(self, "groups", tuple(groups))
 
 
@@ -472,7 +512,9 @@ def schedule_for(layout: HolographicLayout) -> ContractionSchedule:
     radius = layout.radius
     qubit_of = {slot: q for q, slot in enumerate(layout.boundary)}
     steps: list[ScheduleStep] = []
-    for node in sorted(layout.nodes.values(), key=lambda node: -node.layer):
+    # a stable sort: reverse keeps insertion order within a layer
+    for node in sorted(layout.nodes.values(), key=operator.attrgetter("layer"),
+                       reverse=True):
         name = node.name
         shift = int(node.kind == "center")  # seed leg j is block leg j + 1
         chain: list[tuple[int, str]] = []  # in ascending own-leg order
@@ -482,7 +524,7 @@ def schedule_for(layout: HolographicLayout) -> ContractionSchedule:
                 deferred.append(leg + shift)
             else:
                 chain.append((leg + shift, child))
-        in_legs = (0,) if shift else tuple(leg for leg, _, _ in node.in_links)
+        in_legs = (0,) if shift else tuple([leg for leg, _, _ in node.in_links])
         d_out = 4 ** max(radius - 1 - node.layer, 0)
         steps.append(
             ScheduleStep(

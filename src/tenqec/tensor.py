@@ -17,6 +17,7 @@ checks them as such, exhaustively.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -111,10 +112,17 @@ class CodeTensor:
             out[label] = table
         return out
 
-    def entry(self, label: PauliString, indices: Sequence[int] | int) -> int:
-        """The 0/1 tensor entry for a class label and an index string."""
-        if isinstance(indices, int):
-            key = indices
+    def entry(self, label: PauliString,
+              indices: Sequence[int] | numbers.Integral) -> int:
+        """The 0/1 tensor entry for a class label and an index string.
+
+        ``indices`` is a sequence of n per-qubit codes or their base-4 key,
+        a Python or numpy integer; a bool raises ValueError, as it is no key.
+        """
+        if isinstance(indices, (bool, np.bool_)):
+            raise ValueError(f"index key {indices!r} is a bool, not an integer")
+        if isinstance(indices, numbers.Integral):
+            key = int(indices)
             if not 0 <= key < 4 ** self.code.n:
                 raise ValueError(f"index key {key} outside [0, 4^{self.code.n})")
         else:

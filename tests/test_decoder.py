@@ -12,11 +12,14 @@ from tenqec import (
     OpCounter,
     PauliString,
     Syndrome,
+    chain_layout,
     decode,
     leaf_probabilities,
     likelihoods_network,
+    schedule_for,
 )
 from tenqec.decoder import packed_leaf_probabilities
+from tenqec.holographic import StepGroup
 from tenqec.pauli import pack
 
 
@@ -293,21 +296,63 @@ def test_op_counter_radius_one(holo):
 ])
 def test_op_counts_charge_leaf_nodes_one_by_one(holo, holo5_topology, radius,
                                                 total, by_category):
-    # leaf groups run many nodes at once but charge each node its own work,
+    # groups run many nodes at once but charge each node its own work,
     # which the per-layer benchmark metrics read from by_node
     layout, schedule = holo[4] if radius == 4 else holo5_topology
     noise = NoiseModel.depolarizing(layout.n, 0.18)
-    counter, bonds = OpCounter(), {}
+    counter, bonds, alone = OpCounter(), {}, OpCounter()
     likelihoods_network(
         layout, schedule, noise, leaves=noise.probs, counter=counter,
         bond_observer=bonds,
     )
+    likelihoods_network(layout, _unfused(schedule), noise, leaves=noise.probs,
+                        counter=alone)
     assert counter.total == total
     assert counter.by_category == by_category
+    # so do the fused groups of steps with children: each node is charged
+    # what it costs contracted alone
+    assert counter.by_node == alone.by_node
     for step in schedule.steps:
+        assert counter.by_node[step.name] > 0
         if step.leaf_only:
-            assert counter.by_node[step.name] > 0
             assert bonds[step.name] == (1, 1)
+
+
+def _unfused(schedule):
+    """The schedule with every group that has children split into one-step
+    groups on the same plans, in the same order."""
+    groups = []
+    for group in schedule.groups:
+        if not group.steps[0].chain:
+            groups.append(group)
+            continue
+        groups += [StepGroup((step,), group.qubits[g : g + 1], group.plan)
+                   for g, step in enumerate(group.steps)]
+    unfused = dataclasses.replace(schedule)
+    object.__setattr__(unfused, "groups", tuple(groups))
+    return unfused
+
+
+@pytest.mark.parametrize("radius, batch", [(3, 5), (4, 3), (5, 2), ("chain", 4)])
+def test_fused_groups_match_one_step_at_a_time(holo, holo5_topology, radius, batch):
+    # a fused group stacks its children's messages along the node axis;
+    # every matrix product and run sum is the one-step group's, so the
+    # mantissas are bit-identical, and only the log scales' summation
+    # order differs
+    if radius == "chain":  # two alike branches fuse, with leaf legs
+        layout = chain_layout([(0, 5, 0), (0, 2, 0), (1, 3, 1), (2, 3, 1)])
+        schedule = schedule_for(layout)
+    else:
+        layout, schedule = holo5_topology if radius == 5 else holo[radius]
+    unfused = _unfused(schedule)
+    assert len(unfused.groups) > len(schedule.groups)
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    leaves = _leaf_stack(layout.n, noise, batch, 11)
+    fused = likelihoods_network(layout, schedule, noise, leaves=leaves)
+    alone = likelihoods_network(layout, unfused, noise, leaves=leaves)
+    for got, want in zip(fused, alone, strict=True):
+        assert np.array_equal(got.mantissas, want.mantissas)
+        assert got.log_scale == pytest.approx(want.log_scale, rel=1e-12)
 
 
 def test_op_counts_syndrome_independent(holo):

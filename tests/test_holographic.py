@@ -1,5 +1,7 @@
 """Layered layout construction, scheduling, and the work bound."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from tenqec import (
     schedule_for,
     seven_qubit_state,
 )
+from tenqec.decoder import row_bytes
 from tenqec.holographic import CORNER_IN_LEGS, SINGLE_IN_LEG, _block_digits, _split_plan
 
 
@@ -228,6 +231,7 @@ CHAINS = (
     [(0, 5, 0), (1, 6, 0)],
     [(0, 5, 0), (0, 2, 0)],  # two blocks on the seed
     [(0, 5, 0), (0, 2, 0), (1, 3, 1)],  # and one more on the first block
+    [(0, 5, 0), (0, 2, 0), (1, 3, 1), (2, 3, 1)],  # and on the second, alike
 )
 
 
@@ -256,25 +260,50 @@ def test_schedule_for_chains_leaves_first(links):
     assert set(bonds.values()) == {(1, 1)}
 
 
+def _legs(step):
+    return (step.kind, [leg for leg, _ in step.chain], step.in_legs, step.deferred_leg,
+            [leg for leg, _ in step.leaf_legs], step.d_out)
+
+
 def _assert_groups_partition(layout, schedule):
     groups = schedule.groups
     flat = [step for group in groups for step in group.steps]
     assert sorted(map(id, flat)) == sorted(map(id, schedule.steps))
     where = {step.name: i for i, group in enumerate(groups) for step in group.steps}
+    steps = {step.name: step for step in schedule.steps}
+    below: dict[str, set] = {}  # each node's descendants in the layout
+    for name in steps:  # children first
+        below[name] = set()
+        for _, child, _ in layout.nodes[name].children:
+            below[name] |= {child} | below[child]
+
+    def message(child):  # what a parent's chain sees of a child
+        step = steps[child]
+        return len(step.in_legs), step.deferred_leg is None, step.d_out
+
+    def charge(step):
+        return 8 * len(schedule.block) * max(2, step.d_out ** 2)
+
+    # the unfused grouping: leaf-only steps that share legs together, every
+    # other step alone; fusion must not raise its largest charge
+    unfused: dict[object, int] = {}
+    for step in schedule.steps:
+        key = str(_legs(step)) if step.leaf_only else step.name
+        unfused[key] = unfused.get(key, 0) + charge(step)
+    cap = max(unfused.values())
+    assert row_bytes(schedule) == cap
     for group in groups:
         first = group.steps[0]
         assert group.qubits.shape == (len(group.steps), len(first.leaf_legs))
+        assert group.row_bytes == sum(map(charge, group.steps)) <= cap
+        names = {step.name for step in group.steps}
         for step, qubits in zip(group.steps, group.qubits):
             assert [q for _, q in step.leaf_legs] == qubits.tolist()
-        if len(group.steps) > 1:
-            for step in group.steps:
-                assert step.leaf_only
-                assert [leg for leg, _ in step.leaf_legs] == [
-                    leg for leg, _ in first.leaf_legs
-                ]
-                assert step.in_legs == first.in_legs
-                assert step.deferred_leg == first.deferred_leg
-        if first.chain:
+            assert _legs(step) == _legs(first)
+            assert ([message(child) for _, child in step.chain]
+                    == [message(child) for _, child in first.chain])
+            assert not names & below[step.name]  # no member feeds another
+        if first.kind == "center":
             assert len(group.steps) == 1
     for name, node in layout.nodes.items():
         for _, child, _ in node.children:
@@ -288,17 +317,33 @@ def test_step_groups_partition_ring_schedules(radius):
     layout = build_layout(radius, with_code=False)
     schedule = schedule_for(layout)
     _assert_groups_partition(layout, schedule)
-    # groups with the same chain and slot legs share one plan; a plan per
-    # step would cost about 0.26 ms each, 181 times over at radius 5
-    assert len(schedule.groups) == {1: 1, 2: 2, 3: 9, 4: 39, 5: 183}[radius]
+    # same-shape steps of a layer share a group up to the charge of the
+    # unfused grouping (9/39/183 groups at radius 3/4/5), so radius 5 keeps
+    # its six layer-1 steps apart.  Groups with the same chain and slot legs
+    # share one plan; a plan per step would cost about 0.26 ms each, 181
+    # times over at radius 5
+    assert len(schedule.groups) == {1: 1, 2: 2, 3: 5, 4: 12, 5: 14}[radius]
     plans = {id(group.plan) for group in schedule.groups}
     assert len(plans) == {1: 1, 2: 2, 3: 4, 4: 5, 5: 5}[radius]
+    if radius == 5:
+        layer_one = [g for g in schedule.groups if g.steps[0].name.startswith("1.")]
+        assert [len(g.steps) for g in layer_one] == [1] * 6
 
 
 @pytest.mark.parametrize("links", CHAINS)
 def test_step_groups_partition_chain_schedules(links):
     chain = chain_layout(links)
-    _assert_groups_partition(chain, schedule_for(chain))
+    schedule = schedule_for(chain)
+    _assert_groups_partition(chain, schedule)
+    # the last chain's two inner blocks share legs, child shapes and height
+    fused = [len(g.steps) for g in schedule.groups if g.steps[0].chain]
+    assert max(fused) == (2 if len(links) == 4 else 1)
+
+
+def test_a_step_before_its_child_raises(holo):
+    _, schedule = holo[3]
+    with pytest.raises(ValueError, match="before a child"):
+        dataclasses.replace(schedule, steps=schedule.steps[::-1])
 
 
 def test_schedule_for_branching_chain_matches_oracle():

@@ -73,6 +73,24 @@ def test_entry_rejects_an_int_key_out_of_range(six_tensor, key):
         six_tensor.entry(i_label, key)
 
 
+@pytest.mark.parametrize("cast", [int, np.int64, np.int32, np.uint16])
+def test_entry_takes_numpy_integer_keys(six_tensor, cast):
+    # a key read from an array is a numpy integer, not an index string
+    i_label = PauliString.from_text("I")
+    zizi = PauliString.from_codes([3, 0, 3, 0, 0, 0]).key()
+    assert six_tensor.entry(i_label, cast(zizi)) == 1
+    assert six_tensor.entry(i_label, cast(1)) == 0  # XIIIII
+    with pytest.raises(ValueError, match="outside"):
+        six_tensor.entry(i_label, cast(4**6))
+
+
+@pytest.mark.parametrize("key", [True, False, np.True_])
+def test_entry_rejects_a_bool_key(six_tensor, key):
+    # True is no key 1, and np.True_ no index string
+    with pytest.raises(ValueError, match="bool"):
+        six_tensor.entry(PauliString.from_text("I"), key)
+
+
 def test_digit_tables_shapes(six_tensor):
     tables = six_tensor.digit_tables()
     for label, table in tables.items():
