@@ -1,24 +1,30 @@
 """Monte Carlo estimation of logical failure rates and threshold fits.
 
 Trials are reproducible by construction: trial t of point i under master
-seed s draws from default_rng(SeedSequence([s, i, t])), so results do not
-depend on how trials are split across workers, and a rerun with the same
-arguments is byte-identical.  Trials run in chunks sized by
-:func:`chunk_size`.  Sampling, syndrome extraction and class bits work on a
-chunk's bit-packed numpy words at once.  So do the chunk's distinct
-syndromes: each one's pure error is the XOR of the packed pure-error rows
-its bits select, and one gather on the noise table gives all their leaf
-tables, which one ``likelihoods_network`` call contracts along a batch
-axis.  Each trial's decision depends on its syndrome alone, never on its
-chunk, so the CSV bytes do not depend on the chunk size or worker count.
+seed s draws the stream of default_rng(SeedSequence([s, i, t])), so
+results do not depend on how trials are split across workers, and a rerun
+with the same arguments is byte-identical.  Trials run in chunks sized by
+:func:`chunk_size`.  A chunk computes its trials' stream seeds at once: it
+runs SeedSequence's hash as uint32 array operations across the trials and
+sets each resulting PCG64 state on one generator that draws that trial's
+row.  Sampling, syndrome extraction and class bits work on a chunk's
+bit-packed numpy words at once.  So do the chunk's distinct syndromes:
+each one's pure error is the XOR of the packed pure-error rows its bits
+select, and one gather on the noise table gives all their leaf tables,
+which one ``likelihoods_network`` call contracts along a batch axis.  Each
+trial's decision depends on its syndrome alone, never on its chunk, so the
+CSV bytes do not depend on the chunk size or worker count.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import multiprocessing
+import numbers
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +47,17 @@ FIT_NU_RANGE = (0.8, 6.0)
 FIT_GRID = 21
 FIT_STAGES = 5
 FIT_SHRINK = 0.25
+# SeedSequence's hash (numpy.random.SeedSequence, pool of 4 uint32 words):
+# (initial value, multiplier) of the running constants of mix_entropy's
+# hashmix and of generate_state, and the two factors of mix
+HASH_A = (0x43B0D7E5, 0x931E8875)
+HASH_B = (0x8B51F9DD, 0x58F38DED)
+MIX_L, MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# PCG64's multiplier: seeded with (initstate, initseq), it starts from
+# inc = initseq << 1 | 1 and state = (initstate + inc) * PCG_MULT + inc
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK32 = (1 << 32) - 1
+MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,38 +128,71 @@ class TrialRunner:
         self.class_weights = np.uint64(1) << np.arange(2 * code.k, dtype=np.uint64)
         self.px, self.pz = pack(code.pure_errors, n)
         self.cum = np.cumsum(noise.probs, axis=1)
+        # one generator per runner; uniforms sets its state for each trial
+        self.bits = np.random.PCG64(0)
+        self.rng = np.random.Generator(self.bits)
 
     def _class_bits(self, ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
         """Class bits of packed operators, one per row of ``ex``/``ez``."""
         anti = _odd_overlaps(ex, ez, self.gx, self.gz)
         return anti.astype(np.uint64) @ self.class_weights
 
+    def uniforms(self, seed: int, point_index: int, trials: range) -> np.ndarray:
+        """(len(trials), n) uniforms: row j is the stream of
+        default_rng(SeedSequence([seed, point_index, trials[j]])).random(n).
+
+        The chunk's PCG64 seeds come from one vectorized SeedSequence hash;
+        each row then sets its seeded state on ``self.bits`` and draws.
+        """
+        if trials.step != 1:
+            raise ValueError(f"trials must be a range of step 1, got {trials!r}")
+        head = _words(seed) + _words(point_index)
+        # pieces of the range that share t >> 32, so each has one word count
+        cuts = [trials.start,
+                *range((trials.start >> 32) + 1 << 32, trials.stop, 1 << 32),
+                trials.stop]
+        seeds = np.concatenate(
+            [_pcg_seeds(_entropy(head, lo, hi)) for lo, hi in zip(cuts, cuts[1:])],
+            axis=1,
+        )
+        u = np.empty((len(trials), self.code.n))
+        for row, (s_hi, s_lo, q_hi, q_lo) in zip(u, zip(*seeds.tolist())):
+            inc = (q_hi << 65 | q_lo << 1 | 1) & MASK128
+            state = ((s_hi << 64 | s_lo) + inc) * PCG_MULT + inc & MASK128
+            self.bits.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+            self.rng.random(out=row)
+        return u
+
     def run_trial(self, seed: int, point_index: int, trials: range) -> int:
         """Sample and decode a chunk of trials; returns how many failed.
 
-        A trial fails when its error times the recovery for its syndrome,
+        Trial t draws the stream of default_rng(SeedSequence([seed,
+        point_index, t])), whatever chunk it runs in; the chunk computes
+        those streams' seeds at once (see :meth:`uniforms`).  A trial
+        fails when its error times the recovery for its syndrome,
         (chosen label) * (pure error), lies in a nontrivial logical class.
         """
         n = self.code.n
-        u = np.array([
-            np.random.default_rng(
-                np.random.SeedSequence([seed, point_index, t])
-            ).random(n)
-            for t in trials
-        ])
+        u = self.uniforms(seed, point_index, trials)
         # cum is nondecreasing: X or Y below cum[:, 2], Y or Z from cum[:, 1]
         bits = np.zeros((2, len(trials), self.words * 64), dtype=np.uint8)
         bits[0, :, :n] = (u >= self.cum[:, 0]) & (u < self.cum[:, 2])
         bits[1, :, :n] = u >= self.cum[:, 1]
         ex, ez = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
         syn = _odd_overlaps(ex, ez, self.sx, self.sz)
-        # distinct syndromes by their packed bytes, numbered in first-seen order
+        # distinct syndromes by their packed bytes, numbered in first-seen
+        # order; first[s] is the first row with syndrome s
         slot: dict[bytes, int] = {}
-        which = np.array([
-            slot.setdefault(key.tobytes(), len(slot))
-            for key in np.packbits(syn, axis=1, bitorder="little")
-        ])
-        flips = syn[np.unique(which, return_index=True)[1], :, None]
+        first: list[int] = []
+        which = []
+        for row, key in enumerate(np.packbits(syn, axis=1, bitorder="little")):
+            index = slot.setdefault(key.tobytes(), len(first))
+            if index == len(first):
+                first.append(row)
+            which.append(index)
+        flips = syn[first, :, None]
         # each distinct syndrome's pure error: the XOR of its flipped rows
         px, pz = (np.bitwise_xor.reduce(rows * flips, axis=1)
                   for rows in (self.px, self.pz))
@@ -156,6 +206,80 @@ class TrialRunner:
         )
         target = (chosen ^ self._class_bits(px, pz))[which]
         return int(np.count_nonzero(self._class_bits(ex, ez) != target))
+
+
+def _words(value: int) -> list[int]:
+    """A nonnegative integer's little-endian uint32 words, as SeedSequence
+    splits it (0 is one word)."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seed entropy must be nonnegative, got {value}")
+    return [value >> shift & MASK32
+            for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _entropy(head: list[int], lo: int, hi: int) -> np.ndarray:
+    """SeedSequence entropy words of head + words(t) for t in [lo, hi),
+    trials that share t >> 32, as a (words, hi - lo) uint32 array.
+
+    Fewer than 4 words are zero-padded to 4: SeedSequence hashes a missing
+    pool word as 0, so the padding changes no state.
+    """
+    words = head + [0] + (_words(lo >> 32) if lo >> 32 else [])
+    out = np.zeros((max(len(words), 4), hi - lo), dtype=np.uint32)
+    out[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    out[len(head)] = np.arange(lo & MASK32, (lo & MASK32) + hi - lo)
+    return out
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` values init * mult**j mod 2**32 of a running hash
+    constant, as a (count, 1) uint32 column."""
+    return np.array(
+        [init * pow(mult, j, 1 << 32) & MASK32 for j in range(count)],
+        dtype=np.uint32,
+    )[:, None]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray, j: int, m: int) -> np.ndarray:
+    """SeedSequence's hashmix calls j .. j + m - 1 on ``value``, one per row
+    of the (m, rows) result."""
+    value = (value ^ consts[j:j + m]) * consts[j + 1:j + m + 1]
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays."""
+    out = MIX_L * x - MIX_R * y
+    return out ^ out >> 16
+
+
+# mix_entropy's cross-mix: each pool word in turn into the three others
+CROSS_MIX = tuple((src, [dst for dst in range(4) if dst != src]) for src in range(4))
+
+
+def _pcg_seeds(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(column).generate_state(4, np.uint64) for each column of
+    a (words >= 4, rows) uint32 entropy array, as a (4, rows) uint64 array.
+
+    This is mix_entropy into a pool of 4 words, then generate_state, with
+    each step one uint32 operation across the rows.
+    """
+    consts = _hash_constants(*HASH_A, 4 * len(entropy) + 1)
+    pool = _hashmix(entropy[:4], consts, 0, 4)
+    j = 4
+    for src, dst in CROSS_MIX:
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, j, 3))
+        j += 3
+    # entropy past the pool mixes each word into every pool word
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, consts, j, 4))
+        j += 4
+    state = _hashmix(np.concatenate([pool, pool]), _hash_constants(*HASH_B, 9), 0, 8)
+    # 8 uint32 words read as 4 little-endian uint64 words
+    state = state.astype(np.uint64)
+    return state[0::2] | state[1::2] << 32
 
 
 def _odd_overlaps(
@@ -201,8 +325,11 @@ def run_point(
         raise ValueError("need at least one trial")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if seed < 0 or point_index < 0:
-        raise ValueError("seed and point_index must be nonnegative")
+    for name, value in (("seed", seed), ("point_index", point_index)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     noise = NoiseModel.depolarizing(layout.n, p)
     bounds = np.linspace(0, trials, workers + 1).astype(int)
     jobs = [(layout, schedule, noise, seed, point_index, int(lo), int(hi))

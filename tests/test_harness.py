@@ -147,6 +147,78 @@ def test_a_single_job_runs_in_process(monkeypatch, holo):
     assert run_point(layout, schedule, 0.19, 1, seed=13, workers=3) == serial
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 17])
+@pytest.mark.parametrize("point_index", [0, 2**33])
+@pytest.mark.parametrize("radius", [1, 4], ids=["n6", "n834"])
+def test_chunk_draw_matches_per_trial_default_rng(holo, seed, point_index, radius):
+    layout, schedule = holo[radius]
+    runner = harness.TrialRunner(
+        layout, schedule, NoiseModel.depolarizing(layout.n, 0.18)
+    )
+    # a plain chunk, and one that straddles t = 2**32, where t gains a word
+    for trials in (range(5, 12), range(2**32 - 3, 2**32 + 3)):
+        want = np.array([
+            np.random.default_rng(
+                np.random.SeedSequence([seed, point_index, t])
+            ).random(layout.n)
+            for t in trials
+        ])
+        assert np.array_equal(runner.uniforms(seed, point_index, trials), want)
+
+
+def test_chunk_draw_needs_consecutive_trials(holo):
+    layout, schedule = holo[1]
+    runner = harness.TrialRunner(
+        layout, schedule, NoiseModel.depolarizing(layout.n, 0.18)
+    )
+    with pytest.raises(ValueError, match="range of step 1"):
+        runner.uniforms(1, 0, range(0, 10, 2))
+
+
+def test_runners_keep_their_own_generator(holo):
+    layout, schedule = holo[2]
+    noise = NoiseModel.depolarizing(layout.n, 0.2)
+    chunks = (range(0, 40), range(40, 85), range(85, 120))
+
+    def runners():
+        return [harness.TrialRunner(layout, schedule, noise) for _ in range(2)]
+
+    a, b = runners()
+    assert a.bits is not b.bits
+    one_after_other = ([a.run_trial(5, 0, c) for c in chunks],
+                       [b.run_trial(9, 1, c) for c in chunks])
+    a, b = runners()
+    interleaved = ([], [])
+    for c in chunks:
+        interleaved[0].append(a.run_trial(5, 0, c))
+        interleaved[1].append(b.run_trial(9, 1, c))
+    assert interleaved == one_after_other
+    assert sum(one_after_other[0]) > 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("point_index", 1.0), ("seed", "7"), ("seed", True), ("point_index", False),
+])
+def test_run_point_rejects_seed_fields_that_are_not_integers(holo, field, value):
+    layout, schedule = holo[1]
+    kwargs = {"seed": 3, "point_index": 0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        run_point(layout, schedule, 0.18, 5, **kwargs)
+    if field == "seed":
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_mc(layout, schedule, [0.18], 5, seed=value)
+
+
+def test_run_point_takes_numpy_integer_seeds(holo):
+    layout, schedule = holo[1]
+    want = run_point(layout, schedule, 0.18, 600, seed=3, point_index=2)
+    got = run_point(layout, schedule, 0.18, 600,
+                    seed=np.int64(3), point_index=np.uint32(2))
+    assert got == want
+    with pytest.raises(ValueError, match="point_index must be nonnegative"):
+        run_point(layout, schedule, 0.18, 5, seed=3, point_index=np.int64(-1))
+
+
 def test_workers_must_be_positive(holo):
     layout, schedule = holo[2]
     with pytest.raises(ValueError):
