@@ -13,14 +13,19 @@ reference leg 0, which carries the class label, bound as an in-leg.
 The code is assembled as the fold of two-tensor contractions
 ``contract(block, acc, binding)`` over the attachments, but on packed GF(2)
 tableaux instead of PauliStrings.  Node i, in attachment order with the
-seed first, owns columns ``NODE_COLUMNS * i + leg``.  An attachment reads
-the x/z bits of each row on its one or two bound columns, XORs in the
-block's canonical matching product from a 4- or 16-entry table (derived
-once per in-leg tuple with ``StabilizerCode.canonicalized_on``, as
-``contract`` does), and appends the block's fresh stabilizer and
-pure-error rows.  Bound columns stay in place and are never read again.
-The live columns, the layout's leaf legs, are gathered into PauliStrings
-once, at the end.
+seed first, owns byte i of every row, columns ``NODE_COLUMNS * i + leg``.
+A block writes only its own byte, and its fresh stabilizer and pure-error
+rows are zero on every other, so all blocks' fresh rows are placed first,
+at row starts summed in attachment order.  Then each layer attaches in one
+vectorized pass, since no node of a layer reads another's byte: the rows
+non-zero on a bound leg of the layer's parents are found once, and each
+such (row, block) cell is keyed by the codes on the block's one or two
+bound legs and set to the block's canonical matching product from a 4- or
+16-entry table (derived once per in-leg tuple and per build with
+``StabilizerCode.canonicalized_on``, as ``contract`` does).  Bound
+columns stay in place and are never read again.  The live columns, the
+layout's leaf legs, are gathered into PauliStrings once, at the end, by
+:func:`~tenqec.pauli.unpack`'s C-ordered column gather.
 
 Chains of tensors (open trees of blocks, used for small worked examples)
 share the node derivation, the assembler, and :func:`schedule_for`, with
@@ -402,9 +407,9 @@ class _BlockKind:
     cleared by the matching product.
     """
 
-    table: np.ndarray  # (4^p, 2) uint64
-    stabilizers: np.ndarray  # (7 - 2p, 2) uint64
-    pure_errors: np.ndarray  # (7 - 2p, 2) uint64
+    table: np.ndarray  # (4^p, 2) uint8
+    stabilizers: np.ndarray  # (7 - 2p, 2) uint8
+    pure_errors: np.ndarray  # (7 - 2p, 2) uint8
 
 
 def _block_kind(in_legs: tuple[int, ...]) -> _BlockKind:
@@ -415,7 +420,7 @@ def _block_kind(in_legs: tuple[int, ...]) -> _BlockKind:
 
     def packed(ops: Sequence[PauliString]) -> np.ndarray:
         return np.array([(op.x & mask, op.z & mask) for op in ops],
-                        dtype=np.uint64).reshape(-1, 2)
+                        dtype=np.uint8).reshape(-1, 2)
 
     def cleared(ops: Sequence[PauliString]) -> np.ndarray:
         return packed([op * products[op.restrict(in_legs).key()] for op in ops])
@@ -428,60 +433,23 @@ def _block_kind(in_legs: tuple[int, ...]) -> _BlockKind:
 def _assemble(
     nodes: Sequence[LayoutNode],
 ) -> tuple[StabilizerCode, list[tuple[str, int]]]:
-    """Attach seven-leg blocks to the seed tensor, in order, on packed tableaux.
+    """Attach seven-leg blocks to the seed tensor on a packed tableau.
 
-    ``nodes`` lists the seed first, then the blocks in attachment order;
-    node i owns columns ``NODE_COLUMNS * i + leg``.  The result equals
-    folding ``contract(block, acc, binding)`` over the attachments:
-    accumulated rows keep their order and each block appends its fresh
-    stabilizer and pure-error rows.  Returns the code with its qubits in
-    contraction order (the last block's leaf legs first, then the earlier
-    nodes') and the (node, leg) slot of each qubit.
+    ``nodes`` lists the seed first, then the blocks in attachment order.
+    The result equals folding ``contract(block, acc, binding)`` over the
+    attachments: accumulated rows keep their order and each block appends
+    its fresh stabilizer and pure-error rows.  Returns the code with its
+    qubits in contraction order (the last block's leaf legs first, then the
+    earlier nodes') and the (node, leg) slot of each qubit.
     """
     seed = six_qubit_code()
     index = {node.name: i for i, node in enumerate(nodes)}
     live = [(node.name, leg) for node in reversed(nodes) for leg in node.leaf_legs]
-    # per build: a process-wide cache would hide the blocks' canonicalization
-    # from the timing of every build after the first
-    kinds: dict[tuple[int, ...], _BlockKind] = {}
-
     # Rows: stabilizers [0, m), pure errors [m, 2m), logical X, logical Z;
     # the contracted code has n - k stabilizers.
     k = seed.k
     m = len(live) - k
-    words = -(-NODE_COLUMNS * len(nodes) // 64)
-    x = np.zeros((2 * m + 2 * k, words), dtype=np.uint64)
-    z = np.zeros_like(x)
-    seed_rows = (
-        list(enumerate(seed.stabilizers))
-        + [(m + i, e) for i, e in enumerate(seed.pure_errors)]
-        + [(2 * m + i, op) for i, op in enumerate(seed.logical_x + seed.logical_z)]
-    )
-    for row, op in seed_rows:
-        x[row, 0], z[row, 0] = op.x, op.z
-
-    fresh_row = len(seed.stabilizers)
-    for i, node in enumerate(nodes[1:], start=1):
-        in_legs = tuple(leg for leg, _, _ in node.in_links)
-        if in_legs not in kinds:
-            kinds[in_legs] = _block_kind(in_legs)
-        kind = kinds[in_legs]
-        key = np.zeros(len(x), dtype=np.intp)
-        for j, (_, parent, parent_leg) in enumerate(node.in_links):
-            w, b = divmod(NODE_COLUMNS * index[parent] + parent_leg, 64)
-            xb, zb = (x[:, w] >> b) & 1, (z[:, w] >> b) & 1
-            key |= ((xb ^ zb) | (zb << 1)).astype(np.intp) << (2 * j)
-        w, b = divmod(NODE_COLUMNS * i, 64)
-        shift = np.uint64(b)
-        x[:, w] |= kind.table[key, 0] << shift
-        z[:, w] |= kind.table[key, 1] << shift
-        f = len(kind.stabilizers)
-        for start, rows in ((fresh_row, kind.stabilizers),
-                            (m + fresh_row, kind.pure_errors)):
-            x[start : start + f, w] = rows[:, 0] << shift
-            z[start : start + f, w] = rows[:, 1] << shift
-        fresh_row += f
-
+    x, z = _tableau(nodes, index, seed, m)
     ops = unpack(x, z, [NODE_COLUMNS * index[name] + leg for name, leg in live])
     code = StabilizerCode(
         n=len(live),
@@ -492,6 +460,91 @@ def _assemble(
         pure_errors=tuple(ops[m : 2 * m]),
     )
     return code, live
+
+
+def _tableau(nodes: Sequence[LayoutNode], index: dict[str, int], seed: StabilizerCode,
+             m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The assembled code's x and z rows, as (rows, words) uint64 arrays.
+
+    As the module docstring says: node i owns byte i of every row, all
+    fresh rows are placed first, then each run of equal ``layer`` attaches
+    at once (:func:`_attach_run`).
+    """
+    # per build: a process-wide cache would hide the blocks' canonicalization
+    # from the timing of every build after the first
+    ids: dict[tuple[int, ...], int] = {}
+    kind_ids = np.array([ids.setdefault(tuple(leg for leg, _, _ in node.in_links), len(ids))
+                         for node in nodes[1:]], dtype=np.intp)
+    kinds = [_block_kind(in_legs) for in_legs in ids]
+
+    shape = (2 * m + 2 * seed.k, -(-len(nodes) // 8))
+    x64, z64 = np.zeros(shape, dtype="<u8"), np.zeros(shape, dtype="<u8")
+    x, z = x64.view(np.uint8), z64.view(np.uint8)  # byte i of a row is node i
+    seed_rows = (
+        list(enumerate(seed.stabilizers))
+        + [(m + i, e) for i, e in enumerate(seed.pure_errors)]
+        + [(2 * m + i, op) for i, op in enumerate(seed.logical_x + seed.logical_z)]
+    )
+    for row, op in seed_rows:
+        x[row, 0], z[row, 0] = op.x, op.z
+
+    sizes = np.array([len(kind.stabilizers) for kind in kinds], dtype=np.intp)[kind_ids]
+    starts = len(seed.stabilizers) + np.cumsum(sizes) - sizes
+    table = np.zeros((len(kinds), max((len(kind.table) for kind in kinds), default=1), 2),
+                     dtype=np.uint8)
+    for i, kind in enumerate(kinds):
+        table[i, : len(kind.table)] = kind.table
+        at = np.flatnonzero(kind_ids == i)
+        rows, byte = starts[at, None] + np.arange(len(kind.stabilizers)), at[:, None] + 1
+        for offset, fresh in ((0, kind.stabilizers), (m, kind.pure_errors)):
+            x[offset + rows, byte], z[offset + rows, byte] = fresh.T
+    kind_at = np.zeros(x.shape[1], dtype=np.intp)
+    kind_at[1 : len(nodes)] = kind_ids
+
+    for _, run in itertools.groupby(range(1, len(nodes)), key=lambda i: nodes[i].layer):
+        links = [(index[parent], parent_leg, i, j) for i in run
+                 for j, (_, parent, parent_leg) in enumerate(nodes[i].in_links)]
+        _attach_run(x, z, np.array(links, dtype=np.intp).T, table, kind_at)
+    return x64, z64
+
+
+def _attach_run(x: np.ndarray, z: np.ndarray, links: np.ndarray, table: np.ndarray,
+                kind_at: np.ndarray) -> None:
+    """XOR one run's matching products into its blocks' bytes, in place.
+
+    ``links`` holds a (parent byte, parent leg, child byte, in-leg index)
+    column per bound leg; ``table[kind_at[byte], key]`` is the (x, z) byte
+    of block ``byte``'s product for bound-leg key ``key``.  Only the rows
+    non-zero on a bound parent leg are keyed; the others have key 0, whose
+    product is the identity.
+    """
+    parent_at, leg_at, child_at, slot_at = links
+    child = np.zeros((x.shape[1], NODE_COLUMNS), dtype=np.intp)
+    shift = np.zeros(child.shape, dtype=np.uint8)
+    child[parent_at, leg_at], shift[parent_at, leg_at] = child_at, 2 * slot_at
+    bound = np.packbits(child > 0, axis=1, bitorder="little")[:, 0]  # no child is the seed
+    # the (row, parent byte) incidence, then each bound leg's 2-bit code
+    lo, hi = parent_at.min(), parent_at.max() + 1
+    hit = x[:, lo:hi] | z[:, lo:hi]
+    hit &= bound[lo:hi]
+    rows, parent = np.nonzero(hit)
+    del hit
+    parent += lo
+    legs, on = np.arange(NODE_COLUMNS, dtype=np.uint8), bound[parent]
+    xb = ((x[rows, parent] & on)[:, None] >> legs) & 1
+    zb = ((z[rows, parent] & on)[:, None] >> legs) & 1
+    code = (xb ^ zb) | (zb << 1)
+    e, leg = np.nonzero(code)
+    byte = child[parent[e], leg]
+    cells = rows[e] * x.shape[1] + byte
+    # the cells start at zero; a corner's two parents key one cell, in
+    # different digits, so the digits are ORed in one at a time
+    cells_x, cells_z = x.reshape(-1), z.reshape(-1)
+    digit = shift[parent[e], leg]
+    for d in range(0, 2 * slot_at.max() + 1, 2):
+        at = digit == d
+        cells_x[cells[at]] |= code[e[at], leg[at]] << d
+    cells_x[cells], cells_z[cells] = table[kind_at[byte], cells_x[cells]].T
 
 
 def schedule_for(layout: HolographicLayout) -> ContractionSchedule:

@@ -35,6 +35,10 @@ CODE_DIGESTS = {
     3: "5ab3328c16f61717c53a666689296bc7e84f1efc37f3c3e84a95b035e1ecbac5",
     4: "e0fa144b1107d1cd4451aa733282b8202fd56ba522309adda33213fd802f8e57",
 }
+# sha256 over the pack() bytes, x then z, of the stabilizers, pure errors,
+# logical X and logical Z of build_layout(5).code, measured on the
+# one-node-at-a-time packed assembler that the per-layer one replaced.
+RADIUS_FIVE_DIGEST = "04cd7e9588c7df5f2dbbd2539e49d59ea25241f28b09e0308ec8c5c4a85c0dc2"
 CHAINS = ([(0, 5, 0)], [(0, 5, 0), (1, 6, 0)])
 
 
@@ -95,8 +99,22 @@ def symplectic_parities(x, z, ox, oz):
     return counts.sum(axis=1) & 1
 
 
-def test_radius_five_code():
-    code = build_layout(5).code
+@pytest.fixture(scope="module")
+def radius_five_code():
+    return build_layout(5).code
+
+
+def test_radius_five_code_digest(radius_five_code):
+    code = radius_five_code
+    h = hashlib.sha256()
+    for ops in (code.stabilizers, code.pure_errors, code.logical_x, code.logical_z):
+        for bits in pack(ops, code.n):
+            h.update(bits.tobytes())
+    assert h.hexdigest() == RADIUS_FIVE_DIGEST
+
+
+def test_radius_five_code(radius_five_code):
+    code = radius_five_code
     assert (code.n, code.k) == (3996, 1)
     assert len(code.stabilizers) == len(code.pure_errors) == 3995
     sx, sz = pack(code.stabilizers, code.n)

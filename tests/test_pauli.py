@@ -2,11 +2,12 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from tenqec import PauliString
-from tenqec.pauli import pack, unpack
+from tenqec.pauli import GATHER_ROWS, pack, unpack
 
 
 def all_paulis(n):
@@ -116,6 +117,23 @@ def test_pack_unpack_gathers_columns(ops, rnd):
     x, z = pack(ops, 70)
     assert x.shape == z.shape == (len(ops), 2)
     assert unpack(x, z, columns) == [op.restrict(columns) for op in ops]
+
+
+@pytest.mark.parametrize("rows", [0, 1, GATHER_ROWS - 1, GATHER_ROWS, GATHER_ROWS + 1,
+                                  2 * GATHER_ROWS + 1])
+@pytest.mark.parametrize("n", [7, 64, 130])
+@pytest.mark.parametrize("order", ["ascending", "shuffled", "partial"])
+def test_unpack_equals_restrict(rows, n, order):
+    """Row counts across gather-block edges, widths off a byte and over words."""
+    rng = np.random.default_rng([rows, n])
+    bits = lambda: int.from_bytes(rng.bytes(-(-n // 8)), "little") & ((1 << n) - 1)
+    ops = [PauliString(n, bits(), bits()) for _ in range(rows)]
+    columns = {
+        "ascending": list(range(n)),
+        "shuffled": rng.permutation(n).tolist(),
+        "partial": rng.choice(n, size=n // 3, replace=False).tolist(),
+    }[order]
+    assert unpack(*pack(ops, n), columns) == [op.restrict(columns) for op in ops]
 
 
 def test_single_places_one_operator():
