@@ -27,7 +27,7 @@ from .holographic import ContractionSchedule, HolographicLayout, ScheduleStep, S
 from .pauli import PauliString, pack
 from .stabilizer import Syndrome
 
-# Relative tie tolerance of argmax_class: reordered float sums move mantissas
+# Relative tie tolerance of argmax_labels: reordered float sums move mantissas
 # by up to about 1e-13 through radius 5; genuine top-two gaps exceed 1e-6.
 TIE_RTOL = 1e-9
 
@@ -120,8 +120,18 @@ class LikelihoodTable:
         }
 
     def argmax_class(self) -> PauliString:
-        tied = self.mantissas >= self.mantissas.max() * (1.0 - TIE_RTOL)
-        return self.labels[int(np.argmax(tied))]
+        return self.labels[int(argmax_labels(self.mantissas))]
+
+
+def argmax_labels(mantissas: np.ndarray) -> np.ndarray:
+    """The decided label's index along the last axis of ``mantissas``: the
+    earliest label within a relative TIE_RTOL of the largest mantissa.
+
+    :meth:`LikelihoodTable.argmax_class` decides one table with it, and a
+    (B, labels) stack of tables decides B tables at once, alike.
+    """
+    tied = mantissas >= mantissas.max(axis=-1, keepdims=True) * (1.0 - TIE_RTOL)
+    return np.argmax(tied, axis=-1)
 
 
 @dataclass(slots=True)

@@ -31,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import (
-    NoiseModel, likelihoods_network, packed_leaf_probabilities, row_bytes,
+    NoiseModel, argmax_labels, likelihoods_network, packed_leaf_probabilities, row_bytes,
 )
 from .holographic import ContractionSchedule, HolographicLayout
-from .pauli import pack
 
 CSV_HEADER = ("radius", "n", "p", "trials", "failures", "failure_rate", "std_err")
 CSV_TYPES = (int, int, float, int, int, float, float)
@@ -122,11 +121,16 @@ class TrialRunner:
         self.chunk = chunk_size(schedule)
         n = code.n
         self.words = (n + 63) // 64
-        self.sx, self.sz = pack(code.stabilizers, n)
+        m = n - code.k
+        # the code's rows: stabilizers, pure errors, logical X, logical Z
+        self.sx, self.sz = code.x[:m], code.z[:m]
+        self.px, self.pz = code.x[m : 2 * m], code.z[m : 2 * m]
         # logical rows Z_0 .. Z_{k-1}, then X_0 .. X_{k-1}, in class-bit order
-        self.gx, self.gz = pack(code.logical_z + code.logical_x, n)
+        self.gx, self.gz = (np.roll(rows[2 * m :], -code.k, axis=0)
+                            for rows in (code.x, code.z))
         self.class_weights = np.uint64(1) << np.arange(2 * code.k, dtype=np.uint64)
-        self.px, self.pz = pack(code.pure_errors, n)
+        self.label_bits = np.array([label.x | label.z << code.k for label in schedule.labels],
+                                   dtype=np.uint64)
         self.cum = np.cumsum(noise.probs, axis=1)
         # one generator per runner; uniforms sets its state for each trial
         self.bits = np.random.PCG64(0)
@@ -200,10 +204,7 @@ class TrialRunner:
             self.layout, self.schedule, self.noise,
             leaves=packed_leaf_probabilities(self.noise, px, pz),
         )
-        labels = [table.argmax_class() for table in tables]
-        chosen = np.array(
-            [label.x | label.z << self.code.k for label in labels], dtype=np.uint64
-        )
+        chosen = self.label_bits[argmax_labels(np.stack([t.mantissas for t in tables]))]
         target = (chosen ^ self._class_bits(px, pz))[which]
         return int(np.count_nonzero(self._class_bits(ex, ez) != target))
 

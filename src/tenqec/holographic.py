@@ -24,8 +24,10 @@ bound legs and set to the block's canonical matching product from a 4- or
 16-entry table (derived once per in-leg tuple and per build with
 ``StabilizerCode.canonicalized_on``, as ``contract`` does).  Bound
 columns stay in place and are never read again.  The live columns, the
-layout's leaf legs, are gathered into PauliStrings once, at the end, by
-:func:`~tenqec.pauli.unpack`'s C-ordered column gather.
+layout's leaf legs, are gathered once, at the end, by
+:func:`~tenqec.pauli.gather`'s C-ordered column gather, into the packed
+tableaux that :class:`~tenqec.stabilizer.StabilizerCode` holds; no
+operator is built.
 
 Chains of tensors (open trees of blocks, used for small worked examples)
 share the node derivation, the assembler, and :func:`schedule_for`, with
@@ -44,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import PauliString, unpack
+from .pauli import PauliString, gather
 from .stabilizer import StabilizerCode, six_qubit_code, seven_qubit_state
 
 # ``contract`` is the general two-tensor API; the packed assembler below
@@ -445,21 +447,16 @@ def _assemble(
     seed = six_qubit_code()
     index = {node.name: i for i, node in enumerate(nodes)}
     live = [(node.name, leg) for node in reversed(nodes) for leg in node.leaf_legs]
-    # Rows: stabilizers [0, m), pure errors [m, 2m), logical X, logical Z;
-    # the contracted code has n - k stabilizers.
+    # Rows: stabilizers [0, m), pure errors [m, 2m), logical X, logical Z,
+    # as StabilizerCode holds them; the contracted code has n - k stabilizers.
     k = seed.k
     m = len(live) - k
     x, z = _tableau(nodes, index, seed, m)
-    ops = unpack(x, z, [NODE_COLUMNS * index[name] + leg for name, leg in live])
-    code = StabilizerCode(
-        n=len(live),
-        k=k,
-        stabilizers=tuple(ops[:m]),
-        logical_x=tuple(ops[2 * m : 2 * m + k]),
-        logical_z=tuple(ops[2 * m + k :]),
-        pure_errors=tuple(ops[m : 2 * m]),
-    )
-    return code, live
+    columns = [NODE_COLUMNS * index[name] + leg for name, leg in live]
+    # each tableau half is freed once gathered, before the next is gathered
+    x = gather(x, columns)
+    z = gather(z, columns)
+    return StabilizerCode(len(live), k, x, z), live
 
 
 def _tableau(nodes: Sequence[LayoutNode], index: dict[str, int], seed: StabilizerCode,

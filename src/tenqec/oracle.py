@@ -190,7 +190,7 @@ def _code_from_listings(
         logical_z.append(PauliString.from_key(n, min(classes[z_label])))
 
     pure = solve_pure_errors(tuple(generators), tuple(logical_x), tuple(logical_z))
-    code = StabilizerCode(
+    code = StabilizerCode.of(
         n=n,
         k=k,
         stabilizers=tuple(generators),

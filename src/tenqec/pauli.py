@@ -17,8 +17,9 @@ and on base-4 keys:
 Keys of a group of Pauli strings can therefore be combined as plain ints.
 
 For many operators at once, :func:`pack` turns them into rows of uint64
-words and :func:`unpack` gathers chosen columns of such rows back into
-operators, one numpy gather per block of rows.
+words, :func:`gather` moves chosen columns of such rows into new packed
+rows, one numpy gather per block of rows, and :func:`unpack` turns rows
+back into operators.
 """
 
 from __future__ import annotations
@@ -31,14 +32,21 @@ import numpy as np
 PAULI_CHARS = "IXYZ"
 
 _CHAR_TO_CODE = {c: i for i, c in enumerate(PAULI_CHARS)}
+# I, X, Y, Z as their x bit, then as their z bit
+_TEXT_BITS = (str.maketrans(PAULI_CHARS, "0110"), str.maketrans(PAULI_CHARS, "0011"))
 
-# Rows per numpy gather in unpack: bounds the unpacked bit matrix.
+# Rows per numpy gather in gather(): bounds the unpacked bit matrix.
 GATHER_ROWS = 32
 
 
 def _bits_to_code(x: int, z: int) -> int:
     """Map one qubit's (x, z) bit pair to its 0..3 code."""
     return ((x ^ z) & 1) | ((z & 1) << 1)
+
+
+def _spread(bits: int) -> int:
+    """Move bit i of a nonnegative integer to bit 2i."""
+    return int("0".join(format(bits, "b")), 2)
 
 
 def _code_to_bits(code: int) -> tuple[int, int]:
@@ -76,11 +84,13 @@ class PauliString:
     @classmethod
     def from_text(cls, text: str) -> "PauliString":
         """Parse text like ``"XZYYXI"``; character i acts on qubit i."""
-        try:
-            codes = [_CHAR_TO_CODE[c] for c in text.upper()]
-        except KeyError as exc:
-            raise ValueError(f"invalid Pauli character {exc.args[0]!r}") from exc
-        return cls.from_codes(codes)
+        text = text.upper()
+        for c in text.strip(PAULI_CHARS):
+            if c not in _CHAR_TO_CODE:
+                raise ValueError(f"invalid Pauli character {c!r}")
+        # each bit string, reversed, reads qubit 0 as its lowest bit
+        x, z = (int(text.translate(bits)[::-1] or "0", 2) for bits in _TEXT_BITS)
+        return cls(len(text), x, z)
 
     @classmethod
     def from_codes(cls, codes: Iterable[int]) -> "PauliString":
@@ -130,11 +140,12 @@ class PauliString:
         return tuple(_bits_to_code(self.x >> i, self.z >> i) for i in range(self.n))
 
     def key(self) -> int:
-        """The index string packed as a base-4 integer, qubit i in digit i."""
-        k = 0
-        for i, code in enumerate(self.codes()):
-            k |= code << (2 * i)
-        return k
+        """The index string packed as a base-4 integer, qubit i in digit i.
+
+        Digit i is (x_i XOR z_i) | z_i << 1, so the key interleaves the bits
+        of x XOR z (even places) with those of z (odd places).
+        """
+        return _spread(self.x ^ self.z) | _spread(self.z) << 1
 
     def to_text(self) -> str:
         return "".join(PAULI_CHARS[c] for c in self.codes())
@@ -157,13 +168,13 @@ class PauliString:
 
     def commutes(self, other: "PauliString") -> bool:
         """True iff the symplectic inner product is even."""
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} != {other.n}")
-        parity = ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) & 1
-        return parity == 0
+        return not self.anticommutes(other)
 
     def anticommutes(self, other: "PauliString") -> bool:
-        return not self.commutes(other)
+        """True iff the symplectic inner product is odd."""
+        if self.n != other.n:
+            raise ValueError(f"length mismatch: {self.n} != {other.n}")
+        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) & 1 == 1
 
     def weight(self) -> int:
         """Number of qubits acted on non-trivially."""
@@ -220,38 +231,45 @@ class PauliString:
 # ---------------------------------------------------------------------------
 
 
+def words(n: int) -> int:
+    """64-bit words per packed row of ``n`` qubits (at least one)."""
+    return max(1, -(-n // 64))
+
+
 def pack(ops: Sequence[PauliString], n: int) -> tuple[np.ndarray, np.ndarray]:
     """The x and z bits of ``ops`` as read-only (len(ops), words) uint64 arrays.
 
     Bit q of a row is qubit q, little-endian across the 64-bit words.
     """
-    nbytes = 8 * max(1, -(-n // 64))
-
-    def rows(bits: Iterable[int]) -> np.ndarray:
-        raw = b"".join(b.to_bytes(nbytes, "little") for b in bits)
-        return np.frombuffer(raw, dtype="<u8").reshape(len(ops), nbytes // 8)
-
-    return rows(op.x for op in ops), rows(op.z for op in ops)
+    nbytes = 8 * words(n)
+    raw = b"".join([op.x.to_bytes(nbytes, "little") for op in ops]
+                   + [op.z.to_bytes(nbytes, "little") for op in ops])
+    x, z = np.frombuffer(raw, dtype="<u8").reshape(2, len(ops), nbytes // 8)
+    return x, z
 
 
-def unpack(x: np.ndarray, z: np.ndarray, columns: Sequence[int]) -> list[PauliString]:
-    """Operators whose qubit i is bit ``columns[i]`` of each packed row.
+def gather(rows: np.ndarray, columns: Sequence[int]) -> np.ndarray:
+    """Packed rows whose bit i is bit ``columns[i]`` of each row of ``rows``.
 
-    ``x`` and ``z`` are (rows, words) uint64 arrays as from :func:`pack`.
-    The columns are gathered in blocks of GATHER_ROWS rows, with ``take``:
-    a fancy index on the column axis returns an F-ordered array, which
-    ``packbits`` along a row packs about 25 times slower than a C-ordered one.
+    ``rows`` is a (rows, words) uint64 array as from :func:`pack`, and so
+    is the result, with the words of len(columns) qubits.  The columns are
+    gathered in blocks of GATHER_ROWS rows, with ``take``: a fancy index on
+    the column axis returns an F-ordered array, which ``packbits`` along a
+    row packs about 25 times slower than a C-ordered one.
     """
     cols = np.asarray(columns, dtype=np.intp)
-    n = len(cols)
-    out: list[PauliString] = []
-    for start in range(0, len(x), GATHER_ROWS):
-        stop = start + GATHER_ROWS
-        block = np.concatenate((x[start:stop], z[start:stop])).astype("<u8", copy=False)
+    out = np.zeros((len(rows), words(len(cols))), dtype="<u8")
+    out_bytes = out.view(np.uint8)
+    for start in range(0, len(rows), GATHER_ROWS):
+        block = rows[start : start + GATHER_ROWS]
         bits = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little").take(cols, axis=1)
-        rows = [int.from_bytes(row.tobytes(), "little")
-                for row in np.packbits(bits, axis=1, bitorder="little")]
+        packed = np.packbits(bits, axis=1, bitorder="little")
         del bits  # before the next block's bits are unpacked
-        half = len(rows) // 2
-        out.extend(PauliString(n, a, b) for a, b in zip(rows[:half], rows[half:]))
+        out_bytes[start : start + len(packed), : packed.shape[1]] = packed
     return out
+
+
+def unpack(x: np.ndarray, z: np.ndarray, n: int) -> list[PauliString]:
+    """The ``n``-qubit operators of packed rows, one per row of ``x``/``z``."""
+    ints = lambda rows: [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return [PauliString(n, a, b) for a, b in zip(ints(x), ints(z))]

@@ -11,10 +11,12 @@ All qubit indices are 0-based.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .pauli import PauliString, pack, unpack
+import numpy as np
+
+from .pauli import PauliString, gather, pack, unpack, words
 
 ENUMERATION_CAP = 20  # largest n - k for which 2^(n-k) coset listings are allowed
 
@@ -115,22 +117,80 @@ class Syndrome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class StabilizerCode:
     """An [[n, k]] stabilizer code with fixed operator representatives.
 
-    Use :meth:`from_operators` (or the JSON loader) to build one with
-    validation; the raw constructor trusts its inputs.
+    The operators are held as packed x and z tableaux, (2n, words) uint64
+    arrays with bit q of a row on qubit q, as :func:`tenqec.pauli.pack`
+    writes them.  The rows are the n - k stabilizers, the n - k pure
+    errors, the k logical X and the k logical Z, in that order.  The
+    constructor checks only this form and raises ValueError naming the
+    field it rejects; it holds the arrays, made read-only, without a copy.
+    :meth:`of` packs operators into this form, and
+    :meth:`from_operators` (or the JSON loader) also checks the relations.
+    The operator tuples are built from the rows on first use and kept.
+    Equality and the hash compare n, k and the rows.
     """
 
     n: int
     k: int
-    stabilizers: tuple[PauliString, ...]
-    logical_x: tuple[PauliString, ...]
-    logical_z: tuple[PauliString, ...]
-    pure_errors: tuple[PauliString, ...]
+    x: np.ndarray
+    z: np.ndarray
+    # (stabilizers, pure errors, logical X, logical Z), built on first use
+    _groups: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n = self.n
+        if not 0 <= self.k <= n:
+            raise ValueError(f"k must lie in [0, n] for n={n}, got k={self.k}")
+        for name, rows in (("x", self.x), ("z", self.z)):
+            if not isinstance(rows, np.ndarray) or rows.dtype != np.uint64:
+                raise ValueError(f"{name} must be a uint64 array, "
+                                 f"got {getattr(rows, 'dtype', type(rows).__name__)}")
+            if rows.ndim != 2 or len(rows) != 2 * n:
+                raise ValueError(f"{name} must have 2n = {2 * n} rows, "
+                                 f"got shape {rows.shape}")
+            if rows.shape[1] != words(n):
+                raise ValueError(f"{name} must have {words(n)} words per row for "
+                                 f"n={n}, got {rows.shape[1]}")
+        # the last word holds no bit past qubit n - 1: one test for both
+        tail = np.uint64(n % 64)
+        if tail and np.count_nonzero((self.x[:, -1] | self.z[:, -1]) >> tail):
+            name = "x" if np.count_nonzero(self.x[:, -1] >> tail) else "z"
+            raise ValueError(f"{name} has bits set past qubit n - 1 = {n - 1}")
+        self.x.flags.writeable = self.z.flags.writeable = False
 
     # -- construction ------------------------------------------------------
+
+    @classmethod
+    def of(
+        cls,
+        n: int,
+        k: int,
+        stabilizers: Sequence[PauliString],
+        logical_x: Sequence[PauliString],
+        logical_z: Sequence[PauliString],
+        pure_errors: Sequence[PauliString],
+    ) -> "StabilizerCode":
+        """Pack operators into a code, trusting their relations.
+
+        Raises ValueError if an operator is not on n qubits, or if the
+        counts are not n - k stabilizers and pure errors and k logicals
+        of each type.
+        """
+        groups = tuple(map(tuple, (stabilizers, pure_errors, logical_x, logical_z)))
+        for name, ops, count in zip(("stabilizers", "pure_errors", "logical_x", "logical_z"),
+                                    groups, (n - k, n - k, k, k)):
+            if len(ops) != count:
+                raise ValueError(f"{name} must hold {count} operators for n={n}, "
+                                 f"k={k}; got {len(ops)}")
+            for op in ops:
+                if op.n != n:
+                    raise ValueError(f"{name} operator {op} has wrong length for n={n}")
+        code = cls(n, k, *pack([op for ops in groups for op in ops], n))
+        object.__setattr__(code, "_groups", groups)
+        return code
 
     @classmethod
     def from_operators(
@@ -162,15 +222,52 @@ class StabilizerCode:
             pure = tuple(solve_pure_errors(stabs, lx, lz))
         else:
             pure = tuple(_as_pauli(p) for p in pure_errors)
-        code = cls(n, k, stabs, lx, lz, pure)
+        code = cls.of(n, k, stabs, lx, lz, pure)
         code.validate()
         return code
+
+    # -- operator views -----------------------------------------------------
+
+    def _group(self, i: int) -> tuple[PauliString, ...]:
+        if self._groups is None:
+            ops = unpack(self.x, self.z, self.n)
+            m = self.n - self.k
+            cuts = (0, m, 2 * m, 2 * m + self.k, 2 * self.n)
+            object.__setattr__(self, "_groups",
+                               tuple(tuple(ops[a:b]) for a, b in zip(cuts, cuts[1:])))
+        return self._groups[i]
+
+    @property
+    def stabilizers(self) -> tuple[PauliString, ...]:
+        return self._group(0)
+
+    @property
+    def pure_errors(self) -> tuple[PauliString, ...]:
+        return self._group(1)
+
+    @property
+    def logical_x(self) -> tuple[PauliString, ...]:
+        return self._group(2)
+
+    @property
+    def logical_z(self) -> tuple[PauliString, ...]:
+        return self._group(3)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StabilizerCode):
+            return NotImplemented
+        return (self.n, self.k) == (other.n, other.k) and bool(
+            np.array_equal(self.x, other.x) and np.array_equal(self.z, other.z))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k, self.x.tobytes(), self.z.tobytes()))
 
     def validate(self) -> None:
         """Check every construction invariant; raise ValueError on failure.
 
-        Lengths and counts must fit n and k, and the stabilizer generators
-        must be independent.  The operators must keep the symplectic pattern:
+        The stabilizer generators must be independent, and the operators
+        must keep the symplectic pattern (lengths and counts are fixed by
+        the tableau form):
 
         - S_i and S_j commute, as do X_a and X_b, and Z_a and Z_b;
         - X_a and Z_a commute with every S_j;
@@ -180,15 +277,6 @@ class StabilizerCode:
         The pure errors' relations among themselves are not checked.
         """
         stabs, lx, lz = self.stabilizers, self.logical_x, self.logical_z
-        for op in stabs + lx + lz + self.pure_errors:
-            if op.n != self.n:
-                raise ValueError(f"operator {op} has wrong length for n={self.n}")
-        if len(lx) != self.k or len(lz) != self.k:
-            raise ValueError("logical operator count must equal k")
-        if len(stabs) != self.n - self.k:
-            raise ValueError("stabilizer count must equal n-k")
-        if len(self.pure_errors) != self.n - self.k:
-            raise ValueError("pure error count must equal n-k")
         if gf2_rank(_symplectic_row(s) for s in stabs) != len(stabs):
             raise DependentGeneratorsError("stabilizer generators are dependent")
         # (name, operators, name, operators, anticommute on the diagonal);
@@ -336,8 +424,8 @@ class StabilizerCode:
                     if i != t and gens[i].anticommutes(probe):
                         gens[i] = gens[i] * gens[t]
                 t += 1
-        pure = tuple(solve_pure_errors(gens, self.logical_x, self.logical_z))
-        return replace(self, stabilizers=tuple(gens), pure_errors=pure)
+        pure = solve_pure_errors(gens, self.logical_x, self.logical_z)
+        return StabilizerCode.of(self.n, self.k, gens, self.logical_x, self.logical_z, pure)
 
     # -- reshaping ----------------------------------------------------------
 
@@ -345,14 +433,11 @@ class StabilizerCode:
         """Relabel qubits so that new qubit i is old qubit ``order[i]``.
 
         Equal to ``restrict(order)`` on every operator, done as one packed
-        column gather over all of them.
+        column gather of the tableaux.
         """
         if sorted(order) != list(range(self.n)):
             raise ValueError("order must be a permutation of range(n)")
-        groups = (self.stabilizers, self.logical_x, self.logical_z, self.pure_errors)
-        moved = iter(unpack(*pack([op for g in groups for op in g], self.n), order))
-        stabs, lx, lz, pure = (tuple(next(moved) for _ in g) for g in groups)
-        return StabilizerCode(self.n, self.k, stabs, lx, lz, pure)
+        return StabilizerCode(self.n, self.k, gather(self.x, order), gather(self.z, order))
 
 
 def _as_pauli(op: PauliString | str) -> PauliString:

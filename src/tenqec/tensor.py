@@ -206,16 +206,15 @@ class CheckReport:
 
 
 def _coset_keys(code: StabilizerCode, label: PauliString) -> frozenset[int]:
-    """Enumerate a logical class by a Gray-code walk over generator products.
+    """Enumerate a logical class as every generator product times its
+    representative, doubling the list once per generator.
 
-    The walk runs on base-4 keys, where a product is an XOR.
+    The products run on base-4 keys, where a product is an XOR.
     """
-    current = code.class_representative(label).key()
-    gens = [s.key() for s in code.stabilizers]
-    keys = {current}
-    for step in range(1, 1 << len(gens)):
-        current ^= gens[(step & -step).bit_length() - 1]
-        keys.add(current)
+    keys = [code.class_representative(label).key()]
+    for gen in code.stabilizers:
+        g = gen.key()
+        keys += [key ^ g for key in keys]
     return frozenset(keys)
 
 
@@ -268,7 +267,7 @@ def contract(a: CodeTensor, b: CodeTensor, binding: LegBinding) -> CodeTensor:
         first, second = (on_c, on_d) if c == 0 else (on_d, on_c)
         return first.without(drops[0]).concat(second.without(drops[1]))
 
-    new_code = StabilizerCode(
+    new_code = StabilizerCode.of(
         n=codes[0].n + codes[1].n - rest,
         k=codes[0].k + codes[1].k,
         stabilizers=tuple([lift(s, d) for s in codes[d].stabilizers]

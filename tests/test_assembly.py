@@ -25,7 +25,6 @@ from tenqec import (
     six_qubit_code,
     tensor,
 )
-from tenqec.pauli import pack
 
 # sha256 of json.dumps(code_to_json_dict(build_layout(r).code)), measured on
 # the contraction-fold assembler that the packed one replaced.
@@ -35,7 +34,7 @@ CODE_DIGESTS = {
     3: "5ab3328c16f61717c53a666689296bc7e84f1efc37f3c3e84a95b035e1ecbac5",
     4: "e0fa144b1107d1cd4451aa733282b8202fd56ba522309adda33213fd802f8e57",
 }
-# sha256 over the pack() bytes, x then z, of the stabilizers, pure errors,
+# sha256 over the packed bytes, x then z, of the stabilizers, pure errors,
 # logical X and logical Z of build_layout(5).code, measured on the
 # one-node-at-a-time packed assembler that the per-layer one replaced.
 RADIUS_FIVE_DIGEST = "04cd7e9588c7df5f2dbbd2539e49d59ea25241f28b09e0308ec8c5c4a85c0dc2"
@@ -63,8 +62,8 @@ def contract_fold(attached):
 def restricted(code, order):
     """``code`` with every operator restricted to ``order``, one at a time."""
     move = lambda ops: tuple(op.restrict(order) for op in ops)
-    return StabilizerCode(code.n, code.k, move(code.stabilizers), move(code.logical_x),
-                          move(code.logical_z), move(code.pure_errors))
+    return StabilizerCode.of(code.n, code.k, move(code.stabilizers), move(code.logical_x),
+                             move(code.logical_z), move(code.pure_errors))
 
 
 def digest(code):
@@ -105,22 +104,26 @@ def radius_five_code():
 
 
 def test_radius_five_code_digest(radius_five_code):
+    # the stored rows are the stabilizers, pure errors, logical X and logical
+    # Z in order, so each group's x then z bytes are its rows' slices
     code = radius_five_code
+    m = code.n - code.k
     h = hashlib.sha256()
-    for ops in (code.stabilizers, code.pure_errors, code.logical_x, code.logical_z):
-        for bits in pack(ops, code.n):
+    for rows in (slice(0, m), slice(m, 2 * m), slice(2 * m, 2 * m + code.k),
+                 slice(2 * m + code.k, None)):
+        for bits in (code.x[rows], code.z[rows]):
             h.update(bits.tobytes())
     assert h.hexdigest() == RADIUS_FIVE_DIGEST
+    assert code._groups is None  # no operator was built
 
 
 def test_radius_five_code(radius_five_code):
     code = radius_five_code
     assert (code.n, code.k) == (3996, 1)
-    assert len(code.stabilizers) == len(code.pure_errors) == 3995
-    sx, sz = pack(code.stabilizers, code.n)
-    ex, ez = pack(code.pure_errors, code.n)
+    assert code.x.shape == code.z.shape == (2 * 3996, 63)
+    sx, sz, ex, ez = code.x[:3995], code.z[:3995], code.x[3995:7990], code.z[3995:7990]
     # rows 0 and 1: logical X and logical Z
-    ax, az = pack(code.logical_x + code.logical_z, code.n)
+    ax, az = code.x[7990:], code.z[7990:]
     sample = np.random.default_rng(5).choice(3995, size=64, replace=False)
     for i in sample:
         anti = symplectic_parities(sx, sz, ex[i], ez[i])
@@ -128,6 +131,32 @@ def test_radius_five_code(radius_five_code):
     for row in (0, 1):
         assert not symplectic_parities(sx[sample], sz[sample], ax[row], az[row]).any()
     assert symplectic_parities(ax[:1], az[:1], ax[1], az[1]).tolist() == [1]
+
+
+def test_builds_and_trials_make_no_per_row_operators(monkeypatch, holo):
+    """Only the seed and the block kinds, alike at every radius, build
+    PauliStrings; the tableau, the boundary gather and a chunk of trials
+    stay on packed words."""
+    made = []
+    init = pauli.PauliString.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pauli.PauliString, "__init__", counted)
+    counts = []
+    for radius in (3, 4):
+        made.clear()
+        build_layout(radius)
+        counts.append(len(made))
+    assert counts[0] == counts[1] > 0
+    layout, schedule = holo[4]
+    made.clear()
+    runner = harness.TrialRunner(layout, schedule,
+                                 decoder.NoiseModel.depolarizing(layout.n, 0.15))
+    runner.run_trial(7, 0, range(runner.chunk))
+    assert made == []
 
 
 def test_topology_only_builds_no_tensors(monkeypatch):

@@ -1,6 +1,7 @@
 """Network likelihood evaluation and its bookkeeping."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -18,9 +19,10 @@ from tenqec import (
     likelihoods_network,
     schedule_for,
 )
-from tenqec.decoder import packed_leaf_probabilities
+from tenqec.decoder import TIE_RTOL, LikelihoodTable, argmax_labels, packed_leaf_probabilities
 from tenqec.holographic import StepGroup
 from tenqec.pauli import pack
+from tenqec.tensor import class_labels
 
 
 def test_noise_model_validation():
@@ -530,3 +532,23 @@ def test_integer_leaves_contract_as_floats(holo):
     )
     assert np.array_equal(ints.mantissas, floats.mantissas)
     assert ints.log_scale == floats.log_scale
+
+
+def test_batched_decisions_match_per_table_on_ties():
+    """argmax_labels on a (B, 4) stack decides as argmax_class does per table,
+    on exact ties, on gaps inside TIE_RTOL and on gaps just outside it."""
+    labels = tuple(class_labels(1))
+    rows, want = [], []
+    for scale in (1.0, 3.7e-200, 2.2e150):
+        for gap, tied in ((0.0, True), (0.99 * TIE_RTOL, True), (1.01 * TIE_RTOL, False)):
+            for lead, other in itertools.permutations(range(4), 2):
+                row = np.full(4, 0.25 * scale)
+                row[lead], row[other] = scale, scale * (1.0 - gap)
+                rows.append(row)
+                want.append(min(lead, other) if tied else lead)
+        rows.append(np.full(4, scale))  # all four tie: the earliest label
+        want.append(0)
+    stack = np.array(rows)
+    per_table = [labels.index(LikelihoodTable(labels, row, 0.0).argmax_class())
+                 for row in stack]
+    assert argmax_labels(stack).tolist() == per_table == want

@@ -108,15 +108,16 @@ def test_failure_rate_wrong_chooser_fails_often(six_code):
 
 
 def test_failure_rate_caps():
-    # an oversized stand-in: the raw constructor skips validation
+    # an oversized stand-in: the operator constructor skips validation, so
+    # identities can stand in for its pure errors
     stabs = ["Z" * 9] + ["I" * i + "ZZ" + "I" * (7 - i) for i in range(7)]
-    big = StabilizerCode(
+    big = StabilizerCode.of(
         9,
         1,
         tuple(PauliString.from_text(s) for s in stabs),
         (PauliString.from_text("X" * 9),),
         (PauliString.from_text("ZIIIIIIII"),),
-        (),
+        (PauliString.identity(9),) * 8,
     )
     noise = NoiseModel.depolarizing(9, 0.1)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tenqec import PauliString
-from tenqec.pauli import GATHER_ROWS, pack, unpack
+from tenqec.pauli import GATHER_ROWS, gather, pack, unpack
 
 
 def all_paulis(n):
@@ -116,7 +116,8 @@ def test_pack_unpack_gathers_columns(ops, rnd):
     columns = rnd.sample(range(70), rnd.randint(0, 70))
     x, z = pack(ops, 70)
     assert x.shape == z.shape == (len(ops), 2)
-    assert unpack(x, z, columns) == [op.restrict(columns) for op in ops]
+    moved = gather(x, columns), gather(z, columns)
+    assert unpack(*moved, len(columns)) == [op.restrict(columns) for op in ops]
 
 
 @pytest.mark.parametrize("rows", [0, 1, GATHER_ROWS - 1, GATHER_ROWS, GATHER_ROWS + 1,
@@ -133,7 +134,9 @@ def test_unpack_equals_restrict(rows, n, order):
         "shuffled": rng.permutation(n).tolist(),
         "partial": rng.choice(n, size=n // 3, replace=False).tolist(),
     }[order]
-    assert unpack(*pack(ops, n), columns) == [op.restrict(columns) for op in ops]
+    x, z = (gather(half, columns) for half in pack(ops, n))
+    assert x.shape == z.shape == (rows, max(1, -(-len(columns) // 64)))
+    assert unpack(x, z, len(columns)) == [op.restrict(columns) for op in ops]
 
 
 def test_single_places_one_operator():

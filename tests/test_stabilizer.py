@@ -236,16 +236,15 @@ def codes_and_orders(draw):
     ``permuted`` only moves operators, so they need not form a code.
     """
     n = draw(st.integers(min_value=1, max_value=140))
-    k = draw(st.integers(min_value=0, max_value=3))
-    op = st.builds(
-        lambda x, z: PauliString(n, x, z),
-        st.integers(0, (1 << n) - 1),
-        st.integers(0, (1 << n) - 1),
-    )
-    groups = [draw(st.lists(op, min_size=size, max_size=size))
-              for size in (draw(st.integers(0, 40)), k, k, draw(st.integers(0, 40)))]
+    k = draw(st.integers(min_value=0, max_value=min(3, n)))
+    # a tableau holds 2n operators, too many bits for hypothesis to draw
+    # one by one, so they come from a drawn seed
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = lambda: int.from_bytes(rng.bytes(-(-n // 8)), "little") & ((1 << n) - 1)
+    groups = [[PauliString(n, bits(), bits()) for _ in range(size)]
+              for size in (n - k, k, k, n - k)]
     order = draw(st.permutations(range(n)))
-    return StabilizerCode(n, k, *map(tuple, groups)), order
+    return StabilizerCode.of(n, k, *groups), order
 
 
 @given(codes_and_orders())
@@ -357,3 +356,72 @@ def test_enumeration_is_complete(six_code):
         err = PauliString.single(6, q, c)
         seen.add(six_code.syndrome(err).bits)
     assert len(seen) > 1
+
+
+def _words_of(code):
+    return code.x.copy(), code.z.copy()
+
+
+@pytest.mark.parametrize("field, change, message", [
+    ("x", lambda x, z, n: (x.astype(np.int64), z), "x must be a uint64 array"),
+    ("z", lambda x, z, n: (x, z.astype(np.uint32)), "z must be a uint64 array"),
+    ("x", lambda x, z, n: (x[:-1], z), r"x must have 2n = 12 rows"),
+    ("z", lambda x, z, n: (x, np.vstack([z, z[:1]])), r"z must have 2n = 12 rows"),
+    ("x", lambda x, z, n: (np.hstack([x, x]), z), "x must have 1 words per row"),
+    ("z", lambda x, z, n: (x, z[:, :0]), "z must have 1 words per row"),
+    ("x", lambda x, z, n: (x | np.uint64(1 << n), z), "x has bits set past qubit n - 1"),
+    ("z", lambda x, z, n: (x, z | np.uint64(1 << 63)), "z has bits set past qubit n - 1"),
+])
+def test_packed_constructor_names_the_bad_field(six_code, field, change, message):
+    x, z = change(*_words_of(six_code), six_code.n)
+    with pytest.raises(ValueError, match=message):
+        StabilizerCode(6, 1, x, z)
+
+
+def test_packed_constructor_rejects_k_above_n(six_code):
+    with pytest.raises(ValueError, match="k must lie in"):
+        StabilizerCode(6, 7, *_words_of(six_code))
+
+
+def test_packed_constructor_checks_bits_past_a_full_word():
+    # n = 70: the second word holds qubits 64..69 and nothing above
+    x = np.zeros((140, 2), dtype=np.uint64)
+    StabilizerCode(70, 0, x.copy(), x.copy())
+    x[3, 1] = np.uint64(1 << 5)
+    StabilizerCode(70, 0, x.copy(), x.copy())  # qubit 69 is the last
+    x[3, 1] = np.uint64(1 << 6)
+    with pytest.raises(ValueError, match="x has bits set past qubit n - 1 = 69"):
+        StabilizerCode(70, 0, x, np.zeros_like(x))
+
+
+def test_operator_constructor_rejects_bad_counts_and_lengths(six_code):
+    groups = (six_code.stabilizers, six_code.logical_x, six_code.logical_z,
+              six_code.pure_errors)
+    with pytest.raises(ValueError, match="pure_errors must hold 5 operators"):
+        StabilizerCode.of(6, 1, *groups[:3], groups[3][:4])
+    with pytest.raises(ValueError, match="logical_x operator .* wrong length"):
+        StabilizerCode.of(6, 1, groups[0], [PauliString.identity(5)], *groups[2:])
+
+
+def test_code_from_operators_equals_code_from_words(six_code):
+    rebuilt = StabilizerCode(6, 1, *_words_of(six_code))
+    assert rebuilt == six_code and hash(rebuilt) == hash(six_code)
+    assert rebuilt._groups is None  # operators are built on first use, once
+    assert rebuilt.stabilizers == six_code.stabilizers
+    assert rebuilt.pure_errors == six_code.pure_errors
+    assert rebuilt.logical_x == six_code.logical_x
+    assert rebuilt.logical_z == six_code.logical_z
+    assert rebuilt.stabilizers is rebuilt.stabilizers
+
+
+def test_code_equality_is_by_value_and_a_bool(six_code):
+    same = StabilizerCode.of(6, 1, six_code.stabilizers, six_code.logical_x,
+                             six_code.logical_z, six_code.pure_errors)
+    assert (same == six_code) is True
+    assert len({same, six_code}) == 1
+    other = six_code.permuted([1, 0, 2, 3, 4, 5])
+    assert (other == six_code) is False
+    assert (six_code == "not a code") is False
+    # the held rows cannot be written through the code
+    with pytest.raises(ValueError):
+        six_code.x[0, 0] = 0

@@ -317,3 +317,41 @@ def test_contract_pinned_digests(request, a, b, left, right, want):
     code = contract(ta, tb, LegBinding(left, right)).code
     text = json.dumps(code_to_json_dict(code)).encode()
     assert hashlib.sha256(text).hexdigest() == want
+
+
+def _group_weights(code):
+    """The stabilizer group's weight enumerator, and the supports of its
+    weight-2 elements, by listing all 2^(n - k) products of generators."""
+    counts = [0] * (code.n + 1)
+    pairs = []
+    for picks in itertools.product((False, True), repeat=len(code.stabilizers)):
+        op = PauliString.identity(code.n)
+        for gen in itertools.compress(code.stabilizers, picks):
+            op = op * gen
+        counts[op.weight()] += 1
+        if op.weight() == 2:
+            pairs.append([q for q in range(code.n) if op.code_at(q)])
+    return counts, pairs
+
+
+def test_neither_tensor_is_perfect(six_code):
+    """The paper's example tensors are not perfect tensors.
+
+    A stabilizer state on N legs is perfect (Pastawski, Yoshida, Harlow &
+    Preskill, arXiv:1503.06237) when every set of at most N / 2 legs is
+    maximally mixed, that is, when no non-identity element of its
+    stabilizer group acts on N // 2 legs or fewer.  The block is such a
+    state on 7 legs; the seed's tensor is its code's state with the
+    reference leg, whose group holds the code's stabilizer group, on 7
+    legs, and 6 without it.  Each group has a weight-2 element.
+    Block-perfectness is not checked here: that needs its own definition.
+    """
+    block_counts, block_pairs = _group_weights(seven_qubit_state())
+    assert block_counts == [1, 0, 1, 0, 35, 40, 27, 24]
+    assert block_pairs == [[1, 3]]
+    seed_counts, seed_pairs = _group_weights(six_code)
+    assert seed_counts == [1, 0, 1, 0, 11, 16, 3]
+    assert seed_pairs == [[0, 2]]
+    lightest = lambda counts: next(w for w in range(1, len(counts)) if counts[w])
+    assert lightest(block_counts) <= 7 // 2
+    assert lightest(seed_counts) <= 6 // 2
