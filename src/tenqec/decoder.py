@@ -9,11 +9,16 @@ children before parents, with messages whose bond dimensions stay at
 schedule, on a syndrome or a leaf table: the outer ring's nodes, which
 only weigh leaves, in a few groups of one gather per leaf leg each, and
 the inner nodes of each layer in groups of like nodes whose children's
-messages are stacked along a node axis, the seed alone.
-:func:`row_bytes` charges one row's temporaries; no fused group charges
-more than the largest group of the unfused grouping.  The brute-force
-reference is :mod:`tenqec.oracle`, which the test suite compares against
-to 1e-10.
+messages are stacked along a node axis, the seed alone.  The leaf stage
+works batch last, on a (4n, B) leaf table, so each gathered weight is B
+contiguous floats; a node without children sums its slots' weights in
+that layout and moves only the sums batch first.  A node with children
+closes each output slot with one matrix product, whose inner dimension
+runs over the slot's digit prefixes.  :func:`row_bytes` charges one
+row's temporaries; no fused group charges more than the largest group of
+the unfused grouping.  The brute-force reference is :mod:`tenqec.oracle`,
+which the test suite compares against to 1e-10; at bond dimension > 1 it
+compares against a dense contraction of the layout graph.
 """
 
 from __future__ import annotations
@@ -79,14 +84,19 @@ def packed_leaf_probabilities(
     """Leaf tables of bit-packed pure errors, one per row of ``ex``/``ez``.
 
     Rows are (words,) uint64 x and z bits as :func:`tenqec.pauli.pack`
-    writes them; the result has shape (rows, n, 4).
+    writes them; the result has shape (rows, n, 4) and is a view of (n, 4,
+    rows) memory, the batch-last layout that :func:`likelihoods_network`
+    reads without a copy.
     """
     x, z = (
         np.unpackbits(w.view(np.uint8), axis=-1, count=noise.n, bitorder="little")
         for w in (ex, ez)
     )
-    e = ((x ^ z) | (z << 1)).astype(np.intp)  # qubit codes, as in tenqec.pauli
-    return np.take_along_axis(noise.probs[None], e[..., None] ^ np.arange(4), axis=-1)
+    # qubit codes, as in tenqec.pauli, qubit major
+    e = np.ascontiguousarray(((x ^ z) | (z << 1)).T, dtype=np.intp)
+    leaves = np.take_along_axis(noise.probs[..., None], e[:, None] ^ np.arange(4)[:, None],
+                                axis=1)
+    return np.moveaxis(leaves, -1, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,11 +150,17 @@ class OpCounter:
 
     Categories: 'leaf' gathers (one per entry per open leg); 'matmul'
     products (rows * inner * cols each), one per trie node below a trie's
-    first level and one per (slot, prefix) pair; 'combine' passes (rows *
-    cols per matrix) that scale suffixes by leaf weights, sum each pair's
-    entries, or sum each slot's pairs into the output block; and 'trace'
-    the ring's closing inner products (rows * cols per pair).  Final
-    scalar reductions contribute no multiplies and are not counted.
+    first level and one per (slot, prefix) pair, its prefix times its
+    summed suffixes; 'combine' passes (rows * cols per matrix) that scale
+    suffixes by leaf weights, sum each pair's entries, or sum each slot's
+    pairs (or, without children, its entries) into the output block; and
+    'trace' the ring's closing inner products (rows * cols per pair).
+    Final scalar reductions contribute no multiplies and are not counted.
+    The executor does a slot's pair products and their sum as one matrix
+    product, whose inner dimension stacks the slot's prefixes; the tally
+    still counts them per pair, so it is unchanged by that fusion, and so
+    are the broadcasts that stand in for matmuls over an inner dimension
+    of 1.
     """
 
     by_category: dict[str, int] = field(default_factory=dict)
@@ -174,16 +190,18 @@ def likelihoods_network(
     Messages flow from the leaves toward the seed, one group of
     :attr:`ContractionSchedule.groups` at a time, each through the same
     sequence.  A gather per leaf leg weighs every tensor entry of every
-    node in the group.  A group with children also multiplies their
-    messages, stacked per chain position along the group's node axis,
-    along the static split of its :class:`~tenqec.holographic.SplitPlan`:
-    one matmul per node and distinct digit prefix and suffix, and one per
-    node and (output slot, prefix) pair.  Each node
-    then sums the pairs' run for each output slot into a message indexed
-    by its parent-facing legs, and every message is renormalized by its
-    largest entry, with the logs pooled into the table's log_scale, so
-    deep layouts never underflow.  The seed instead closes its ring, one
-    class label's pairs at a time.
+    node in the group.  A group without children sums each output slot's
+    weights into its message.  A group with children also multiplies
+    their messages, stacked per chain position along the group's node
+    axis, along the static split of its
+    :class:`~tenqec.holographic.SplitPlan`: one matmul per node and
+    distinct digit prefix and suffix, then one per node and output slot,
+    whose inner dimension runs over the slot's prefixes, so it sums the
+    slot's prefix-times-weighted-suffix products as it multiplies.  The
+    result, indexed by the node's parent-facing legs, is its message.
+    Every message is renormalized by its largest entry, with the logs
+    pooled into the table's log_scale, so deep layouts never underflow.
+    The seed instead closes its ring, one class label at a time.
     The leaf table is ``leaves`` or, for a syndrome,
     ``leaf_probabilities(noise, layout.code.pure_error(syndrome))``.
     Passing neither or both raises ValueError, and so do a leaf entry that
@@ -194,10 +212,15 @@ def likelihoods_network(
     a leading batch axis of every message, and returns a list of B
     tables; each is renormalized by its own largest entries, so row b
     equals the (n, 4) call on ``leaves[b]``, which is the B = 1 case of
-    the same loop.  ``counter`` tallies the work of one contraction
-    whatever B is, so its counts match ``predicted_op_count`` and repeat
-    exactly across calls.  ``bond_observer`` collects each message's
-    observed (left, right) bond dimensions.
+    the same loop.  The leaf stage reads the table batch last, as a (4n,
+    B) array, so that a gathered leaf weight is B contiguous floats: a
+    (B, n, 4) table that is a view of (n, 4, B) memory, as
+    :func:`packed_leaf_probabilities` returns, is read without a copy,
+    and any other is copied once into that layout.  ``counter`` tallies
+    the work of one contraction whatever B is, so its counts match
+    ``predicted_op_count`` and repeat exactly across calls.
+    ``bond_observer`` collects each message's observed (left, right)
+    bond dimensions.
     """
     qubits = sum(group.qubits.size for group in schedule.groups)
     if qubits != layout.n:
@@ -213,26 +236,26 @@ def likelihoods_network(
         raise ValueError(f"leaf table of shape {leaves.shape} is not (n, 4) or "
                          f"(B, n, 4) with n = {layout.n} and B >= 1")
     single = leaves.ndim == 2
-    # (B, 4n) floats, so messages renormalize in place: entry gathers are
-    # np.take along axis 1, which keeps every stack C-ordered with the batch
-    # axis outermost, as matmul wants
-    leaves = np.ascontiguousarray(leaves, dtype=np.float64).reshape(-1, 4 * layout.n)
-    if not (np.isfinite(leaves).all() and (leaves >= 0).all()):
+    # (4n, B) floats, batch last
+    table = np.ascontiguousarray(
+        np.moveaxis(leaves[None] if single else leaves, 0, -1), dtype=np.float64,
+    ).reshape(4 * layout.n, -1)
+    if not (np.isfinite(table).all() and (table >= 0).all()):
         raise ValueError("leaf table entries must be finite and nonnegative")
 
     messages: dict[str, np.ndarray] = {}
-    log_scale = np.zeros(len(leaves))
+    log_scale = np.zeros(table.shape[1])
     for group in schedule.groups:
-        factors = _factors(group, leaves, messages, counter)
-        if group.steps[0].kind == "center":
-            # one label's pairs at a time, at its slot label.key() of the
-            # seed's four, keeps the gathered matrices small
-            out = np.stack([_close_pairs(group, label.key(), 4, *factors, counter)
-                            for label in schedule.labels], axis=-1)
+        # each close gathers its group's leaf weights itself, so no slab
+        # outlives its group
+        first = group.steps[0]
+        if not first.chain:
+            out = _slot_sums(group, table, schedule.labels, counter)
+        elif first.kind == "center":
+            out = _close_ring(group, table, messages, schedule.labels, counter)
         else:
-            # no name keeps the pair stack, so it is freed before the next group
-            out = _sum_runs(group, _close_pairs(group, 0, 1, *factors, counter),
-                            counter)
+            out = _close_slots(group, table, messages, counter)
+        if first.kind != "center":
             for step in group.steps:
                 _observe(step, out.shape[-2:], bond_observer)
         log_scale += _renormalize(out)
@@ -242,19 +265,23 @@ def likelihoods_network(
     # every message but the center's has been consumed by its parent
     (mantissas,) = messages.values()
     tables = [
-        LikelihoodTable(schedule.labels, m, float(s))
-        for m, s in zip(mantissas, log_scale)
+        LikelihoodTable(schedule.labels, m, s)
+        for m, s in zip(mantissas, log_scale.tolist())
     ]
     return tables[0] if single else tables
 
 
 def row_bytes(schedule: ContractionSchedule) -> int:
-    """Bytes of the largest group temporary per row of a leaf stack: for each
-    entry of each node, two float64 of leaf weights (running product and one
-    gathered leg) or, with children, one bond matrix of its trie or pairs.
-    Groups of steps with children fuse only up to the largest charge of the
-    unfused grouping, so fusion leaves this charge, and the chunks, as
-    they were."""
+    """Bytes charged for the largest group's temporaries per row of a leaf
+    stack: for each entry of each node, two float64 of leaf weights
+    (running product and one gathered leg) or, with children, one d_out ×
+    d_out bond matrix.  No pair matrix is formed, so a node with children
+    holds, per entry, its gathered prefix product and its weighted suffix
+    product, each inner × bond; the charge stands in for them, and one
+    chunk's tracemalloc peak stays within 1.5 times batch × charge at radii
+    3 and 4.  Groups of steps with children fuse only up to the largest
+    charge of the unfused grouping, so fusion leaves this charge, and the
+    chunks, as they were."""
     return max(group.row_bytes for group in schedule.groups)
 
 
@@ -285,20 +312,29 @@ def _observe(
         )
 
 
-def _factors(
-    group: StepGroup, leaves: np.ndarray, messages: dict[str, np.ndarray],
-    counter: OpCounter | None,
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """The group's leaf weights and the two sides of its split chain.
+def _credit(counter: OpCounter | None, group: StepGroup, category: str,
+            count: int) -> None:
+    """Charge each node of the group its own ``count`` MACs of ``category``."""
+    if counter is not None:
+        for step in group.steps:
+            counter.add(step.name, category, count)
 
-    Weights are (batch, nodes, entries) over the plan's digit rows: one
-    ``np.take`` per leaf leg gathers that leg's weights for every node of
-    the group, multiplied in leg order.  Its nodes' children's messages
-    are stacked per chain position along the node axis, (batch, nodes, 4,
-    rows, cols), and go into the prefix and suffix products of
-    :func:`_trie`.  The seed, always alone, closes its ring as tr(P·S) =
-    ⟨P, Sᵀ⟩, so it builds Sᵀ from transposed factors.  A part the group
-    lacks is None.
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``; over an inner dimension of 1, the broadcast product, which
+    is bit-identical (each element is one multiply) and makes no BLAS call
+    per tiny matrix."""
+    return a * b if a.shape[-1] == 1 else a @ b
+
+
+def _leaf_weights(group: StepGroup, table: np.ndarray,
+                  counter: OpCounter | None) -> np.ndarray | None:
+    """The group's leaf weights, (nodes, entries, batch) over the plan's
+    digit rows, or None without leaf legs.
+
+    One ``np.take`` per leaf leg gathers that leg's weights for every node
+    of the group from the (4n, batch) leaf table, B contiguous floats per
+    index, multiplied in leg order.
     """
     plan, first = group.plan, group.steps[0]
     weights: np.ndarray | None = None
@@ -306,27 +342,64 @@ def _factors(
         # no name keeps a gathered slab past its product
         index = 4 * qubits[:, None] + plan.digits[:, leg]
         if weights is None:
-            weights = np.take(leaves, index, axis=1)
+            weights = np.take(table, index, axis=0)
         else:
-            weights *= np.take(leaves, index, axis=1)
+            weights *= np.take(table, index, axis=0)
     _credit(counter, group, "leaf", len(plan.digits) * len(first.leaf_legs))
+    return weights
+
+
+def _slot_sums(group: StepGroup, table: np.ndarray,
+               labels: tuple[PauliString, ...], counter: OpCounter | None) -> np.ndarray:
+    """Messages of nodes without children: each output slot's sum of its
+    entries' weights.
+
+    The plan's rows come in equal runs per slot, so the sums are one
+    reduction of the batch-last weights, and only the (nodes, slots,
+    batch) result is moved batch first.  The seed's slots are its class
+    labels' keys: (batch, 1, labels).
+    """
+    first = group.steps[0]
+    weights = _leaf_weights(group, table, counter)
+    nodes, entries, batch = weights.shape
+    sums = weights.reshape(nodes, _slots(first), -1, batch).sum(axis=2)
+    if first.kind == "center":
+        return sums[:, [label.key() for label in labels]].transpose(2, 0, 1)
+    _credit(counter, group, "combine", entries)
+    return _messages(group, sums.transpose(2, 0, 1)[..., None, None])
+
+
+def _slots(step: ScheduleStep) -> int:
+    """Output slots of a step: its codes on the in-legs and the deferred leg."""
+    return 4 ** (len(step.in_legs) + (step.deferred_leg is not None))
+
+
+def _tries(group: StepGroup, messages: dict[str, np.ndarray],
+           counter: OpCounter | None) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The prefix and suffix products of the group's split chain.
+
+    Its nodes' children's messages are stacked per chain position along
+    the node axis, (batch, nodes, 4, rows, cols), and go into the two
+    tries of :func:`_trie`.  The seed, always alone, closes its ring as
+    tr(P·S) = ⟨P, Sᵀ⟩, so it builds Sᵀ from transposed factors; every
+    other group builds Pᵀ from transposed factors, so that a slot's
+    gathered prefixes are one GEMM operand by reshape.  A side the chain
+    lacks is None.
+    """
+    plan, ring = group.plan, group.steps[0].kind == "center"
     mats = []
     for position in zip(*(step.chain for step in group.steps)):
         m = np.stack([messages.pop(child) for _, child in position], axis=1)
         # a corner child's second parent-facing index joins the left bond
         mats.append(m.reshape(m.shape[:2] + (4, -1, m.shape[-1])))
-    split, ring = len(plan.prefix), first.kind == "center"
-    suffix = [m.mT if ring else m for m in mats[split:]][::-1]
-    return (weights, _trie(group, mats[:split], plan.prefix, True, counter),
+    split = len(plan.prefix)
+    prefix, suffix = mats[:split], mats[split:][::-1]
+    if ring:
+        suffix = [m.mT for m in suffix]
+    else:
+        prefix = [m.mT for m in prefix]
+    return (_trie(group, prefix, plan.prefix, ring, counter),
             _trie(group, suffix, plan.suffix, ring, counter))
-
-
-def _credit(counter: OpCounter | None, group: StepGroup, category: str,
-            count: int) -> None:
-    """Charge each node of the group its own ``count`` MACs of ``category``."""
-    if counter is not None:
-        for step in group.steps:
-            counter.add(step.name, category, count)
 
 
 def _trie(group: StepGroup, factors: list[np.ndarray],
@@ -344,77 +417,110 @@ def _trie(group: StepGroup, factors: list[np.ndarray],
         picked = np.take(factor, digits, axis=2)
         if out is not None:
             above = out[:, :, :, None]
-            picked = above @ picked if left else picked @ above
-            inner = above.shape[-1] if left else above.shape[-2]
-            _credit(counter, group, "matmul", picked[0, 0].size * inner)
+            a, b = (above, picked) if left else (picked, above)
+            picked = _matmul(a, b)
+            _credit(counter, group, "matmul", picked[0, 0].size * a.shape[-1])
         out = picked.reshape(picked.shape[:2] + (-1,) + picked.shape[-2:])
     return out
 
 
-def _close_pairs(
-    group: StepGroup, part: int, parts: int, weights: np.ndarray | None,
-    prefix: np.ndarray | None, suffix: np.ndarray | None, counter: OpCounter | None,
-) -> np.ndarray:
-    """Close the (slot, prefix) pairs in one of ``parts`` of the plan's rows.
+def _pair_sums(group: StepGroup, rows: slice, weights: np.ndarray | None,
+               suffix: np.ndarray, counter: OpCounter | None) -> np.ndarray:
+    """Σ w·S of each (slot, prefix) pair among the plan's ``rows``: (batch,
+    nodes, pairs, rows, cols).
 
-    Each pair sums its entries' weighted suffixes, Σ w·S, in equal runs by
-    reshape, and one matmul by its prefix gives its matrix: (batch, nodes,
-    pairs, left, right), in runs per output slot.  The seed, holding Sᵀ,
-    sums tr(P·Σ w·S) = ⟨P, Σ w·Sᵀ⟩ over the pairs instead, by one
-    contiguous ``np.vecdot``, with no last matmul or strided trace:
-    (batch, 1).  With no suffix the weights stand in for the sums, one pair
-    per entry; with no prefix (bond 1) the sums are the pairs' matrices.
+    Each entry's suffix product is scaled by its leaf weight, and each
+    pair's equal run of entries is summed by reshape; a run of one entry is
+    its own sum.
+    """
+    plan = group.plan
+    sums = np.take(suffix, plan.entry_suffix[rows], axis=2)
+    if weights is not None:
+        sums *= np.moveaxis(weights[:, rows], -1, 0)[..., None, None]
+    # the weighting, then the runs' accumulation
+    _credit(counter, group, "combine", (1 + (weights is not None)) * sums[0, 0].size)
+    run = len(plan.digits) // len(plan.pair_prefix)
+    if run > 1:
+        sums = sums.reshape(sums.shape[:2] + (-1, run) + sums.shape[-2:]).sum(3)
+    return sums
+
+
+def _close_slots(group: StepGroup, table: np.ndarray,
+                 messages: dict[str, np.ndarray], counter: OpCounter | None) -> np.ndarray:
+    """Messages of a group with children: per node and output slot, one GEMM
+    [P₁ … P_R]·[Σw·S₁; …; Σw·S_R] over the slot's R prefixes.
+
+    The gathered Pᵀ and the pair sums both stack a slot's R prefixes by
+    reshape, so the product sums the slot's pairs along its inner
+    dimension, R·k for prefix products with k columns, and no pair matrix
+    is formed.  With no prefix (a chain of one child) each slot has one
+    pair, whose sum is the slot's matrix.
     """
     plan, first = group.plan, group.steps[0]
-    size = len(plan.digits) // parts
-    rows = slice(part * size, (part + 1) * size)
-    if suffix is None:
-        sums = weights[..., rows, None, None]
-    else:
-        sums = np.take(suffix, plan.entry_suffix[rows], axis=2)
-        if weights is not None:
-            sums = sums * weights[..., rows, None, None]
-        # the weighting, then the runs' accumulation
-        _credit(counter, group, "combine",
-                (1 + (weights is not None)) * sums[0, 0].size)
-        run = len(plan.digits) // len(plan.pair_prefix)
-        if run > 1:  # a run of one entry is its own sum; reducing it would copy
-            sums = sums.reshape(sums.shape[:2] + (-1, run) + sums.shape[-2:]).sum(3)
-    ring = first.kind == "center"
+    weights = _leaf_weights(group, table, counter)
+    prefix, suffix = _tries(group, messages, counter)
+    out = _pair_sums(group, slice(None), weights, suffix, counter)
+    batch, size, pairs, _, d_r = out.shape
+    if prefix is not None:
+        picked = np.take(prefix, plan.pair_prefix, axis=2)
+        _credit(counter, group, "matmul", picked[0, 0].size * d_r)
+        shape = (batch, size, _slots(first), -1)
+        out = _matmul(picked.reshape(shape + picked.shape[-1:]).mT,
+                      out.reshape(shape + (d_r,)))
+    # the sum of each slot's pairs
+    _credit(counter, group, "combine", pairs * out.shape[-2] * d_r)
+    return _messages(group, out)
+
+
+def _close_ring(group: StepGroup, table: np.ndarray,
+                messages: dict[str, np.ndarray], labels: tuple[PauliString, ...],
+                counter: OpCounter | None) -> np.ndarray:
+    """The seed's class likelihoods, (batch, 1, labels), one label's slot
+    of its plan's rows at a time, which keeps the gathered matrices small."""
+    weights = _leaf_weights(group, table, counter)
+    prefix, suffix = _tries(group, messages, counter)
+    return np.stack([_close_label(group, label.key(), weights, prefix, suffix, counter)
+                     for label in labels], axis=-1)
+
+
+def _close_label(group: StepGroup, slot: int, weights: np.ndarray | None,
+                 prefix: np.ndarray | None, suffix: np.ndarray,
+                 counter: OpCounter | None) -> np.ndarray:
+    """One class label's (batch, 1) likelihoods: the seed's output ``slot``.
+
+    tr(P·Σw·S) summed over the slot's prefixes is one contiguous
+    ``np.vecdot`` of the gathered prefix products with the pairs' Σw·Sᵀ,
+    with no matmul or strided trace.  With no prefix (bond 1) the sums'
+    traces are added.
+    """
+    plan = group.plan
+    size, pairs = len(plan.digits) // 4, len(plan.pair_prefix) // 4
+    sums = _pair_sums(group, slice(slot * size, (slot + 1) * size), weights, suffix,
+                      counter)
     if prefix is None:
-        return np.einsum("...ii->...", sums).sum(axis=-1) if ring else sums
-    pairs = len(plan.pair_prefix) // parts
-    picked = np.take(prefix, plan.pair_prefix[part * pairs:][:pairs], axis=2)
-    _credit(counter, group, "trace" if ring else "matmul",
-            picked[0, 0].size * (1 if ring else sums.shape[-1]))
-    if ring:
-        return np.vecdot(picked.reshape(picked.shape[:3] + (-1,)),
-                         sums.reshape(sums.shape[:3] + (-1,))).sum(axis=-1)
-    return picked @ sums
+        return np.einsum("...ii->...", sums).sum(axis=-1)
+    picked = np.take(prefix, plan.pair_prefix[slot * pairs:][:pairs], axis=2)
+    _credit(counter, group, "trace", picked[0, 0].size)
+    return np.vecdot(picked.reshape(picked.shape[:2] + (-1,)),
+                     sums.reshape(sums.shape[:2] + (-1,)))
 
 
-def _sum_runs(
-    group: StepGroup,
-    chain: np.ndarray,
-    counter: OpCounter | None,
-) -> np.ndarray:
-    """Sum pair matrices into the group's outgoing messages.
+def _messages(group: StepGroup, out: np.ndarray) -> np.ndarray:
+    """Lay the slots' (batch, nodes, slots, left, right) matrices out as the
+    group's messages.
 
-    The steps' pairs come in equal runs per output slot, so each slot
-    sums one run.  Behind the batch and node axes, a message is indexed by
-    the node's parent-facing legs (first in-leg major), then the left bond,
-    then the right bond with any deferred corner leg fused in as the major
-    component.
+    Behind the batch and node axes, a message is indexed by the node's
+    parent-facing legs (first in-leg major), then the left bond, then the
+    right bond with any deferred corner leg fused in as the major
+    component; slots hold that leg as their minor code, so only a fold
+    moves data.
     """
     first = group.steps[0]
-    batch, size, n_pairs, d_l, d_r = chain.shape
+    batch, size, _, d_l, d_r = out.shape
     fold = 1 if first.deferred_leg is None else 4
-    out = chain.reshape(
-        batch, size, 4 ** len(first.in_legs), fold, -1, d_l, d_r
-    ).sum(axis=4)
-    _credit(counter, group, "combine", n_pairs * d_l * d_r)
     shape = (batch, size) + (4,) * len(first.in_legs) + (d_l, fold * d_r)
-    return out.transpose(0, 1, 2, 4, 3, 5).reshape(shape)
+    return out.reshape(batch, size, -1, fold, d_l, d_r).transpose(
+        0, 1, 2, 4, 3, 5).reshape(shape)
 
 
 @dataclass(frozen=True, slots=True)

@@ -162,7 +162,9 @@ class StepGroup:
 def _node_bytes(entries: int, d_out: int) -> int:
     """One node's share of a group temporary per leaf-stack row: for each
     entry, two float64 of leaf weights (running product and one gathered
-    leg) or, with children, one bond matrix of its trie or pairs."""
+    leg) or, with children, one d_out × d_out bond matrix, which stands in
+    for its gathered prefix and weighted suffix products (the executor
+    forms no per-pair matrix)."""
     return 8 * entries * max(2, d_out ** 2)
 
 

@@ -19,7 +19,14 @@ from tenqec import (
     likelihoods_network,
     schedule_for,
 )
-from tenqec.decoder import TIE_RTOL, LikelihoodTable, argmax_labels, packed_leaf_probabilities
+from tenqec.decoder import (
+    TIE_RTOL,
+    LikelihoodTable,
+    argmax_labels,
+    packed_leaf_probabilities,
+    row_bytes,
+)
+from tenqec.harness import chunk_size
 from tenqec.holographic import StepGroup
 from tenqec.pauli import pack
 from tenqec.tensor import class_labels
@@ -73,6 +80,9 @@ def test_packed_leaf_probabilities_match_row_calls():
     stacked = packed_leaf_probabilities(model, *pack(ops, n))
     want = np.array([leaf_probabilities(model, op) for op in ops])
     assert np.array_equal(stacked, want)
+    # a view of (n, 4, rows) memory, which likelihoods_network reads as its
+    # batch-last table without a copy
+    assert np.moveaxis(stacked, 0, -1).flags.c_contiguous
 
 
 def test_network_matches_oracle(holo):
@@ -239,6 +249,28 @@ def test_radius_five_decode_memory_stays_small(holo5_topology):
     finally:
         tracemalloc.stop()
     assert peak < 6_000_000
+
+
+@pytest.mark.parametrize("radius, batch", [(3, 21), (4, 4)])
+def test_chunk_decode_memory_stays_near_its_charge(holo, radius, batch):
+    # one chunk's call on a leaf table as the harness hands it: row_bytes
+    # sizes the chunks, so the temporaries must stay near batch times it
+    # (1.17 and 1.29 times when this bound was set; a leaf-weight slab kept
+    # across groups read 1.85 at radius 4)
+    layout, schedule = holo[radius]
+    assert chunk_size(schedule) == batch
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    rng = np.random.default_rng(radius)
+    ops = [PauliString.from_codes(codes.tolist())
+           for codes in rng.integers(0, 4, size=(batch, layout.n))]
+    leaves = packed_leaf_probabilities(noise, *pack(ops, layout.n))
+    tracemalloc.start()
+    try:
+        likelihoods_network(layout, schedule, noise, leaves=leaves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * row_bytes(schedule) * batch
 
 
 def test_relabeling_covariance(holo):
