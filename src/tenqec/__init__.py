@@ -3,6 +3,8 @@
 from .decoder import (
     DecodeResult,
     LikelihoodTable,
+    Likelihoods,
+    NodeTables,
     NoiseModel,
     OpCounter,
     decode,
@@ -66,7 +68,9 @@ __all__ = [
     "LayoutNode",
     "LegBinding",
     "LikelihoodTable",
+    "Likelihoods",
     "McPoint",
+    "NodeTables",
     "NoiseModel",
     "OpCounter",
     "PauliString",

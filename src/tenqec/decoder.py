@@ -6,19 +6,30 @@ Every layout, nested rings and open chains alike, evaluates that sum by
 contracting its own network along :func:`tenqec.holographic.schedule_for`,
 children before parents, with messages whose bond dimensions stay at
 4^(radius - r).  One executor path runs every step group of the
-schedule, on a syndrome or a leaf table: the outer ring's nodes, which
-only weigh leaves, in a few groups of one gather per leaf leg each, and
-the inner nodes of each layer in groups of like nodes whose children's
-messages are stacked along a node axis, the seed alone.  The leaf stage
-works batch last, on a (4n, B) leaf table, so each gathered weight is B
-contiguous floats; a node without children sums its slots' weights in
-that layout and moves only the sums batch first.  A node with children
-closes each output slot with one matrix product, whose inner dimension
-runs over the slot's digit prefixes.  :func:`row_bytes` charges one
-row's temporaries; no fused group charges more than the largest group of
-the unfused grouping.  The brute-force reference is :mod:`tenqec.oracle`,
-which the test suite compares against to 1e-10; at bond dimension > 1 it
-compares against a dense contraction of the layout graph.
+schedule: the outer ring's nodes, which only weigh leaves, in a few
+groups, and the inner nodes of each layer in groups of like nodes whose
+children's messages are stacked along a node axis, the seed alone.  A
+node without children needs only its output slots' sums of leaf weights,
+which come from one of two sources.  Entry by entry, for a syndrome or an
+arbitrary leaf table (``leaves=``): one gather per leaf leg from a (4n, B)
+batch-last leaf table, so each gathered weight is B contiguous floats,
+summed per slot in that layout.  Or, for bit-packed pure errors
+(``pure_errors=``, as the Monte Carlo harness passes them), one row of a
+:class:`NodeTables` table per node: under independent noise the sums
+depend only on the node's 4^L pure-error pattern, so a (4^L, slots)
+table, 128 KB per node kind and noise row, is filled once per noise model
+by L mode products of the dense block tensor and held by its owner, never
+in a process-wide cache.  Both sources feed the same message layout and
+renormalization.  A node with children closes each output slot with one
+matrix product, whose inner dimension runs over the slot's digit
+prefixes, and weighs any leaf legs of its own (chains only) entry by
+entry.  A batched call returns one :class:`Likelihoods` of (B, labels)
+mantissas and (B,) log scales; a single one, a :class:`LikelihoodTable`.
+:func:`row_bytes` charges one row's temporaries; no fused group charges
+more than the largest group of the unfused grouping.  The brute-force
+reference is :mod:`tenqec.oracle`, which the test suite compares against
+to 1e-10; at bond dimension > 1 it compares against a dense contraction
+of the layout graph.
 """
 
 from __future__ import annotations
@@ -88,15 +99,19 @@ def packed_leaf_probabilities(
     rows) memory, the batch-last layout that :func:`likelihoods_network`
     reads without a copy.
     """
-    x, z = (
-        np.unpackbits(w.view(np.uint8), axis=-1, count=noise.n, bitorder="little")
-        for w in (ex, ez)
-    )
-    # qubit codes, as in tenqec.pauli, qubit major
-    e = np.ascontiguousarray(((x ^ z) | (z << 1)).T, dtype=np.intp)
+    # qubit codes, qubit major
+    e = np.ascontiguousarray(_codes(noise.n, ex, ez).T, dtype=np.intp)
     leaves = np.take_along_axis(noise.probs[..., None], e[:, None] ^ np.arange(4)[:, None],
                                 axis=1)
     return np.moveaxis(leaves, -1, 0)
+
+
+def _codes(n: int, ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
+    """The (rows, n) uint8 qubit codes of bit-packed operators, as in
+    :mod:`tenqec.pauli`: I, X, Y, Z = 0-3."""
+    x, z = (np.unpackbits(w.view(np.uint8), axis=-1, count=n, bitorder="little")
+            for w in (ex, ez))
+    return (x ^ z) | (z << 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,23 +159,40 @@ def argmax_labels(mantissas: np.ndarray) -> np.ndarray:
     return np.argmax(tied, axis=-1)
 
 
+@dataclass(frozen=True, slots=True)
+class Likelihoods:
+    """B rows of relative class likelihoods, each with its own log scale.
+
+    Label L's absolute likelihood in row b is mantissas[b, L] *
+    exp(log_scales[b]); ``argmax_labels(mantissas)`` decides every row at
+    once, as :meth:`LikelihoodTable.argmax_class` decides one.
+    """
+
+    labels: tuple[PauliString, ...]
+    mantissas: np.ndarray  # (B, labels)
+    log_scales: np.ndarray  # (B,)
+
+
 @dataclass(slots=True)
 class OpCounter:
     """Multiply-accumulate tally for the network executor.
 
-    Categories: 'leaf' gathers (one per entry per open leg); 'matmul'
-    products (rows * inner * cols each), one per trie node below a trie's
-    first level and one per (slot, prefix) pair, its prefix times its
-    summed suffixes; 'combine' passes (rows * cols per matrix) that scale
-    suffixes by leaf weights, sum each pair's entries, or sum each slot's
-    pairs (or, without children, its entries) into the output block; and
-    'trace' the ring's closing inner products (rows * cols per pair).
+    Categories: 'leaf' gathers (one per entry per open leg, or, for a
+    node without children read from :class:`NodeTables`, one per output
+    slot); 'matmul' products (rows * inner * cols each), one per trie node
+    below a trie's first level and one per (slot, prefix) pair, its prefix
+    times its summed suffixes; 'combine' passes (rows * cols per matrix)
+    that scale suffixes by leaf weights, sum each pair's entries, or sum
+    each slot's pairs (or, without children, its entries) into the output
+    block; and 'trace' the ring's closing inner products (rows * cols per
+    pair).
     Final scalar reductions contribute no multiplies and are not counted.
     The executor does a slot's pair products and their sum as one matrix
     product, whose inner dimension stacks the slot's prefixes; the tally
     still counts them per pair, so it is unchanged by that fusion, and so
     are the broadcasts that stand in for matmuls over an inner dimension
-    of 1.
+    of 1.  Filling a :class:`NodeTables` is per noise model, not per
+    decode, so no counter sees it; its own ``macs`` reports it.
     """
 
     by_category: dict[str, int] = field(default_factory=dict)
@@ -175,6 +207,81 @@ class OpCounter:
         return sum(self.by_category.values())
 
 
+# XOR4[p, d] = d ^ p: row[XOR4] is the leaf-weight matrix W[p, d] = row[d ^ p]
+# of a qubit whose pure error has code p, for its noise row
+XOR4 = np.arange(4)[:, None] ^ np.arange(4)
+
+
+class NodeTables:
+    """Messages of a schedule's nodes without children under one noise
+    model, one row per pattern of pure-error codes on a node's leaf legs.
+
+    A node without children weighs its entry e by Π_j row_j[e_j ⊕ p_j],
+    where row_j is the noise row and p_j the pure error's code of its j-th
+    leaf qubit, so its output slots' sums depend only on its leaf rows and
+    its 4^L patterns p (first leaf leg major).  Each (4^L, slots) table is
+    filled once, by L mode products of the dense block tensor with the 4 ×
+    4 matrices row_j[XOR4]; ``macs`` counts that fill's multiply-accumulates,
+    which no decode repeats.  Nodes with equal leaf rows share one table,
+    keyed by the rows' bytes, so depolarizing noise makes one table per
+    node kind (128 KB each for the seed at radius 1 and the outer ring's
+    single and corner nodes), and per-qubit noise at most one per node.
+    The tables live on this object, never in a process-wide cache: build
+    one per (schedule, noise) and pass it with pure errors to
+    :func:`likelihoods_network`.
+    """
+
+    def __init__(self, schedule: ContractionSchedule, noise: NoiseModel) -> None:
+        _check_qubits(schedule, noise.n, "noise model")
+        self.schedule, self.noise, self.macs = schedule, noise, 0
+        built: dict[tuple, np.ndarray] = {}
+        # per group of the schedule: its nodes' tables stacked, and each
+        # node's first row in the stack; None for a group with children
+        self.groups: list[tuple[np.ndarray, np.ndarray] | None] = []
+        for group in schedule.groups:
+            first = group.steps[0]
+            if first.chain:
+                self.groups.append(None)
+                continue
+            legs = tuple(leg for leg, _ in first.leaf_legs)
+            # each node's leaf rows, numbered in first-seen order
+            seen: dict[bytes, int] = {}
+            which = np.array([seen.setdefault(rows.tobytes(), len(seen))
+                              for rows in noise.probs[group.qubits]])
+            stack = []
+            for rows in seen:
+                key = (legs, first.in_legs, rows)
+                if key not in built:
+                    built[key] = _fill(schedule.block, legs + first.in_legs,
+                                       np.frombuffer(rows).reshape(-1, 4))
+                    self.macs += len(legs) * 4 * 4 ** len(legs + first.in_legs)
+                stack.append(built[key])
+            self.groups.append((np.concatenate(stack) if len(stack) > 1 else stack[0],
+                                which * 4 ** len(legs)))
+
+
+def _check_qubits(schedule: ContractionSchedule, n: int, owner: str) -> None:
+    """Raise ValueError unless the schedule's leaf qubits number ``n``."""
+    qubits = sum(group.qubits.size for group in schedule.groups)
+    if qubits != n:
+        raise ValueError(f"schedule has {qubits} leaf qubits, {owner} has {n}")
+
+
+def _fill(block: np.ndarray, legs: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+    """The (4^L, slots) table of a node whose leaf legs, then slot legs, are
+    ``legs`` (all the block's), from the dense block tensor in that leg
+    order.  A mode product per leaf leg contracts its leading axis and
+    appends the pattern digit as the minor one, so the next leaf leg leads;
+    the matmul reads the transpose in place, so nothing is copied.  W is
+    symmetric, W[p, d] = W[d, p]."""
+    table = np.zeros(4 ** len(legs))
+    table[block[:, list(legs)] @ 4 ** np.arange(len(legs) - 1, -1, -1)] = 1.0
+    for row in rows:
+        table = table.reshape(4, -1).T @ row[XOR4]
+    # axes: slot legs, then the pattern digits in leaf-leg order
+    return np.ascontiguousarray(table.reshape(-1, 4 ** len(rows)).T)
+
+
 def likelihoods_network(
     layout: HolographicLayout,
     schedule: ContractionSchedule,
@@ -182,9 +289,11 @@ def likelihoods_network(
     syndrome: Syndrome | None = None,
     *,
     leaves: np.ndarray | None = None,
+    pure_errors: tuple[np.ndarray, np.ndarray] | None = None,
+    tables: NodeTables | None = None,
     counter: OpCounter | None = None,
     bond_observer: dict[str, tuple[int, int]] | None = None,
-) -> LikelihoodTable | list[LikelihoodTable]:
+) -> LikelihoodTable | Likelihoods:
     """Contract the layout's network against leaf vectors.
 
     Messages flow from the leaves toward the seed, one group of
@@ -202,55 +311,85 @@ def likelihoods_network(
     Every message is renormalized by its largest entry, with the logs
     pooled into the table's log_scale, so deep layouts never underflow.
     The seed instead closes its ring, one class label at a time.
-    The leaf table is ``leaves`` or, for a syndrome,
-    ``leaf_probabilities(noise, layout.code.pure_error(syndrome))``.
-    Passing neither or both raises ValueError, and so do a leaf entry that
-    is negative or not finite and a schedule whose leaf qubits do not
-    number ``layout.n``.
 
-    ``leaves`` of shape (B, n, 4) contracts B leaf tables at once, along
-    a leading batch axis of every message, and returns a list of B
-    tables; each is renormalized by its own largest entries, so row b
-    equals the (n, 4) call on ``leaves[b]``, which is the B = 1 case of
-    the same loop.  The leaf stage reads the table batch last, as a (4n,
-    B) array, so that a gathered leaf weight is B contiguous floats: a
-    (B, n, 4) table that is a view of (n, 4, B) memory, as
-    :func:`packed_leaf_probabilities` returns, is read without a copy,
-    and any other is copied once into that layout.  ``counter`` tallies
-    the work of one contraction whatever B is, so its counts match
-    ``predicted_op_count`` and repeat exactly across calls.
-    ``bond_observer`` collects each message's observed (left, right)
-    bond dimensions.
+    The leaves come from exactly one source; passing none or two raises
+    ValueError, and so do a leaf entry that is negative or not finite and
+    a schedule whose leaf qubits do not number ``layout.n``:
+
+    - ``syndrome``: the leaf table ``leaf_probabilities(noise,
+      layout.code.pure_error(syndrome))``, weighed entry by entry;
+    - ``leaves``: an arbitrary leaf table, weighed entry by entry;
+    - ``pure_errors``: (B, words) uint64 x and z rows of pure errors, as
+      :func:`tenqec.pauli.pack` writes them.  A group without children
+      then reads each node's slot sums as one row of ``tables``, a
+      :class:`NodeTables` of this schedule and noise model (built for the
+      call if not given), at the base-4 pattern of its qubits' codes; a
+      node with children and leaf legs (chains only) still weighs its
+      entries, from ``packed_leaf_probabilities``.
+
+    Both sources of a group's slot sums feed the same message layout and
+    renormalization.  ``leaves`` of shape (B, n, 4) and ``pure_errors``
+    contract B rows at once, along a leading batch axis of every message,
+    and return one :class:`Likelihoods`; each row is renormalized by its
+    own largest entries, so row b equals the (n, 4) call on ``leaves[b]``,
+    which is the B = 1 case of the same loop.  The entry-by-entry leaf
+    stage reads the table batch last, as a (4n, B) array, so that a
+    gathered leaf weight is B contiguous floats: a (B, n, 4) table that is
+    a view of (n, 4, B) memory, as :func:`packed_leaf_probabilities`
+    returns, is read without a copy, and any other is copied once into
+    that layout.  ``counter`` tallies the work of one contraction whatever
+    B is, so its counts match ``predicted_op_count`` and repeat exactly
+    across calls.  ``bond_observer`` collects each message's observed
+    (left, right) bond dimensions.
     """
-    qubits = sum(group.qubits.size for group in schedule.groups)
-    if qubits != layout.n:
-        raise ValueError(f"schedule has {qubits} leaf qubits, layout has {layout.n}")
-    if (syndrome is None) == (leaves is None):
-        raise ValueError("pass a syndrome or a leaf table, not both or neither")
+    _check_qubits(schedule, layout.n, "layout")
+    if sum(source is not None for source in (syndrome, leaves, pure_errors)) != 1:
+        raise ValueError("pass one of a syndrome, a leaf table or pure errors, "
+                         "not both or neither")
+    if tables is not None and pure_errors is None:
+        raise ValueError("node tables are read only with pure errors")
     if syndrome is not None:
         if layout.code is None:
             raise ValueError("layout carries no code to map the syndrome")
         leaves = leaf_probabilities(noise, layout.code.pure_error(syndrome))
-    if (leaves.ndim not in (2, 3) or leaves.shape[-2:] != (layout.n, 4)
-            or not leaves.size):
-        raise ValueError(f"leaf table of shape {leaves.shape} is not (n, 4) or "
-                         f"(B, n, 4) with n = {layout.n} and B >= 1")
-    single = leaves.ndim == 2
-    # (4n, B) floats, batch last
-    table = np.ascontiguousarray(
-        np.moveaxis(leaves[None] if single else leaves, 0, -1), dtype=np.float64,
-    ).reshape(4 * layout.n, -1)
-    if not (np.isfinite(table).all() and (table >= 0).all()):
-        raise ValueError("leaf table entries must be finite and nonnegative")
+    codes = None
+    if pure_errors is not None:
+        ex, ez = map(np.asarray, pure_errors)
+        words = (layout.n + 63) // 64
+        if not (ex.shape == ez.shape and ex.ndim == 2 and ex.shape[1] == words
+                and len(ex) and ex.dtype == ez.dtype == np.uint64):
+            raise ValueError(f"pure errors of shapes {ex.shape} and {ez.shape} are not "
+                             f"(B, {words}) uint64 words with B >= 1")
+        tables = NodeTables(schedule, noise) if tables is None else tables
+        if tables.schedule is not schedule or tables.noise is not noise:
+            raise ValueError("node tables were built for another schedule or noise model")
+        codes = _codes(layout.n, ex, ez)
+        if any(group.steps[0].chain and group.qubits.size for group in schedule.groups):
+            leaves = packed_leaf_probabilities(noise, ex, ez)
+    table = None
+    if leaves is not None:
+        if (leaves.ndim not in (2, 3) or leaves.shape[-2:] != (layout.n, 4)
+                or not leaves.size):
+            raise ValueError(f"leaf table of shape {leaves.shape} is not (n, 4) or "
+                             f"(B, n, 4) with n = {layout.n} and B >= 1")
+        # (4n, B) floats, batch last
+        table = np.ascontiguousarray(
+            np.moveaxis(leaves if leaves.ndim == 3 else leaves[None], 0, -1),
+            dtype=np.float64,
+        ).reshape(4 * layout.n, -1)
+        if not (np.isfinite(table).all() and (table >= 0).all()):
+            raise ValueError("leaf table entries must be finite and nonnegative")
 
     messages: dict[str, np.ndarray] = {}
-    log_scale = np.zeros(table.shape[1])
-    for group in schedule.groups:
+    log_scale = np.zeros(table.shape[1] if codes is None else len(codes))
+    for index, group in enumerate(schedule.groups):
         # each close gathers its group's leaf weights itself, so no slab
         # outlives its group
         first = group.steps[0]
         if not first.chain:
-            out = _slot_sums(group, table, schedule.labels, counter)
+            sums = (_slot_sums(group, table, counter) if codes is None
+                    else _table_sums(group, tables.groups[index], codes, counter))
+            out = _leaf_messages(group, sums, schedule.labels)
         elif first.kind == "center":
             out = _close_ring(group, table, messages, schedule.labels, counter)
         else:
@@ -264,11 +403,9 @@ def likelihoods_network(
 
     # every message but the center's has been consumed by its parent
     (mantissas,) = messages.values()
-    tables = [
-        LikelihoodTable(schedule.labels, m, s)
-        for m, s in zip(mantissas, log_scale.tolist())
-    ]
-    return tables[0] if single else tables
+    if leaves is not None and leaves.ndim == 2:
+        return LikelihoodTable(schedule.labels, mantissas[0], float(log_scale[0]))
+    return Likelihoods(schedule.labels, mantissas, log_scale)
 
 
 def row_bytes(schedule: ContractionSchedule) -> int:
@@ -350,23 +487,42 @@ def _leaf_weights(group: StepGroup, table: np.ndarray,
 
 
 def _slot_sums(group: StepGroup, table: np.ndarray,
-               labels: tuple[PauliString, ...], counter: OpCounter | None) -> np.ndarray:
-    """Messages of nodes without children: each output slot's sum of its
-    entries' weights.
+               counter: OpCounter | None) -> np.ndarray:
+    """Slot sums of nodes without children, entry by entry: (batch, nodes,
+    slots).
 
     The plan's rows come in equal runs per slot, so the sums are one
     reduction of the batch-last weights, and only the (nodes, slots,
-    batch) result is moved batch first.  The seed's slots are its class
-    labels' keys: (batch, 1, labels).
+    batch) result is moved batch first.
     """
     first = group.steps[0]
     weights = _leaf_weights(group, table, counter)
     nodes, entries, batch = weights.shape
-    sums = weights.reshape(nodes, _slots(first), -1, batch).sum(axis=2)
-    if first.kind == "center":
-        return sums[:, [label.key() for label in labels]].transpose(2, 0, 1)
-    _credit(counter, group, "combine", entries)
-    return _messages(group, sums.transpose(2, 0, 1)[..., None, None])
+    if first.kind != "center":
+        _credit(counter, group, "combine", entries)
+    return weights.reshape(nodes, _slots(first), -1, batch).sum(axis=2).transpose(2, 0, 1)
+
+
+def _table_sums(group: StepGroup, tables: tuple[np.ndarray, np.ndarray],
+                codes: np.ndarray, counter: OpCounter | None) -> np.ndarray:
+    """Slot sums of nodes without children, read from their
+    :class:`NodeTables` stack: (batch, nodes, slots), one row per node at
+    the base-4 pattern of its leaf qubits' ``codes``."""
+    stack, first_rows = tables
+    digits = codes[:, group.qubits]
+    pattern = digits @ 4 ** np.arange(digits.shape[-1] - 1, -1, -1)
+    _credit(counter, group, "leaf", stack.shape[1])
+    return np.take(stack, pattern + first_rows, axis=0)
+
+
+def _leaf_messages(group: StepGroup, sums: np.ndarray,
+                   labels: tuple[PauliString, ...]) -> np.ndarray:
+    """The output of a group without children from its (batch, nodes,
+    slots) slot sums.  The seed's slots are its class labels' keys:
+    (batch, 1, labels)."""
+    if group.steps[0].kind == "center":
+        return sums[..., [label.key() for label in labels]]
+    return _messages(group, sums[..., None, None])
 
 
 def _slots(step: ScheduleStep) -> int:

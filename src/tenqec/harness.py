@@ -10,8 +10,14 @@ sets each resulting PCG64 state on one generator that draws that trial's
 row.  Sampling, syndrome extraction and class bits work on a chunk's
 bit-packed numpy words at once.  So do the chunk's distinct syndromes:
 each one's pure error is the XOR of the packed pure-error rows its bits
-select, and one gather on the noise table gives all their leaf tables,
-which one ``likelihoods_network`` call contracts along a batch axis.  Each
+select, and one ``likelihoods_network`` call contracts them all along a
+batch axis.  It reads every outer-ring node's message (the seed's at
+radius 1) as one row of the runner's :class:`~tenqec.decoder.NodeTables`,
+at the pattern of that node's pure-error codes, so no (B, n, 4) leaf table
+is built; the runner fills those tables once for its noise model, one
+128 KB table per node kind under depolarizing noise, and owns them, so
+runners at other noise strengths never share one.  The call returns the
+chunk's (B, labels) mantissas as one array, decided at once.  Each
 trial's decision depends on its syndrome alone, never on its chunk, so the
 CSV bytes do not depend on the chunk size or worker count.
 """
@@ -30,9 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import (
-    NoiseModel, argmax_labels, likelihoods_network, packed_leaf_probabilities, row_bytes,
-)
+from .decoder import NodeTables, NoiseModel, argmax_labels, likelihoods_network, row_bytes
 from .holographic import ContractionSchedule, HolographicLayout
 
 CSV_HEADER = ("radius", "n", "p", "trials", "failures", "failure_rate", "std_err")
@@ -101,6 +105,8 @@ class TrialRunner:
     A logical class is held as bits x | z << k: bit alpha is set when the
     operator anticommutes with logical Z_alpha, bit k + alpha when it
     anticommutes with logical X_alpha, so label L has bits L.x | L.z << k.
+    ``tables`` holds the :class:`~tenqec.decoder.NodeTables` of the
+    runner's schedule and noise model, filled once, on construction.
     """
 
     def __init__(
@@ -132,6 +138,7 @@ class TrialRunner:
         self.label_bits = np.array([label.x | label.z << code.k for label in schedule.labels],
                                    dtype=np.uint64)
         self.cum = np.cumsum(noise.probs, axis=1)
+        self.tables = NodeTables(schedule, noise)
         # one generator per runner; uniforms sets its state for each trial
         self.bits = np.random.PCG64(0)
         self.rng = np.random.Generator(self.bits)
@@ -200,11 +207,9 @@ class TrialRunner:
         # each distinct syndrome's pure error: the XOR of its flipped rows
         px, pz = (np.bitwise_xor.reduce(rows * flips, axis=1)
                   for rows in (self.px, self.pz))
-        tables = likelihoods_network(
-            self.layout, self.schedule, self.noise,
-            leaves=packed_leaf_probabilities(self.noise, px, pz),
-        )
-        chosen = self.label_bits[argmax_labels(np.stack([t.mantissas for t in tables]))]
+        out = likelihoods_network(self.layout, self.schedule, self.noise,
+                                  pure_errors=(px, pz), tables=self.tables)
+        chosen = self.label_bits[argmax_labels(out.mantissas)]
         target = (chosen ^ self._class_bits(px, pz))[which]
         return int(np.count_nonzero(self._class_bits(ex, ez) != target))
 

@@ -9,6 +9,7 @@ import pytest
 
 from tenqec import (
     ExhaustiveDecoder,
+    NodeTables,
     NoiseModel,
     OpCounter,
     PauliString,
@@ -17,6 +18,7 @@ from tenqec import (
     decode,
     leaf_probabilities,
     likelihoods_network,
+    predicted_op_count,
     schedule_for,
 )
 from tenqec.decoder import (
@@ -374,8 +376,7 @@ def test_fused_groups_match_one_step_at_a_time(holo, holo5_topology, radius, bat
     # mantissas are bit-identical, and only the log scales' summation
     # order differs
     if radius == "chain":  # two alike branches fuse, with leaf legs
-        layout = chain_layout([(0, 5, 0), (0, 2, 0), (1, 3, 1), (2, 3, 1)])
-        schedule = schedule_for(layout)
+        layout, schedule = _three_block_chain()
     else:
         layout, schedule = holo5_topology if radius == 5 else holo[radius]
     unfused = _unfused(schedule)
@@ -384,9 +385,8 @@ def test_fused_groups_match_one_step_at_a_time(holo, holo5_topology, radius, bat
     leaves = _leaf_stack(layout.n, noise, batch, 11)
     fused = likelihoods_network(layout, schedule, noise, leaves=leaves)
     alone = likelihoods_network(layout, unfused, noise, leaves=leaves)
-    for got, want in zip(fused, alone, strict=True):
-        assert np.array_equal(got.mantissas, want.mantissas)
-        assert got.log_scale == pytest.approx(want.log_scale, rel=1e-12)
+    assert np.array_equal(fused.mantissas, alone.mantissas)
+    np.testing.assert_allclose(fused.log_scales, alone.log_scales, rtol=1e-12)
 
 
 def test_op_counts_syndrome_independent(holo):
@@ -492,6 +492,87 @@ def _leaf_stack(n, noise, count, seed):
     ])
 
 
+def _pure_errors(n, count, seed):
+    """``count`` random Pauli operators as packed pure errors."""
+    rng = np.random.default_rng(seed)
+    return pack([PauliString.from_codes(codes.tolist())
+                 for codes in rng.integers(0, 4, size=(count, n))], n)
+
+
+def _three_block_chain():
+    """Two alike branches, with nodes that have both children and leaf legs."""
+    layout = chain_layout([(0, 5, 0), (0, 2, 0), (1, 3, 1), (2, 3, 1)])
+    return layout, schedule_for(layout)
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4, "chain"])
+@pytest.mark.parametrize("p", [0.05, 0.18, 0.3])
+@pytest.mark.parametrize("full_chunk", [False, True], ids=["B1", "chunk"])
+def test_node_tables_match_entry_by_entry_weights(holo, radius, p, full_chunk):
+    # a group without children reads its slot sums from node tables, the
+    # same positive terms summed in another order; a chain node with
+    # children and leaf legs still weighs its entries
+    layout, schedule = _three_block_chain() if radius == "chain" else holo[radius]
+    noise = NoiseModel.depolarizing(layout.n, p)
+    errors = _pure_errors(layout.n, chunk_size(schedule) if full_chunk else 1,
+                          [round(100 * p), full_chunk])
+    got = likelihoods_network(layout, schedule, noise, pure_errors=errors)
+    want = likelihoods_network(layout, schedule, noise,
+                               leaves=packed_leaf_probabilities(noise, *errors))
+    assert got.labels == want.labels
+    np.testing.assert_allclose(got.mantissas, want.mantissas, rtol=1e-12)
+    np.testing.assert_allclose(got.log_scales, want.log_scales, rtol=1e-12)
+
+
+@pytest.mark.parametrize("radius, fill_macs", [(1, 393_216), (2, 393_216), (3, 720_896),
+                                               (4, 720_896)])
+def test_node_tables_charge_one_read_per_slot(holo, radius, fill_macs):
+    # a node without children is charged one leaf read per output slot,
+    # every other node what it costs entry by entry, whatever the batch;
+    # the fill, one table per node kind (6 or 5 leaf legs, 4 * 4^7 MACs
+    # each), is counted apart
+    layout, schedule = holo[radius]
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    tables = NodeTables(schedule, noise)
+    assert tables.macs == fill_macs
+    entries = OpCounter()
+    likelihoods_network(layout, schedule, noise, leaves=noise.probs, counter=entries)
+    counts = []
+    for batch in (1, chunk_size(schedule)):
+        counter = OpCounter()
+        likelihoods_network(layout, schedule, noise, pure_errors=_pure_errors(layout.n, batch, 0),
+                            tables=tables, counter=counter)
+        counts.append((counter.by_category, counter.by_node))
+    assert counts[0] == counts[1]
+    by_category, by_node = counts[0]
+    for step in schedule.steps:
+        want = entries.by_node[step.name] if step.chain else 4 ** len(step.in_legs)
+        assert by_node[step.name] == want
+    assert 0 < sum(by_category.values()) <= predicted_op_count(layout)
+
+
+def test_pure_error_input_validation(holo):
+    layout, schedule = holo[2]
+    noise = NoiseModel.depolarizing(layout.n, 0.1)
+    ex, ez = _pure_errors(layout.n, 2, 0)
+    with pytest.raises(ValueError, match="not both"):
+        likelihoods_network(layout, schedule, noise, leaves=noise.probs,
+                            pure_errors=(ex, ez))
+    for bad in ((ex, ez[:1]), (ex[:0], ez[:0]), (ex.astype(np.int64), ez),
+                (ex[:, :0], ez[:, :0]), (ex[0], ez[0])):
+        with pytest.raises(ValueError, match="uint64 words"):
+            likelihoods_network(layout, schedule, noise, pure_errors=bad)
+    equal = NoiseModel.depolarizing(layout.n, 0.1)
+    for tables in (NodeTables(schedule, equal), NodeTables(_unfused(schedule), noise)):
+        with pytest.raises(ValueError, match="another schedule or noise model"):
+            likelihoods_network(layout, schedule, noise, pure_errors=(ex, ez), tables=tables)
+    with pytest.raises(ValueError, match="only with pure errors"):
+        likelihoods_network(layout, schedule, noise, leaves=noise.probs,
+                            tables=NodeTables(schedule, noise))
+    with pytest.raises(ValueError, match="leaf qubits"):
+        NodeTables(holo[3][1], noise)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
 @pytest.mark.parametrize("batched", [False, True])
 def test_bad_leaf_entries_raise(holo, bad, batched):
@@ -515,14 +596,15 @@ def test_batched_leaves_match_row_calls(holo, radius, batch):
     layout, schedule = holo[radius]
     noise = NoiseModel.depolarizing(layout.n, 0.18)
     leaves = _leaf_stack(layout.n, noise, batch, radius)
-    tables = likelihoods_network(layout, schedule, noise, leaves=leaves)
-    assert len(tables) == batch
-    for table, leaf in zip(tables, leaves):
+    out = likelihoods_network(layout, schedule, noise, leaves=leaves)
+    assert out.mantissas.shape == (batch, 4) and out.log_scales.shape == (batch,)
+    decided = argmax_labels(out.mantissas)
+    for b, leaf in enumerate(leaves):
         want = likelihoods_network(layout, schedule, noise, leaves=leaf)
-        assert table.labels == want.labels
-        np.testing.assert_allclose(table.mantissas, want.mantissas, rtol=1e-12)
-        assert table.log_scale == pytest.approx(want.log_scale, rel=1e-12)
-        assert table.argmax_class() == want.argmax_class()
+        assert out.labels == want.labels
+        np.testing.assert_allclose(out.mantissas[b], want.mantissas, rtol=1e-12)
+        assert out.log_scales[b] == pytest.approx(want.log_scale, rel=1e-12)
+        assert out.labels[decided[b]] == want.argmax_class()
 
 
 def test_op_counts_ignore_batch_size(holo):
@@ -546,11 +628,11 @@ def test_zero_leaf_row_leaves_other_rows_alone(holo):
     noise = NoiseModel.depolarizing(layout.n, 0.18)
     leaves = _leaf_stack(layout.n, noise, 3, 0)
     leaves[1] = 0.0
-    tables = likelihoods_network(layout, schedule, noise, leaves=leaves)
-    assert not tables[1].mantissas.any() and tables[1].log_scale == 0.0
+    out = likelihoods_network(layout, schedule, noise, leaves=leaves)
+    assert not out.mantissas[1].any() and out.log_scales[1] == 0.0
     for b in (0, 2):
         want = likelihoods_network(layout, schedule, noise, leaves=leaves[b])
-        np.testing.assert_allclose(tables[b].mantissas, want.mantissas, rtol=1e-12)
+        np.testing.assert_allclose(out.mantissas[b], want.mantissas, rtol=1e-12)
 
 
 def test_integer_leaves_contract_as_floats(holo):

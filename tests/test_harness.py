@@ -176,12 +176,14 @@ def test_chunk_draw_needs_consecutive_trials(holo):
 
 
 def test_runners_keep_their_own_generator(holo):
+    # and their own node tables: runners at two noise strengths, run in
+    # turn, count what each counts alone
     layout, schedule = holo[2]
-    noise = NoiseModel.depolarizing(layout.n, 0.2)
     chunks = (range(0, 40), range(40, 85), range(85, 120))
 
     def runners():
-        return [harness.TrialRunner(layout, schedule, noise) for _ in range(2)]
+        return [harness.TrialRunner(layout, schedule, NoiseModel.depolarizing(layout.n, p))
+                for p in (0.2, 0.12)]
 
     a, b = runners()
     assert a.bits is not b.bits
@@ -193,7 +195,37 @@ def test_runners_keep_their_own_generator(holo):
         interleaved[0].append(a.run_trial(5, 0, c))
         interleaved[1].append(b.run_trial(9, 1, c))
     assert interleaved == one_after_other
-    assert sum(one_after_other[0]) > 0
+    assert sum(one_after_other[0]) > sum(one_after_other[1]) > 0
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+def test_runner_with_per_qubit_noise_decides_as_leaf_tables(holo, monkeypatch, radius):
+    # each qubit takes one of three noise rows, so some nodes share their
+    # leaf rows' table and others have their own; every chunk's decisions
+    # must be those of the entry-by-entry leaf stage on the same pure errors
+    layout, schedule = holo[radius]
+    rows = np.array([[0.7, 0.1, 0.1, 0.1], [0.8, 0.02, 0.1, 0.08], [0.75, 0.15, 0.05, 0.05]])
+    noise = NoiseModel(rows[np.random.default_rng(radius).integers(0, 3, layout.n)])
+    runner = harness.TrialRunner(layout, schedule, noise)
+    assert any(entry is not None and len(set(entry[1])) > 1 for entry in runner.tables.groups)
+    calls = []
+
+    def both(layout, schedule, noise, *, pure_errors, tables):
+        got = likelihoods_network(layout, schedule, noise, pure_errors=pure_errors,
+                                  tables=tables)
+        want = likelihoods_network(
+            layout, schedule, noise,
+            leaves=decoder.packed_leaf_probabilities(noise, *pure_errors))
+        np.testing.assert_allclose(got.mantissas, want.mantissas, rtol=1e-12)
+        assert np.array_equal(decoder.argmax_labels(got.mantissas),
+                              decoder.argmax_labels(want.mantissas))
+        calls.append(len(got.mantissas))
+        return got
+
+    monkeypatch.setattr(harness, "likelihoods_network", both)
+    failures = sum(runner.run_trial(4, 0, range(t, t + runner.chunk))
+                   for t in range(0, 3 * runner.chunk, runner.chunk))
+    assert len(calls) == 3 and failures > 0
 
 
 @pytest.mark.parametrize("field, value", [

@@ -25,6 +25,7 @@ from tenqec import (
     six_qubit_code,
 )
 from tenqec.oracle import _class_digit_tables
+from tenqec.pauli import pack
 
 
 def _dense(code, labels=None):
@@ -123,3 +124,8 @@ def test_network_matches_dense_reference(holo, radius, p):
         mantissas, log_scale = dense_likelihoods(layout, leaves, schedule.labels)
         np.testing.assert_allclose(mantissas * np.exp(log_scale - table.log_scale),
                                    table.mantissas, rtol=1e-10, atol=0)
+        # the outer ring read from node tables
+        rows = likelihoods_network(layout, schedule, noise,
+                                   pure_errors=pack([code.pure_error(Syndrome(m, bits))], code.n))
+        np.testing.assert_allclose(mantissas * np.exp(log_scale - rows.log_scales[0]),
+                                   rows.mantissas[0], rtol=1e-10, atol=0)
