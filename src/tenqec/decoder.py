@@ -83,10 +83,7 @@ def leaf_probabilities(noise: NoiseModel, pure_error: PauliString) -> np.ndarray
     Column g is the probability of the recovery-shifted Pauli on that
     qubit, whose code is the XOR of the two codes.
     """
-    if pure_error.n != noise.n:
-        raise ValueError("pure error length must match the noise model")
-    (leaves,) = packed_leaf_probabilities(noise, *pack([pure_error], noise.n))
-    return leaves
+    return packed_leaf_probabilities(noise, *pack([pure_error], noise.n))[0]
 
 
 def packed_leaf_probabilities(

@@ -7,19 +7,20 @@ with the same arguments is byte-identical.  Trials run in chunks sized by
 :func:`chunk_size`.  A chunk computes its trials' stream seeds at once: it
 runs SeedSequence's hash as uint32 array operations across the trials and
 sets each resulting PCG64 state on one generator that draws that trial's
-row.  Sampling, syndrome extraction and class bits work on a chunk's
-bit-packed numpy words at once.  So do the chunk's distinct syndromes:
-each one's pure error is the XOR of the packed pure-error rows its bits
-select, and one ``likelihoods_network`` call contracts them all along a
-batch axis.  It reads every outer-ring node's message (the seed's at
-radius 1) as one row of the runner's :class:`~tenqec.decoder.NodeTables`,
-at the pattern of that node's pure-error codes, so no (B, n, 4) leaf table
-is built; the runner fills those tables once for its noise model, one
-128 KB table per node kind under depolarizing noise, and owns them, so
-runners at other noise strengths never share one.  The call returns the
-chunk's (B, labels) mantissas as one array, decided at once.  Each
-trial's decision depends on its syndrome alone, never on its chunk, so the
-CSV bytes do not depend on the chunk size or worker count.
+row.  Sampling works on a chunk's bit-packed numpy words at once; the
+code's packed queries (``StabilizerCode.syndromes``, ``pure_error_rows``
+and ``class_bits``) read its own rows for the chunk's syndromes, their
+pure errors and class bits.  One ``likelihoods_network`` call contracts
+the chunk's distinct syndromes along a batch axis.  It reads every
+outer-ring node's message (the seed's at radius 1) as one row of the
+runner's :class:`~tenqec.decoder.NodeTables`, at the pattern of that
+node's pure-error codes, so no (B, n, 4) leaf table is built; the runner
+fills those tables once for its noise model, one 128 KB table per node
+kind under depolarizing noise, and owns them, so runners at other noise
+strengths never share one.  The call returns the chunk's (B, labels)
+mantissas as one array, decided at once.  Each trial's decision depends on
+its syndrome alone, never on its chunk, so the CSV bytes do not depend on
+the chunk size or worker count.
 """
 
 from __future__ import annotations
@@ -92,21 +93,23 @@ class ThresholdFit:
 def chunk_size(schedule: ContractionSchedule) -> int:
     """Trials decoded per ``likelihoods_network`` call: CHUNK_BYTES // row_bytes.
 
-    512 at radius 1, 85 at radius 2, 21 at radius 3 and 4 at radius 4,
-    where the seed's or the outer ring's leaf weights or an inner ring's
-    bond matrices set the size, and 1 from radius 5 on.
+    512 at radius 1, 85 at radius 2, 21 at radius 3 and 4 at radius 4 (an
+    inner ring's bond matrices), and 1 from radius 5 on.  At radii 1-3 the
+    charge is the entry-by-entry leaf weights, which ``pure_errors=`` calls
+    do not allocate, so those chunks peak well under CHUNK_BYTES; the sizes
+    stay pinned as policy.
     """
     return max(1, CHUNK_BYTES // row_bytes(schedule))
 
 
 class TrialRunner:
-    """Bit-packed chunked sampling, syndrome extraction, and decoding.
+    """Bit-packed chunked sampling and decoding.
 
-    A logical class is held as bits x | z << k: bit alpha is set when the
-    operator anticommutes with logical Z_alpha, bit k + alpha when it
-    anticommutes with logical X_alpha, so label L has bits L.x | L.z << k.
-    ``tables`` holds the :class:`~tenqec.decoder.NodeTables` of the
-    runner's schedule and noise model, filled once, on construction.
+    A logical class is held as the code's class bits
+    (:meth:`~tenqec.stabilizer.StabilizerCode.class_bits`), so label L has
+    bits L.x | L.z << k.  ``tables`` holds the
+    :class:`~tenqec.decoder.NodeTables` of the runner's schedule and noise
+    model, filled once, on construction.
     """
 
     def __init__(
@@ -125,16 +128,6 @@ class TrialRunner:
         self.noise = noise
         self.code = code
         self.chunk = chunk_size(schedule)
-        n = code.n
-        self.words = (n + 63) // 64
-        m = n - code.k
-        # the code's rows: stabilizers, pure errors, logical X, logical Z
-        self.sx, self.sz = code.x[:m], code.z[:m]
-        self.px, self.pz = code.x[m : 2 * m], code.z[m : 2 * m]
-        # logical rows Z_0 .. Z_{k-1}, then X_0 .. X_{k-1}, in class-bit order
-        self.gx, self.gz = (np.roll(rows[2 * m :], -code.k, axis=0)
-                            for rows in (code.x, code.z))
-        self.class_weights = np.uint64(1) << np.arange(2 * code.k, dtype=np.uint64)
         self.label_bits = np.array([label.x | label.z << code.k for label in schedule.labels],
                                    dtype=np.uint64)
         self.cum = np.cumsum(noise.probs, axis=1)
@@ -142,11 +135,6 @@ class TrialRunner:
         # one generator per runner; uniforms sets its state for each trial
         self.bits = np.random.PCG64(0)
         self.rng = np.random.Generator(self.bits)
-
-    def _class_bits(self, ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
-        """Class bits of packed operators, one per row of ``ex``/``ez``."""
-        anti = _odd_overlaps(ex, ez, self.gx, self.gz)
-        return anti.astype(np.uint64) @ self.class_weights
 
     def uniforms(self, seed: int, point_index: int, trials: range) -> np.ndarray:
         """(len(trials), n) uniforms: row j is the stream of
@@ -185,33 +173,25 @@ class TrialRunner:
         fails when its error times the recovery for its syndrome,
         (chosen label) * (pure error), lies in a nontrivial logical class.
         """
-        n = self.code.n
+        code, n = self.code, self.code.n
         u = self.uniforms(seed, point_index, trials)
         # cum is nondecreasing: X or Y below cum[:, 2], Y or Z from cum[:, 1]
-        bits = np.zeros((2, len(trials), self.words * 64), dtype=np.uint8)
+        bits = np.zeros((2, len(trials), 64 * code.x.shape[1]), dtype=np.uint8)
         bits[0, :, :n] = (u >= self.cum[:, 0]) & (u < self.cum[:, 2])
         bits[1, :, :n] = u >= self.cum[:, 1]
         ex, ez = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
-        syn = _odd_overlaps(ex, ez, self.sx, self.sz)
-        # distinct syndromes by their packed bytes, numbered in first-seen
-        # order; first[s] is the first row with syndrome s
-        slot: dict[bytes, int] = {}
-        first: list[int] = []
-        which = []
-        for row, key in enumerate(np.packbits(syn, axis=1, bitorder="little")):
-            index = slot.setdefault(key.tobytes(), len(first))
-            if index == len(first):
-                first.append(row)
-            which.append(index)
-        flips = syn[first, :, None]
-        # each distinct syndrome's pure error: the XOR of its flipped rows
-        px, pz = (np.bitwise_xor.reduce(rows * flips, axis=1)
-                  for rows in (self.px, self.pz))
+        syn = code.syndromes(ex, ez)
+        # distinct syndromes as one void item per row of packed bytes:
+        # first[s] is a row with syndrome s, which[t] trial t's syndrome
+        keys = np.packbits(syn, axis=1, bitorder="little")
+        _, first, which = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
+                                    return_index=True, return_inverse=True)
+        px, pz = code.pure_error_rows(syn[first])
         out = likelihoods_network(self.layout, self.schedule, self.noise,
                                   pure_errors=(px, pz), tables=self.tables)
         chosen = self.label_bits[argmax_labels(out.mantissas)]
-        target = (chosen ^ self._class_bits(px, pz))[which]
-        return int(np.count_nonzero(self._class_bits(ex, ez) != target))
+        target = (chosen ^ code.class_bits(px, pz))[which]
+        return int(np.count_nonzero(code.class_bits(ex, ez) != target))
 
 
 def _words(value: int) -> list[int]:
@@ -286,18 +266,6 @@ def _pcg_seeds(entropy: np.ndarray) -> np.ndarray:
     # 8 uint32 words read as 4 little-endian uint64 words
     state = state.astype(np.uint64)
     return state[0::2] | state[1::2] << 32
-
-
-def _odd_overlaps(
-    ex: np.ndarray, ez: np.ndarray, rows_x: np.ndarray, rows_z: np.ndarray
-) -> np.ndarray:
-    """Parities of symplectic products: (..., words) operators against
-    (rows, words) packed rows, as a (..., rows) uint8 array of 0/1."""
-    overlap = (
-        np.bitwise_count(ex[..., None, :] & rows_z)
-        + np.bitwise_count(ez[..., None, :] & rows_x)
-    ).sum(axis=-1)
-    return overlap.astype(np.uint8) & 1
 
 
 def _count_failures(job) -> int:

@@ -4,12 +4,15 @@ Everything here recomputes results by direct enumeration, sharing as
 little machinery as possible with the production paths: class listings are
 rebuilt from generator products, single-qubit algebra is rederived
 from the Pauli layer at import time, and contraction is performed as a
-literal sum over entry pairs.  These routines are slow and size-capped;
-they exist so the fast paths have something independent to agree with.
+literal sum over entry pairs; syndromes, pure errors and representatives
+come from the code's operator tuples, not its packed queries.  These
+routines are slow and size-capped; they exist so the fast paths have
+something independent to agree with.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +62,19 @@ def _class_digit_tables(code: StabilizerCode) -> dict[PauliString, np.ndarray]:
     gen_digits = [np.array(g.codes(), dtype=np.uint8) for g in code.stabilizers]
     out = {}
     for label in class_labels(code.k):
-        rep = code.class_representative(label)
+        rep = _product(code.n, [x for a, x in enumerate(code.logical_x) if label.x >> a & 1]
+                       + [z for a, z in enumerate(code.logical_z) if label.z >> a & 1])
         rows = np.empty((1 << m, code.n), dtype=np.uint8)
         rows[0] = rep.codes()
         for j, g in enumerate(gen_digits):
             rows[1 << j : 2 << j] = _PRODUCT[rows[: 1 << j], g]
         out[label] = rows
     return out
+
+
+def _product(n: int, ops: list[PauliString]) -> PauliString:
+    """The phase-free product of ``ops``, the identity when there are none."""
+    return functools.reduce(PauliString.__mul__, ops, PauliString.identity(n))
 
 
 class ExhaustiveDecoder:
@@ -79,7 +88,10 @@ class ExhaustiveDecoder:
         code = self.code
         if noise.n != code.n:
             raise ValueError(f"noise model has {noise.n} qubits, the code {code.n}")
-        err = np.array(code.pure_error(syndrome).codes(), dtype=np.uint8)
+        if syndrome.length != len(code.stabilizers):
+            raise ValueError("syndrome length does not match generator count")
+        picked = [e for i, e in enumerate(code.pure_errors) if syndrome.bits >> i & 1]
+        err = np.array(_product(code.n, picked).codes(), dtype=np.uint8)
         cols = np.arange(code.n)
         labels = tuple(self.tables)
         values = np.zeros(len(labels))
@@ -202,22 +214,10 @@ def _code_from_listings(
     return code
 
 
-def _label_bits(label: PauliString) -> int:
-    """Interleave a label's X and Z parts into 2 bits per logical qubit."""
-    bits = 0
-    for alpha in range(label.n):
-        bits |= ((label.x >> alpha) & 1) << (2 * alpha)
-        bits |= ((label.z >> alpha) & 1) << (2 * alpha + 1)
-    return bits
-
-
 def _op_class_bits(code: StabilizerCode, op: PauliString) -> int:
-    """Class bits of any operator, syndrome-carrying ones included."""
-    bits = 0
-    for alpha in range(code.k):
-        bits |= op.anticommutes(code.logical_z[alpha]) << (2 * alpha)
-        bits |= op.anticommutes(code.logical_x[alpha]) << (2 * alpha + 1)
-    return bits
+    """Class bits x | z << k of any operator, syndrome-carrying ones included."""
+    return sum(op.anticommutes(z) << a | op.anticommutes(x) << code.k + a
+               for a, (x, z) in enumerate(zip(code.logical_x, code.logical_z)))
 
 
 def exhaustive_failure_rate(
@@ -247,7 +247,7 @@ def exhaustive_failure_rate(
     for q in range(n):
         for g in range(1, 4):
             op = PauliString.single(n, q, g)
-            syn1[q, g] = code.syndrome(op).bits
+            syn1[q, g] = sum(op.anticommutes(s) << i for i, s in enumerate(code.stabilizers))
             cls1[q, g] = _op_class_bits(code, op)
 
     count = 1 << (2 * n)
@@ -272,7 +272,7 @@ def exhaustive_failure_rate(
         label = chooser(Syndrome(m, s))
         if label.n != k:
             raise ValueError(f"chooser returned a {label.n}-qubit label; k = {k}")
-        chosen[s] = _label_bits(label)
+        chosen[s] = label.x | label.z << k
 
     failed = (cls ^ pure_cls[syndromes] ^ chosen[syndromes]) != 0
     return float(prob[failed].sum())

@@ -18,8 +18,8 @@ Keys of a group of Pauli strings can therefore be combined as plain ints.
 
 For many operators at once, :func:`pack` turns them into rows of uint64
 words, :func:`gather` moves chosen columns of such rows into new packed
-rows, one numpy gather per block of rows, and :func:`unpack` turns rows
-back into operators.
+rows, :func:`odd_overlaps` takes their symplectic parities against other
+rows, and :func:`unpack` turns rows back into operators.
 """
 
 from __future__ import annotations
@@ -239,8 +239,12 @@ def words(n: int) -> int:
 def pack(ops: Sequence[PauliString], n: int) -> tuple[np.ndarray, np.ndarray]:
     """The x and z bits of ``ops`` as read-only (len(ops), words) uint64 arrays.
 
-    Bit q of a row is qubit q, little-endian across the 64-bit words.
+    Bit q of a row is qubit q, little-endian across the 64-bit words.  An
+    operator on other than ``n`` qubits raises ValueError.
     """
+    for op in ops:
+        if op.n != n:
+            raise ValueError(f"operator {op} has wrong length for n={n}")
     nbytes = 8 * words(n)
     raw = b"".join([op.x.to_bytes(nbytes, "little") for op in ops]
                    + [op.z.to_bytes(nbytes, "little") for op in ops])
@@ -267,6 +271,21 @@ def gather(rows: np.ndarray, columns: Sequence[int]) -> np.ndarray:
         del bits  # before the next block's bits are unpacked
         out_bytes[start : start + len(packed), : packed.shape[1]] = packed
     return out
+
+
+def odd_overlaps(
+    ex: np.ndarray, ez: np.ndarray, rows_x: np.ndarray, rows_z: np.ndarray
+) -> np.ndarray:
+    """Parities of symplectic products: (..., words) operators against
+    (rows, words) packed rows, as a (..., rows) uint8 array of 0/1."""
+    if ex.shape != ez.shape or ex.shape[-1:] != rows_x.shape[-1:]:
+        raise ValueError(f"operators of shapes {ex.shape}, {ez.shape} "
+                         f"against rows of shape {rows_x.shape}")
+    overlap = (
+        np.bitwise_count(ex[..., None, :] & rows_z)
+        + np.bitwise_count(ez[..., None, :] & rows_x)
+    ).sum(axis=-1, dtype=np.uint8)  # wraps mod 256, which keeps the parity
+    return overlap & 1
 
 
 def unpack(x: np.ndarray, z: np.ndarray, n: int) -> list[PauliString]:

@@ -3,7 +3,9 @@
 A code on n qubits with k logical qubits carries n-k stabilizer generators
 S_i, logical representatives X_a / Z_a, and pure errors E_i satisfying
 E_i S_j = (-1)^{delta_ij} S_j E_i.  Everything is phase-free: stabilizer
-eigenvalues are taken as +1 and signs never enter the group algebra.
+eigenvalues are taken as +1 and signs never enter the group algebra.  A
+code holds them as packed tableaux; only this module reads their row
+layout, and its queries are XORs and parities on those rows.
 
 All qubit indices are 0-based.
 """
@@ -16,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import PauliString, gather, pack, unpack, words
+from .pauli import PauliString, gather, odd_overlaps, pack, unpack, words
 
 ENUMERATION_CAP = 20  # largest n - k for which 2^(n-k) coset listings are allowed
 
@@ -129,7 +131,7 @@ class StabilizerCode:
     field it rejects; it holds the arrays, made read-only, without a copy.
     :meth:`of` packs operators into this form, and
     :meth:`from_operators` (or the JSON loader) also checks the relations.
-    The operator tuples are built from the rows on first use and kept.
+    The operator tuples are built on first use and kept; no query builds them.
     Equality and the hash compare n, k and the rows.
     """
 
@@ -300,62 +302,67 @@ class StabilizerCode:
                             f"{'anticommute' if want else 'commute'}"
                         )
 
-    # -- basic queries -----------------------------------------------------
+    # -- queries, on packed rows or on one operator -------------------------
+
+    def syndromes(self, ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
+        """Syndromes of (..., words) packed operators as (..., n - k) 0/1
+        uint8: bit i is 1 when the operator anticommutes with S_i."""
+        m = self.n - self.k
+        return odd_overlaps(ex, ez, self.x[:m], self.z[:m])
+
+    def pure_error_rows(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Packed (..., words) x and z of the pure errors of (..., n - k) 0/1
+        syndrome bits, a right inverse of :meth:`syndromes`."""
+        m = self.n - self.k
+        if np.shape(bits)[-1:] != (m,):
+            raise ValueError(f"syndrome length of bits {np.shape(bits)} is not n - k = {m}")
+        flips = np.asarray(bits, dtype=np.uint8)[..., None]
+        return tuple(np.bitwise_xor.reduce(t[m : 2 * m] * flips, axis=-2)
+                     for t in (self.x, self.z))
+
+    def class_bits(self, ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
+        """(...,) uint64 class bits of (..., words) packed operators: bit a is
+        set when one anticommutes with Z_a, bit k + a when with X_a (k <= 32)."""
+        k, m = self.k, self.n - self.k
+        if k > 32:
+            raise ValueError(f"class bits of k = {k} logical qubits exceed 64 bits")
+        anti = odd_overlaps(ex, ez, self.x[2 * m :], self.z[2 * m :])
+        # rows X_0 .. X_{k-1}, Z_0 .. Z_{k-1} set bits k .. 2k - 1, 0 .. k - 1
+        weights = np.array([1 << (i + k) % (2 * k) for i in range(2 * k)], dtype=np.uint64)
+        return anti.astype(np.uint64) @ weights
 
     def syndrome(self, error: PauliString) -> Syndrome:
         """Anticommutation pattern of ``error`` against the generators."""
-        bits = 0
-        for i, s in enumerate(self.stabilizers):
-            if error.anticommutes(s):
-                bits |= 1 << i
-        return Syndrome(len(self.stabilizers), bits)
+        bits = np.packbits(self.syndromes(*pack([error], self.n))[0], bitorder="little")
+        return Syndrome(self.n - self.k, int.from_bytes(bits.tobytes(), "little"))
 
     def pure_error(self, syndrome: Syndrome) -> PauliString:
-        """The canonical error with the given syndrome.
-
-        This is the product of the pure-error generators selected by the
-        flipped syndrome bits, a right inverse of :meth:`syndrome`.
-        """
-        if syndrome.length != len(self.stabilizers):
-            raise ValueError("syndrome length does not match generator count")
-        x = z = 0
-        bits = syndrome.bits
-        while bits:
-            row = self.pure_errors[(bits & -bits).bit_length() - 1]
-            x ^= row.x
-            z ^= row.z
-            bits &= bits - 1
-        return PauliString(self.n, x, z)
+        """The canonical error with the given syndrome: the product of the
+        pure errors its flipped bits select, a right inverse of :meth:`syndrome`."""
+        bits = np.array(syndrome.signs(), dtype=np.int8) < 0
+        return unpack(*self.pure_error_rows(bits[None]), self.n)[0]
 
     def logical_class(self, op: PauliString) -> PauliString | None:
-        """The k-qubit class label of ``op``, or None outside the normalizer.
-
-        Label qubit a carries an X component when ``op`` anticommutes with
-        Z_a and a Z component when it anticommutes with X_a, so the label of
-        a logical representative is itself.
-        """
-        for s in self.stabilizers:
-            if op.anticommutes(s):
-                return None
-        x = z = 0
-        for a in range(self.k):
-            if op.anticommutes(self.logical_z[a]):
-                x |= 1 << a
-            if op.anticommutes(self.logical_x[a]):
-                z |= 1 << a
-        return PauliString(self.k, x, z)
+        """The k-qubit class label of ``op``, or None outside the normalizer:
+        label qubit a has an X (Z) part when ``op`` anticommutes with Z_a
+        (X_a), so a logical representative is its own label."""
+        ex, ez = pack([op], self.n)
+        if self.syndromes(ex, ez).any():
+            return None
+        bits = int(self.class_bits(ex, ez)[0])
+        return PauliString(self.k, bits & ((1 << self.k) - 1), bits >> self.k)
 
     def class_representative(self, label: PauliString) -> PauliString:
-        """A fixed coset representative for a logical class label."""
+        """The product of X_a over the label's X components and Z_a over its
+        Z components, a fixed coset representative of the class."""
         if label.n != self.k:
             raise ValueError("class label length must equal k")
-        op = PauliString.identity(self.n)
-        for a in range(self.k):
-            if (label.x >> a) & 1:
-                op = op * self.logical_x[a]
-            if (label.z >> a) & 1:
-                op = op * self.logical_z[a]
-        return op
+        m, bits, x, z = self.n - self.k, label.x | label.z << self.k, 0, 0
+        # logical rows X_0 .. X_{k-1}, Z_0 .. Z_{k-1}: bit i picks row 2m + i
+        for i in (i for i in range(2 * self.k) if bits >> i & 1):
+            x ^= int.from_bytes(self.x[2 * m + i].tobytes(), "little")
+            z ^= int.from_bytes(self.z[2 * m + i].tobytes(), "little")
+        return PauliString(self.n, x, z)
 
     def distance(self, max_weight: int) -> int | None:
         """Exhaustive code distance up to ``max_weight``; None if larger.
@@ -384,10 +391,13 @@ class StabilizerCode:
         the syndromes of X and Z on each listed leg are linearly independent.
         """
         legs = list(legs)
-        if len(set(legs)) != len(legs):
-            raise ValueError("legs must be distinct")
-        singles = [PauliString.single(self.n, q, c) for q in legs for c in (1, 3)]
-        return gf2_rank(self.syndrome(op).bits for op in singles) == len(singles)
+        if len(set(legs)) != len(legs) or not all(0 <= q < self.n for q in legs):
+            raise ValueError(f"legs {legs} must be distinct qubits of range({self.n})")
+        # X_q's syndrome is column q of the stabilizers' z rows, Z_q's of their x rows
+        q, m = np.array(legs, dtype=np.intp), self.n - self.k
+        bits = [t[:m, q >> 6] >> (q & 63).astype(np.uint64) & 1 for t in (self.z, self.x)]
+        cols = np.packbits(np.concatenate(bits, axis=1), axis=0, bitorder="little").T
+        return gf2_rank(int.from_bytes(c.tobytes(), "little") for c in cols) == 2 * len(legs)
 
     def canonicalized_on(self, legs: Sequence[int]) -> "StabilizerCode":
         """Re-derive generators in leg-canonical form.

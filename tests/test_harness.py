@@ -12,13 +12,17 @@ from tenqec import (
     McPoint,
     NoiseModel,
     PauliString,
+    Syndrome,
+    build_layout,
     crossing_point,
+    decode,
     exhaustive_failure_rate,
     fit_threshold,
     likelihoods_network,
     read_points,
     run_mc,
     run_point,
+    schedule_for,
     write_points,
 )
 from tenqec import decoder, harness
@@ -196,6 +200,20 @@ def test_runners_keep_their_own_generator(holo):
         interleaved[1].append(b.run_trial(9, 1, c))
     assert interleaved == one_after_other
     assert sum(one_after_other[0]) > sum(one_after_other[1]) > 0
+
+
+def test_decodes_leave_the_operator_tuples_unbuilt():
+    # a syndrome= decode and a Monte Carlo chunk read the code's packed
+    # rows only; a fresh layout, since other tests build the shared ones'
+    layout = build_layout(3)
+    schedule = schedule_for(layout)
+    code = layout.code
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    result = decode(layout, schedule, noise, Syndrome(code.n - code.k, 0b1011001))
+    assert code._groups is None
+    assert code.syndrome(result.correction).bits == 0b1011001
+    harness.TrialRunner(layout, schedule, noise).run_trial(3, 0, range(harness.chunk_size(schedule)))
+    assert code._groups is None
 
 
 @pytest.mark.parametrize("radius", [2, 3])

@@ -152,3 +152,28 @@ def test_chooser_label_size_is_checked(six_code):
     noise = NoiseModel.depolarizing(6, 0.1)
     with pytest.raises(ValueError, match="2-qubit label; k = 1"):
         exhaustive_failure_rate(six_code, noise, lambda s: PauliString.from_text("XI"))
+
+
+def test_oracle_reads_no_packed_query(monkeypatch, holo):
+    # the reference takes syndromes and pure errors from the operator
+    # tuples, so it shares no parity kernel with the network and harness
+    layout, schedule = holo[1]
+    code = layout.code
+    noise = NoiseModel.depolarizing(6, 0.12)
+    syndromes = [Syndrome(5, bits) for bits in range(32)]
+    network = [likelihoods_network(layout, schedule, noise, syn) for syn in syndromes]
+    chosen = {syn.bits: table.argmax_class() for syn, table in zip(syndromes, network)}
+    ml = exhaustive_failure_rate(code, noise, lambda syn: chosen[syn.bits])
+
+    def refuse(*args):
+        raise AssertionError("the oracle called a packed query")
+
+    for name in ("syndromes", "pure_error_rows", "class_bits"):
+        monkeypatch.setattr(StabilizerCode, name, refuse)
+    oracle = ExhaustiveDecoder(code)
+    for syn, want in zip(syndromes, network):
+        got = oracle.likelihoods(noise, syn)
+        for label in got.labels:
+            assert got.absolute(label) == pytest.approx(want.absolute(label), rel=1e-12)
+    assert exhaustive_failure_rate(code, noise, lambda syn: chosen[syn.bits]) == ml
+    assert 0.0 < ml < 1.0

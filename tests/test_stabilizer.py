@@ -11,6 +11,7 @@ from tenqec import (
     CodeTensor,
     DependentGeneratorsError,
     LegBinding,
+    NoiseModel,
     PauliString,
     StabilizerCode,
     Syndrome,
@@ -19,9 +20,11 @@ from tenqec import (
     seven_qubit_state,
     six_qubit_code,
     contract,
+    leaf_probabilities,
     solve_pure_errors,
     spans_same_group,
 )
+from tenqec.pauli import pack, unpack
 from tenqec.stabilizer import gf2_rank
 
 
@@ -151,7 +154,7 @@ def enumerated_distinguishes(code, legs):
             op = PauliString.identity(code.n)
             for q, c in zip(legs, codes):
                 op = op * PauliString.single(code.n, q, c)
-            if code.syndrome(op).bits == 0:
+            if not any(op.anticommutes(s) for s in code.stabilizers):
                 return False
     return True
 
@@ -259,6 +262,77 @@ def test_permuted_equals_restrict(case):
         (moved.pure_errors, code.pure_errors),
     ):
         assert got == tuple(op.restrict(order) for op in want)
+
+
+def _looped_queries(code, ops, picks):
+    """Syndrome bits, class bits and pure errors by loops over anticommutes."""
+    syn = [[int(op.anticommutes(s)) for s in code.stabilizers] for op in ops]
+    cls = [sum(op.anticommutes(z) << a | op.anticommutes(x) << code.k + a
+               for a, (x, z) in enumerate(zip(code.logical_x, code.logical_z)))
+           for op in ops]
+    pure = []
+    for row in picks:
+        err = PauliString.identity(code.n)
+        for e, pick in zip(code.pure_errors, row):
+            err = err * e if pick else err
+        pure.append(err)
+    return syn, cls, pure
+
+
+def _check_queries_against_loops(code, rng, legs):
+    ops = [PauliString(code.n, *(int.from_bytes(rng.bytes(-(-code.n // 8)), "little")
+                                 & ((1 << code.n) - 1) for _ in "xz"))
+           for _ in range(5)] + list(code.logical_x) + list(code.stabilizers[:2])
+    picks = rng.integers(0, 2, (4, code.n - code.k), dtype=np.uint8)
+    syn, cls, pure = _looped_queries(code, ops, picks)
+    ex, ez = pack(ops, code.n)
+    assert code.syndromes(ex, ez).tolist() == syn
+    assert code.class_bits(ex, ez).tolist() == cls
+    assert unpack(*code.pure_error_rows(picks), code.n) == pure
+    # a (2, 2, ...) batch answers as its rows do
+    assert np.array_equal(code.syndromes(ex[:4].reshape(2, 2, -1), ez[:4].reshape(2, 2, -1)),
+                          np.array(syn[:4]).reshape(2, 2, -1))
+    singles = [PauliString.single(code.n, q, c) for q in legs for c in (1, 3)]
+    rows = [sum(op.anticommutes(s) << i for i, s in enumerate(code.stabilizers))
+            for op in singles]
+    assert code.distinguishes_errors_on(legs) == (gf2_rank(rows) == len(singles))
+
+
+@given(codes_and_orders(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_packed_queries_match_anticommutes_loops(case, seed):
+    # the operators need not form a code: each query is a parity or an XOR
+    # of the rows, whatever they hold
+    code, order = case
+    rng = np.random.default_rng(seed)
+    _check_queries_against_loops(code, rng, order[: int(rng.integers(0, 4))])
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+def test_packed_queries_match_anticommutes_loops_on_holographic_codes(holo, radius):
+    code = holo[radius][0].code
+    rng = np.random.default_rng(radius)
+    for size in (1, 2, 5, 18):
+        legs = rng.choice(code.n, size, replace=False).tolist()
+        _check_queries_against_loops(code, rng, legs)
+
+
+@pytest.mark.parametrize("length", [5, 7])
+def test_operators_of_another_length_are_rejected(six_code, length):
+    # pack would pad a 5-qubit operator into the 6-qubit rows' one word
+    op = PauliString.single(length, 0, "X")
+    with pytest.raises(ValueError, match="wrong length for n=6"):
+        six_code.syndrome(op)
+    with pytest.raises(ValueError, match="wrong length for n=6"):
+        six_code.logical_class(op)
+    with pytest.raises(ValueError, match="wrong length for n=6"):
+        leaf_probabilities(NoiseModel.depolarizing(6, 0.1), op)
+    with pytest.raises(ValueError, match=re.escape("bits (1, 4) is not n - k = 5")):
+        six_code.pure_error_rows(np.zeros((1, 4), dtype=np.uint8))
+    with pytest.raises(ValueError, match="syndrome length"):
+        six_code.pure_error(Syndrome(4, 1))
+    with pytest.raises(ValueError, match=re.escape("distinct qubits of range(6)")):
+        six_code.distinguishes_errors_on([6])
 
 
 def test_json_round_trip(six_code):
