@@ -10,26 +10,26 @@ schedule: the outer ring's nodes, which only weigh leaves, in a few
 groups, and the inner nodes of each layer in groups of like nodes whose
 children's messages are stacked along a node axis, the seed alone.  A
 node without children needs only its output slots' sums of leaf weights,
-which come from one of two sources.  Entry by entry, for a syndrome or an
-arbitrary leaf table (``leaves=``): one gather per leaf leg from a (4n, B)
-batch-last leaf table, so each gathered weight is B contiguous floats,
-summed per slot in that layout.  Or, for bit-packed pure errors
-(``pure_errors=``, as the Monte Carlo harness passes them), one row of a
-:class:`NodeTables` table per node: under independent noise the sums
-depend only on the node's 4^L pure-error pattern, so a (4^L, slots)
-table, 128 KB per node kind and noise row, is filled once per noise model
-by L mode products of the dense block tensor and held by its owner, never
-in a process-wide cache.  Both sources feed the same message layout and
-renormalization.  A node with children closes each output slot with one
-matrix product, whose inner dimension runs over the slot's digit
-prefixes, and weighs any leaf legs of its own (chains only) entry by
-entry.  A batched call returns one :class:`Likelihoods` of (B, labels)
-mantissas and (B,) log scales; a single one, a :class:`LikelihoodTable`.
-:func:`row_bytes` charges one row's temporaries; no fused group charges
-more than the largest group of the unfused grouping.  The brute-force
-reference is :mod:`tenqec.oracle`, which the test suite compares against
-to 1e-10; at bond dimension > 1 it compares against a dense contraction
-of the layout graph.
+and the input fixes where they come from.  A syndrome or an arbitrary
+leaf table (``leaves=``) is weighed entry by entry: one gather per leaf
+leg from a (4n, B) batch-last leaf table, so each gathered weight is B
+contiguous floats, summed per slot in that layout; a syndrome's table is
+that of its packed pure-error rows.  Bit-packed pure errors
+(``pure_errors=``, as the Monte Carlo harness passes them) are read from
+the caller's :class:`NodeTables`, one row per node: under independent
+noise the sums depend only on the node's 4^L pure-error pattern, so a
+(4^L, slots) table, 128 KB per node kind and noise row, is filled once
+per noise model by L mode products of the dense block tensor and held by
+its owner, never in a process-wide cache.  Both sources feed the same
+message layout and renormalization.  A node with children closes each
+output slot with one matrix product, whose inner dimension runs over the
+slot's digit prefixes, and weighs any leaf legs of its own (chains only)
+entry by entry.  A batched call returns one :class:`Likelihoods` of (B,
+labels) mantissas and (B,) log scales; a single one, a
+:class:`LikelihoodTable`.  The brute-force reference is
+:mod:`tenqec.oracle`, which the test suite compares against to 1e-10; at
+bond dimension > 1 it compares against a dense contraction of the layout
+graph.
 """
 
 from __future__ import annotations
@@ -91,20 +91,15 @@ def packed_leaf_probabilities(
 ) -> np.ndarray:
     """Leaf tables of bit-packed pure errors, one per row of ``ex``/``ez``.
 
-    Rows are (words,) uint64 x and z bits as :func:`tenqec.pauli.pack`
-    writes them; the result has shape (rows, n, 4) and is a view of (n, 4,
-    rows) memory, the batch-last layout that :func:`likelihoods_network`
-    reads without a copy.
+    Rows are (..., words) uint64 x and z bits as :func:`tenqec.pauli.pack`
+    writes them; the result is a plain (..., n, 4) array.
     """
-    # qubit codes, qubit major
-    e = np.ascontiguousarray(_codes(noise.n, ex, ez).T, dtype=np.intp)
-    leaves = np.take_along_axis(noise.probs[..., None], e[:, None] ^ np.arange(4)[:, None],
-                                axis=1)
-    return np.moveaxis(leaves, -1, 0)
+    n = noise.n
+    return noise.probs[np.arange(n)[:, None], _codes(n, ex, ez)[..., None] ^ np.arange(4)]
 
 
 def _codes(n: int, ex: np.ndarray, ez: np.ndarray) -> np.ndarray:
-    """The (rows, n) uint8 qubit codes of bit-packed operators, as in
+    """The (..., n) uint8 qubit codes of bit-packed operators, as in
     :mod:`tenqec.pauli`: I, X, Y, Z = 0-3."""
     x, z = (np.unpackbits(w.view(np.uint8), axis=-1, count=n, bitorder="little")
             for w in (ex, ez))
@@ -224,8 +219,8 @@ class NodeTables:
     node kind (128 KB each for the seed at radius 1 and the outer ring's
     single and corner nodes), and per-qubit noise at most one per node.
     The tables live on this object, never in a process-wide cache: build
-    one per (schedule, noise) and pass it with pure errors to
-    :func:`likelihoods_network`.
+    one per (schedule, noise) and pass it with every ``pure_errors=`` call
+    of :func:`likelihoods_network`, which reads no others.
     """
 
     def __init__(self, schedule: ContractionSchedule, noise: NoiseModel) -> None:
@@ -313,16 +308,18 @@ def likelihoods_network(
     ValueError, and so do a leaf entry that is negative or not finite and
     a schedule whose leaf qubits do not number ``layout.n``:
 
-    - ``syndrome``: the leaf table ``leaf_probabilities(noise,
-      layout.code.pure_error(syndrome))``, weighed entry by entry;
+    - ``syndrome``: the leaf table ``packed_leaf_probabilities(noise,
+      *layout.code.pure_error_rows(bits))`` of its bits, weighed entry by
+      entry;
     - ``leaves``: an arbitrary leaf table, weighed entry by entry;
     - ``pure_errors``: (B, words) uint64 x and z rows of pure errors, as
-      :func:`tenqec.pauli.pack` writes them.  A group without children
-      then reads each node's slot sums as one row of ``tables``, a
-      :class:`NodeTables` of this schedule and noise model (built for the
-      call if not given), at the base-4 pattern of its qubits' codes; a
-      node with children and leaf legs (chains only) still weighs its
-      entries, from ``packed_leaf_probabilities``.
+      :func:`tenqec.pauli.pack` writes them, with ``tables``, the
+      :class:`NodeTables` of this schedule and noise object; without them,
+      or with another's, the call raises ValueError.  A group without
+      children reads each node's slot sums as one row of ``tables``, at
+      the base-4 pattern of its qubits' codes; a node with children and
+      leaf legs (chains only) still weighs its entries, from
+      ``packed_leaf_probabilities``.
 
     Both sources of a group's slot sums feed the same message layout and
     renormalization.  ``leaves`` of shape (B, n, 4) and ``pure_errors``
@@ -331,10 +328,9 @@ def likelihoods_network(
     own largest entries, so row b equals the (n, 4) call on ``leaves[b]``,
     which is the B = 1 case of the same loop.  The entry-by-entry leaf
     stage reads the table batch last, as a (4n, B) array, so that a
-    gathered leaf weight is B contiguous floats: a (B, n, 4) table that is
-    a view of (n, 4, B) memory, as :func:`packed_leaf_probabilities`
-    returns, is read without a copy, and any other is copied once into
-    that layout.  ``counter`` tallies the work of one contraction whatever
+    gathered leaf weight is B contiguous floats; a (B, n, 4) table is
+    copied once into that layout, and for B = 1 the two layouts are the
+    same memory.  ``counter`` tallies the work of one contraction whatever
     B is, so its counts match ``predicted_op_count`` and repeat exactly
     across calls.  ``bond_observer`` collects each message's observed
     (left, right) bond dimensions.
@@ -348,7 +344,8 @@ def likelihoods_network(
     if syndrome is not None:
         if layout.code is None:
             raise ValueError("layout carries no code to map the syndrome")
-        leaves = leaf_probabilities(noise, layout.code.pure_error(syndrome))
+        bits = np.array(syndrome.signs(), dtype=np.int8) < 0
+        leaves = packed_leaf_probabilities(noise, *layout.code.pure_error_rows(bits))
     codes = None
     if pure_errors is not None:
         ex, ez = map(np.asarray, pure_errors)
@@ -357,7 +354,9 @@ def likelihoods_network(
                 and len(ex) and ex.dtype == ez.dtype == np.uint64):
             raise ValueError(f"pure errors of shapes {ex.shape} and {ez.shape} are not "
                              f"(B, {words}) uint64 words with B >= 1")
-        tables = NodeTables(schedule, noise) if tables is None else tables
+        if tables is None:
+            raise ValueError("pure errors are read from node tables: pass "
+                             "tables=NodeTables(schedule, noise)")
         if tables.schedule is not schedule or tables.noise is not noise:
             raise ValueError("node tables were built for another schedule or noise model")
         codes = _codes(layout.n, ex, ez)
@@ -392,8 +391,7 @@ def likelihoods_network(
         else:
             out = _close_slots(group, table, messages, counter)
         if first.kind != "center":
-            for step in group.steps:
-                _observe(step, out.shape[-2:], bond_observer)
+            _observe(group, out.shape[-2:], bond_observer)
         log_scale += _renormalize(out)
         for g, step in enumerate(group.steps):
             messages[step.name] = out[:, g]
@@ -403,20 +401,6 @@ def likelihoods_network(
     if leaves is not None and leaves.ndim == 2:
         return LikelihoodTable(schedule.labels, mantissas[0], float(log_scale[0]))
     return Likelihoods(schedule.labels, mantissas, log_scale)
-
-
-def row_bytes(schedule: ContractionSchedule) -> int:
-    """Bytes charged for the largest group's temporaries per row of a leaf
-    stack: for each entry of each node, two float64 of leaf weights
-    (running product and one gathered leg) or, with children, one d_out ×
-    d_out bond matrix.  No pair matrix is formed, so a node with children
-    holds, per entry, its gathered prefix product and its weighted suffix
-    product, each inner × bond; the charge stands in for them, and one
-    chunk's tracemalloc peak stays within 1.5 times batch × charge at radii
-    3 and 4.  Groups of steps with children fuse only up to the largest
-    charge of the unfused grouping, so fusion leaves this charge, and the
-    chunks, as they were."""
-    return max(group.row_bytes for group in schedule.groups)
 
 
 def _renormalize(out: np.ndarray) -> np.ndarray:
@@ -433,17 +417,20 @@ def _renormalize(out: np.ndarray) -> np.ndarray:
 
 
 def _observe(
-    step: ScheduleStep,
+    group: StepGroup,
     bonds: tuple[int, int],
     bond_observer: dict[str, tuple[int, int]] | None,
 ) -> None:
-    """Record a message's (left, right) bond dims; they must match the schedule."""
-    if bond_observer is not None:
-        bond_observer[step.name] = bonds
-    if bonds != (step.d_out, step.d_out):
+    """Check the group's (left, right) message bond dims against the
+    schedule, once: its steps share d_out, which is part of the grouping
+    key, and one message array.  Record them per node if observed."""
+    first = group.steps[0]
+    if bonds != (first.d_out, first.d_out):
         raise AssertionError(
-            f"node {step.name}: bond dims {bonds} differ from scheduled {step.d_out}"
+            f"node {first.name}: bond dims {bonds} differ from scheduled {first.d_out}"
         )
+    if bond_observer is not None:
+        bond_observer.update((step.name, bonds) for step in group.steps)
 
 
 def _credit(counter: OpCounter | None, group: StepGroup, category: str,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import NodeTables, NoiseModel, argmax_labels, likelihoods_network, row_bytes
+from .decoder import NodeTables, NoiseModel, argmax_labels, likelihoods_network
 from .holographic import ContractionSchedule, HolographicLayout
 
 CSV_HEADER = ("radius", "n", "p", "trials", "failures", "failure_rate", "std_err")
@@ -91,15 +91,15 @@ class ThresholdFit:
 
 
 def chunk_size(schedule: ContractionSchedule) -> int:
-    """Trials decoded per ``likelihoods_network`` call: CHUNK_BYTES // row_bytes.
+    """Trials decoded per ``likelihoods_network`` call: CHUNK_BYTES // schedule.row_bytes.
 
     512 at radius 1, 85 at radius 2, 21 at radius 3 and 4 at radius 4 (an
     inner ring's bond matrices), and 1 from radius 5 on.  At radii 1-3 the
-    charge is the entry-by-entry leaf weights, which ``pure_errors=`` calls
-    do not allocate, so those chunks peak well under CHUNK_BYTES; the sizes
-    stay pinned as policy.
+    charge is the entry-by-entry leaf weights, which the runner's
+    ``pure_errors=`` calls do not allocate, so those chunks peak well under
+    CHUNK_BYTES; the sizes stay pinned as policy.
     """
-    return max(1, CHUNK_BYTES // row_bytes(schedule))
+    return max(1, CHUNK_BYTES // schedule.row_bytes)
 
 
 class TrialRunner:

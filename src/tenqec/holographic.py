@@ -232,6 +232,13 @@ class ContractionSchedule:
         groups.sort(key=lambda group: info[group.steps[0].name][0])
         object.__setattr__(self, "groups", tuple(groups))
 
+    @property
+    def row_bytes(self) -> int:
+        """Bytes charged for the largest group's temporaries per row of a
+        leaf stack, which sizes the Monte Carlo chunks; fusing leaves it as
+        the unfused grouping has it."""
+        return max(group.row_bytes for group in self.groups)
+
 
 def _split_plan(block: np.ndarray, chain_legs: tuple[int, ...],
                 slot_legs: tuple[int, ...]) -> SplitPlan:

@@ -26,8 +26,8 @@ from tenqec.decoder import (
     LikelihoodTable,
     argmax_labels,
     packed_leaf_probabilities,
-    row_bytes,
 )
+from tenqec import decoder
 from tenqec.harness import chunk_size
 from tenqec.holographic import StepGroup
 from tenqec.pauli import pack
@@ -73,8 +73,8 @@ def test_leaf_probabilities_match_codes_gather(n):
 
 
 def test_packed_leaf_probabilities_match_row_calls():
-    # the harness builds a chunk's leaf tables from packed pure errors in
-    # one gather; each row must be leaf_probabilities on that operator
+    # a stack of packed pure errors gives its leaf tables in one gather;
+    # each row must be leaf_probabilities on that operator
     n = 70
     rng = np.random.default_rng(3)
     model = NoiseModel(rng.dirichlet(np.ones(4), size=n))
@@ -82,9 +82,6 @@ def test_packed_leaf_probabilities_match_row_calls():
     stacked = packed_leaf_probabilities(model, *pack(ops, n))
     want = np.array([leaf_probabilities(model, op) for op in ops])
     assert np.array_equal(stacked, want)
-    # a view of (n, 4, rows) memory, which likelihoods_network reads as its
-    # batch-last table without a copy
-    assert np.moveaxis(stacked, 0, -1).flags.c_contiguous
 
 
 def test_network_matches_oracle(holo):
@@ -255,10 +252,11 @@ def test_radius_five_decode_memory_stays_small(holo5_topology):
 
 @pytest.mark.parametrize("radius, batch", [(3, 21), (4, 4)])
 def test_chunk_decode_memory_stays_near_its_charge(holo, radius, batch):
-    # one chunk's call on a leaf table as the harness hands it: row_bytes
-    # sizes the chunks, so the temporaries must stay near batch times it
-    # (1.17 and 1.29 times when this bound was set; a leaf-weight slab kept
-    # across groups read 1.85 at radius 4)
+    # one chunk-sized leaves= call: the schedule's row_bytes sizes the
+    # chunks, so the temporaries must stay near batch times it
+    # (1.16 and 1.40 times with the (B, n, 4) table copied batch last, 1.04
+    # and 1.30 when it was read as a view; a leaf-weight slab kept across
+    # groups read 1.85 at radius 4)
     layout, schedule = holo[radius]
     assert chunk_size(schedule) == batch
     noise = NoiseModel.depolarizing(layout.n, 0.18)
@@ -272,7 +270,7 @@ def test_chunk_decode_memory_stays_near_its_charge(holo, radius, batch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * row_bytes(schedule) * batch
+    assert peak <= 1.5 * schedule.row_bytes * batch
 
 
 def test_relabeling_covariance(holo):
@@ -516,12 +514,51 @@ def test_node_tables_match_entry_by_entry_weights(holo, radius, p, full_chunk):
     noise = NoiseModel.depolarizing(layout.n, p)
     errors = _pure_errors(layout.n, chunk_size(schedule) if full_chunk else 1,
                           [round(100 * p), full_chunk])
-    got = likelihoods_network(layout, schedule, noise, pure_errors=errors)
+    got = likelihoods_network(layout, schedule, noise, pure_errors=errors,
+                              tables=NodeTables(schedule, noise))
     want = likelihoods_network(layout, schedule, noise,
                                leaves=packed_leaf_probabilities(noise, *errors))
     assert got.labels == want.labels
     np.testing.assert_allclose(got.mantissas, want.mantissas, rtol=1e-12)
     np.testing.assert_allclose(got.log_scales, want.log_scales, rtol=1e-12)
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, "chain"])
+def test_syndromes_decode_from_the_codes_packed_rows(holo, monkeypatch, radius):
+    # a syndrome's leaf table is that of its packed pure-error rows, with
+    # no PauliString pure error and no leaf_probabilities on the way
+    layout, schedule = _three_block_chain() if radius == "chain" else holo[radius]
+    code = layout.code
+    m = code.n - code.k
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+
+    def unused(*args):
+        raise AssertionError("a syndrome= decode must not call this")
+
+    monkeypatch.setattr(type(code), "pure_error", unused)
+    monkeypatch.setattr(decoder, "leaf_probabilities", unused)
+    rng = np.random.default_rng([7, m])
+    for bits in rng.integers(0, 2, size=(4, m)):
+        syndrome = Syndrome(m, int("".join(map(str, bits[::-1])), 2))
+        got = likelihoods_network(layout, schedule, noise, syndrome)
+        want = likelihoods_network(
+            layout, schedule, noise,
+            leaves=packed_leaf_probabilities(noise, *code.pure_error_rows(bits)))
+        assert np.array_equal(got.mantissas, want.mantissas)
+        assert got.log_scale == want.log_scale
+
+
+def test_messages_off_the_scheduled_bond_raise(holo):
+    # every step of a group shares its d_out, so one check per group names
+    # the group's first node
+    layout, schedule = holo[2]
+    steps = tuple(dataclasses.replace(step, d_out=2) if step.leaf_only else step
+                  for step in schedule.steps)
+    wrong = dataclasses.replace(schedule, steps=steps)
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    name = wrong.groups[0].steps[0].name
+    with pytest.raises(AssertionError, match=rf"node {name}: bond dims \(1, 1\) differ"):
+        likelihoods_network(layout, wrong, noise, leaves=noise.probs)
 
 
 @pytest.mark.parametrize("radius, fill_macs", [(1, 393_216), (2, 393_216), (3, 720_896),
@@ -562,6 +599,9 @@ def test_pure_error_input_validation(holo):
                 (ex[:, :0], ez[:, :0]), (ex[0], ez[0])):
         with pytest.raises(ValueError, match="uint64 words"):
             likelihoods_network(layout, schedule, noise, pure_errors=bad)
+    # pure errors are read only from the caller's node tables
+    with pytest.raises(ValueError, match="pass tables="):
+        likelihoods_network(layout, schedule, noise, pure_errors=(ex, ez))
     equal = NoiseModel.depolarizing(layout.n, 0.1)
     for tables in (NodeTables(schedule, equal), NodeTables(_unfused(schedule), noise)):
         with pytest.raises(ValueError, match="another schedule or noise model"):

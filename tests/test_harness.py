@@ -332,7 +332,7 @@ def test_csv_bytes_ignore_chunk_size_and_workers(tmp_path, monkeypatch, holo,
     # with chunks of 7 split across two workers
     layout, schedule = holo[radius]
     want = _sweep_bytes(tmp_path, layout, schedule, trials)
-    per_trial = decoder.row_bytes(schedule)
+    per_trial = schedule.row_bytes
     for chunk, workers in ((1, 1), (7, 1), (trials, 1), (7, 2)):
         monkeypatch.setattr(harness, "CHUNK_BYTES", chunk * per_trial)
         assert harness.chunk_size(schedule) == chunk

@@ -19,7 +19,6 @@ from tenqec import (
     schedule_for,
     seven_qubit_state,
 )
-from tenqec.decoder import row_bytes
 from tenqec.holographic import CORNER_IN_LEGS, SINGLE_IN_LEG, _block_digits, _split_plan
 
 
@@ -291,7 +290,7 @@ def _assert_groups_partition(layout, schedule):
         key = str(_legs(step)) if step.leaf_only else step.name
         unfused[key] = unfused.get(key, 0) + charge(step)
     cap = max(unfused.values())
-    assert row_bytes(schedule) == cap
+    assert schedule.row_bytes == cap
     for group in groups:
         first = group.steps[0]
         assert group.qubits.shape == (len(group.steps), len(first.leaf_legs))

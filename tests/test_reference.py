@@ -18,6 +18,7 @@ import pytest
 
 from tenqec import (
     ExhaustiveDecoder,
+    NodeTables,
     NoiseModel,
     Syndrome,
     likelihoods_network,
@@ -126,6 +127,7 @@ def test_network_matches_dense_reference(holo, radius, p):
                                    table.mantissas, rtol=1e-10, atol=0)
         # the outer ring read from node tables
         rows = likelihoods_network(layout, schedule, noise,
-                                   pure_errors=pack([code.pure_error(Syndrome(m, bits))], code.n))
+                                   pure_errors=pack([code.pure_error(Syndrome(m, bits))], code.n),
+                                   tables=NodeTables(schedule, noise))
         np.testing.assert_allclose(mantissas * np.exp(log_scale - rows.log_scales[0]),
                                    rows.mantissas[0], rtol=1e-10, atol=0)
