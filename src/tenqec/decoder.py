@@ -12,9 +12,9 @@ children's messages are stacked along a node axis, the seed alone.  A
 node without children needs only its output slots' sums of leaf weights,
 and the input fixes where they come from.  A syndrome or an arbitrary
 leaf table (``leaves=``) is weighed entry by entry: one gather per leaf
-leg from a (4n, B) batch-last leaf table, so each gathered weight is B
-contiguous floats, summed per slot in that layout; a syndrome's table is
-that of its packed pure-error rows.  Bit-packed pure errors
+leg from the (B, 4n) leaf table, read in place, and one sum per output
+slot; a syndrome's table is that of its packed pure-error rows.  Every
+executor array holds the batch first.  Bit-packed pure errors
 (``pure_errors=``, as the Monte Carlo harness passes them) are read from
 the caller's :class:`NodeTables`, one row per node: under independent
 noise the sums depend only on the node's 4^L pure-error pattern, so a
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .holographic import ContractionSchedule, HolographicLayout, ScheduleStep, StepGroup
-from .pauli import PauliString, pack
+from .pauli import PauliString, pack, unpack
 from .stabilizer import Syndrome
 
 # Relative tie tolerance of argmax_labels: reordered float sums move mantissas
@@ -259,6 +259,14 @@ def _check_qubits(schedule: ContractionSchedule, n: int, owner: str) -> None:
         raise ValueError(f"schedule has {qubits} leaf qubits, {owner} has {n}")
 
 
+def _pure_error_rows(layout: HolographicLayout, syndrome: Syndrome) -> tuple[np.ndarray, ...]:
+    """The packed (words,) x and z rows of the syndrome's pure error."""
+    if layout.code is None:
+        raise ValueError("layout carries no code to map the syndrome")
+    bits = np.array(syndrome.signs(), dtype=np.int8) < 0
+    return layout.code.pure_error_rows(bits)
+
+
 def _fill(block: np.ndarray, legs: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     """The (4^L, slots) table of a node whose leaf legs, then slot legs, are
     ``legs`` (all the block's), from the dense block tensor in that leg
@@ -325,12 +333,10 @@ def likelihoods_network(
     renormalization.  ``leaves`` of shape (B, n, 4) and ``pure_errors``
     contract B rows at once, along a leading batch axis of every message,
     and return one :class:`Likelihoods`; each row is renormalized by its
-    own largest entries, so row b equals the (n, 4) call on ``leaves[b]``,
-    which is the B = 1 case of the same loop.  The entry-by-entry leaf
-    stage reads the table batch last, as a (4n, B) array, so that a
-    gathered leaf weight is B contiguous floats; a (B, n, 4) table is
-    copied once into that layout, and for B = 1 the two layouts are the
-    same memory.  ``counter`` tallies the work of one contraction whatever
+    own largest entries, and every reduction runs along an axis of one
+    row, so row b is bit-identical to the (n, 4) call on ``leaves[b]``,
+    the B = 1 case of the same loop.  A float64 table is read in place, as
+    a (B, 4n) view.  ``counter`` tallies the work of one contraction whatever
     B is, so its counts match ``predicted_op_count`` and repeat exactly
     across calls.  ``bond_observer`` collects each message's observed
     (left, right) bond dimensions.
@@ -342,10 +348,7 @@ def likelihoods_network(
     if tables is not None and pure_errors is None:
         raise ValueError("node tables are read only with pure errors")
     if syndrome is not None:
-        if layout.code is None:
-            raise ValueError("layout carries no code to map the syndrome")
-        bits = np.array(syndrome.signs(), dtype=np.int8) < 0
-        leaves = packed_leaf_probabilities(noise, *layout.code.pure_error_rows(bits))
+        leaves = packed_leaf_probabilities(noise, *_pure_error_rows(layout, syndrome))
     codes = None
     if pure_errors is not None:
         ex, ez = map(np.asarray, pure_errors)
@@ -368,16 +371,12 @@ def likelihoods_network(
                 or not leaves.size):
             raise ValueError(f"leaf table of shape {leaves.shape} is not (n, 4) or "
                              f"(B, n, 4) with n = {layout.n} and B >= 1")
-        # (4n, B) floats, batch last
-        table = np.ascontiguousarray(
-            np.moveaxis(leaves if leaves.ndim == 3 else leaves[None], 0, -1),
-            dtype=np.float64,
-        ).reshape(4 * layout.n, -1)
+        table = np.asarray(leaves, dtype=np.float64).reshape(-1, 4 * layout.n)
         if not (np.isfinite(table).all() and (table >= 0).all()):
             raise ValueError("leaf table entries must be finite and nonnegative")
 
     messages: dict[str, np.ndarray] = {}
-    log_scale = np.zeros(table.shape[1] if codes is None else len(codes))
+    log_scale = np.zeros(len(table) if codes is None else len(codes))
     for index, group in enumerate(schedule.groups):
         # each close gathers its group's leaf weights itself, so no slab
         # outlives its group
@@ -450,12 +449,11 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _leaf_weights(group: StepGroup, table: np.ndarray,
                   counter: OpCounter | None) -> np.ndarray | None:
-    """The group's leaf weights, (nodes, entries, batch) over the plan's
+    """The group's leaf weights, (batch, nodes, entries) over the plan's
     digit rows, or None without leaf legs.
 
     One ``np.take`` per leaf leg gathers that leg's weights for every node
-    of the group from the (4n, batch) leaf table, B contiguous floats per
-    index, multiplied in leg order.
+    of the group from the (batch, 4n) leaf table, multiplied in leg order.
     """
     plan, first = group.plan, group.steps[0]
     weights: np.ndarray | None = None
@@ -463,9 +461,9 @@ def _leaf_weights(group: StepGroup, table: np.ndarray,
         # no name keeps a gathered slab past its product
         index = 4 * qubits[:, None] + plan.digits[:, leg]
         if weights is None:
-            weights = np.take(table, index, axis=0)
+            weights = np.take(table, index, axis=1)
         else:
-            weights *= np.take(table, index, axis=0)
+            weights *= np.take(table, index, axis=1)
     _credit(counter, group, "leaf", len(plan.digits) * len(first.leaf_legs))
     return weights
 
@@ -476,15 +474,13 @@ def _slot_sums(group: StepGroup, table: np.ndarray,
     slots).
 
     The plan's rows come in equal runs per slot, so the sums are one
-    reduction of the batch-last weights, and only the (nodes, slots,
-    batch) result is moved batch first.
+    reduction along the weights' last axis.
     """
     first = group.steps[0]
     weights = _leaf_weights(group, table, counter)
-    nodes, entries, batch = weights.shape
     if first.kind != "center":
-        _credit(counter, group, "combine", entries)
-    return weights.reshape(nodes, _slots(first), -1, batch).sum(axis=2).transpose(2, 0, 1)
+        _credit(counter, group, "combine", weights.shape[-1])
+    return weights.reshape(weights.shape[:2] + (_slots(first), -1)).sum(axis=-1)
 
 
 def _table_sums(group: StepGroup, tables: tuple[np.ndarray, np.ndarray],
@@ -576,7 +572,7 @@ def _pair_sums(group: StepGroup, rows: slice, weights: np.ndarray | None,
     plan = group.plan
     sums = np.take(suffix, plan.entry_suffix[rows], axis=2)
     if weights is not None:
-        sums *= np.moveaxis(weights[:, rows], -1, 0)[..., None, None]
+        sums *= weights[:, :, rows, None, None]
     # the weighting, then the runs' accumulation
     _credit(counter, group, "combine", (1 + (weights is not None)) * sums[0, 0].size)
     run = len(plan.digits) // len(plan.pair_prefix)
@@ -679,10 +675,13 @@ def decode(
     """Most likely logical class for a syndrome, plus a matching recovery.
 
     The correction is the class representative times the syndrome's pure
-    error, so it reproduces the syndrome and lands in the chosen class.
+    error, so it reproduces the syndrome and lands in the chosen class;
+    the error's packed rows give both the leaf table and the correction.
     """
-    table = likelihoods_network(layout, schedule, noise, syndrome)
+    ex, ez = _pure_error_rows(layout, syndrome)
+    table = likelihoods_network(layout, schedule, noise,
+                                leaves=packed_leaf_probabilities(noise, ex, ez))
     label = table.argmax_class()
-    code = layout.code
-    correction = code.class_representative(label) * code.pure_error(syndrome)
+    pure_error = unpack(ex[None], ez[None], layout.n)[0]
+    correction = layout.code.class_representative(label) * pure_error
     return DecodeResult(table=table, label=label, correction=correction)

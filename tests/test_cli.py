@@ -14,6 +14,10 @@ def test_build_code_builtin(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["n"] == 6 and data["k"] == 1
     assert data["stabilizers"][0] == "ZIZIII"
+    capsys.readouterr()
+    # without --out the same JSON goes to stdout
+    assert main(["build-code", "--builtin", "six_qubit"]) == 0
+    assert json.loads(capsys.readouterr().out) == data
 
 
 def test_build_code_holographic_with_sidecar(tmp_path):
@@ -99,6 +103,12 @@ def test_decode_rejects_wrong_syndrome_length(capsys):
     assert main(
         ["decode", "--radius", "1", "--syndrome", "++", "--p", "0.1"]
     ) == 1
+    assert capsys.readouterr().err.startswith("error: syndrome has 2 signs")
+    # an integer syndrome must fit the code's n - k = 5 bits
+    for value in ("32", "-1"):
+        assert main(["decode", "--radius", "1", f"--syndrome={value}", "--p", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: syndrome value {value} out of range for 5 bits")
 
 
 def test_mc_run_writes_csv(tmp_path, capsys):
@@ -123,6 +133,26 @@ def test_mc_run_config_file_with_flag_override(tmp_path, capsys):
     assert len(points) == 1
     assert points[0].trials == 25  # the flag wins over the config value
     assert points[0].p == 0.18
+
+
+def test_mc_run_config_skips_blank_and_comment_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a radius-1 point\n\nradius=1\n  \np=0.1\n  # trials next\ntrials=4\n")
+    assert main(["mc-run", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("radius 1 n 6 p 0.1: ")
+    cfg.write_text("radius=1\n\np 0.1\n")
+    assert main(["mc-run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: line 3: bad config line: p 0.1")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--p", "0.1", "--trials", "2"], "a radius of at least 1 is required"),
+    (["--radius", "1", "--trials", "2"], "a comma-separated p list is required"),
+    (["--radius", "1", "--p", "0.1"], "a positive trial count is required"),
+], ids=["radius", "p", "trials"])
+def test_mc_run_names_a_missing_setting(capsys, flags, message):
+    assert main(["mc-run"] + flags) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message} (flag or config)")
 
 
 def test_mc_run_config_rejects_unknown_keys(tmp_path, capsys):
@@ -210,6 +240,10 @@ def test_fit_threshold_from_csv(tmp_path, capsys):
     assert fit["p_th"] == pytest.approx(0.188, abs=2e-3)
     assert fit["nu"] == pytest.approx(2.97, abs=2e-2)
     assert len(fit["coeffs"]) == 3
+    capsys.readouterr()
+    # without --out the same JSON goes to stdout
+    assert main(["fit-threshold", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == fit
 
 
 def test_fit_threshold_single_radius_fails(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,12 @@ def test_noise_model_validation():
         NoiseModel(np.array([[0.5, 0.5, 0.5, 0.5]]))
     with pytest.raises(ValueError):
         NoiseModel(np.array([[1.2, -0.2, 0.0, 0.0]]))
+    for shape in ((4,), (2, 3), (1, 2, 4)):
+        with pytest.raises(ValueError, match=re.escape("shape (n, 4)")):
+            NoiseModel(np.full(shape, 0.25))
+    for p in (1.5, -0.1):
+        with pytest.raises(ValueError, match=re.escape("p must lie in [0, 1]")):
+            NoiseModel.depolarizing(3, p)
     model = NoiseModel.depolarizing(3, 0.3)
     assert model.n == 3
     assert np.allclose(model.probs.sum(axis=1), 1.0)
@@ -253,10 +260,9 @@ def test_radius_five_decode_memory_stays_small(holo5_topology):
 @pytest.mark.parametrize("radius, batch", [(3, 21), (4, 4)])
 def test_chunk_decode_memory_stays_near_its_charge(holo, radius, batch):
     # one chunk-sized leaves= call: the schedule's row_bytes sizes the
-    # chunks, so the temporaries must stay near batch times it
-    # (1.16 and 1.40 times with the (B, n, 4) table copied batch last, 1.04
-    # and 1.30 when it was read as a view; a leaf-weight slab kept across
-    # groups read 1.85 at radius 4)
+    # chunks, so the temporaries must stay near batch times it (1.04 and
+    # 1.30 times with the (B, n, 4) table read in place; a leaf-weight slab
+    # kept across groups read 1.85 at radius 4)
     layout, schedule = holo[radius]
     assert chunk_size(schedule) == batch
     noise = NoiseModel.depolarizing(layout.n, 0.18)
@@ -523,29 +529,38 @@ def test_node_tables_match_entry_by_entry_weights(holo, radius, p, full_chunk):
     np.testing.assert_allclose(got.log_scales, want.log_scales, rtol=1e-12)
 
 
-@pytest.mark.parametrize("radius", [1, 2, 3, "chain"])
+@pytest.mark.parametrize("radius", [1, 2, 3, 4, "chain"])
 def test_syndromes_decode_from_the_codes_packed_rows(holo, monkeypatch, radius):
     # a syndrome's leaf table is that of its packed pure-error rows, with
-    # no PauliString pure error and no leaf_probabilities on the way
+    # no PauliString pure error and no leaf_probabilities on the way; decode
+    # maps the syndrome once, and its correction is the class
+    # representative times the pure error, unpacked from the same rows
     layout, schedule = _three_block_chain() if radius == "chain" else holo[radius]
     code = layout.code
     m = code.n - code.k
     noise = NoiseModel.depolarizing(layout.n, 0.18)
+    rng = np.random.default_rng([7, m])
+    cases = [(bits, Syndrome(m, int("".join(map(str, bits[::-1])), 2)))
+             for bits in rng.integers(0, 2, size=(4, m))]
+    errors = [code.pure_error(syndrome) for _, syndrome in cases]
 
     def unused(*args):
         raise AssertionError("a syndrome= decode must not call this")
 
     monkeypatch.setattr(type(code), "pure_error", unused)
     monkeypatch.setattr(decoder, "leaf_probabilities", unused)
-    rng = np.random.default_rng([7, m])
-    for bits in rng.integers(0, 2, size=(4, m)):
-        syndrome = Syndrome(m, int("".join(map(str, bits[::-1])), 2))
+    for (bits, syndrome), error in zip(cases, errors):
         got = likelihoods_network(layout, schedule, noise, syndrome)
         want = likelihoods_network(
             layout, schedule, noise,
             leaves=packed_leaf_probabilities(noise, *code.pure_error_rows(bits)))
         assert np.array_equal(got.mantissas, want.mantissas)
         assert got.log_scale == want.log_scale
+        result = decode(layout, schedule, noise, syndrome)
+        assert np.array_equal(result.table.mantissas, got.mantissas)
+        assert result.table.log_scale == got.log_scale
+        assert result.label == got.argmax_class()
+        assert result.correction == code.class_representative(result.label) * error
 
 
 def test_messages_off_the_scheduled_bond_raise(holo):
@@ -628,23 +643,37 @@ def test_bad_leaf_entries_raise(holo, bad, batched):
         )
 
 
-@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+@pytest.mark.parametrize("radius", [1, 2, 3, 4, 5, "chain"])
 @pytest.mark.parametrize("batch", [1, 7])
-def test_batched_leaves_match_row_calls(holo, radius, batch):
-    # the batch axis is invisible: row b of a stacked call is the (n, 4)
-    # call on leaves[b], and the decision is the same
-    layout, schedule = holo[radius]
+def test_batched_leaves_match_row_calls(holo, holo5_topology, radius, batch):
+    # the batch axis is invisible: every array of the executor holds it
+    # first and no reduction runs across it, so row b of a stacked call is
+    # bit for bit the one-row call on leaves[b], or on pure error b, and so
+    # is its decision
+    if radius == "chain":
+        layout, schedule = _three_block_chain()
+    else:
+        layout, schedule = holo5_topology if radius == 5 else holo[radius]
     noise = NoiseModel.depolarizing(layout.n, 0.18)
-    leaves = _leaf_stack(layout.n, noise, batch, radius)
-    out = likelihoods_network(layout, schedule, noise, leaves=leaves)
-    assert out.mantissas.shape == (batch, 4) and out.log_scales.shape == (batch,)
-    decided = argmax_labels(out.mantissas)
-    for b, leaf in enumerate(leaves):
-        want = likelihoods_network(layout, schedule, noise, leaves=leaf)
-        assert out.labels == want.labels
-        np.testing.assert_allclose(out.mantissas[b], want.mantissas, rtol=1e-12)
-        assert out.log_scales[b] == pytest.approx(want.log_scale, rel=1e-12)
-        assert out.labels[decided[b]] == want.argmax_class()
+    seed = 0 if radius == "chain" else radius
+    leaves = _leaf_stack(layout.n, noise, batch, seed)
+    ex, ez = _pure_errors(layout.n, batch, seed)
+    tables = NodeTables(schedule, noise)
+    stacked = (likelihoods_network(layout, schedule, noise, leaves=leaves),
+               likelihoods_network(layout, schedule, noise, pure_errors=(ex, ez),
+                                   tables=tables))
+    for out in stacked:
+        assert out.labels == schedule.labels
+        assert out.mantissas.shape == (batch, len(out.labels))
+        assert out.log_scales.shape == (batch,)
+    for b in range(batch):
+        table = likelihoods_network(layout, schedule, noise, leaves=leaves[b])
+        row = likelihoods_network(layout, schedule, noise,
+                                  pure_errors=(ex[b : b + 1], ez[b : b + 1]), tables=tables)
+        wants = ((table.mantissas, table.log_scale), (row.mantissas[0], row.log_scales[0]))
+        for out, (mantissas, log_scale) in zip(stacked, wants):
+            assert np.array_equal(out.mantissas[b], mantissas)
+            assert out.log_scales[b] == log_scale
 
 
 def test_op_counts_ignore_batch_size(holo):
@@ -672,7 +701,8 @@ def test_zero_leaf_row_leaves_other_rows_alone(holo):
     assert not out.mantissas[1].any() and out.log_scales[1] == 0.0
     for b in (0, 2):
         want = likelihoods_network(layout, schedule, noise, leaves=leaves[b])
-        np.testing.assert_allclose(out.mantissas[b], want.mantissas, rtol=1e-12)
+        assert np.array_equal(out.mantissas[b], want.mantissas)
+        assert out.log_scales[b] == want.log_scale
 
 
 def test_integer_leaves_contract_as_floats(holo):

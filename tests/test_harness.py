@@ -277,6 +277,18 @@ def test_workers_must_be_positive(holo):
         run_mc(layout, schedule, [0.19], 10, seed=13, workers=-1)
 
 
+def test_runs_need_a_trial_a_code_and_matching_noise(holo):
+    layout, schedule = holo[1]
+    with pytest.raises(ValueError, match="need at least one trial"):
+        run_point(layout, schedule, 0.19, 0, seed=13)
+    topology = build_layout(1, with_code=False)
+    noise = NoiseModel.depolarizing(layout.n, 0.1)
+    with pytest.raises(ValueError, match="layout carries no code"):
+        harness.TrialRunner(topology, schedule_for(topology), noise)
+    with pytest.raises(ValueError, match="noise model size must match the code"):
+        harness.TrialRunner(layout, schedule, NoiseModel.depolarizing(layout.n + 1, 0.1))
+
+
 @pytest.mark.parametrize("layout_radius, schedule_radius", [(2, 3), (3, 2)])
 def test_run_point_rejects_a_schedule_from_another_layout(holo, layout_radius,
                                                           schedule_radius):
@@ -426,6 +438,18 @@ def test_crossing_point_requires_sign_change():
     ps = [0.1, 0.2]
     with pytest.raises(ValueError):
         crossing_point(mk(3, ps, [0.1, 0.2]), mk(4, ps, [0.05, 0.15]))
+
+
+@pytest.mark.parametrize("rates_b, want", [
+    ([0.05, 0.2, 0.45], 0.2),  # equal rates inside the grid
+    ([0.05, 0.15, 0.3], 0.3),  # equal only at the grid's end
+])
+def test_crossing_point_at_an_exact_tie_is_that_grid_p(rates_b, want):
+    def mk(radius, rates):
+        return [McPoint(radius, 10, p, 100, int(100 * r), r, 0.01)
+                for p, r in zip([0.1, 0.2, 0.3], rates)]
+
+    assert crossing_point(mk(3, [0.1, 0.2, 0.3]), mk(4, rates_b)) == want
 
 
 def synthetic_points(p_th, nu, coeffs, pairs, ps):

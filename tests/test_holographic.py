@@ -214,6 +214,9 @@ def test_chain_layout_rejects_bad_links():
         chain_layout([(1, 5, 0)])  # parent not attached yet
     with pytest.raises(ValueError):
         chain_layout([(0, 5, 0), (0, 5, 0)])  # parent leg reused
+    for own_leg in (-1, 7):
+        with pytest.raises(ValueError, match="in-leg out of range"):
+            chain_layout([(0, 5, own_leg)])
 
 
 def test_chain_schedule_decodes():

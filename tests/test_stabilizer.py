@@ -180,6 +180,12 @@ def test_dependent_generators_rejected(six_code):
             logical_x=six_code.logical_x,
             logical_z=six_code.logical_z,
         )
+    # given pure errors skip the solve, so validate finds the rank short
+    with pytest.raises(DependentGeneratorsError, match="generators are dependent"):
+        StabilizerCode.from_operators(
+            gens, six_code.logical_x, six_code.logical_z,
+            pure_errors=six_code.pure_errors,
+        )
 
 
 def test_anticommuting_generators_rejected():
@@ -222,6 +228,18 @@ def test_permuted_round_trip(six_code):
     assert back.stabilizers == six_code.stabilizers
     assert back.logical_x == six_code.logical_x
     assert back.pure_errors == six_code.pure_errors
+    for bad in ([0, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [1, 2, 3, 4, 5, 6]):
+        with pytest.raises(ValueError, match="permutation of range"):
+            six_code.permuted(bad)
+
+
+def test_class_bits_hold_at_most_32_logical_qubits():
+    # class bits are one uint64 per operator: k = 33 needs 66 bits
+    n = 33
+    zeros = np.zeros((2 * n, 1), dtype=np.uint64)
+    code = StabilizerCode(n, n, zeros, zeros.copy())
+    with pytest.raises(ValueError, match="k = 33 logical qubits exceed 64 bits"):
+        code.class_bits(zeros[:1], zeros[:1])
 
 
 def test_permuted_moves_operators(six_code):
@@ -358,6 +376,7 @@ def test_json_round_trip(six_code):
     ("n", 6.0, "'n' must be an integer"),
     ("k", "a", "'k' must be an integer"),
     ("k", True, "'k' must be an integer"),
+    ("k", 0, "declared k does not match the operator lists"),
 ])
 def test_json_field_types_are_checked(six_code, field, value, message):
     # a string would otherwise be split into one-letter operators and a
