@@ -7,8 +7,10 @@ contracting its own network along :func:`tenqec.holographic.schedule_for`,
 children before parents, with messages whose bond dimensions stay at
 4^(radius - r).  One executor path runs every step group of the
 schedule: the outer ring's nodes, which only weigh leaves, in a few
-groups, and the inner nodes of each layer in groups of like nodes whose
-children's messages are stacked along a node axis, the seed alone.  A
+groups, and the inner nodes of each layer in groups of like nodes, the
+seed alone.  A group's messages are one output array along a node axis,
+from which a later group reads its children's by the schedule's routes,
+a slice or one gather per chain position, with no per-node lookup.  A
 node without children needs only its output slots' sums of leaf weights,
 and the input fixes where they come from.  A syndrome or an arbitrary
 leaf table (``leaves=``) is weighed entry by entry: one gather per leaf
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .holographic import ContractionSchedule, HolographicLayout, ScheduleStep, StepGroup
+from .holographic import ContractionSchedule, HolographicLayout, Route, ScheduleStep, StepGroup
 from .pauli import PauliString, pack, unpack
 from .stabilizer import Syndrome
 
@@ -263,8 +265,7 @@ def _pure_error_rows(layout: HolographicLayout, syndrome: Syndrome) -> tuple[np.
     """The packed (words,) x and z rows of the syndrome's pure error."""
     if layout.code is None:
         raise ValueError("layout carries no code to map the syndrome")
-    bits = np.array(syndrome.signs(), dtype=np.int8) < 0
-    return layout.code.pure_error_rows(bits)
+    return layout.code.pure_error_rows(syndrome.bit_array())
 
 
 def _fill(block: np.ndarray, legs: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
@@ -300,9 +301,12 @@ def likelihoods_network(
     :attr:`ContractionSchedule.groups` at a time, each through the same
     sequence.  A gather per leaf leg weighs every tensor entry of every
     node in the group.  A group without children sums each output slot's
-    weights into its message.  A group with children also multiplies
-    their messages, stacked per chain position along the group's node
-    axis, along the static split of its
+    weights into its message.  A group with children reads their
+    messages per chain position along the group's node axis from one
+    output array per earlier group, as its
+    :class:`~tenqec.holographic.Route` lays them out (a view of a run of
+    nodes, or one gather by index), releases each output that no later
+    group reads, and multiplies them along the static split of its
     :class:`~tenqec.holographic.SplitPlan`: one matmul per node and
     distinct digit prefix and suffix, then one per node and output slot,
     whose inner dimension runs over the slot's prefixes, so it sums the
@@ -375,9 +379,11 @@ def likelihoods_network(
         if not (np.isfinite(table).all() and (table >= 0).all()):
             raise ValueError("leaf table entries must be finite and nonnegative")
 
-    messages: dict[str, np.ndarray] = {}
+    # one output per group, (batch, nodes, ...), until its last reader has
+    # gathered its children's messages from it
+    outputs: list[np.ndarray | None] = []
     log_scale = np.zeros(len(table) if codes is None else len(codes))
-    for index, group in enumerate(schedule.groups):
+    for index, (group, route) in enumerate(zip(schedule.groups, schedule.routes)):
         # each close gathers its group's leaf weights itself, so no slab
         # outlives its group
         first = group.steps[0]
@@ -386,17 +392,16 @@ def likelihoods_network(
                     else _table_sums(group, tables.groups[index], codes, counter))
             out = _leaf_messages(group, sums, schedule.labels)
         elif first.kind == "center":
-            out = _close_ring(group, table, messages, schedule.labels, counter)
+            out = _close_ring(group, table, route, outputs, schedule.labels, counter)
         else:
-            out = _close_slots(group, table, messages, counter)
+            out = _close_slots(group, table, route, outputs, counter)
         if first.kind != "center":
             _observe(group, out.shape[-2:], bond_observer)
         log_scale += _renormalize(out)
-        for g, step in enumerate(group.steps):
-            messages[step.name] = out[:, g]
+        outputs.append(out)
 
-    # every message but the center's has been consumed by its parent
-    (mantissas,) = messages.values()
+    # every output but the center's has been released by its last reader
+    mantissas = outputs[-1][:, 0]
     if leaves is not None and leaves.ndim == 2:
         return LikelihoodTable(schedule.labels, mantissas[0], float(log_scale[0]))
     return Likelihoods(schedule.labels, mantissas, log_scale)
@@ -510,24 +515,30 @@ def _slots(step: ScheduleStep) -> int:
     return 4 ** (len(step.in_legs) + (step.deferred_leg is not None))
 
 
-def _tries(group: StepGroup, messages: dict[str, np.ndarray],
+def _tries(group: StepGroup, route: Route, outputs: list[np.ndarray | None],
            counter: OpCounter | None) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The prefix and suffix products of the group's split chain.
 
-    Its nodes' children's messages are stacked per chain position along
-    the node axis, (batch, nodes, 4, rows, cols), and go into the two
-    tries of :func:`_trie`.  The seed, always alone, closes its ring as
-    tr(P·S) = ⟨P, Sᵀ⟩, so it builds Sᵀ from transposed factors; every
-    other group builds Pᵀ from transposed factors, so that a slot's
-    gathered prefixes are one GEMM operand by reshape.  A side the chain
-    lacks is None.
+    Per chain position, its nodes' children's messages are read from
+    their groups' ``outputs`` along the node axis, (batch, nodes, 4, rows,
+    cols), as the group's :class:`~tenqec.holographic.Route` lays them
+    out: a view of a run of nodes, else one gather by index, joined where
+    they sit in several groups.  The outputs no later group reads are
+    then released, and the factors go into the two tries of
+    :func:`_trie`.  The seed, always alone, closes its ring as tr(P·S) =
+    ⟨P, Sᵀ⟩, so it builds Sᵀ from transposed factors; every other group
+    builds Pᵀ from transposed factors, so that a slot's gathered prefixes
+    are one GEMM operand by reshape.  A side the chain lacks is None.
     """
     plan, ring = group.plan, group.steps[0].kind == "center"
     mats = []
-    for position in zip(*(step.chain for step in group.steps)):
-        m = np.stack([messages.pop(child) for _, child in position], axis=1)
+    for pieces in route.positions:
+        parts = [outputs[source][:, nodes] for source, nodes in pieces]
+        m = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         # a corner child's second parent-facing index joins the left bond
         mats.append(m.reshape(m.shape[:2] + (4, -1, m.shape[-1])))
+    for source in route.spent:
+        outputs[source] = None
     split = len(plan.prefix)
     prefix, suffix = mats[:split], mats[split:][::-1]
     if ring:
@@ -581,8 +592,8 @@ def _pair_sums(group: StepGroup, rows: slice, weights: np.ndarray | None,
     return sums
 
 
-def _close_slots(group: StepGroup, table: np.ndarray,
-                 messages: dict[str, np.ndarray], counter: OpCounter | None) -> np.ndarray:
+def _close_slots(group: StepGroup, table: np.ndarray, route: Route,
+                 outputs: list[np.ndarray | None], counter: OpCounter | None) -> np.ndarray:
     """Messages of a group with children: per node and output slot, one GEMM
     [P₁ … P_R]·[Σw·S₁; …; Σw·S_R] over the slot's R prefixes.
 
@@ -594,7 +605,7 @@ def _close_slots(group: StepGroup, table: np.ndarray,
     """
     plan, first = group.plan, group.steps[0]
     weights = _leaf_weights(group, table, counter)
-    prefix, suffix = _tries(group, messages, counter)
+    prefix, suffix = _tries(group, route, outputs, counter)
     out = _pair_sums(group, slice(None), weights, suffix, counter)
     batch, size, pairs, _, d_r = out.shape
     if prefix is not None:
@@ -608,13 +619,13 @@ def _close_slots(group: StepGroup, table: np.ndarray,
     return _messages(group, out)
 
 
-def _close_ring(group: StepGroup, table: np.ndarray,
-                messages: dict[str, np.ndarray], labels: tuple[PauliString, ...],
+def _close_ring(group: StepGroup, table: np.ndarray, route: Route,
+                outputs: list[np.ndarray | None], labels: tuple[PauliString, ...],
                 counter: OpCounter | None) -> np.ndarray:
     """The seed's class likelihoods, (batch, 1, labels), one label's slot
     of its plan's rows at a time, which keeps the gathered matrices small."""
     weights = _leaf_weights(group, table, counter)
-    prefix, suffix = _tries(group, messages, counter)
+    prefix, suffix = _tries(group, route, outputs, counter)
     return np.stack([_close_label(group, label.key(), weights, prefix, suffix, counter)
                      for label in labels], axis=-1)
 

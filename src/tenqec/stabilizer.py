@@ -107,6 +107,12 @@ class Syndrome:
     def signs(self) -> tuple[int, ...]:
         return tuple(-1 if (self.bits >> i) & 1 else 1 for i in range(self.length))
 
+    def bit_array(self) -> np.ndarray:
+        """The (length,) uint8 array of the bits, 1 where a generator reads -1."""
+        raw = self.bits.to_bytes((self.length + 7) // 8, "little")
+        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=self.length,
+                             bitorder="little")
+
     def to_text(self) -> str:
         return "".join("-" if (self.bits >> i) & 1 else "+" for i in range(self.length))
 
@@ -339,8 +345,7 @@ class StabilizerCode:
     def pure_error(self, syndrome: Syndrome) -> PauliString:
         """The canonical error with the given syndrome: the product of the
         pure errors its flipped bits select, a right inverse of :meth:`syndrome`."""
-        bits = np.array(syndrome.signs(), dtype=np.int8) < 0
-        return unpack(*self.pure_error_rows(bits[None]), self.n)[0]
+        return unpack(*self.pure_error_rows(syndrome.bit_array()[None]), self.n)[0]
 
     def logical_class(self, op: PauliString) -> PauliString | None:
         """The k-qubit class label of ``op``, or None outside the normalizer:

@@ -28,7 +28,7 @@ from tenqec.decoder import (
     argmax_labels,
     packed_leaf_probabilities,
 )
-from tenqec import decoder
+from tenqec import decoder, holographic
 from tenqec.harness import chunk_size
 from tenqec.holographic import StepGroup
 from tenqec.pauli import pack
@@ -368,9 +368,16 @@ def _unfused(schedule):
             continue
         groups += [StepGroup((step,), group.qubits[g : g + 1], group.plan)
                    for g, step in enumerate(group.steps)]
-    unfused = dataclasses.replace(schedule)
-    object.__setattr__(unfused, "groups", tuple(groups))
-    return unfused
+    return _regrouped(schedule, groups)
+
+
+def _regrouped(schedule, groups):
+    """A copy of the schedule on other ``groups``, listed children first,
+    with the routes that the schedule derives from them."""
+    regrouped = dataclasses.replace(schedule)
+    object.__setattr__(regrouped, "groups", tuple(groups))
+    object.__setattr__(regrouped, "routes", holographic._routes(regrouped.groups))
+    return regrouped
 
 
 @pytest.mark.parametrize("radius, batch", [(3, 5), (4, 3), (5, 2), ("chain", 4)])
@@ -391,6 +398,94 @@ def test_fused_groups_match_one_step_at_a_time(holo, holo5_topology, radius, bat
     alone = likelihoods_network(layout, unfused, noise, leaves=leaves)
     assert np.array_equal(fused.mantissas, alone.mantissas)
     np.testing.assert_allclose(fused.log_scales, alone.log_scales, rtol=1e-12)
+
+
+def _routed_children(schedule):
+    """Per group and chain position, the child names its route reads, in
+    order, and the children its steps' chains list."""
+    groups = schedule.groups
+    for group, route in zip(groups, schedule.routes):
+        listed = [[child for _, child in position]
+                  for position in zip(*(step.chain for step in group.steps))]
+        read = [[groups[source].steps[g].name for source, nodes in pieces
+                 for g in np.arange(len(groups[source].steps))[nodes]]
+                for pieces in route.positions]
+        yield group, route, read, listed
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4, 5, "chain"])
+def test_routes_read_each_groups_children_in_chain_order(holo, holo5_topology, radius):
+    # a route names exactly the children that its group's chains list, from
+    # earlier groups, and releases every output but the center's once, at
+    # its last reader
+    if radius == "chain":
+        _, schedule = _three_block_chain()
+    else:
+        _, schedule = holo5_topology if radius == 5 else holo[radius]
+    assert len(schedule.routes) == len(schedule.groups)
+    readers: dict[int, list[int]] = {}
+    spent = []
+    for i, (group, route, read, listed) in enumerate(_routed_children(schedule)):
+        assert read == listed
+        for pieces in route.positions:
+            for source, nodes in pieces:
+                assert source < i
+                readers.setdefault(source, []).append(i)
+                if not isinstance(nodes, slice):
+                    assert nodes.dtype == np.intp and np.any(np.diff(nodes) != 1)
+        spent += [(source, i) for source in route.spent]
+    assert sorted(spent) == sorted((source, max(at)) for source, at in readers.items())
+    assert sorted(readers) == list(range(len(schedule.groups) - 1))
+
+
+def test_rebuilt_schedules_get_fresh_routes(holo):
+    # reversing the outer ring reorders the leaf-only groups and their
+    # nodes, so the rebuilt schedule must read other sources and indices
+    layout, schedule = holo[3]
+    outer = sum(not step.chain for step in schedule.steps)
+    steps = schedule.steps[:outer][::-1] + schedule.steps[outer:]
+    rebuilt = dataclasses.replace(schedule, steps=steps)
+    assert all(read == listed for _, _, read, listed in _routed_children(rebuilt))
+
+    def pieces(routed):
+        every = np.arange(len(routed.steps))
+        return [[[(source, every[nodes].tolist()) for source, nodes in position]
+                 for position in route.positions] for route in routed.routes]
+
+    assert pieces(rebuilt) != pieces(schedule)
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    leaves = _leaf_stack(layout.n, noise, 3, 5)
+    got = likelihoods_network(layout, rebuilt, noise, leaves=leaves)
+    want = likelihoods_network(layout, schedule, noise, leaves=leaves)
+    assert np.array_equal(got.mantissas, want.mantissas)
+    np.testing.assert_allclose(got.log_scales, want.log_scales, rtol=1e-12)
+
+
+@pytest.mark.parametrize("radius", [3, 4])
+def test_positions_reading_two_groups_match_one_step_at_a_time(holo, radius):
+    # no built-in schedule has a chain position whose children sit in two
+    # groups; splitting a leaf-only group under a fused parent makes one,
+    # whose pieces are concatenated along the node axis
+    layout, schedule = holo[radius]
+    groups = list(schedule.groups)
+    source, nodes = next(
+        pieces[0] for group, route in zip(groups, schedule.routes)
+        if len(group.steps) > 1 for pieces in route.positions
+        if not groups[pieces[0][0]].steps[0].chain)
+    leaf = groups[source]
+    cut = np.arange(len(leaf.steps))[nodes].max()
+    groups[source : source + 1] = [
+        StepGroup(leaf.steps[:cut], leaf.qubits[:cut], leaf.plan),
+        StepGroup(leaf.steps[cut:], leaf.qubits[cut:], leaf.plan)]
+    split = _regrouped(schedule, groups)
+    assert any(len(pieces) == 2 for route in split.routes for pieces in route.positions)
+    assert all(read == listed for _, _, read, listed in _routed_children(split))
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    leaves = _leaf_stack(layout.n, noise, 3, 9)
+    got = likelihoods_network(layout, split, noise, leaves=leaves)
+    alone = likelihoods_network(layout, _unfused(schedule), noise, leaves=leaves)
+    assert np.array_equal(got.mantissas, alone.mantissas)
+    np.testing.assert_allclose(got.log_scales, alone.log_scales, rtol=1e-12)
 
 
 def test_op_counts_syndrome_independent(holo):

@@ -442,6 +442,17 @@ def test_syndrome_text_round_trip():
     assert syn.bits == 0b1010
 
 
+@pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 3995])
+def test_syndrome_bit_array_matches_signs(length):
+    rng = np.random.default_rng(length)
+    drawn = int("".join(map(str, rng.integers(0, 2, size=length))) or "0", 2)
+    for bits in (0, (1 << length) - 1, drawn):
+        syn = Syndrome(length, bits)
+        got = syn.bit_array()
+        assert got.dtype == np.uint8 and got.shape == (length,)
+        assert got.tolist() == [int(s < 0) for s in syn.signs()]
+
+
 def test_enumeration_is_complete(six_code):
     # every weight-one error lands in some coset: decode table sanity
     seen = set()
