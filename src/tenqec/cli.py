@@ -13,8 +13,9 @@ import json
 import os
 import sys
 
-from .decoder import NoiseModel, OpCounter, decode, likelihoods_network
+from .decoder import NoiseModel, OpCounter, argmax_labels, decode, likelihoods_network
 from .harness import (
+    TrialRunner,
     fit_threshold,
     read_points,
     read_text,
@@ -23,6 +24,7 @@ from .harness import (
 )
 from .holographic import build_layout, predicted_op_count, schedule_for
 from .oracle import ExhaustiveDecoder, exhaustive_contract
+from .pauli import PauliString, pack
 from .stabilizer import (
     Syndrome,
     code_to_json_dict,
@@ -252,6 +254,18 @@ def _cmd_verify(args) -> int:
             worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
     check("network likelihoods match enumeration", worst <= 1e-10,
           f"worst relative error {worst:.3e}")
+
+    # all 4^6 errors, each decoded against itself in canonical label order,
+    # against the decodes of their syndromes' pure errors
+    runner = TrialRunner(layout, schedule, noise)
+    ex, ez = pack([PauliString.from_key(6, key) for key in range(4 ** 6)], 6)
+    own, _ = runner.canonical(ex, ez)
+    ref = likelihoods_network(layout, schedule, noise, tables=runner.tables,
+                              pure_errors=code.pure_error_rows(code.syndromes(ex, ez)))
+    gap = float(abs(own / ref.mantissas - 1).max())
+    same = bool((argmax_labels(own) == argmax_labels(ref.mantissas)).all())
+    check("own-error decodes match pure-error decodes", gap <= 1e-12 and same,
+          f"worst relative gap {gap:.3e}, decisions {'equal' if same else 'differ'}")
 
     t0 = CodeTensor.from_code(seven_qubit_state())
     binding = LegBinding((5,), (0,))

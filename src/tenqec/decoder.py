@@ -16,10 +16,10 @@ and the input fixes where they come from.  A syndrome or an arbitrary
 leaf table (``leaves=``) is weighed entry by entry: one gather per leaf
 leg from the (B, 4n) leaf table, read in place, and one sum per output
 slot; a syndrome's table is that of its packed pure-error rows.  Every
-executor array holds the batch first.  Bit-packed pure errors
-(``pure_errors=``, as the Monte Carlo harness passes them) are read from
-the caller's :class:`NodeTables`, one row per node: under independent
-noise the sums depend only on the node's 4^L pure-error pattern, so a
+executor array holds the batch first.  Bit-packed pure errors, or any
+operators (``pure_errors=``; the harness passes its sampled errors), are
+read from the caller's :class:`NodeTables`, one row per node: under
+independent noise the sums depend only on the node's 4^L pattern, so a
 (4^L, slots) table, 128 KB per node kind and noise row, is filled once
 per noise model by L mode products of the dense block tensor and held by
 its owner, never in a process-wide cache.  Both sources feed the same
@@ -324,10 +324,11 @@ def likelihoods_network(
       *layout.code.pure_error_rows(bits))`` of its bits, weighed entry by
       entry;
     - ``leaves``: an arbitrary leaf table, weighed entry by entry;
-    - ``pure_errors``: (B, words) uint64 x and z rows of pure errors, as
-      :func:`tenqec.pauli.pack` writes them, with ``tables``, the
-      :class:`NodeTables` of this schedule and noise object; without them,
-      or with another's, the call raises ValueError.  A group without
+    - ``pure_errors``: (B, words) uint64 x and z rows of pure errors, or
+      of any operators, whose label L then holds the class of the operator
+      times L, as :func:`tenqec.pauli.pack` writes them, with ``tables``,
+      the :class:`NodeTables` of this schedule and noise object; without
+      them, or with another's, the call raises ValueError.  A group without
       children reads each node's slot sums as one row of ``tables``, at
       the base-4 pattern of its qubits' codes; a node with children and
       leaf legs (chains only) still weighs its entries, from

@@ -7,20 +7,20 @@ with the same arguments is byte-identical.  Trials run in chunks sized by
 :func:`chunk_size`.  A chunk computes its trials' stream seeds at once: it
 runs SeedSequence's hash as uint32 array operations across the trials and
 sets each resulting PCG64 state on one generator that draws that trial's
-row.  Sampling works on a chunk's bit-packed numpy words at once; the
-code's packed queries (``StabilizerCode.syndromes``, ``pure_error_rows``
-and ``class_bits``) read its own rows for the chunk's syndromes, their
-pure errors and class bits.  One ``likelihoods_network`` call contracts
-the chunk's distinct syndromes along a batch axis.  It reads every
-outer-ring node's message (the seed's at radius 1) as one row of the
-runner's :class:`~tenqec.decoder.NodeTables`, at the pattern of that
-node's pure-error codes, so no (B, n, 4) leaf table is built; the runner
-fills those tables once for its noise model, one 128 KB table per node
-kind under depolarizing noise, and owns them, so runners at other noise
-strengths never share one.  The call returns the chunk's (B, labels)
-mantissas as one array, decided at once.  Each trial's decision depends on
-its syndrome alone, never on its chunk, so the CSV bytes do not depend on
-the chunk size or worker count.
+row.  Sampling works on a chunk's bit-packed numpy words at once.  One
+``likelihoods_network`` call decodes the chunk's sampled errors E
+themselves along a batch axis, reading every outer-ring node's message
+(the seed's at radius 1) as one row of the runner's
+:class:`~tenqec.decoder.NodeTables`, at the pattern of E's codes on that
+node; the runner fills those tables once for its noise model and owns
+them.  Row L of E's decode holds the likelihood of the class of E times
+L.  Every pure error has class 0, which the runner checks on
+construction, so permuting each row's columns by E's class bits gives the
+decode of E's syndrome's pure error, in canonical label order, with no
+syndrome or pure error formed.  Each row is decided on those canonical
+mantissas, so a trial's decision depends on its own error alone, never on
+its chunk, and the CSV bytes do not depend on the chunk size or worker
+count.
 """
 
 from __future__ import annotations
@@ -91,7 +91,8 @@ class ThresholdFit:
 
 
 def chunk_size(schedule: ContractionSchedule) -> int:
-    """Trials decoded per ``likelihoods_network`` call: CHUNK_BYTES // schedule.row_bytes.
+    """Trials per chunk, each one row of its ``likelihoods_network`` call:
+    CHUNK_BYTES // schedule.row_bytes.
 
     512 at radius 1, 85 at radius 2, 21 at radius 3 and 4 at radius 4 (an
     inner ring's bond matrices), and 1 from radius 5 on.  At radii 1-3 the
@@ -109,7 +110,10 @@ class TrialRunner:
     (:meth:`~tenqec.stabilizer.StabilizerCode.class_bits`), so label L has
     bits L.x | L.z << k.  ``tables`` holds the
     :class:`~tenqec.decoder.NodeTables` of the runner's schedule and noise
-    model, filled once, on construction.
+    model, filled once, on construction.  ``cols[c, M]`` is the column, in
+    the decode of an error of class bits c, of canonical label M: the label
+    with bits M's XOR c.  A code with a pure error outside class 0 raises
+    ValueError.
     """
 
     def __init__(
@@ -123,6 +127,9 @@ class TrialRunner:
             raise ValueError("layout carries no code; rebuild with with_code=True")
         if noise.n != code.n:
             raise ValueError("noise model size must match the code")
+        m = code.n - code.k
+        if code.class_bits(code.x[m : 2 * m], code.z[m : 2 * m]).any():
+            raise ValueError("every pure error must commute with every logical operator")
         self.layout = layout
         self.schedule = schedule
         self.noise = noise
@@ -130,6 +137,8 @@ class TrialRunner:
         self.chunk = chunk_size(schedule)
         self.label_bits = np.array([label.x | label.z << code.k for label in schedule.labels],
                                    dtype=np.uint64)
+        column = np.argsort(self.label_bits)  # the column of each label's bits
+        self.cols = column[self.label_bits ^ np.arange(len(column), dtype=np.uint64)[:, None]]
         self.cum = np.cumsum(noise.probs, axis=1)
         self.tables = NodeTables(schedule, noise)
         # one generator per runner; uniforms sets its state for each trial
@@ -170,8 +179,8 @@ class TrialRunner:
         Trial t draws the stream of default_rng(SeedSequence([seed,
         point_index, t])), whatever chunk it runs in; the chunk computes
         those streams' seeds at once (see :meth:`uniforms`).  A trial
-        fails when its error times the recovery for its syndrome,
-        (chosen label) * (pure error), lies in a nontrivial logical class.
+        fails when the label decided on its :meth:`canonical` mantissas is
+        not its error's class.
         """
         code, n = self.code, self.code.n
         u = self.uniforms(seed, point_index, trials)
@@ -180,18 +189,17 @@ class TrialRunner:
         bits[0, :, :n] = (u >= self.cum[:, 0]) & (u < self.cum[:, 2])
         bits[1, :, :n] = u >= self.cum[:, 1]
         ex, ez = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
-        syn = code.syndromes(ex, ez)
-        # distinct syndromes as one void item per row of packed bytes:
-        # first[s] is a row with syndrome s, which[t] trial t's syndrome
-        keys = np.packbits(syn, axis=1, bitorder="little")
-        _, first, which = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
-                                    return_index=True, return_inverse=True)
-        px, pz = code.pure_error_rows(syn[first])
+        mantissas, classes = self.canonical(ex, ez)
+        return int(np.count_nonzero(self.label_bits[argmax_labels(mantissas)] != classes))
+
+    def canonical(self, ex: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(B, labels) mantissas of (B, words) packed errors, each decoded
+        against itself and read in canonical label order (``cols``), and
+        their (B,) class bits."""
         out = likelihoods_network(self.layout, self.schedule, self.noise,
-                                  pure_errors=(px, pz), tables=self.tables)
-        chosen = self.label_bits[argmax_labels(out.mantissas)]
-        target = (chosen ^ code.class_bits(px, pz))[which]
-        return int(np.count_nonzero(code.class_bits(ex, ez) != target))
+                                  pure_errors=(ex, ez), tables=self.tables)
+        classes = self.code.class_bits(ex, ez)
+        return np.take_along_axis(out.mantissas, self.cols[classes], axis=1), classes
 
 
 def _words(value: int) -> list[int]:

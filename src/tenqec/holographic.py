@@ -166,7 +166,7 @@ class Route:
     ``positions[p]`` lays the group's children at chain position p along
     its node axis, in step order, as pieces (source group, nodes): one per
     run of children in one source group, whose nodes are a slice of the
-    source's node axis where they ascend one by one, else an index array.
+    source's node axis where they ascend in equal steps, else an index array.
     ``spent`` lists the source groups that no later group reads.
     """
 
@@ -281,10 +281,10 @@ def _routes(groups: Sequence[StepGroup]) -> tuple[Route, ...]:
 
 
 def _nodes(run: list[int]) -> slice | np.ndarray:
-    """A run of node indices as a slice if they ascend one by one, else an array."""
-    stop = run[0] + len(run)
-    if run == list(range(run[0], stop)):
-        return slice(run[0], stop)
+    """A run of node indices as a slice if they ascend in equal steps, else an array."""
+    step = run[1] - run[0] if len(run) > 1 else 1
+    if step > 0 and run == list(range(run[0], run[-1] + 1, step)):
+        return slice(run[0], run[-1] + 1, step)
     return np.array(run, dtype=np.intp)
 
 

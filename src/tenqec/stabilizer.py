@@ -280,9 +280,9 @@ class StabilizerCode:
         - S_i and S_j commute, as do X_a and X_b, and Z_a and Z_b;
         - X_a and Z_a commute with every S_j;
         - X_a and Z_b anticommute exactly when a == b;
-        - E_i and S_j anticommute exactly when i == j.
-
-        The pure errors' relations among themselves are not checked.
+        - E_i and S_j anticommute exactly when i == j;
+        - E_i commutes with every X_a and Z_a, so a pure error has class 0,
+          and no relation among the pure errors themselves is checked.
         """
         stabs, lx, lz = self.stabilizers, self.logical_x, self.logical_z
         if gf2_rank(_symplectic_row(s) for s in stabs) != len(stabs):
@@ -297,6 +297,8 @@ class StabilizerCode:
             ("logical Z", lz, "logical Z", lz, False),
             ("logical X", lx, "logical Z", lz, True),
             ("pure error", self.pure_errors, "stabilizer", stabs, True),
+            ("pure error", self.pure_errors, "logical X", lx, False),
+            ("pure error", self.pure_errors, "logical Z", lz, False),
         )
         for name_a, ops_a, name_b, ops_b, diagonal in relations:
             for i, a in enumerate(ops_a):

@@ -5,6 +5,7 @@ import pytest
 from tenqec import (
     CodeTensor,
     build_layout,
+    chain_layout,
     schedule_for,
     six_qubit_code,
     seven_qubit_state,
@@ -40,4 +41,11 @@ def holo():
 def holo5_topology():
     """Radius-5 layout without its stabilizer code (topology only)."""
     layout = build_layout(5, with_code=False)
+    return layout, schedule_for(layout)
+
+
+@pytest.fixture(scope="session")
+def three_block_chain():
+    """Two alike branches, with nodes that have both children and leaf legs."""
+    layout = chain_layout([(0, 5, 0), (0, 2, 0), (1, 3, 1), (2, 3, 1)])
     return layout, schedule_for(layout)

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from tenqec import read_points
+from tenqec import harness, read_points
 from tenqec.cli import main
 
 
@@ -290,4 +291,20 @@ def test_fit_threshold_reports_bad_csv(tmp_path, capsys, text):
 def test_verify_passes(capsys):
     assert main(["verify"]) == 0
     text = capsys.readouterr().out
-    assert text.count("ok") >= 4
+    assert text.count("ok") >= 5
+    # the exhaustive radius-1 check of the Monte Carlo runner's own-error route
+    assert "ok   own-error decodes match pure-error decodes\n" in text
+
+
+def test_verify_fails_on_own_error_columns_left_in_place(capsys, monkeypatch):
+    # deciding on an error's own columns, unpermuted, is what the check catches
+    init = harness.TrialRunner.__init__
+
+    def unpermuted(self, *args):
+        init(self, *args)
+        self.cols = np.broadcast_to(np.arange(self.cols.shape[1]), self.cols.shape)
+
+    monkeypatch.setattr(harness.TrialRunner, "__init__", unpermuted)
+    assert main(["verify"]) == 2
+    assert ("FAIL own-error decodes match pure-error decodes (worst relative gap"
+            in capsys.readouterr().out)

@@ -15,12 +15,10 @@ from tenqec import (
     OpCounter,
     PauliString,
     Syndrome,
-    chain_layout,
     decode,
     leaf_probabilities,
     likelihoods_network,
     predicted_op_count,
-    schedule_for,
 )
 from tenqec.decoder import (
     TIE_RTOL,
@@ -381,13 +379,14 @@ def _regrouped(schedule, groups):
 
 
 @pytest.mark.parametrize("radius, batch", [(3, 5), (4, 3), (5, 2), ("chain", 4)])
-def test_fused_groups_match_one_step_at_a_time(holo, holo5_topology, radius, batch):
+def test_fused_groups_match_one_step_at_a_time(holo, holo5_topology, three_block_chain,
+                                               radius, batch):
     # a fused group stacks its children's messages along the node axis;
     # every matrix product and run sum is the one-step group's, so the
     # mantissas are bit-identical, and only the log scales' summation
     # order differs
     if radius == "chain":  # two alike branches fuse, with leaf legs
-        layout, schedule = _three_block_chain()
+        layout, schedule = three_block_chain
     else:
         layout, schedule = holo5_topology if radius == 5 else holo[radius]
     unfused = _unfused(schedule)
@@ -414,26 +413,33 @@ def _routed_children(schedule):
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3, 4, 5, "chain"])
-def test_routes_read_each_groups_children_in_chain_order(holo, holo5_topology, radius):
+def test_routes_read_each_groups_children_in_chain_order(holo, holo5_topology,
+                                                        three_block_chain, radius):
     # a route names exactly the children that its group's chains list, from
     # earlier groups, and releases every output but the center's once, at
-    # its last reader
+    # its last reader; a run of children in equal steps is read as a slice
     if radius == "chain":
-        _, schedule = _three_block_chain()
+        _, schedule = three_block_chain
     else:
         _, schedule = holo5_topology if radius == 5 else holo[radius]
     assert len(schedule.routes) == len(schedule.groups)
     readers: dict[int, list[int]] = {}
-    spent = []
+    spent, strided = [], 0
     for i, (group, route, read, listed) in enumerate(_routed_children(schedule)):
         assert read == listed
         for pieces in route.positions:
             for source, nodes in pieces:
                 assert source < i
                 readers.setdefault(source, []).append(i)
-                if not isinstance(nodes, slice):
-                    assert nodes.dtype == np.intp and np.any(np.diff(nodes) != 1)
+                if isinstance(nodes, slice):
+                    strided += nodes.step > 1
+                else:
+                    steps = np.diff(nodes)
+                    assert nodes.dtype == np.intp and (np.ptp(steps) or steps[0] <= 0)
         spent += [(source, i) for source in route.spent]
+    # runs in steps above 1: 8 at radius 3 (step 4), and 4 at radii 4 and 5
+    # (steps 19 and 5), where 10 and 19 runs stay index arrays
+    assert strided == {3: 8, 4: 4, 5: 4}.get(radius, 0)
     assert sorted(spent) == sorted((source, max(at)) for source, at in readers.items())
     assert sorted(readers) == list(range(len(schedule.groups) - 1))
 
@@ -598,20 +604,15 @@ def _pure_errors(n, count, seed):
                  for codes in rng.integers(0, 4, size=(count, n))], n)
 
 
-def _three_block_chain():
-    """Two alike branches, with nodes that have both children and leaf legs."""
-    layout = chain_layout([(0, 5, 0), (0, 2, 0), (1, 3, 1), (2, 3, 1)])
-    return layout, schedule_for(layout)
-
-
 @pytest.mark.parametrize("radius", [1, 2, 3, 4, "chain"])
 @pytest.mark.parametrize("p", [0.05, 0.18, 0.3])
 @pytest.mark.parametrize("full_chunk", [False, True], ids=["B1", "chunk"])
-def test_node_tables_match_entry_by_entry_weights(holo, radius, p, full_chunk):
+def test_node_tables_match_entry_by_entry_weights(holo, three_block_chain, radius, p,
+                                                  full_chunk):
     # a group without children reads its slot sums from node tables, the
     # same positive terms summed in another order; a chain node with
     # children and leaf legs still weighs its entries
-    layout, schedule = _three_block_chain() if radius == "chain" else holo[radius]
+    layout, schedule = three_block_chain if radius == "chain" else holo[radius]
     noise = NoiseModel.depolarizing(layout.n, p)
     errors = _pure_errors(layout.n, chunk_size(schedule) if full_chunk else 1,
                           [round(100 * p), full_chunk])
@@ -625,12 +626,13 @@ def test_node_tables_match_entry_by_entry_weights(holo, radius, p, full_chunk):
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3, 4, "chain"])
-def test_syndromes_decode_from_the_codes_packed_rows(holo, monkeypatch, radius):
+def test_syndromes_decode_from_the_codes_packed_rows(holo, three_block_chain, monkeypatch,
+                                                    radius):
     # a syndrome's leaf table is that of its packed pure-error rows, with
     # no PauliString pure error and no leaf_probabilities on the way; decode
     # maps the syndrome once, and its correction is the class
     # representative times the pure error, unpacked from the same rows
-    layout, schedule = _three_block_chain() if radius == "chain" else holo[radius]
+    layout, schedule = three_block_chain if radius == "chain" else holo[radius]
     code = layout.code
     m = code.n - code.k
     noise = NoiseModel.depolarizing(layout.n, 0.18)
@@ -740,13 +742,14 @@ def test_bad_leaf_entries_raise(holo, bad, batched):
 
 @pytest.mark.parametrize("radius", [1, 2, 3, 4, 5, "chain"])
 @pytest.mark.parametrize("batch", [1, 7])
-def test_batched_leaves_match_row_calls(holo, holo5_topology, radius, batch):
+def test_batched_leaves_match_row_calls(holo, holo5_topology, three_block_chain, radius,
+                                        batch):
     # the batch axis is invisible: every array of the executor holds it
     # first and no reduction runs across it, so row b of a stacked call is
     # bit for bit the one-row call on leaves[b], or on pure error b, and so
     # is its decision
     if radius == "chain":
-        layout, schedule = _three_block_chain()
+        layout, schedule = three_block_chain
     else:
         layout, schedule = holo5_topology if radius == 5 else holo[radius]
     noise = NoiseModel.depolarizing(layout.n, 0.18)

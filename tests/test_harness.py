@@ -1,5 +1,6 @@
 """Monte Carlo harness: reproducibility, statistics, and the scaling fit."""
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -12,6 +13,7 @@ from tenqec import (
     McPoint,
     NoiseModel,
     PauliString,
+    StabilizerCode,
     Syndrome,
     build_layout,
     crossing_point,
@@ -26,6 +28,7 @@ from tenqec import (
     write_points,
 )
 from tenqec import decoder, harness
+from tenqec.decoder import TIE_RTOL
 
 
 def test_run_point_deterministic(holo):
@@ -244,6 +247,108 @@ def test_runner_with_per_qubit_noise_decides_as_leaf_tables(holo, monkeypatch, r
     failures = sum(runner.run_trial(4, 0, range(t, t + runner.chunk))
                    for t in range(0, 3 * runner.chunk, runner.chunk))
     assert len(calls) == 3 and failures > 0
+
+
+def _syndrome_route(runner, ex, ez):
+    """Reference: the route that decoded a trial against its syndrome's pure
+    error T(s).  Each row's syndrome maps to T(s), T(s) is decoded, and the
+    recovery's class is the chosen label's bits XOR T(s)'s.  Batched rows
+    are bit-identical to one-row calls, so rows are decoded as they come,
+    with no dedup by syndrome.  Returns the (B,) class bits and the (B,
+    labels) mantissas."""
+    code = runner.code
+    px, pz = code.pure_error_rows(code.syndromes(ex, ez))
+    out = likelihoods_network(runner.layout, runner.schedule, runner.noise,
+                              pure_errors=(px, pz), tables=runner.tables)
+    chosen = runner.label_bits[decoder.argmax_labels(out.mantissas)]
+    return chosen ^ code.class_bits(px, pz), out.mantissas
+
+
+def _recorded(monkeypatch):
+    """A list that the runners' chunks fill, in turn, with their packed
+    errors and the mantissas they decide on."""
+    seen = []
+
+    def network(*args, pure_errors, tables):
+        seen.append(pure_errors)
+        return likelihoods_network(*args, pure_errors=pure_errors, tables=tables)
+
+    def decide(mantissas):
+        seen.append(mantissas)
+        return decoder.argmax_labels(mantissas)
+
+    monkeypatch.setattr(harness, "likelihoods_network", network)
+    monkeypatch.setattr(harness, "argmax_labels", decide)
+    return seen
+
+
+@pytest.mark.parametrize("radius, chunks", [(1, 4), (2, 6), (3, 8), (4, 12), ("chain", 2)])
+@pytest.mark.parametrize("p", [0.16, 0.18, 0.20])
+def test_own_error_decisions_equal_the_syndrome_route(holo, three_block_chain, monkeypatch,
+                                                      radius, chunks, p):
+    # a trial decoded against its own error E, with its columns permuted by
+    # E's class bits, decides as the decode of its syndrome's pure error
+    # does, tied trials included, and counts the same failures
+    layout, schedule = three_block_chain if radius == "chain" else holo[radius]
+    runner = harness.TrialRunner(layout, schedule, NoiseModel.depolarizing(layout.n, p))
+    seen = _recorded(monkeypatch)
+    ties = 0
+    for start in range(0, chunks * runner.chunk, runner.chunk):
+        failures = runner.run_trial(11, round(100 * p), range(start, start + runner.chunk))
+        (ex, ez), canonical = seen[-2:]
+        want, mantissas = _syndrome_route(runner, ex, ez)
+        np.testing.assert_allclose(canonical, mantissas, rtol=1e-12)
+        assert np.array_equal(runner.label_bits[decoder.argmax_labels(canonical)], want)
+        assert failures == np.count_nonzero(want != runner.code.class_bits(ex, ez))
+        tied = mantissas >= mantissas.max(axis=1, keepdims=True) * (1 - TIE_RTOL)
+        ties += np.count_nonzero(tied.sum(axis=1) > 1)
+    assert len(seen) == 2 * chunks
+    if radius in (1, 2):
+        assert ties > 0
+
+
+def test_tied_trials_take_the_earliest_canonical_label(holo, monkeypatch):
+    # a radius-1 trial whose error has nonzero class bits and whose own
+    # decode ties takes the earliest tied label in canonical order (I, X,
+    # Z, Y); the earliest tied column of its own decode is another class in
+    # some of those trials
+    layout, schedule = holo[1]
+    runner = harness.TrialRunner(layout, schedule, NoiseModel.depolarizing(layout.n, 0.18))
+    seen = _recorded(monkeypatch)
+    runner.run_trial(11, 18, range(runner.chunk))
+    (ex, ez), canonical = seen
+    classes = runner.code.class_bits(ex, ez)
+    own = likelihoods_network(layout, schedule, runner.noise, pure_errors=(ex, ez),
+                              tables=runner.tables).mantissas
+    tied = own >= own.max(axis=1, keepdims=True) * (1 - TIE_RTOL)
+    rows = np.flatnonzero((tied.sum(axis=1) > 1) & (classes != 0))
+    assert rows.size
+    order = runner.label_bits.tolist()
+    decided = decoder.argmax_labels(canonical)
+    for row in rows:
+        labels = runner.label_bits[tied[row]] ^ classes[row]
+        assert decided[row] == min(order.index(bits) for bits in labels)
+    naive = runner.label_bits[decoder.argmax_labels(own[rows])] ^ classes[rows]
+    assert np.any(naive != runner.label_bits[decided[rows]])
+    assert np.array_equal(runner.label_bits[decided], _syndrome_route(runner, ex, ez)[0])
+
+
+def test_a_pure_error_times_a_logical_is_refused(holo):
+    # the own-error route reads class bits 0 off every pure error; a code
+    # whose pure error 0 carries a logical X fails validate, and no runner
+    # is built on it
+    layout, schedule = holo[1]
+    code = layout.code
+    m = code.n - code.k
+    x, z = code.x.copy(), code.z.copy()
+    x[m] ^= x[2 * m]
+    z[m] ^= z[2 * m]
+    bad = StabilizerCode(code.n, code.k, x, z)
+    with pytest.raises(ValueError, match="pure error 0 and logical Z 0 must commute"):
+        bad.validate()
+    with pytest.raises(ValueError, match="every pure error must commute with every logical"):
+        harness.TrialRunner(dataclasses.replace(layout, code=bad), schedule,
+                            NoiseModel.depolarizing(code.n, 0.18))
 
 
 @pytest.mark.parametrize("field, value", [
