@@ -261,7 +261,7 @@ def _cmd_verify(args) -> int:
     ex, ez = pack([PauliString.from_key(6, key) for key in range(4 ** 6)], 6)
     own, _ = runner.canonical(ex, ez)
     ref = likelihoods_network(layout, schedule, noise, tables=runner.tables,
-                              pure_errors=code.pure_error_rows(code.syndromes(ex, ez)))
+                              errors=code.pure_error_rows(code.syndromes(ex, ez)))
     gap = float(abs(own / ref.mantissas - 1).max())
     same = bool((argmax_labels(own) == argmax_labels(ref.mantissas)).all())
     check("own-error decodes match pure-error decodes", gap <= 1e-12 and same,

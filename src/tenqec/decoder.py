@@ -16,18 +16,19 @@ and the input fixes where they come from.  A syndrome or an arbitrary
 leaf table (``leaves=``) is weighed entry by entry: one gather per leaf
 leg from the (B, 4n) leaf table, read in place, and one sum per output
 slot; a syndrome's table is that of its packed pure-error rows.  Every
-executor array holds the batch first.  Bit-packed pure errors, or any
-operators (``pure_errors=``; the harness passes its sampled errors), are
-read from the caller's :class:`NodeTables`, one row per node: under
+executor array holds the batch first.  Bit-packed errors (``errors=``; the
+harness passes its sampled errors, and any operators will do) are read
+from the caller's :class:`NodeTables`, one row per node: under
 independent noise the sums depend only on the node's 4^L pattern, so a
 (4^L, slots) table, 128 KB per node kind and noise row, is filled once
 per noise model by L mode products of the dense block tensor and held by
 its owner, never in a process-wide cache.  Both sources feed the same
 message layout and renormalization.  A node with children closes each
 output slot with one matrix product, whose inner dimension runs over the
-slot's digit prefixes, and weighs any leaf legs of its own (chains only)
-entry by entry.  A batched call returns one :class:`Likelihoods` of (B,
-labels) mantissas and (B,) log scales; a single one, a
+slot's digit prefixes, or at the seed, where the network closes on
+itself, with one trace, and weighs any leaf legs of its own (chains
+only) entry by entry.  A batched call returns one :class:`Likelihoods`
+of (B, labels) mantissas and (B,) log scales; a single one, a
 :class:`LikelihoodTable`.  The brute-force reference is
 :mod:`tenqec.oracle`, which the test suite compares against to 1e-10; at
 bond dimension > 1 it compares against a dense contraction of the layout
@@ -91,7 +92,7 @@ def leaf_probabilities(noise: NoiseModel, pure_error: PauliString) -> np.ndarray
 def packed_leaf_probabilities(
     noise: NoiseModel, ex: np.ndarray, ez: np.ndarray
 ) -> np.ndarray:
-    """Leaf tables of bit-packed pure errors, one per row of ``ex``/``ez``.
+    """Leaf tables of bit-packed errors, one per row of ``ex``/``ez``.
 
     Rows are (..., words) uint64 x and z bits as :func:`tenqec.pauli.pack`
     writes them; the result is a plain (..., n, 4) array.
@@ -202,16 +203,16 @@ class OpCounter:
 
 
 # XOR4[p, d] = d ^ p: row[XOR4] is the leaf-weight matrix W[p, d] = row[d ^ p]
-# of a qubit whose pure error has code p, for its noise row
+# of a qubit whose error has code p, for its noise row
 XOR4 = np.arange(4)[:, None] ^ np.arange(4)
 
 
 class NodeTables:
     """Messages of a schedule's nodes without children under one noise
-    model, one row per pattern of pure-error codes on a node's leaf legs.
+    model, one row per pattern of error codes on a node's leaf legs.
 
     A node without children weighs its entry e by Π_j row_j[e_j ⊕ p_j],
-    where row_j is the noise row and p_j the pure error's code of its j-th
+    where row_j is the noise row and p_j the error's code of its j-th
     leaf qubit, so its output slots' sums depend only on its leaf rows and
     its 4^L patterns p (first leaf leg major).  Each (4^L, slots) table is
     filled once, by L mode products of the dense block tensor with the 4 ×
@@ -221,7 +222,7 @@ class NodeTables:
     node kind (128 KB each for the seed at radius 1 and the outer ring's
     single and corner nodes), and per-qubit noise at most one per node.
     The tables live on this object, never in a process-wide cache: build
-    one per (schedule, noise) and pass it with every ``pure_errors=`` call
+    one per (schedule, noise) and pass it with every ``errors=`` call
     of :func:`likelihoods_network`, which reads no others.
     """
 
@@ -290,7 +291,7 @@ def likelihoods_network(
     syndrome: Syndrome | None = None,
     *,
     leaves: np.ndarray | None = None,
-    pure_errors: tuple[np.ndarray, np.ndarray] | None = None,
+    errors: tuple[np.ndarray, np.ndarray] | None = None,
     tables: NodeTables | None = None,
     counter: OpCounter | None = None,
     bond_observer: dict[str, tuple[int, int]] | None = None,
@@ -314,7 +315,10 @@ def likelihoods_network(
     result, indexed by the node's parent-facing legs, is its message.
     Every message is renormalized by its largest entry, with the logs
     pooled into the table's log_scale, so deep layouts never underflow.
-    The seed instead closes its ring, one class label at a time.
+    The seed closes its ring instead, one output slot at a time, into a
+    message like any other: its slots are its codes on the leg that
+    carries the class label, so each label's mantissas are read at its
+    key.
 
     The leaves come from exactly one source; passing none or two raises
     ValueError, and so do a leaf entry that is negative or not finite and
@@ -324,18 +328,18 @@ def likelihoods_network(
       *layout.code.pure_error_rows(bits))`` of its bits, weighed entry by
       entry;
     - ``leaves``: an arbitrary leaf table, weighed entry by entry;
-    - ``pure_errors``: (B, words) uint64 x and z rows of pure errors, or
-      of any operators, whose label L then holds the class of the operator
-      times L, as :func:`tenqec.pauli.pack` writes them, with ``tables``,
-      the :class:`NodeTables` of this schedule and noise object; without
-      them, or with another's, the call raises ValueError.  A group without
-      children reads each node's slot sums as one row of ``tables``, at
-      the base-4 pattern of its qubits' codes; a node with children and
-      leaf legs (chains only) still weighs its entries, from
-      ``packed_leaf_probabilities``.
+    - ``errors``: (B, words) uint64 x and z rows of any operators, as
+      :func:`tenqec.pauli.pack` writes them, whose label L then holds the
+      class of the operator times L (for a pure error, class L), with
+      ``tables``, the :class:`NodeTables` of this schedule and noise
+      object; without them, or with another's, the call raises
+      ValueError.  A group without children reads each node's slot sums
+      as one row of ``tables``, at the base-4 pattern of its qubits'
+      codes; a node with children and leaf legs (chains only) still
+      weighs its entries, from ``packed_leaf_probabilities``.
 
     Both sources of a group's slot sums feed the same message layout and
-    renormalization.  ``leaves`` of shape (B, n, 4) and ``pure_errors``
+    renormalization.  ``leaves`` of shape (B, n, 4) and ``errors``
     contract B rows at once, along a leading batch axis of every message,
     and return one :class:`Likelihoods`; each row is renormalized by its
     own largest entries, and every reduction runs along an axis of one
@@ -344,26 +348,26 @@ def likelihoods_network(
     a (B, 4n) view.  ``counter`` tallies the work of one contraction whatever
     B is, so its counts match ``predicted_op_count`` and repeat exactly
     across calls.  ``bond_observer`` collects each message's observed
-    (left, right) bond dimensions.
+    (left, right) bond dimensions, the seed's (1, 1) included.
     """
     _check_qubits(schedule, layout.n, "layout")
-    if sum(source is not None for source in (syndrome, leaves, pure_errors)) != 1:
-        raise ValueError("pass one of a syndrome, a leaf table or pure errors, "
+    if sum(source is not None for source in (syndrome, leaves, errors)) != 1:
+        raise ValueError("pass one of a syndrome, a leaf table or packed errors, "
                          "not both or neither")
-    if tables is not None and pure_errors is None:
-        raise ValueError("node tables are read only with pure errors")
+    if tables is not None and errors is None:
+        raise ValueError("node tables are read only with packed errors")
     if syndrome is not None:
         leaves = packed_leaf_probabilities(noise, *_pure_error_rows(layout, syndrome))
     codes = None
-    if pure_errors is not None:
-        ex, ez = map(np.asarray, pure_errors)
+    if errors is not None:
+        ex, ez = map(np.asarray, errors)
         words = (layout.n + 63) // 64
         if not (ex.shape == ez.shape and ex.ndim == 2 and ex.shape[1] == words
                 and len(ex) and ex.dtype == ez.dtype == np.uint64):
-            raise ValueError(f"pure errors of shapes {ex.shape} and {ez.shape} are not "
+            raise ValueError(f"errors of shapes {ex.shape} and {ez.shape} are not "
                              f"(B, {words}) uint64 words with B >= 1")
         if tables is None:
-            raise ValueError("pure errors are read from node tables: pass "
+            raise ValueError("packed errors are read from node tables: pass "
                              "tables=NodeTables(schedule, noise)")
         if tables.schedule is not schedule or tables.noise is not noise:
             raise ValueError("node tables were built for another schedule or noise model")
@@ -391,18 +395,19 @@ def likelihoods_network(
         if not first.chain:
             sums = (_slot_sums(group, table, counter) if codes is None
                     else _table_sums(group, tables.groups[index], codes, counter))
-            out = _leaf_messages(group, sums, schedule.labels)
+            out = _messages(group, sums[..., None, None])
         elif first.kind == "center":
-            out = _close_ring(group, table, route, outputs, schedule.labels, counter)
+            out = _close_ring(group, table, route, outputs, counter)
         else:
             out = _close_slots(group, table, route, outputs, counter)
-        if first.kind != "center":
-            _observe(group, out.shape[-2:], bond_observer)
+        _observe(group, out.shape[-2:], bond_observer)
         log_scale += _renormalize(out)
         outputs.append(out)
 
-    # every output but the center's has been released by its last reader
-    mantissas = outputs[-1][:, 0]
+    # every output but the seed's has been released by its last reader; the
+    # seed's slots are its codes on leg 0, and a label's slot is its key
+    mantissas = outputs[-1].reshape(len(log_scale), -1)[
+        :, [label.key() for label in schedule.labels]]
     if leaves is not None and leaves.ndim == 2:
         return LikelihoodTable(schedule.labels, mantissas[0], float(log_scale[0]))
     return Likelihoods(schedule.labels, mantissas, log_scale)
@@ -501,16 +506,6 @@ def _table_sums(group: StepGroup, tables: tuple[np.ndarray, np.ndarray],
     return np.take(stack, pattern + first_rows, axis=0)
 
 
-def _leaf_messages(group: StepGroup, sums: np.ndarray,
-                   labels: tuple[PauliString, ...]) -> np.ndarray:
-    """The output of a group without children from its (batch, nodes,
-    slots) slot sums.  The seed's slots are its class labels' keys:
-    (batch, 1, labels)."""
-    if group.steps[0].kind == "center":
-        return sums[..., [label.key() for label in labels]]
-    return _messages(group, sums[..., None, None])
-
-
 def _slots(step: ScheduleStep) -> int:
     """Output slots of a step: its codes on the in-legs and the deferred leg."""
     return 4 ** (len(step.in_legs) + (step.deferred_leg is not None))
@@ -526,12 +521,11 @@ def _tries(group: StepGroup, route: Route, outputs: list[np.ndarray | None],
     out: a view of a run of nodes, else one gather by index, joined where
     they sit in several groups.  The outputs no later group reads are
     then released, and the factors go into the two tries of
-    :func:`_trie`.  The seed, always alone, closes its ring as tr(P·S) =
-    ⟨P, Sᵀ⟩, so it builds Sᵀ from transposed factors; every other group
-    builds Pᵀ from transposed factors, so that a slot's gathered prefixes
-    are one GEMM operand by reshape.  A side the chain lacks is None.
+    :func:`_trie`: Pᵀ from transposed factors, so that a slot's gathered
+    prefixes are one GEMM operand by reshape, and S from contiguous ones.
+    A side the chain lacks is None.
     """
-    plan, ring = group.plan, group.steps[0].kind == "center"
+    plan = group.plan
     mats = []
     for pieces in route.positions:
         parts = [outputs[source][:, nodes] for source, nodes in pieces]
@@ -541,33 +535,26 @@ def _tries(group: StepGroup, route: Route, outputs: list[np.ndarray | None],
     for source in route.spent:
         outputs[source] = None
     split = len(plan.prefix)
-    prefix, suffix = mats[:split], mats[split:][::-1]
-    if ring:
-        suffix = [m.mT for m in suffix]
-    else:
-        prefix = [m.mT for m in prefix]
-    return (_trie(group, prefix, plan.prefix, ring, counter),
-            _trie(group, suffix, plan.suffix, ring, counter))
+    return (_trie(group, [m.mT for m in mats[:split]], plan.prefix, counter),
+            _trie(group, mats[split:][::-1], plan.suffix, counter))
 
 
 def _trie(group: StepGroup, factors: list[np.ndarray],
-          levels: tuple[np.ndarray, ...], left: bool,
-          counter: OpCounter | None) -> np.ndarray | None:
+          levels: tuple[np.ndarray, ...], counter: OpCounter | None) -> np.ndarray | None:
     """One product per node and trie node, (batch, nodes, trie nodes, rows,
     cols), level by level.
 
-    A level multiplies each trie node above, from the left if ``left``, by
-    its factor's matrices for its children's last digits; parents broadcast
-    over their fan-out, so only the factor is gathered.
+    A level multiplies each trie node above from the left by its factor's
+    matrices for its children's last digits; parents broadcast over their
+    fan-out, so only the factor is gathered.
     """
     out = None
     for factor, digits in zip(factors, levels):
         picked = np.take(factor, digits, axis=2)
         if out is not None:
             above = out[:, :, :, None]
-            a, b = (above, picked) if left else (picked, above)
-            picked = _matmul(a, b)
-            _credit(counter, group, "matmul", picked[0, 0].size * a.shape[-1])
+            picked = _matmul(picked, above)
+            _credit(counter, group, "matmul", picked[0, 0].size * above.shape[-2])
         out = picked.reshape(picked.shape[:2] + (-1,) + picked.shape[-2:])
     return out
 
@@ -621,25 +608,25 @@ def _close_slots(group: StepGroup, table: np.ndarray, route: Route,
 
 
 def _close_ring(group: StepGroup, table: np.ndarray, route: Route,
-                outputs: list[np.ndarray | None], labels: tuple[PauliString, ...],
-                counter: OpCounter | None) -> np.ndarray:
-    """The seed's class likelihoods, (batch, 1, labels), one label's slot
-    of its plan's rows at a time, which keeps the gathered matrices small."""
+                outputs: list[np.ndarray | None], counter: OpCounter | None) -> np.ndarray:
+    """The seed's message, (batch, 1, slots, 1, 1), one output slot of its
+    plan's rows at a time, which keeps the gathered matrices small."""
     weights = _leaf_weights(group, table, counter)
     prefix, suffix = _tries(group, route, outputs, counter)
-    return np.stack([_close_label(group, label.key(), weights, prefix, suffix, counter)
-                     for label in labels], axis=-1)
+    out = np.stack([_trace_slot(group, slot, weights, prefix, suffix, counter)
+                    for slot in range(_slots(group.steps[0]))], axis=-1)
+    return _messages(group, out[..., None, None])
 
 
-def _close_label(group: StepGroup, slot: int, weights: np.ndarray | None,
-                 prefix: np.ndarray | None, suffix: np.ndarray,
-                 counter: OpCounter | None) -> np.ndarray:
-    """One class label's (batch, 1) likelihoods: the seed's output ``slot``.
+def _trace_slot(group: StepGroup, slot: int, weights: np.ndarray | None,
+                prefix: np.ndarray | None, suffix: np.ndarray,
+                counter: OpCounter | None) -> np.ndarray:
+    """The seed's (batch, 1) sums of output ``slot``.
 
-    tr(P·Σw·S) summed over the slot's prefixes is one contiguous
-    ``np.vecdot`` of the gathered prefix products with the pairs' Σw·Sᵀ,
-    with no matmul or strided trace.  With no prefix (bond 1) the sums'
-    traces are added.
+    tr(P·Σw·S) = ⟨Pᵀ, Σw·S⟩ summed over the slot's prefixes is one
+    contiguous ``np.vecdot`` of the gathered Pᵀ with the pairs' Σw·S, with
+    no matmul or strided trace.  With no prefix (bond 1) the sums' traces
+    are added.
     """
     plan = group.plan
     size, pairs = len(plan.digits) // 4, len(plan.pair_prefix) // 4

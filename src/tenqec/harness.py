@@ -97,7 +97,7 @@ def chunk_size(schedule: ContractionSchedule) -> int:
     512 at radius 1, 85 at radius 2, 21 at radius 3 and 4 at radius 4 (an
     inner ring's bond matrices), and 1 from radius 5 on.  At radii 1-3 the
     charge is the entry-by-entry leaf weights, which the runner's
-    ``pure_errors=`` calls do not allocate, so those chunks peak well under
+    ``errors=`` calls do not allocate, so those chunks peak well under
     CHUNK_BYTES; the sizes stay pinned as policy.
     """
     return max(1, CHUNK_BYTES // schedule.row_bytes)
@@ -197,7 +197,7 @@ class TrialRunner:
         against itself and read in canonical label order (``cols``), and
         their (B,) class bits."""
         out = likelihoods_network(self.layout, self.schedule, self.noise,
-                                  pure_errors=(ex, ez), tables=self.tables)
+                                  errors=(ex, ez), tables=self.tables)
         classes = self.code.class_bits(ex, ez)
         return np.take_along_axis(out.mantissas, self.cols[classes], axis=1), classes
 

@@ -144,9 +144,9 @@ class StepGroup:
 
     Its steps share kind, chain legs, in-legs, deferred leg, leaf legs and
     output bond, their children's message shapes position by position, and
-    their height above the leaves, so none feeds another.  The seed is
-    always alone.  ``qubits[g, j]`` is the boundary qubit on the j-th leaf
-    leg of ``steps[g]``.
+    their height above the leaves, so none feeds another.  The seed, the
+    one step of kind "center", is always alone.  ``qubits[g, j]`` is the
+    boundary qubit on the j-th leaf leg of ``steps[g]``.
     """
 
     steps: tuple[ScheduleStep, ...]
@@ -224,9 +224,8 @@ class ContractionSchedule:
                 raise ValueError(f"step {step.name} comes before a child of it")
             info[step.name] = (1 + max(below)[0] if below else 0, len(step.in_legs),
                                step.deferred_leg is None, step.d_out)
-            key = step.name if step.kind == "center" else (
-                step.kind, chain_legs, step.in_legs, step.deferred_leg, legs, below,
-                step.d_out)
+            key = (step.kind, chain_legs, step.in_legs, step.deferred_leg, legs, below,
+                   step.d_out)
             steps, rows = members.setdefault(key, ([], []))
             steps.append(step)
             rows.extend(qubits)

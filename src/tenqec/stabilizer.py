@@ -104,9 +104,6 @@ class Syndrome:
         except ValueError:
             raise ValueError(f"invalid syndrome text {text!r}") from None
 
-    def signs(self) -> tuple[int, ...]:
-        return tuple(-1 if (self.bits >> i) & 1 else 1 for i in range(self.length))
-
     def bit_array(self) -> np.ndarray:
         """The (length,) uint8 array of the bits, 1 where a generator reads -1."""
         raw = self.bits.to_bytes((self.length + 7) // 8, "little")
@@ -343,11 +340,6 @@ class StabilizerCode:
         """Anticommutation pattern of ``error`` against the generators."""
         bits = np.packbits(self.syndromes(*pack([error], self.n))[0], bitorder="little")
         return Syndrome(self.n - self.k, int.from_bytes(bits.tobytes(), "little"))
-
-    def pure_error(self, syndrome: Syndrome) -> PauliString:
-        """The canonical error with the given syndrome: the product of the
-        pure errors its flipped bits select, a right inverse of :meth:`syndrome`."""
-        return unpack(*self.pure_error_rows(syndrome.bit_array()[None]), self.n)[0]
 
     def logical_class(self, op: PauliString) -> PauliString | None:
         """The k-qubit class label of ``op``, or None outside the normalizer:

@@ -1,4 +1,5 @@
-"""Shared fixtures: built-in codes and cached holographic layouts."""
+"""Shared fixtures: built-in codes and cached holographic layouts, and the
+one-operator pure error that reference checks read."""
 
 import pytest
 
@@ -10,6 +11,13 @@ from tenqec import (
     six_qubit_code,
     seven_qubit_state,
 )
+from tenqec.pauli import unpack
+
+
+def pure_error(code, syndrome):
+    """The syndrome's pure error as one operator, from the code's packed
+    pure-error rows."""
+    return unpack(*code.pure_error_rows(syndrome.bit_array()[None]), code.n)[0]
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import pure_error
 from tenqec import (
     CodeTensor,
     ContractionPreconditionError,
@@ -187,10 +188,9 @@ def test_criterion_4_layered_construction_validity(holo):
             layout, schedule, noise, leaves=noise.probs, bond_observer=observed
         )
         for step in schedule.steps:
-            if step.kind == "center":
-                continue
             node = layout.nodes[step.name]
-            expect = 4 ** (r - 1 - node.layer)
+            # the seed's ring closes into a message with (1, 1) bonds
+            expect = 1 if step.kind == "center" else 4 ** (r - 1 - node.layer)
             assert observed[step.name] == (expect, expect)
     print("criterion 4 PASS: preconditions, ranks, and bond growth check out")
 
@@ -311,7 +311,7 @@ def test_criterion_8_invariant_bundle(six_code, six_tensor, block_tensor, holo):
         m = code.n - code.k
         for bits in range(1 << m):
             syn = Syndrome(m, bits)
-            assert code.syndrome(code.pure_error(syn)) == syn
+            assert code.syndrome(pure_error(code, syn)) == syn
 
     # canonical form preserves the generated group
     state = seven_qubit_state()
@@ -333,7 +333,7 @@ def test_criterion_8_invariant_bundle(six_code, six_tensor, block_tensor, holo):
     noise = NoiseModel.depolarizing(6, 0.13)
     for bits in (0, 6, 11, 30):
         syn = Syndrome(5, bits)
-        pure = layout.code.pure_error(syn)
+        pure = pure_error(layout.code, syn)
         base_leaves = leaf_probabilities(noise, pure)
         base = likelihoods_network(layout, schedule, noise, syn)
         for factor in (1e-3, 137.5, 1e3):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import pure_error
 from tenqec import (
     ExhaustiveDecoder,
     NodeTables,
@@ -133,7 +134,7 @@ def test_argmax_scale_invariance(holo):
     noise = NoiseModel.depolarizing(6, 0.13)
     for bits in (0, 6, 11, 30):
         syn = Syndrome(5, bits)
-        pure = layout.code.pure_error(syn)
+        pure = pure_error(layout.code, syn)
         base = leaf_probabilities(noise, pure)
         plain = likelihoods_network(layout, schedule, noise, syn)
         scaled = likelihoods_network(
@@ -174,7 +175,7 @@ def test_decisions_ignore_summation_order(holo, radius):
         cases = [(ps[i % 3], int(rng.integers(1 << m))) for i in range(300)]
     for p, bits in cases:
         noise = NoiseModel.depolarizing(layout.n, p)
-        leaves = leaf_probabilities(noise, code.pure_error(Syndrome(m, bits)))
+        leaves = leaf_probabilities(noise, pure_error(code, Syndrome(m, bits)))
         want = likelihoods_network(
             layout, schedule, noise, leaves=leaves
         ).argmax_class()
@@ -285,7 +286,7 @@ def test_relabeling_covariance(holo):
     code = layout.code
     noise = NoiseModel.depolarizing(6, 0.11)
     syn = Syndrome(5, 22)  # a syndrome whose maximum is unique
-    pure = code.pure_error(syn)
+    pure = pure_error(code, syn)
     base = likelihoods_network(layout, schedule, noise, syn)
 
     shifted = likelihoods_network(
@@ -597,8 +598,8 @@ def _leaf_stack(n, noise, count, seed):
     ])
 
 
-def _pure_errors(n, count, seed):
-    """``count`` random Pauli operators as packed pure errors."""
+def _errors(n, count, seed):
+    """``count`` random Pauli operators, packed."""
     rng = np.random.default_rng(seed)
     return pack([PauliString.from_codes(codes.tolist())
                  for codes in rng.integers(0, 4, size=(count, n))], n)
@@ -614,9 +615,9 @@ def test_node_tables_match_entry_by_entry_weights(holo, three_block_chain, radiu
     # children and leaf legs still weighs its entries
     layout, schedule = three_block_chain if radius == "chain" else holo[radius]
     noise = NoiseModel.depolarizing(layout.n, p)
-    errors = _pure_errors(layout.n, chunk_size(schedule) if full_chunk else 1,
-                          [round(100 * p), full_chunk])
-    got = likelihoods_network(layout, schedule, noise, pure_errors=errors,
+    errors = _errors(layout.n, chunk_size(schedule) if full_chunk else 1,
+                     [round(100 * p), full_chunk])
+    got = likelihoods_network(layout, schedule, noise, errors=errors,
                               tables=NodeTables(schedule, noise))
     want = likelihoods_network(layout, schedule, noise,
                                leaves=packed_leaf_probabilities(noise, *errors))
@@ -639,12 +640,11 @@ def test_syndromes_decode_from_the_codes_packed_rows(holo, three_block_chain, mo
     rng = np.random.default_rng([7, m])
     cases = [(bits, Syndrome(m, int("".join(map(str, bits[::-1])), 2)))
              for bits in rng.integers(0, 2, size=(4, m))]
-    errors = [code.pure_error(syndrome) for _, syndrome in cases]
+    errors = [pure_error(code, syndrome) for _, syndrome in cases]
 
     def unused(*args):
         raise AssertionError("a syndrome= decode must not call this")
 
-    monkeypatch.setattr(type(code), "pure_error", unused)
     monkeypatch.setattr(decoder, "leaf_probabilities", unused)
     for (bits, syndrome), error in zip(cases, errors):
         got = likelihoods_network(layout, schedule, noise, syndrome)
@@ -689,7 +689,7 @@ def test_node_tables_charge_one_read_per_slot(holo, radius, fill_macs):
     counts = []
     for batch in (1, chunk_size(schedule)):
         counter = OpCounter()
-        likelihoods_network(layout, schedule, noise, pure_errors=_pure_errors(layout.n, batch, 0),
+        likelihoods_network(layout, schedule, noise, errors=_errors(layout.n, batch, 0),
                             tables=tables, counter=counter)
         counts.append((counter.by_category, counter.by_node))
     assert counts[0] == counts[1]
@@ -703,22 +703,22 @@ def test_node_tables_charge_one_read_per_slot(holo, radius, fill_macs):
 def test_pure_error_input_validation(holo):
     layout, schedule = holo[2]
     noise = NoiseModel.depolarizing(layout.n, 0.1)
-    ex, ez = _pure_errors(layout.n, 2, 0)
+    ex, ez = _errors(layout.n, 2, 0)
     with pytest.raises(ValueError, match="not both"):
         likelihoods_network(layout, schedule, noise, leaves=noise.probs,
-                            pure_errors=(ex, ez))
+                            errors=(ex, ez))
     for bad in ((ex, ez[:1]), (ex[:0], ez[:0]), (ex.astype(np.int64), ez),
                 (ex[:, :0], ez[:, :0]), (ex[0], ez[0])):
         with pytest.raises(ValueError, match="uint64 words"):
-            likelihoods_network(layout, schedule, noise, pure_errors=bad)
-    # pure errors are read only from the caller's node tables
+            likelihoods_network(layout, schedule, noise, errors=bad)
+    # packed errors are read only from the caller's node tables
     with pytest.raises(ValueError, match="pass tables="):
-        likelihoods_network(layout, schedule, noise, pure_errors=(ex, ez))
+        likelihoods_network(layout, schedule, noise, errors=(ex, ez))
     equal = NoiseModel.depolarizing(layout.n, 0.1)
     for tables in (NodeTables(schedule, equal), NodeTables(_unfused(schedule), noise)):
         with pytest.raises(ValueError, match="another schedule or noise model"):
-            likelihoods_network(layout, schedule, noise, pure_errors=(ex, ez), tables=tables)
-    with pytest.raises(ValueError, match="only with pure errors"):
+            likelihoods_network(layout, schedule, noise, errors=(ex, ez), tables=tables)
+    with pytest.raises(ValueError, match="only with packed errors"):
         likelihoods_network(layout, schedule, noise, leaves=noise.probs,
                             tables=NodeTables(schedule, noise))
     with pytest.raises(ValueError, match="leaf qubits"):
@@ -746,7 +746,7 @@ def test_batched_leaves_match_row_calls(holo, holo5_topology, three_block_chain,
                                         batch):
     # the batch axis is invisible: every array of the executor holds it
     # first and no reduction runs across it, so row b of a stacked call is
-    # bit for bit the one-row call on leaves[b], or on pure error b, and so
+    # bit for bit the one-row call on leaves[b], or on error b, and so
     # is its decision
     if radius == "chain":
         layout, schedule = three_block_chain
@@ -755,10 +755,10 @@ def test_batched_leaves_match_row_calls(holo, holo5_topology, three_block_chain,
     noise = NoiseModel.depolarizing(layout.n, 0.18)
     seed = 0 if radius == "chain" else radius
     leaves = _leaf_stack(layout.n, noise, batch, seed)
-    ex, ez = _pure_errors(layout.n, batch, seed)
+    ex, ez = _errors(layout.n, batch, seed)
     tables = NodeTables(schedule, noise)
     stacked = (likelihoods_network(layout, schedule, noise, leaves=leaves),
-               likelihoods_network(layout, schedule, noise, pure_errors=(ex, ez),
+               likelihoods_network(layout, schedule, noise, errors=(ex, ez),
                                    tables=tables))
     for out in stacked:
         assert out.labels == schedule.labels
@@ -767,7 +767,7 @@ def test_batched_leaves_match_row_calls(holo, holo5_topology, three_block_chain,
     for b in range(batch):
         table = likelihoods_network(layout, schedule, noise, leaves=leaves[b])
         row = likelihoods_network(layout, schedule, noise,
-                                  pure_errors=(ex[b : b + 1], ez[b : b + 1]), tables=tables)
+                                  errors=(ex[b : b + 1], ez[b : b + 1]), tables=tables)
         wants = ((table.mantissas, table.log_scale), (row.mantissas[0], row.log_scales[0]))
         for out, (mantissas, log_scale) in zip(stacked, wants):
             assert np.array_equal(out.mantissas[b], mantissas)

@@ -223,7 +223,7 @@ def test_decodes_leave_the_operator_tuples_unbuilt():
 def test_runner_with_per_qubit_noise_decides_as_leaf_tables(holo, monkeypatch, radius):
     # each qubit takes one of three noise rows, so some nodes share their
     # leaf rows' table and others have their own; every chunk's decisions
-    # must be those of the entry-by-entry leaf stage on the same pure errors
+    # must be those of the entry-by-entry leaf stage on the same errors
     layout, schedule = holo[radius]
     rows = np.array([[0.7, 0.1, 0.1, 0.1], [0.8, 0.02, 0.1, 0.08], [0.75, 0.15, 0.05, 0.05]])
     noise = NoiseModel(rows[np.random.default_rng(radius).integers(0, 3, layout.n)])
@@ -231,12 +231,11 @@ def test_runner_with_per_qubit_noise_decides_as_leaf_tables(holo, monkeypatch, r
     assert any(entry is not None and len(set(entry[1])) > 1 for entry in runner.tables.groups)
     calls = []
 
-    def both(layout, schedule, noise, *, pure_errors, tables):
-        got = likelihoods_network(layout, schedule, noise, pure_errors=pure_errors,
-                                  tables=tables)
+    def both(layout, schedule, noise, *, errors, tables):
+        got = likelihoods_network(layout, schedule, noise, errors=errors, tables=tables)
         want = likelihoods_network(
             layout, schedule, noise,
-            leaves=decoder.packed_leaf_probabilities(noise, *pure_errors))
+            leaves=decoder.packed_leaf_probabilities(noise, *errors))
         np.testing.assert_allclose(got.mantissas, want.mantissas, rtol=1e-12)
         assert np.array_equal(decoder.argmax_labels(got.mantissas),
                               decoder.argmax_labels(want.mantissas))
@@ -259,7 +258,7 @@ def _syndrome_route(runner, ex, ez):
     code = runner.code
     px, pz = code.pure_error_rows(code.syndromes(ex, ez))
     out = likelihoods_network(runner.layout, runner.schedule, runner.noise,
-                              pure_errors=(px, pz), tables=runner.tables)
+                              errors=(px, pz), tables=runner.tables)
     chosen = runner.label_bits[decoder.argmax_labels(out.mantissas)]
     return chosen ^ code.class_bits(px, pz), out.mantissas
 
@@ -269,9 +268,9 @@ def _recorded(monkeypatch):
     errors and the mantissas they decide on."""
     seen = []
 
-    def network(*args, pure_errors, tables):
-        seen.append(pure_errors)
-        return likelihoods_network(*args, pure_errors=pure_errors, tables=tables)
+    def network(*args, errors, tables):
+        seen.append(errors)
+        return likelihoods_network(*args, errors=errors, tables=tables)
 
     def decide(mantissas):
         seen.append(mantissas)
@@ -318,7 +317,7 @@ def test_tied_trials_take_the_earliest_canonical_label(holo, monkeypatch):
     runner.run_trial(11, 18, range(runner.chunk))
     (ex, ez), canonical = seen
     classes = runner.code.class_bits(ex, ez)
-    own = likelihoods_network(layout, schedule, runner.noise, pure_errors=(ex, ez),
+    own = likelihoods_network(layout, schedule, runner.noise, errors=(ex, ez),
                               tables=runner.tables).mantissas
     tied = own >= own.max(axis=1, keepdims=True) * (1 - TIE_RTOL)
     rows = np.flatnonzero((tied.sum(axis=1) > 1) & (classes != 0))

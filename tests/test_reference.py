@@ -10,21 +10,29 @@ smallest result.  It reads only the layout graph (``LayoutNode.in_links``,
 ``children`` and the boundary) and shares no code with ``schedule_for``,
 the split plans or the executor.  Every absorbed or merged tensor is
 divided by its largest entry, the logs pooled, so no likelihood
-underflows.
+underflows.  Since it reads any layout, generated chains of blocks are
+checked against it too, and against the oracle where it enumerates.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import pure_error
 from tenqec import (
     ExhaustiveDecoder,
     NodeTables,
     NoiseModel,
+    PauliString,
     Syndrome,
+    chain_layout,
     likelihoods_network,
+    schedule_for,
     seven_qubit_state,
     six_qubit_code,
 )
+from tenqec.decoder import packed_leaf_probabilities
+from tenqec.holographic import BLOCK_LEGS, CENTER_LEGS
 from tenqec.oracle import _class_digit_tables
 from tenqec.pauli import pack
 
@@ -89,7 +97,7 @@ def dense_likelihoods(layout, leaves, labels):
 
 def _leaf_table(code, noise, syndrome):
     """leaf[q, g] = probs[q, code of E_q * g] for the syndrome's pure error E."""
-    codes = np.array(code.pure_error(syndrome).codes())
+    codes = np.array(pure_error(code, syndrome).codes())
     return noise.probs[np.arange(code.n)[:, None], codes[:, None] ^ np.arange(4)]
 
 
@@ -127,7 +135,67 @@ def test_network_matches_dense_reference(holo, radius, p):
                                    table.mantissas, rtol=1e-10, atol=0)
         # the outer ring read from node tables
         rows = likelihoods_network(layout, schedule, noise,
-                                   pure_errors=pack([code.pure_error(Syndrome(m, bits))], code.n),
+                                   errors=code.pure_error_rows(Syndrome(m, bits).bit_array()[None]),
                                    tables=NodeTables(schedule, noise))
         np.testing.assert_allclose(mantissas * np.exp(log_scale - rows.log_scales[0]),
                                    rows.mantissas[0], rtol=1e-10, atol=0)
+
+
+@st.composite
+def chains(draw):
+    """Valid ``chain_layout`` links of 0-4 blocks, each block on a free leg
+    of the seed or of an earlier block, by any of its own legs; and a seed
+    for the example's noise rows, leaf tables and errors."""
+    free = [list(range(CENTER_LEGS))]
+    links = []
+    for _ in range(draw(st.integers(0, 4))):
+        parent = draw(st.integers(0, len(free) - 1))
+        leg = draw(st.sampled_from(tuple(free[parent])))
+        own = draw(st.integers(0, BLOCK_LEGS - 1))
+        free[parent].remove(leg)
+        free.append([other for other in range(BLOCK_LEGS) if other != own])
+        links.append((parent, leg, own))
+    return links, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(chains())
+def test_generated_chains_match_dense_reference(chain):
+    # every bond is 1, but the schedule's grouping keys, split plans and
+    # routes vary with the links, and the seed closes its ring with no
+    # child, with one (no prefix) or with several, beside its leaf legs
+    links, seed = chain
+    layout = chain_layout(links)
+    schedule = schedule_for(layout)
+    code, n, batch = layout.code, layout.n, 3
+    rng = np.random.default_rng(seed)
+    noise = NoiseModel(rng.dirichlet(np.ones(4), size=n))
+    leaves = rng.uniform(0.0, 1.0, size=(batch, n, 4))
+    errors = [PauliString.from_codes(codes.tolist())
+              for codes in rng.integers(0, 4, size=(batch, n))]
+    ex, ez = pack(errors, n)
+    tables = NodeTables(schedule, noise)
+    by_leaves = likelihoods_network(layout, schedule, noise, leaves=leaves)
+    by_errors = likelihoods_network(layout, schedule, noise, errors=(ex, ez), tables=tables)
+    for weights, out in ((leaves, by_leaves),
+                         (packed_leaf_probabilities(noise, ex, ez), by_errors)):
+        for b in range(batch):
+            mantissas, log_scale = dense_likelihoods(layout, weights[b], schedule.labels)
+            np.testing.assert_allclose(mantissas * np.exp(log_scale - out.log_scales[b]),
+                                       out.mantissas[b], rtol=1e-10, atol=0)
+    # batched rows are bit for bit their one-row calls
+    for b in range(batch):
+        one = likelihoods_network(layout, schedule, noise, leaves=leaves[b])
+        row = likelihoods_network(layout, schedule, noise, errors=(ex[b : b + 1], ez[b : b + 1]),
+                                  tables=tables)
+        assert np.array_equal(by_leaves.mantissas[b], one.mantissas)
+        assert by_leaves.log_scales[b] == one.log_scale
+        assert np.array_equal(by_errors.mantissas[b], row.mantissas[0])
+        assert by_errors.log_scales[b] == row.log_scales[0]
+    if n - code.k <= 16:
+        syndrome = code.syndrome(errors[0])
+        table = likelihoods_network(layout, schedule, noise, syndrome)
+        want = ExhaustiveDecoder(code).likelihoods(noise, syndrome)
+        np.testing.assert_allclose(
+            [table.absolute(label) for label in table.labels],
+            [want.absolute(label) for label in table.labels], rtol=1e-10, atol=0)
