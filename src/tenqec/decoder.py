@@ -9,7 +9,7 @@ children before parents, with messages whose bond dimensions stay at
 schedule: the outer ring's nodes, which only weigh leaves, in a few
 groups, and the inner nodes of each layer in groups of like nodes, the
 seed alone.  A group's messages are one output array along a node axis,
-from which a later group reads its children's by the schedule's routes,
+from which a later group reads its children's by its own ``positions``,
 a slice or one gather per chain position, with no per-node lookup.  A
 node without children needs only its output slots' sums of leaf weights,
 and the input fixes where they come from.  A syndrome or an arbitrary
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .holographic import ContractionSchedule, HolographicLayout, Route, ScheduleStep, StepGroup
+from .holographic import ContractionSchedule, HolographicLayout, ScheduleStep, StepGroup
 from .pauli import PauliString, pack, unpack
 from .stabilizer import Syndrome
 
@@ -304,10 +304,9 @@ def likelihoods_network(
     node in the group.  A group without children sums each output slot's
     weights into its message.  A group with children reads their
     messages per chain position along the group's node axis from one
-    output array per earlier group, as its
-    :class:`~tenqec.holographic.Route` lays them out (a view of a run of
-    nodes, or one gather by index), releases each output that no later
-    group reads, and multiplies them along the static split of its
+    output array per earlier group, as its ``positions`` lay them out (a
+    view of a run of nodes, or one gather by index), releases each output
+    its ``spent`` lists, and multiplies them along the static split of its
     :class:`~tenqec.holographic.SplitPlan`: one matmul per node and
     distinct digit prefix and suffix, then one per node and output slot,
     whose inner dimension runs over the slot's prefixes, so it sums the
@@ -364,8 +363,9 @@ def likelihoods_network(
         words = (layout.n + 63) // 64
         if not (ex.shape == ez.shape and ex.ndim == 2 and ex.shape[1] == words
                 and len(ex) and ex.dtype == ez.dtype == np.uint64):
-            raise ValueError(f"errors of shapes {ex.shape} and {ez.shape} are not "
-                             f"(B, {words}) uint64 words with B >= 1")
+            raise ValueError(f"errors of shapes {ex.shape} and {ez.shape}, dtypes "
+                             f"{ex.dtype} and {ez.dtype}, are not (B, {words}) uint64 "
+                             f"words with B >= 1")
         if tables is None:
             raise ValueError("packed errors are read from node tables: pass "
                              "tables=NodeTables(schedule, noise)")
@@ -376,6 +376,7 @@ def likelihoods_network(
             leaves = packed_leaf_probabilities(noise, ex, ez)
     table = None
     if leaves is not None:
+        leaves = np.asarray(leaves)
         if (leaves.ndim not in (2, 3) or leaves.shape[-2:] != (layout.n, 4)
                 or not leaves.size):
             raise ValueError(f"leaf table of shape {leaves.shape} is not (n, 4) or "
@@ -388,7 +389,7 @@ def likelihoods_network(
     # gathered its children's messages from it
     outputs: list[np.ndarray | None] = []
     log_scale = np.zeros(len(table) if codes is None else len(codes))
-    for index, (group, route) in enumerate(zip(schedule.groups, schedule.routes)):
+    for index, group in enumerate(schedule.groups):
         # each close gathers its group's leaf weights itself, so no slab
         # outlives its group
         first = group.steps[0]
@@ -397,9 +398,9 @@ def likelihoods_network(
                     else _table_sums(group, tables.groups[index], codes, counter))
             out = _messages(group, sums[..., None, None])
         elif first.kind == "center":
-            out = _close_ring(group, table, route, outputs, counter)
+            out = _close_ring(group, table, outputs, counter)
         else:
-            out = _close_slots(group, table, route, outputs, counter)
+            out = _close_slots(group, table, outputs, counter)
         _observe(group, out.shape[-2:], bond_observer)
         log_scale += _renormalize(out)
         outputs.append(out)
@@ -489,6 +490,8 @@ def _slot_sums(group: StepGroup, table: np.ndarray,
     """
     first = group.steps[0]
     weights = _leaf_weights(group, table, counter)
+    # the seed's slot sums (radius 1) are the class values themselves: a
+    # final scalar reduction, which OpCounter does not count
     if first.kind != "center":
         _credit(counter, group, "combine", weights.shape[-1])
     return weights.reshape(weights.shape[:2] + (_slots(first), -1)).sum(axis=-1)
@@ -511,28 +514,28 @@ def _slots(step: ScheduleStep) -> int:
     return 4 ** (len(step.in_legs) + (step.deferred_leg is not None))
 
 
-def _tries(group: StepGroup, route: Route, outputs: list[np.ndarray | None],
+def _tries(group: StepGroup, outputs: list[np.ndarray | None],
            counter: OpCounter | None) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The prefix and suffix products of the group's split chain.
 
     Per chain position, its nodes' children's messages are read from
     their groups' ``outputs`` along the node axis, (batch, nodes, 4, rows,
-    cols), as the group's :class:`~tenqec.holographic.Route` lays them
-    out: a view of a run of nodes, else one gather by index, joined where
-    they sit in several groups.  The outputs no later group reads are
-    then released, and the factors go into the two tries of
+    cols), as the group's ``positions`` lay them out: a view of a run of
+    nodes, else one gather by index, joined where they sit in several
+    groups.  The outputs no later group reads, its ``spent``, are then
+    released, and the factors go into the two tries of
     :func:`_trie`: Pᵀ from transposed factors, so that a slot's gathered
     prefixes are one GEMM operand by reshape, and S from contiguous ones.
     A side the chain lacks is None.
     """
     plan = group.plan
     mats = []
-    for pieces in route.positions:
+    for pieces in group.positions:
         parts = [outputs[source][:, nodes] for source, nodes in pieces]
         m = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         # a corner child's second parent-facing index joins the left bond
         mats.append(m.reshape(m.shape[:2] + (4, -1, m.shape[-1])))
-    for source in route.spent:
+    for source in group.spent:
         outputs[source] = None
     split = len(plan.prefix)
     return (_trie(group, [m.mT for m in mats[:split]], plan.prefix, counter),
@@ -580,8 +583,8 @@ def _pair_sums(group: StepGroup, rows: slice, weights: np.ndarray | None,
     return sums
 
 
-def _close_slots(group: StepGroup, table: np.ndarray, route: Route,
-                 outputs: list[np.ndarray | None], counter: OpCounter | None) -> np.ndarray:
+def _close_slots(group: StepGroup, table: np.ndarray, outputs: list[np.ndarray | None],
+                 counter: OpCounter | None) -> np.ndarray:
     """Messages of a group with children: per node and output slot, one GEMM
     [P₁ … P_R]·[Σw·S₁; …; Σw·S_R] over the slot's R prefixes.
 
@@ -593,7 +596,7 @@ def _close_slots(group: StepGroup, table: np.ndarray, route: Route,
     """
     plan, first = group.plan, group.steps[0]
     weights = _leaf_weights(group, table, counter)
-    prefix, suffix = _tries(group, route, outputs, counter)
+    prefix, suffix = _tries(group, outputs, counter)
     out = _pair_sums(group, slice(None), weights, suffix, counter)
     batch, size, pairs, _, d_r = out.shape
     if prefix is not None:
@@ -607,12 +610,12 @@ def _close_slots(group: StepGroup, table: np.ndarray, route: Route,
     return _messages(group, out)
 
 
-def _close_ring(group: StepGroup, table: np.ndarray, route: Route,
-                outputs: list[np.ndarray | None], counter: OpCounter | None) -> np.ndarray:
+def _close_ring(group: StepGroup, table: np.ndarray, outputs: list[np.ndarray | None],
+                counter: OpCounter | None) -> np.ndarray:
     """The seed's message, (batch, 1, slots, 1, 1), one output slot of its
     plan's rows at a time, which keeps the gathered matrices small."""
     weights = _leaf_weights(group, table, counter)
-    prefix, suffix = _tries(group, route, outputs, counter)
+    prefix, suffix = _tries(group, outputs, counter)
     out = np.stack([_trace_slot(group, slot, weights, prefix, suffix, counter)
                     for slot in range(_slots(group.steps[0]))], axis=-1)
     return _messages(group, out[..., None, None])

@@ -303,15 +303,16 @@ def run_point(
     more in forked processes.  The per-trial seeding makes the result the
     same for every worker count.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    for name, value in (("seed", seed), ("point_index", point_index)):
+    for name, value, least in (("trials", trials, 1), ("seed", seed, 0),
+                               ("point_index", point_index, 0)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+        if value < least:
+            raise ValueError("need at least one trial" if least
+                             else f"{name} must be nonnegative, got {value}")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    trials = int(trials)
     noise = NoiseModel.depolarizing(layout.n, p)
     bounds = np.linspace(0, trials, workers + 1).astype(int)
     jobs = [(layout, schedule, noise, seed, point_index, int(lo), int(hi))

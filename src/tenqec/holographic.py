@@ -146,30 +146,18 @@ class StepGroup:
     output bond, their children's message shapes position by position, and
     their height above the leaves, so none feeds another.  The seed, the
     one step of kind "center", is always alone.  ``qubits[g, j]`` is the
-    boundary qubit on the j-th leaf leg of ``steps[g]``.
+    boundary qubit on the j-th leaf leg of ``steps[g]``.  Where the
+    children's messages come from is fixed statically: ``positions[p]``
+    lays the group's children at chain position p along its node axis, in
+    step order, as pieces (source group, nodes): one per run of children
+    in one source group, whose nodes are a slice of the source's node axis
+    where they ascend in equal steps, else an index array.  ``spent``
+    lists the source groups that no later group reads.
     """
 
     steps: tuple[ScheduleStep, ...]
     qubits: np.ndarray  # (steps, leaf legs) intp
     plan: SplitPlan
-
-    @property
-    def row_bytes(self) -> int:
-        """Bytes of the group's largest temporary per row of a leaf stack."""
-        return len(self.steps) * _node_bytes(len(self.plan.digits), self.steps[0].d_out)
-
-
-@dataclass(frozen=True, slots=True)
-class Route:
-    """Where a step group's children's messages come from, fixed statically.
-
-    ``positions[p]`` lays the group's children at chain position p along
-    its node axis, in step order, as pieces (source group, nodes): one per
-    run of children in one source group, whose nodes are a slice of the
-    source's node axis where they ascend in equal steps, else an index array.
-    ``spent`` lists the source groups that no later group reads.
-    """
-
     positions: tuple[tuple[tuple[int, slice | np.ndarray], ...], ...]
     spent: tuple[int, ...]
 
@@ -191,24 +179,23 @@ class ContractionSchedule:
     row per tensor entry in any order; every step reads it.  ``groups``
     partitions the steps into step groups in ascending height, so every
     child's group precedes its parent's and the center's group comes
-    last.  Steps of one fusion key share a group up to the largest
-    :attr:`StepGroup.row_bytes` of the unfused grouping, in which only
-    leaf-only steps share one, so fusing never raises the charge that
-    sizes the chunks.  ``routes[i]`` is the :class:`Route` of
-    ``groups[i]``'s inputs, so the executor reads its children's messages
-    from their groups' outputs with no per-node lookup.  Groups are derived
-    from ``steps`` and ``block`` on construction, with each group's
-    :class:`SplitPlan` and route, so a schedule rebuilt with other steps or
-    another table (``dataclasses.replace``) is regrouped, replanned and
-    rerouted, never left stale.  Raises ValueError if a step comes before
-    one of its children.
+    last.  Steps of one fusion key share a group up to ``row_bytes``, the
+    bytes charged per leaf-stack row for the largest group's temporaries,
+    which sizes the Monte Carlo chunks: the unfused grouping's largest
+    charge, in which only leaf-only steps share a group, so fusing never
+    raises it.  Groups are derived from ``steps`` and ``block`` on
+    construction, each with its :class:`SplitPlan` and the pieces its
+    children's messages are read from, so a schedule rebuilt with other
+    steps or another table (``dataclasses.replace``) is regrouped,
+    replanned and rerouted, never left stale.  Raises ValueError if a step
+    comes before one of its children.
     """
 
     steps: tuple[ScheduleStep, ...]
     labels: tuple[PauliString, ...]
     block: np.ndarray  # (entries, 7) intp
     groups: tuple[StepGroup, ...] = field(init=False, repr=False, compare=False)
-    routes: tuple[Route, ...] = field(init=False, repr=False, compare=False)
+    row_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # one pass, children first.  A step's info is its height, one above
@@ -234,7 +221,7 @@ class ContractionSchedule:
                   * (len(steps) if steps[0].leaf_only else 1)
                   for steps, _ in members.values())
         plans: dict[tuple, SplitPlan] = {}
-        groups = []
+        parts = []
         for steps, rows in members.values():
             first = steps[0]
             deferred = () if first.deferred_leg is None else (first.deferred_leg,)
@@ -244,39 +231,34 @@ class ContractionSchedule:
             size = cap // _node_bytes(entries, first.d_out)
             qubits = np.array(rows, dtype=np.intp).reshape(len(steps), -1)
             for start in range(0, len(steps), size):
-                groups.append(StepGroup(tuple(steps[start : start + size]),
-                                        qubits[start : start + size], plans[key]))
-        groups.sort(key=lambda group: info[group.steps[0].name][0])
-        object.__setattr__(self, "groups", tuple(groups))
-        object.__setattr__(self, "routes", _routes(self.groups))
-
-    @property
-    def row_bytes(self) -> int:
-        """Bytes charged for the largest group's temporaries per row of a
-        leaf stack, which sizes the Monte Carlo chunks; fusing leaves it as
-        the unfused grouping has it."""
-        return max(group.row_bytes for group in self.groups)
+                parts.append((tuple(steps[start : start + size]),
+                              qubits[start : start + size], plans[key]))
+        parts.sort(key=lambda part: info[part[0][0].name][0])
+        object.__setattr__(self, "groups", _routed(parts))
+        object.__setattr__(self, "row_bytes", cap)
 
 
-def _routes(groups: Sequence[StepGroup]) -> tuple[Route, ...]:
-    """Each group's :class:`Route`, over groups listed children first."""
-    where = {step.name: (i, g) for i, group in enumerate(groups)
-             for g, step in enumerate(group.steps)}
+def _routed(parts: Sequence[tuple[tuple[ScheduleStep, ...], np.ndarray, SplitPlan]]
+            ) -> tuple[StepGroup, ...]:
+    """The :class:`StepGroup` of each (steps, qubits, plan) part, listed
+    children first, with the pieces it reads and the sources it spends."""
+    where = {step.name: (i, g) for i, (steps, _, _) in enumerate(parts)
+             for g, step in enumerate(steps)}
     last: dict[int, int] = {}  # each source group's last reader
     positions = []
-    for i, group in enumerate(groups):
+    for i, (steps, _, _) in enumerate(parts):
         pieces = []
-        for position in zip(*(step.chain for step in group.steps)):
+        for position in zip(*(step.chain for step in steps)):
             located = [where[child] for _, child in position]
             pieces.append(tuple((source, _nodes([g for _, g in run])) for source, run
                                 in itertools.groupby(located, key=operator.itemgetter(0))))
             for source, _ in pieces[-1]:
                 last[source] = i
         positions.append(tuple(pieces))
-    spent: list[list[int]] = [[] for _ in groups]
+    spent: list[list[int]] = [[] for _ in parts]
     for source, i in last.items():
         spent[i].append(source)
-    return tuple(Route(p, tuple(s)) for p, s in zip(positions, spent))
+    return tuple(StepGroup(*part, p, tuple(s)) for part, p, s in zip(parts, positions, spent))
 
 
 def _nodes(run: list[int]) -> slice | np.ndarray:

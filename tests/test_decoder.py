@@ -29,7 +29,6 @@ from tenqec.decoder import (
 )
 from tenqec import decoder, holographic
 from tenqec.harness import chunk_size
-from tenqec.holographic import StepGroup
 from tenqec.pauli import pack
 from tenqec.tensor import class_labels
 
@@ -357,25 +356,28 @@ def test_op_counts_charge_leaf_nodes_one_by_one(holo, holo5_topology, radius,
             assert bonds[step.name] == (1, 1)
 
 
+def _parts(schedule):
+    """The (steps, qubits, plan) part of each of the schedule's groups."""
+    return [(group.steps, group.qubits, group.plan) for group in schedule.groups]
+
+
 def _unfused(schedule):
     """The schedule with every group that has children split into one-step
     groups on the same plans, in the same order."""
-    groups = []
-    for group in schedule.groups:
-        if not group.steps[0].chain:
-            groups.append(group)
+    parts = []
+    for steps, qubits, plan in _parts(schedule):
+        if not steps[0].chain:
+            parts.append((steps, qubits, plan))
             continue
-        groups += [StepGroup((step,), group.qubits[g : g + 1], group.plan)
-                   for g, step in enumerate(group.steps)]
-    return _regrouped(schedule, groups)
+        parts += [((step,), qubits[g : g + 1], plan) for g, step in enumerate(steps)]
+    return _regrouped(schedule, parts)
 
 
-def _regrouped(schedule, groups):
-    """A copy of the schedule on other ``groups``, listed children first,
-    with the routes that the schedule derives from them."""
+def _regrouped(schedule, parts):
+    """A copy of the schedule on the groups of other (steps, qubits, plan)
+    ``parts``, listed children first, routed as the schedule routes its own."""
     regrouped = dataclasses.replace(schedule)
-    object.__setattr__(regrouped, "groups", tuple(groups))
-    object.__setattr__(regrouped, "routes", holographic._routes(regrouped.groups))
+    object.__setattr__(regrouped, "groups", holographic._routed(parts))
     return regrouped
 
 
@@ -401,34 +403,33 @@ def test_fused_groups_match_one_step_at_a_time(holo, holo5_topology, three_block
 
 
 def _routed_children(schedule):
-    """Per group and chain position, the child names its route reads, in
+    """Per group and chain position, the child names its pieces read, in
     order, and the children its steps' chains list."""
     groups = schedule.groups
-    for group, route in zip(groups, schedule.routes):
+    for group in groups:
         listed = [[child for _, child in position]
                   for position in zip(*(step.chain for step in group.steps))]
         read = [[groups[source].steps[g].name for source, nodes in pieces
                  for g in np.arange(len(groups[source].steps))[nodes]]
-                for pieces in route.positions]
-        yield group, route, read, listed
+                for pieces in group.positions]
+        yield group, read, listed
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3, 4, 5, "chain"])
 def test_routes_read_each_groups_children_in_chain_order(holo, holo5_topology,
                                                         three_block_chain, radius):
-    # a route names exactly the children that its group's chains list, from
+    # a group's pieces name exactly the children that its chains list, from
     # earlier groups, and releases every output but the center's once, at
     # its last reader; a run of children in equal steps is read as a slice
     if radius == "chain":
         _, schedule = three_block_chain
     else:
         _, schedule = holo5_topology if radius == 5 else holo[radius]
-    assert len(schedule.routes) == len(schedule.groups)
     readers: dict[int, list[int]] = {}
     spent, strided = [], 0
-    for i, (group, route, read, listed) in enumerate(_routed_children(schedule)):
+    for i, (group, read, listed) in enumerate(_routed_children(schedule)):
         assert read == listed
-        for pieces in route.positions:
+        for pieces in group.positions:
             for source, nodes in pieces:
                 assert source < i
                 readers.setdefault(source, []).append(i)
@@ -437,7 +438,7 @@ def test_routes_read_each_groups_children_in_chain_order(holo, holo5_topology,
                 else:
                     steps = np.diff(nodes)
                     assert nodes.dtype == np.intp and (np.ptp(steps) or steps[0] <= 0)
-        spent += [(source, i) for source in route.spent]
+        spent += [(source, i) for source in group.spent]
     # runs in steps above 1: 8 at radius 3 (step 4), and 4 at radii 4 and 5
     # (steps 19 and 5), where 10 and 19 runs stay index arrays
     assert strided == {3: 8, 4: 4, 5: 4}.get(radius, 0)
@@ -452,12 +453,12 @@ def test_rebuilt_schedules_get_fresh_routes(holo):
     outer = sum(not step.chain for step in schedule.steps)
     steps = schedule.steps[:outer][::-1] + schedule.steps[outer:]
     rebuilt = dataclasses.replace(schedule, steps=steps)
-    assert all(read == listed for _, _, read, listed in _routed_children(rebuilt))
+    assert all(read == listed for _, read, listed in _routed_children(rebuilt))
 
     def pieces(routed):
         every = np.arange(len(routed.steps))
         return [[[(source, every[nodes].tolist()) for source, nodes in position]
-                 for position in route.positions] for route in routed.routes]
+                 for position in group.positions] for group in routed.groups]
 
     assert pieces(rebuilt) != pieces(schedule)
     noise = NoiseModel.depolarizing(layout.n, 0.18)
@@ -474,19 +475,19 @@ def test_positions_reading_two_groups_match_one_step_at_a_time(holo, radius):
     # groups; splitting a leaf-only group under a fused parent makes one,
     # whose pieces are concatenated along the node axis
     layout, schedule = holo[radius]
-    groups = list(schedule.groups)
+    groups = schedule.groups
     source, nodes = next(
-        pieces[0] for group, route in zip(groups, schedule.routes)
-        if len(group.steps) > 1 for pieces in route.positions
+        pieces[0] for group in groups
+        if len(group.steps) > 1 for pieces in group.positions
         if not groups[pieces[0][0]].steps[0].chain)
-    leaf = groups[source]
-    cut = np.arange(len(leaf.steps))[nodes].max()
-    groups[source : source + 1] = [
-        StepGroup(leaf.steps[:cut], leaf.qubits[:cut], leaf.plan),
-        StepGroup(leaf.steps[cut:], leaf.qubits[cut:], leaf.plan)]
-    split = _regrouped(schedule, groups)
-    assert any(len(pieces) == 2 for route in split.routes for pieces in route.positions)
-    assert all(read == listed for _, _, read, listed in _routed_children(split))
+    parts = _parts(schedule)
+    steps, qubits, plan = parts[source]
+    cut = np.arange(len(steps))[nodes].max()
+    parts[source : source + 1] = [(steps[:cut], qubits[:cut], plan),
+                                  (steps[cut:], qubits[cut:], plan)]
+    split = _regrouped(schedule, parts)
+    assert any(len(pieces) == 2 for group in split.groups for pieces in group.positions)
+    assert all(read == listed for _, read, listed in _routed_children(split))
     noise = NoiseModel.depolarizing(layout.n, 0.18)
     leaves = _leaf_stack(layout.n, noise, 3, 9)
     got = likelihoods_network(layout, split, noise, leaves=leaves)
@@ -711,6 +712,11 @@ def test_pure_error_input_validation(holo):
                 (ex[:, :0], ez[:, :0]), (ex[0], ez[0])):
         with pytest.raises(ValueError, match="uint64 words"):
             likelihoods_network(layout, schedule, noise, errors=bad)
+    # rows of the right shape but another dtype: the message names the dtypes
+    with pytest.raises(ValueError, match=r"shapes \(2, 1\) and \(2, 1\), dtypes int64 "
+                                         r"and int64, are not \(B, 1\) uint64 words"):
+        likelihoods_network(layout, schedule, noise,
+                            errors=(ex.astype(np.int64), ez.astype(np.int64)))
     # packed errors are read only from the caller's node tables
     with pytest.raises(ValueError, match="pass tables="):
         likelihoods_network(layout, schedule, noise, errors=(ex, ez))
@@ -814,6 +820,14 @@ def test_integer_leaves_contract_as_floats(holo):
     )
     assert np.array_equal(ints.mantissas, floats.mantissas)
     assert ints.log_scale == floats.log_scale
+    # nested lists are read as arrays, one table or a stack of them
+    want = likelihoods_network(layout, schedule, noise, leaves=noise.probs)
+    got = likelihoods_network(layout, schedule, noise, leaves=noise.probs.tolist())
+    assert np.array_equal(got.mantissas, want.mantissas)
+    assert got.log_scale == want.log_scale
+    stack = likelihoods_network(layout, schedule, noise, leaves=[noise.probs.tolist()] * 2)
+    assert np.array_equal(stack.mantissas, np.stack([want.mantissas] * 2))
+    assert np.array_equal(stack.log_scales, [want.log_scale] * 2)
 
 
 def test_batched_decisions_match_per_table_on_ties():

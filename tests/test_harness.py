@@ -385,6 +385,14 @@ def test_runs_need_a_trial_a_code_and_matching_noise(holo):
     layout, schedule = holo[1]
     with pytest.raises(ValueError, match="need at least one trial"):
         run_point(layout, schedule, 0.19, 0, seed=13)
+    # a fractional or boolean count would run a rounded number of trials
+    # and divide the failures by another
+    for trials in (2.5, 2.0, True, "3"):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            run_point(layout, schedule, 0.1, trials, seed=1)
+    point = run_point(layout, schedule, 0.19, np.int64(40), seed=13)
+    assert type(point.trials) is int and point == run_point(layout, schedule, 0.19, 40,
+                                                           seed=13)
     topology = build_layout(1, with_code=False)
     noise = NoiseModel.depolarizing(layout.n, 0.1)
     with pytest.raises(ValueError, match="layout carries no code"):

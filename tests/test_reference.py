@@ -31,7 +31,8 @@ from tenqec import (
     seven_qubit_state,
     six_qubit_code,
 )
-from tenqec.decoder import packed_leaf_probabilities
+from tenqec.decoder import argmax_labels, packed_leaf_probabilities
+from tenqec.harness import TrialRunner
 from tenqec.holographic import BLOCK_LEGS, CENTER_LEGS
 from tenqec.oracle import _class_digit_tables
 from tenqec.pauli import pack
@@ -192,6 +193,15 @@ def test_generated_chains_match_dense_reference(chain):
         assert by_leaves.log_scales[b] == one.log_scale
         assert np.array_equal(by_errors.mantissas[b], row.mantissas[0])
         assert by_errors.log_scales[b] == row.log_scales[0]
+    # the Monte Carlo runner's own-error decode, in canonical label order,
+    # decides as the decode of each syndrome's pure error (its constructor
+    # checks that every pure error has class bits 0)
+    runner = TrialRunner(layout, schedule, noise)
+    canonical, _ = runner.canonical(ex, ez)
+    pure = likelihoods_network(layout, schedule, noise, tables=runner.tables,
+                               errors=code.pure_error_rows(code.syndromes(ex, ez)))
+    np.testing.assert_allclose(canonical, pure.mantissas, rtol=1e-12, atol=0)
+    assert np.array_equal(argmax_labels(canonical), argmax_labels(pure.mantissas))
     if n - code.k <= 16:
         syndrome = code.syndrome(errors[0])
         table = likelihoods_network(layout, schedule, noise, syndrome)
