@@ -37,7 +37,10 @@ graph.
 
 from __future__ import annotations
 
+import bisect
 import math
+import mmap
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,6 +205,76 @@ class OpCounter:
         return sum(self.by_category.values())
 
 
+class _Workspace:
+    """The executor's arrays, batch first, as views of one float64 buffer
+    that its schedule keeps between calls, so no call faults them in again.
+
+    The first call on a source (a leaf table, or packed errors) allocates
+    afresh, notes each array's size per batch row in 64-byte lines and the
+    take count when it was freed, and places each, largest first, at the
+    lowest offset that no array live beside it overlaps.  Later calls take
+    the same arrays in the same order from a map of its own, grown to the
+    layout only for a larger batch.
+    """
+
+    def __init__(self) -> None:
+        self.buffer = np.empty(0)
+        # per source: (offsets, sizes, total), in float64 per batch row
+        self.layouts: dict[bool, tuple[list[int], list[int], int]] = {}
+
+    def __reduce__(self):
+        # a pickled schedule carries no buffer; its copy learns its own
+        return _Workspace, ()
+
+    def start(self, path: bool, batch: int) -> None:
+        self.path, self.batch, self.layout = path, batch, self.layouts.get(path)
+        self.sizes, self.ends, self.refs = [], [], []
+        if self.layout is not None and self.buffer.size < batch * self.layout[2]:
+            # faulted in at once where the platform can; a forked process
+            # copies a private map on write (Windows has no flags)
+            size, flags = 8 * batch * self.layout[2], getattr(mmap, "MAP_PRIVATE", None)
+            self.buffer = np.frombuffer(mmap.mmap(-1, size) if flags is None else mmap.mmap(
+                -1, size, flags | getattr(mmap, "MAP_POPULATE", 0)))
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next array, of ``shape``."""
+        k, size, sizes, ends = len(self.sizes), math.prod(shape[1:]), self.sizes, self.ends
+        sizes.append(-(-size // 8) * 8)
+        if self.layout is None:
+            out = np.empty(shape)
+            ends.append(math.inf)
+            self.refs.append(weakref.ref(out, lambda _: ends.__setitem__(k, len(sizes))))
+            return out
+        if self.layout[1][k:k + 1] != sizes[k:]:
+            raise RuntimeError("executor arrays differ from the learned layout")
+        at = self.batch * self.layout[0][k]
+        return self.buffer[at : at + self.batch * size].reshape(shape)
+
+    def gather(self, a: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
+        """``np.take`` into the next array; the index is valid, and "clip"
+        writes in place where "raise" buffers."""
+        out = self.take(a.shape[:axis] + index.shape + a.shape[axis + 1:])
+        return a.take(index, axis, out, "clip")
+
+    def finish(self) -> None:
+        """Learn the call's layout if it had none."""
+        if self.layout is None:
+            sizes, ends = self.sizes, [min(end, len(self.sizes)) for end in self.ends]
+            offsets, placed = [0] * len(sizes), []  # (lo, hi, taken, freed), by lo
+            for k in sorted(range(len(sizes)), key=lambda k: -sizes[k]):
+                at = 0
+                for lo, hi, taken, freed in placed:
+                    if taken < ends[k] and k < freed:
+                        if at + sizes[k] <= lo:
+                            break
+                        at = max(at, hi)
+                offsets[k] = at
+                bisect.insort(placed, (at, at + sizes[k], k, ends[k]))
+            self.layout = self.layouts[self.path] = (
+                offsets, sizes, max(at + size for at, size in zip(offsets, sizes)))
+        self.refs = []  # arrays still alive report to no one
+
+
 # XOR4[p, d] = d ^ p: row[XOR4] is the leaf-weight matrix W[p, d] = row[d ^ p]
 # of a qubit whose error has code p, for its noise row
 XOR4 = np.arange(4)[:, None] ^ np.arange(4)
@@ -348,6 +421,11 @@ def likelihoods_network(
     B is, so its counts match ``predicted_op_count`` and repeat exactly
     across calls.  ``bond_observer`` collects each message's observed
     (left, right) bond dimensions, the seed's (1, 1) included.
+
+    Every array the call fills is a view of a buffer that the schedule
+    keeps in ``workspaces`` while it lives, one per concurrent call, laid
+    out by its first call on the source at that call's peak working set;
+    the returned arrays are copies.
     """
     _check_qubits(schedule, layout.n, "layout")
     if sum(source is not None for source in (syndrome, leaves, errors)) != 1:
@@ -385,30 +463,39 @@ def likelihoods_network(
         if not (np.isfinite(table).all() and (table >= 0).all()):
             raise ValueError("leaf table entries must be finite and nonnegative")
 
+    try:  # a call that raises does not put its workspace back
+        work = schedule.workspaces.pop()
+    except IndexError:
+        work = _Workspace()
+    work.start(codes is None, len(table) if codes is None else len(codes))
     # one output per group, (batch, nodes, ...), until its last reader has
     # gathered its children's messages from it
     outputs: list[np.ndarray | None] = []
-    log_scale = np.zeros(len(table) if codes is None else len(codes))
+    log_scale = np.zeros(work.batch)
     for index, group in enumerate(schedule.groups):
         # each close gathers its group's leaf weights itself, so no slab
         # outlives its group
         first = group.steps[0]
         if not first.chain:
-            sums = (_slot_sums(group, table, counter) if codes is None
-                    else _table_sums(group, tables.groups[index], codes, counter))
-            out = _messages(group, sums[..., None, None])
+            sums = (_slot_sums(group, table, work, counter) if codes is None
+                    else _table_sums(group, tables.groups[index], codes, work, counter))
+            out = _messages(group, sums[..., None, None], work)
         elif first.kind == "center":
-            out = _close_ring(group, table, outputs, counter)
+            out = _close_ring(group, table, outputs, work, counter)
         else:
-            out = _close_slots(group, table, outputs, counter)
+            out = _close_slots(group, table, outputs, work, counter)
         _observe(group, out.shape[-2:], bond_observer)
         log_scale += _renormalize(out)
         outputs.append(out)
+        out = sums = None  # no name holds a message past its last reader
 
     # every output but the seed's has been released by its last reader; the
-    # seed's slots are its codes on leg 0, and a label's slot is its key
+    # seed's slots are its codes on leg 0, and a label's slot is its key.
+    # The mantissas are a copy, so the next call leaves them alone
     mantissas = outputs[-1].reshape(len(log_scale), -1)[
         :, [label.key() for label in schedule.labels]]
+    work.finish()
+    schedule.workspaces.append(work)
     if leaves is not None and leaves.ndim == 2:
         return LikelihoodTable(schedule.labels, mantissas[0], float(log_scale[0]))
     return Likelihoods(schedule.labels, mantissas, log_scale)
@@ -452,35 +539,36 @@ def _credit(counter: OpCounter | None, group: StepGroup, category: str,
             counter.add(step.name, category, count)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``; over an inner dimension of 1, the broadcast product, which
-    is bit-identical (each element is one multiply) and makes no BLAS call
-    per tiny matrix."""
-    return a * b if a.shape[-1] == 1 else a @ b
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ b`` into ``out``; over an inner dimension of 1, the broadcast
+    product, which is bit-identical (each element is one multiply) and
+    makes no BLAS call per tiny matrix."""
+    return (np.multiply if a.shape[-1] == 1 else np.matmul)(a, b, out=out)
 
 
-def _leaf_weights(group: StepGroup, table: np.ndarray,
+def _leaf_weights(group: StepGroup, table: np.ndarray, work: _Workspace,
                   counter: OpCounter | None) -> np.ndarray | None:
     """The group's leaf weights, (batch, nodes, entries) over the plan's
     digit rows, or None without leaf legs.
 
-    One ``np.take`` per leaf leg gathers that leg's weights for every node
-    of the group from the (batch, 4n) leaf table, multiplied in leg order.
+    Per leaf leg, two gathers, the (batch, nodes, 4) leaf rows of the
+    group's qubits on it and then the digit columns of the plan's rows,
+    weigh every node's entries, multiplied in leg order.
     """
     plan, first = group.plan, group.steps[0]
     weights: np.ndarray | None = None
     for (leg, _), qubits in zip(first.leaf_legs, group.qubits.T):
         # no name keeps a gathered slab past its product
-        index = 4 * qubits[:, None] + plan.digits[:, leg]
+        rows = work.gather(table.reshape(len(table), -1, 4), qubits, 1)
         if weights is None:
-            weights = np.take(table, index, axis=1)
+            weights = work.gather(rows, plan.digits[:, leg], 2)
         else:
-            weights *= np.take(table, index, axis=1)
+            weights *= work.gather(rows, plan.digits[:, leg], 2)
     _credit(counter, group, "leaf", len(plan.digits) * len(first.leaf_legs))
     return weights
 
 
-def _slot_sums(group: StepGroup, table: np.ndarray,
+def _slot_sums(group: StepGroup, table: np.ndarray, work: _Workspace,
                counter: OpCounter | None) -> np.ndarray:
     """Slot sums of nodes without children, entry by entry: (batch, nodes,
     slots).
@@ -489,16 +577,18 @@ def _slot_sums(group: StepGroup, table: np.ndarray,
     reduction along the weights' last axis.
     """
     first = group.steps[0]
-    weights = _leaf_weights(group, table, counter)
+    weights = _leaf_weights(group, table, work, counter)
     # the seed's slot sums (radius 1) are the class values themselves: a
     # final scalar reduction, which OpCounter does not count
     if first.kind != "center":
         _credit(counter, group, "combine", weights.shape[-1])
-    return weights.reshape(weights.shape[:2] + (_slots(first), -1)).sum(axis=-1)
+    shape = weights.shape[:2] + (_slots(first),)
+    return weights.reshape(shape + (-1,)).sum(axis=-1, out=work.take(shape))
 
 
 def _table_sums(group: StepGroup, tables: tuple[np.ndarray, np.ndarray],
-                codes: np.ndarray, counter: OpCounter | None) -> np.ndarray:
+                codes: np.ndarray, work: _Workspace,
+                counter: OpCounter | None) -> np.ndarray:
     """Slot sums of nodes without children, read from their
     :class:`NodeTables` stack: (batch, nodes, slots), one row per node at
     the base-4 pattern of its leaf qubits' ``codes``."""
@@ -506,7 +596,7 @@ def _table_sums(group: StepGroup, tables: tuple[np.ndarray, np.ndarray],
     digits = codes[:, group.qubits]
     pattern = digits @ 4 ** np.arange(digits.shape[-1] - 1, -1, -1)
     _credit(counter, group, "leaf", stack.shape[1])
-    return np.take(stack, pattern + first_rows, axis=0)
+    return work.gather(stack, pattern + first_rows, 0)
 
 
 def _slots(step: ScheduleStep) -> int:
@@ -514,7 +604,7 @@ def _slots(step: ScheduleStep) -> int:
     return 4 ** (len(step.in_legs) + (step.deferred_leg is not None))
 
 
-def _tries(group: StepGroup, outputs: list[np.ndarray | None],
+def _tries(group: StepGroup, outputs: list[np.ndarray | None], work: _Workspace,
            counter: OpCounter | None) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The prefix and suffix products of the group's split chain.
 
@@ -531,19 +621,21 @@ def _tries(group: StepGroup, outputs: list[np.ndarray | None],
     plan = group.plan
     mats = []
     for pieces in group.positions:
-        parts = [outputs[source][:, nodes] for source, nodes in pieces]
-        m = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        parts = [outputs[source][:, nodes] if isinstance(nodes, slice)
+                 else work.gather(outputs[source], nodes, 1) for source, nodes in pieces]
+        m = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1, out=work.take(
+            parts[0].shape[:1] + (sum(len(part[0]) for part in parts),) + parts[0].shape[2:]))
         # a corner child's second parent-facing index joins the left bond
         mats.append(m.reshape(m.shape[:2] + (4, -1, m.shape[-1])))
     for source in group.spent:
         outputs[source] = None
     split = len(plan.prefix)
-    return (_trie(group, [m.mT for m in mats[:split]], plan.prefix, counter),
-            _trie(group, mats[split:][::-1], plan.suffix, counter))
+    return (_trie(group, [m.mT for m in mats[:split]], plan.prefix, work, counter),
+            _trie(group, mats[split:][::-1], plan.suffix, work, counter))
 
 
-def _trie(group: StepGroup, factors: list[np.ndarray],
-          levels: tuple[np.ndarray, ...], counter: OpCounter | None) -> np.ndarray | None:
+def _trie(group: StepGroup, factors: list[np.ndarray], levels: tuple[np.ndarray, ...],
+          work: _Workspace, counter: OpCounter | None) -> np.ndarray | None:
     """One product per node and trie node, (batch, nodes, trie nodes, rows,
     cols), level by level.
 
@@ -553,17 +645,19 @@ def _trie(group: StepGroup, factors: list[np.ndarray],
     """
     out = None
     for factor, digits in zip(factors, levels):
-        picked = np.take(factor, digits, axis=2)
+        picked = work.gather(factor, digits, 2)
         if out is not None:
             above = out[:, :, :, None]
-            picked = _matmul(picked, above)
+            picked = _matmul(picked, above, work.take(
+                above.shape[:3] + picked.shape[3:-1] + above.shape[-1:]))
             _credit(counter, group, "matmul", picked[0, 0].size * above.shape[-2])
         out = picked.reshape(picked.shape[:2] + (-1,) + picked.shape[-2:])
     return out
 
 
 def _pair_sums(group: StepGroup, rows: slice, weights: np.ndarray | None,
-               suffix: np.ndarray, counter: OpCounter | None) -> np.ndarray:
+               suffix: np.ndarray, work: _Workspace,
+               counter: OpCounter | None) -> np.ndarray:
     """Σ w·S of each (slot, prefix) pair among the plan's ``rows``: (batch,
     nodes, pairs, rows, cols).
 
@@ -572,19 +666,20 @@ def _pair_sums(group: StepGroup, rows: slice, weights: np.ndarray | None,
     its own sum.
     """
     plan = group.plan
-    sums = np.take(suffix, plan.entry_suffix[rows], axis=2)
+    sums = work.gather(suffix, plan.entry_suffix[rows], 2)
     if weights is not None:
         sums *= weights[:, :, rows, None, None]
     # the weighting, then the runs' accumulation
     _credit(counter, group, "combine", (1 + (weights is not None)) * sums[0, 0].size)
     run = len(plan.digits) // len(plan.pair_prefix)
     if run > 1:
-        sums = sums.reshape(sums.shape[:2] + (-1, run) + sums.shape[-2:]).sum(3)
+        runs = sums.reshape(sums.shape[:2] + (-1, run) + sums.shape[-2:])
+        sums = runs.sum(3, out=work.take(runs.shape[:3] + runs.shape[-2:]))
     return sums
 
 
 def _close_slots(group: StepGroup, table: np.ndarray, outputs: list[np.ndarray | None],
-                 counter: OpCounter | None) -> np.ndarray:
+                 work: _Workspace, counter: OpCounter | None) -> np.ndarray:
     """Messages of a group with children: per node and output slot, one GEMM
     [P₁ … P_R]·[Σw·S₁; …; Σw·S_R] over the slot's R prefixes.
 
@@ -595,36 +690,38 @@ def _close_slots(group: StepGroup, table: np.ndarray, outputs: list[np.ndarray |
     pair, whose sum is the slot's matrix.
     """
     plan, first = group.plan, group.steps[0]
-    weights = _leaf_weights(group, table, counter)
-    prefix, suffix = _tries(group, outputs, counter)
-    out = _pair_sums(group, slice(None), weights, suffix, counter)
+    weights = _leaf_weights(group, table, work, counter)
+    prefix, suffix = _tries(group, outputs, work, counter)
+    out = _pair_sums(group, slice(None), weights, suffix, work, counter)
     batch, size, pairs, _, d_r = out.shape
     if prefix is not None:
-        picked = np.take(prefix, plan.pair_prefix, axis=2)
+        picked = work.gather(prefix, plan.pair_prefix, 2)
         _credit(counter, group, "matmul", picked[0, 0].size * d_r)
         shape = (batch, size, _slots(first), -1)
-        out = _matmul(picked.reshape(shape + picked.shape[-1:]).mT,
-                      out.reshape(shape + (d_r,)))
+        stacked = picked.reshape(shape + picked.shape[-1:]).mT
+        out = _matmul(stacked, out.reshape(shape + (d_r,)),
+                      work.take(stacked.shape[:-1] + (d_r,)))
     # the sum of each slot's pairs
     _credit(counter, group, "combine", pairs * out.shape[-2] * d_r)
-    return _messages(group, out)
+    return _messages(group, out, work)
 
 
 def _close_ring(group: StepGroup, table: np.ndarray, outputs: list[np.ndarray | None],
-                counter: OpCounter | None) -> np.ndarray:
+                work: _Workspace, counter: OpCounter | None) -> np.ndarray:
     """The seed's message, (batch, 1, slots, 1, 1), one output slot of its
     plan's rows at a time, which keeps the gathered matrices small."""
-    weights = _leaf_weights(group, table, counter)
-    prefix, suffix = _tries(group, outputs, counter)
-    out = np.stack([_trace_slot(group, slot, weights, prefix, suffix, counter)
-                    for slot in range(_slots(group.steps[0]))], axis=-1)
-    return _messages(group, out[..., None, None])
+    weights = _leaf_weights(group, table, work, counter)
+    prefix, suffix = _tries(group, outputs, work, counter)
+    out = work.take((len(suffix), 1, _slots(group.steps[0])))
+    for slot in range(out.shape[-1]):
+        _trace_slot(group, slot, weights, prefix, suffix, out[..., slot], work, counter)
+    return _messages(group, out[..., None, None], work)
 
 
 def _trace_slot(group: StepGroup, slot: int, weights: np.ndarray | None,
-                prefix: np.ndarray | None, suffix: np.ndarray,
-                counter: OpCounter | None) -> np.ndarray:
-    """The seed's (batch, 1) sums of output ``slot``.
+                prefix: np.ndarray | None, suffix: np.ndarray, out: np.ndarray,
+                work: _Workspace, counter: OpCounter | None) -> None:
+    """The seed's (batch, 1) sums of output ``slot``, into ``out``.
 
     tr(P·Σw·S) = ⟨Pᵀ, Σw·S⟩ summed over the slot's prefixes is one
     contiguous ``np.vecdot`` of the gathered Pᵀ with the pairs' Σw·S, with
@@ -634,16 +731,17 @@ def _trace_slot(group: StepGroup, slot: int, weights: np.ndarray | None,
     plan = group.plan
     size, pairs = len(plan.digits) // 4, len(plan.pair_prefix) // 4
     sums = _pair_sums(group, slice(slot * size, (slot + 1) * size), weights, suffix,
-                      counter)
+                      work, counter)
     if prefix is None:
-        return np.einsum("...ii->...", sums).sum(axis=-1)
-    picked = np.take(prefix, plan.pair_prefix[slot * pairs:][:pairs], axis=2)
+        np.einsum("...ii->...", sums).sum(axis=-1, out=out)
+        return
+    picked = work.gather(prefix, plan.pair_prefix[slot * pairs:][:pairs], 2)
     _credit(counter, group, "trace", picked[0, 0].size)
-    return np.vecdot(picked.reshape(picked.shape[:2] + (-1,)),
-                     sums.reshape(sums.shape[:2] + (-1,)))
+    np.vecdot(picked.reshape(picked.shape[:2] + (-1,)),
+              sums.reshape(sums.shape[:2] + (-1,)), out=out)
 
 
-def _messages(group: StepGroup, out: np.ndarray) -> np.ndarray:
+def _messages(group: StepGroup, out: np.ndarray, work: _Workspace) -> np.ndarray:
     """Lay the slots' (batch, nodes, slots, left, right) matrices out as the
     group's messages.
 
@@ -651,14 +749,18 @@ def _messages(group: StepGroup, out: np.ndarray) -> np.ndarray:
     parent-facing legs (first in-leg major), then the left bond, then the
     right bond with any deferred corner leg fused in as the major
     component; slots hold that leg as their minor code, so only a fold
-    moves data.
+    past a left bond above 1 moves data, into the next array.
     """
     first = group.steps[0]
     batch, size, _, d_l, d_r = out.shape
     fold = 1 if first.deferred_leg is None else 4
     shape = (batch, size) + (4,) * len(first.in_legs) + (d_l, fold * d_r)
-    return out.reshape(batch, size, -1, fold, d_l, d_r).transpose(
-        0, 1, 2, 4, 3, 5).reshape(shape)
+    folded = out.reshape(batch, size, -1, fold, d_l, d_r).transpose(0, 1, 2, 4, 3, 5)
+    if fold == 1 or d_l == 1:
+        return folded.reshape(shape)
+    message = work.take(shape)
+    np.copyto(message.reshape(folded.shape), folded)
+    return message
 
 
 @dataclass(frozen=True, slots=True)

@@ -304,15 +304,14 @@ def run_point(
     same for every worker count.
     """
     for name, value, least in (("trials", trials, 1), ("seed", seed, 0),
-                               ("point_index", point_index, 0)):
+                               ("point_index", point_index, 0), ("workers", workers, 1)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < least:
-            raise ValueError("need at least one trial" if least
+            raise ValueError("need at least one trial" if name == "trials"
+                             else f"{name} must be at least 1, got {value}" if least
                              else f"{name} must be nonnegative, got {value}")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    trials = int(trials)
+    trials, workers = int(trials), int(workers)
     noise = NoiseModel.depolarizing(layout.n, p)
     bounds = np.linspace(0, trials, workers + 1).astype(int)
     jobs = [(layout, schedule, noise, seed, point_index, int(lo), int(hi))

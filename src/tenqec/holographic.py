@@ -187,8 +187,10 @@ class ContractionSchedule:
     construction, each with its :class:`SplitPlan` and the pieces its
     children's messages are read from, so a schedule rebuilt with other
     steps or another table (``dataclasses.replace``) is regrouped,
-    replanned and rerouted, never left stale.  Raises ValueError if a step
-    comes before one of its children.
+    replanned and rerouted, never left stale.  ``workspaces`` keeps the
+    executor's working memory while the schedule lives, one buffer per
+    concurrent call; a rebuilt or unpickled schedule learns its own.
+    Raises ValueError if a step comes before one of its children.
     """
 
     steps: tuple[ScheduleStep, ...]
@@ -196,6 +198,7 @@ class ContractionSchedule:
     block: np.ndarray  # (entries, 7) intp
     groups: tuple[StepGroup, ...] = field(init=False, repr=False, compare=False)
     row_bytes: int = field(init=False, repr=False, compare=False)
+    workspaces: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # one pass, children first.  A step's info is its height, one above
@@ -236,6 +239,7 @@ class ContractionSchedule:
         parts.sort(key=lambda part: info[part[0][0].name][0])
         object.__setattr__(self, "groups", _routed(parts))
         object.__setattr__(self, "row_bytes", cap)
+        object.__setattr__(self, "workspaces", [])
 
 
 def _routed(parts: Sequence[tuple[tuple[ScheduleStep, ...], np.ndarray, SplitPlan]]

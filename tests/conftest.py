@@ -1,5 +1,8 @@
-"""Shared fixtures: built-in codes and cached holographic layouts, and the
-one-operator pure error that reference checks read."""
+"""Shared fixtures: built-in codes and cached holographic layouts, the
+one-operator pure error that reference checks read, and the working memory
+of a schedule's first decode."""
+
+import tracemalloc
 
 import pytest
 
@@ -11,6 +14,7 @@ from tenqec import (
     six_qubit_code,
     seven_qubit_state,
 )
+from tenqec.decoder import likelihoods_network
 from tenqec.pauli import unpack
 
 
@@ -18,6 +22,27 @@ def pure_error(code, syndrome):
     """The syndrome's pure error as one operator, from the code's packed
     pure-error rows."""
     return unpack(*code.pure_error_rows(syndrome.bit_array()[None]), code.n)[0]
+
+
+def first_call_memory(layout, noise, leaves):
+    """The ``tracemalloc`` peak of a ``leaves=`` decode on a fresh schedule,
+    and the bytes of the buffer layout it learns.
+
+    A schedule keeps its working memory in a buffer that ``tracemalloc``
+    does not see, so only its first call, which allocates every array
+    afresh, shows the peak; the layout it learns holds that call's most
+    bytes live at once, and every later call works in it.
+    """
+    schedule = schedule_for(layout)
+    tracemalloc.start()
+    try:
+        likelihoods_network(layout, schedule, noise, leaves=leaves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    batch = 1 if leaves.ndim == 2 else len(leaves)
+    (work,) = schedule.workspaces
+    return peak, max(8 * batch * total for _, _, total in work.layouts.values())
 
 
 @pytest.fixture(scope="session")

@@ -2,13 +2,17 @@
 
 import dataclasses
 import itertools
+import mmap
+import os
 import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from conftest import pure_error
+from conftest import first_call_memory, pure_error
 from tenqec import (
     ExhaustiveDecoder,
     NodeTables,
@@ -244,15 +248,10 @@ def test_radius_five_decode_memory_stays_small(holo5_topology):
     # whole-table tries and one label's pairs at a time: about 5.5 MB, where
     # the chain per entry peaked at 4.0 MB and gathering every pair of the
     # seed at once at 13.4 MB
-    layout, schedule = holo5_topology
+    layout, _ = holo5_topology
     noise = NoiseModel.depolarizing(layout.n, 0.18)
-    tracemalloc.start()
-    try:
-        likelihoods_network(layout, schedule, noise, leaves=noise.probs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6_000_000
+    peak, learned = first_call_memory(layout, noise, noise.probs)
+    assert peak < 6_000_000 and learned < 6_000_000
 
 
 @pytest.mark.parametrize("radius, batch", [(3, 21), (4, 4)])
@@ -268,13 +267,119 @@ def test_chunk_decode_memory_stays_near_its_charge(holo, radius, batch):
     ops = [PauliString.from_codes(codes.tolist())
            for codes in rng.integers(0, 4, size=(batch, layout.n))]
     leaves = packed_leaf_probabilities(noise, *pack(ops, layout.n))
-    tracemalloc.start()
+    peak, learned = first_call_memory(layout, noise, leaves)
+    assert max(peak, learned) <= 1.5 * schedule.row_bytes * batch
+
+
+@pytest.mark.parametrize("radius, batch", [(4, 4), (5, 1)])
+def test_schedule_keeps_its_working_memory(holo, holo5_topology, radius, batch):
+    # the first call learns where its arrays go and keeps one buffer for
+    # them on the schedule; the next call allocates almost nothing
+    layout = holo5_topology[0] if radius == 5 else holo[radius][0]
+    schedule = holographic.schedule_for(layout)
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    rng = np.random.default_rng(radius)
+    ops = [PauliString.from_codes(codes.tolist())
+           for codes in rng.integers(0, 4, size=(batch, layout.n))]
+    leaves = packed_leaf_probabilities(noise, *pack(ops, layout.n))
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            likelihoods_network(layout, schedule, noise, leaves=leaves)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 0.1 * peaks[0]
+
+
+def _random_leaves(rng, noise, batch):
+    codes = rng.integers(0, 4, size=(batch, noise.n))
+    return packed_leaf_probabilities(noise, *pack(
+        [PauliString.from_codes(row.tolist()) for row in codes], noise.n))
+
+
+@pytest.mark.parametrize("radius", [3, 4, "chain"])
+def test_results_do_not_depend_on_earlier_calls(holo, three_block_chain, radius):
+    # X, then Y at another batch size (a larger buffer), then X again read
+    # X's bytes from a fresh schedule, and a returned table keeps its values
+    # when the next call reuses the buffer
+    layout = three_block_chain[0] if radius == "chain" else holo[radius][0]
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    rng = np.random.default_rng(5)
+    x, y = _random_leaves(rng, noise, 2), _random_leaves(rng, noise, 5)
+    want = likelihoods_network(layout, holographic.schedule_for(layout), noise, leaves=x)
+    schedule = holographic.schedule_for(layout)
+    first = likelihoods_network(layout, schedule, noise, leaves=x)
+    kept = first.mantissas.copy(), first.log_scales.copy()
+    likelihoods_network(layout, schedule, noise, leaves=y)
+    again = likelihoods_network(layout, schedule, noise, leaves=x)
+    likelihoods_network(layout, schedule, noise, leaves=x[::-1])
+    for got in (first, again):
+        assert got.mantissas.tobytes() == want.mantissas.tobytes()
+        assert got.log_scales.tobytes() == want.log_scales.tobytes()
+    assert np.array_equal(first.mantissas, kept[0])
+    assert np.array_equal(first.log_scales, kept[1])
+
+
+def test_threads_decode_on_one_schedule(holo):
+    # concurrent calls never share a buffer: each pops its own workspace
+    # from the schedule and puts it back, so results match serial ones
+    layout, _ = holo[4]
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    rng = np.random.default_rng(11)
+    batches = [_random_leaves(rng, noise, int(b)) for b in rng.integers(1, 4, size=16)]
+    serial = [likelihoods_network(layout, holographic.schedule_for(layout), noise,
+                                  leaves=b) for b in batches]
+    schedule = holographic.schedule_for(layout)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        likelihoods_network(layout, schedule, noise, leaves=leaves)
-        peak = tracemalloc.get_traced_memory()[1]
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(likelihoods_network, layout, schedule, noise, leaves=b)
+                       for b in batches]
+            got = [future.result(timeout=60) for future in futures]
     finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * schedule.row_bytes * batch
+        sys.setswitchinterval(interval)
+    for a, b in zip(got, serial):
+        assert a.mantissas.tobytes() == b.mantissas.tobytes()
+        assert a.log_scales.tobytes() == b.log_scales.tobytes()
+    assert 1 <= len(schedule.workspaces) <= 4
+
+
+def test_buffer_needs_no_platform_flags(holo, monkeypatch):
+    # MAP_POPULATE is Linux's and Windows has no MAP_PRIVATE; without them
+    # the buffer is a plain anonymous map and the results stay the same
+    layout, _ = holo[3]
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    leaves = _random_leaves(np.random.default_rng(3), noise, 3)
+    want = likelihoods_network(layout, holographic.schedule_for(layout), noise,
+                               leaves=leaves)
+    for name in ("MAP_POPULATE", "MAP_PRIVATE"):
+        monkeypatch.delattr(mmap, name)
+        schedule = holographic.schedule_for(layout)
+        for _ in range(2):
+            got = likelihoods_network(layout, schedule, noise, leaves=leaves)
+            assert got.mantissas.tobytes() == want.mantissas.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_process_writes_its_own_buffer(holo):
+    # a shared map would let a forked process's decodes overwrite the
+    # parent's working memory; a private one is copied on write
+    layout, _ = holo[2]
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    schedule = holographic.schedule_for(layout)
+    for _ in range(2):
+        likelihoods_network(layout, schedule, noise, leaves=noise.probs)
+    buffer = schedule.workspaces[0].buffer
+    before = buffer.copy()
+    pid = os.fork()
+    if pid == 0:
+        buffer[:] = -1.0
+        os._exit(0)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert buffer.tobytes() == before.tobytes()
 
 
 def test_relabeling_covariance(holo):

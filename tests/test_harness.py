@@ -4,11 +4,11 @@ import dataclasses
 import hashlib
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import first_call_memory
 from tenqec import (
     McPoint,
     NoiseModel,
@@ -393,6 +393,12 @@ def test_runs_need_a_trial_a_code_and_matching_noise(holo):
     point = run_point(layout, schedule, 0.19, np.int64(40), seed=13)
     assert type(point.trials) is int and point == run_point(layout, schedule, 0.19, 40,
                                                            seed=13)
+    # a fractional worker count failed inside np.linspace, and True ran as
+    # one worker
+    for workers in (1.5, True):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run_point(layout, schedule, 0.19, 40, seed=13, workers=workers)
+    assert run_point(layout, schedule, 0.19, 40, seed=13, workers=np.int64(1)) == point
     topology = build_layout(1, with_code=False)
     noise = NoiseModel.depolarizing(layout.n, 0.1)
     with pytest.raises(ValueError, match="layout carries no code"):
@@ -479,13 +485,8 @@ def test_full_chunk_memory_stays_near_the_budget(holo, radius):
     layout, schedule = holo[radius]
     noise = NoiseModel.depolarizing(layout.n, 0.18)
     leaves = np.repeat(noise.probs[None], harness.chunk_size(schedule), axis=0)
-    tracemalloc.start()
-    try:
-        likelihoods_network(layout, schedule, noise, leaves=leaves)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * harness.CHUNK_BYTES
+    peak, learned = first_call_memory(layout, noise, leaves)
+    assert max(peak, learned) < 2 * harness.CHUNK_BYTES
 
 
 def test_monte_carlo_convergence_rate(holo):
