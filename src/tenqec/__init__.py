@@ -4,7 +4,6 @@ from .decoder import (
     DecodeResult,
     LikelihoodTable,
     Likelihoods,
-    NodeTables,
     NoiseModel,
     OpCounter,
     decode,
@@ -70,7 +69,6 @@ __all__ = [
     "LikelihoodTable",
     "Likelihoods",
     "McPoint",
-    "NodeTables",
     "NoiseModel",
     "OpCounter",
     "PauliString",

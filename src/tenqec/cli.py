@@ -260,7 +260,7 @@ def _cmd_verify(args) -> int:
     runner = TrialRunner(layout, schedule, noise)
     ex, ez = pack([PauliString.from_key(6, key) for key in range(4 ** 6)], 6)
     own, _ = runner.canonical(ex, ez)
-    ref = likelihoods_network(layout, schedule, noise, tables=runner.tables,
+    ref = likelihoods_network(layout, schedule, noise,
                               errors=code.pure_error_rows(code.syndromes(ex, ez)))
     gap = float(abs(own / ref.mantissas - 1).max())
     same = bool((argmax_labels(own) == argmax_labels(ref.mantissas)).all())

@@ -18,12 +18,12 @@ leg from the (B, 4n) leaf table, read in place, and one sum per output
 slot; a syndrome's table is that of its packed pure-error rows.  Every
 executor array holds the batch first.  Bit-packed errors (``errors=``; the
 harness passes its sampled errors, and any operators will do) are read
-from the caller's :class:`NodeTables`, one row per node: under
-independent noise the sums depend only on the node's 4^L pattern, so a
-(4^L, slots) table, 128 KB per node kind and noise row, is filled once
-per noise model by L mode products of the dense block tensor and held by
-its owner, never in a process-wide cache.  Both sources feed the same
-message layout and renormalization.  A node with children closes each
+from :class:`NodeTables`, one row per node: under independent noise the
+sums depend only on the node's 4^L pattern, so a (4^L, slots) table, 128
+KB per node kind and noise row, is filled by L mode products of the dense
+block tensor and held by the schedule's workspace for the last noise
+model it served, never in a process-wide cache.  Both sources feed the
+same message layout and renormalization.  A node with children closes each
 output slot with one matrix product, whose inner dimension runs over the
 slot's digit prefixes, or at the seed, where the network closes on
 itself, with one trace, and weighs any leaf legs of its own (chains
@@ -61,13 +61,14 @@ class NoiseModel:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=np.float64)
+        p = np.array(self.probs, dtype=np.float64)  # read-only below, as node tables assume
         if p.ndim != 2 or p.shape[1] != 4:
             raise ValueError("probs must have shape (n, 4)")
         if np.any(p < 0):
             raise ValueError("probabilities must be nonnegative")
         if not np.allclose(p.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("each qubit's probabilities must sum to 1")
+        p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
     @property
@@ -189,8 +190,8 @@ class OpCounter:
     product, whose inner dimension stacks the slot's prefixes; the tally
     still counts them per pair, so it is unchanged by that fusion, and so
     are the broadcasts that stand in for matmuls over an inner dimension
-    of 1.  Filling a :class:`NodeTables` is per noise model, not per
-    decode, so no counter sees it; its own ``macs`` reports it.
+    of 1.  A workspace fills :class:`NodeTables` per noise model, not per
+    decode, so no counter sees the fill; the tables' ``macs`` reports it.
     """
 
     by_category: dict[str, int] = field(default_factory=dict)
@@ -206,28 +207,35 @@ class OpCounter:
 
 
 class _Workspace:
-    """The executor's arrays, batch first, as views of one float64 buffer
-    that its schedule keeps between calls, so no call faults them in again.
+    """A call's state, and its arrays, batch first, as views of one float64
+    buffer that its schedule keeps, so no later call faults them in again.
 
     The first call on a source (a leaf table, or packed errors) allocates
     afresh, notes each array's size per batch row in 64-byte lines and the
     take count when it was freed, and places each, largest first, at the
     lowest offset that no array live beside it overlaps.  Later calls take
     the same arrays in the same order from a map of its own, grown to the
-    layout only for a larger batch.
+    layout only for a larger batch.  It holds ``noise``, the last model
+    whose packed errors it read, so that no new one at a reused address
+    passes for it, with its ``tables``, and a call's leaf table, counter
+    and group ``outputs`` from :meth:`start` to :meth:`finish`.
     """
 
     def __init__(self) -> None:
         self.buffer = np.empty(0)
         # per source: (offsets, sizes, total), in float64 per batch row
         self.layouts: dict[bool, tuple[list[int], list[int], int]] = {}
+        self.noise = self.tables = None  # a NoiseModel and its NodeTables
 
     def __reduce__(self):
-        # a pickled schedule carries no buffer; its copy learns its own
+        # a pickled schedule carries no buffer or tables; its copy makes its own
         return _Workspace, ()
 
-    def start(self, path: bool, batch: int) -> None:
+    def start(self, path: bool, batch: int, table: np.ndarray | None,
+              counter: OpCounter | None) -> None:
         self.path, self.batch, self.layout = path, batch, self.layouts.get(path)
+        self.table, self.counter = table, counter
+        self.outputs = []  # per group, (batch, nodes, ...), until its last reader
         self.sizes, self.ends, self.refs = [], [], []
         if self.layout is not None and self.buffer.size < batch * self.layout[2]:
             # faulted in at once where the platform can; a forked process
@@ -235,6 +243,12 @@ class _Workspace:
             size, flags = 8 * batch * self.layout[2], getattr(mmap, "MAP_PRIVATE", None)
             self.buffer = np.frombuffer(mmap.mmap(-1, size) if flags is None else mmap.mmap(
                 -1, size, flags | getattr(mmap, "MAP_POPULATE", 0)))
+
+    def credit(self, group: StepGroup, category: str, count: int) -> None:
+        """Charge each node of the group its own ``count`` MACs of ``category``."""
+        if self.counter is not None:
+            for step in group.steps:
+                self.counter.add(step.name, category, count)
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray:
         """The next array, of ``shape``."""
@@ -272,7 +286,8 @@ class _Workspace:
                 bisect.insort(placed, (at, at + sizes[k], k, ends[k]))
             self.layout = self.layouts[self.path] = (
                 offsets, sizes, max(at + size for at, size in zip(offsets, sizes)))
-        self.refs = []  # arrays still alive report to no one
+        # arrays still alive report to no one, and the call's inputs go
+        self.refs, self.outputs, self.table, self.counter = [], [], None, None
 
 
 # XOR4[p, d] = d ^ p: row[XOR4] is the leaf-weight matrix W[p, d] = row[d ^ p]
@@ -294,14 +309,14 @@ class NodeTables:
     keyed by the rows' bytes, so depolarizing noise makes one table per
     node kind (128 KB each for the seed at radius 1 and the outer ring's
     single and corner nodes), and per-qubit noise at most one per node.
-    The tables live on this object, never in a process-wide cache: build
-    one per (schedule, noise) and pass it with every ``errors=`` call
-    of :func:`likelihoods_network`, which reads no others.
+    The tables live on this object, never in a process-wide cache; a
+    schedule's workspace holds those of the last noise model it served,
+    and this object refers to no schedule, so it keeps none alive.
     """
 
     def __init__(self, schedule: ContractionSchedule, noise: NoiseModel) -> None:
         _check_qubits(schedule, noise.n, "noise model")
-        self.schedule, self.noise, self.macs = schedule, noise, 0
+        self.macs = 0
         built: dict[tuple, np.ndarray] = {}
         # per group of the schedule: its nodes' tables stacked, and each
         # node's first row in the stack; None for a group with children
@@ -365,7 +380,6 @@ def likelihoods_network(
     *,
     leaves: np.ndarray | None = None,
     errors: tuple[np.ndarray, np.ndarray] | None = None,
-    tables: NodeTables | None = None,
     counter: OpCounter | None = None,
     bond_observer: dict[str, tuple[int, int]] | None = None,
 ) -> LikelihoodTable | Likelihoods:
@@ -393,8 +407,9 @@ def likelihoods_network(
     key.
 
     The leaves come from exactly one source; passing none or two raises
-    ValueError, and so do a leaf entry that is negative or not finite and
-    a schedule whose leaf qubits do not number ``layout.n``:
+    ValueError, and so do a leaf entry that is negative or not finite, a
+    schedule whose leaf qubits do not number ``layout.n`` and, for a
+    syndrome or packed errors, a noise model whose qubits do not:
 
     - ``syndrome``: the leaf table ``packed_leaf_probabilities(noise,
       *layout.code.pure_error_rows(bits))`` of its bits, weighed entry by
@@ -402,13 +417,13 @@ def likelihoods_network(
     - ``leaves``: an arbitrary leaf table, weighed entry by entry;
     - ``errors``: (B, words) uint64 x and z rows of any operators, as
       :func:`tenqec.pauli.pack` writes them, whose label L then holds the
-      class of the operator times L (for a pure error, class L), with
-      ``tables``, the :class:`NodeTables` of this schedule and noise
-      object; without them, or with another's, the call raises
-      ValueError.  A group without children reads each node's slot sums
-      as one row of ``tables``, at the base-4 pattern of its qubits'
-      codes; a node with children and leaf legs (chains only) still
-      weighs its entries, from ``packed_leaf_probabilities``.
+      class of the operator times L (for a pure error, class L).  A group
+      without children reads each node's slot sums as one row of the
+      :class:`NodeTables` of ``noise``, at the base-4 pattern of its
+      qubits' codes; the workspace that serves the call fills them when
+      it last served another noise model object, or none.  A node with
+      children and leaf legs (chains only) still weighs its entries, from
+      ``packed_leaf_probabilities``.
 
     Both sources of a group's slot sums feed the same message layout and
     renormalization.  ``leaves`` of shape (B, n, 4) and ``errors``
@@ -431,24 +446,19 @@ def likelihoods_network(
     if sum(source is not None for source in (syndrome, leaves, errors)) != 1:
         raise ValueError("pass one of a syndrome, a leaf table or packed errors, "
                          "not both or neither")
-    if tables is not None and errors is None:
-        raise ValueError("node tables are read only with packed errors")
+    if leaves is None:
+        _check_qubits(schedule, noise.n, "noise model")
     if syndrome is not None:
         leaves = packed_leaf_probabilities(noise, *_pure_error_rows(layout, syndrome))
     codes = None
     if errors is not None:
-        ex, ez = map(np.asarray, errors)
+        ex, ez = map(np.ascontiguousarray, errors)
         words = (layout.n + 63) // 64
         if not (ex.shape == ez.shape and ex.ndim == 2 and ex.shape[1] == words
                 and len(ex) and ex.dtype == ez.dtype == np.uint64):
             raise ValueError(f"errors of shapes {ex.shape} and {ez.shape}, dtypes "
                              f"{ex.dtype} and {ez.dtype}, are not (B, {words}) uint64 "
                              f"words with B >= 1")
-        if tables is None:
-            raise ValueError("packed errors are read from node tables: pass "
-                             "tables=NodeTables(schedule, noise)")
-        if tables.schedule is not schedule or tables.noise is not noise:
-            raise ValueError("node tables were built for another schedule or noise model")
         codes = _codes(layout.n, ex, ez)
         if any(group.steps[0].chain and group.qubits.size for group in schedule.groups):
             leaves = packed_leaf_probabilities(noise, ex, ez)
@@ -467,32 +477,31 @@ def likelihoods_network(
         work = schedule.workspaces.pop()
     except IndexError:
         work = _Workspace()
-    work.start(codes is None, len(table) if codes is None else len(codes))
-    # one output per group, (batch, nodes, ...), until its last reader has
-    # gathered its children's messages from it
-    outputs: list[np.ndarray | None] = []
+    if codes is not None and work.noise is not noise:
+        work.noise, work.tables = noise, NodeTables(schedule, noise)
+    work.start(codes is None, len(table) if codes is None else len(codes), table, counter)
     log_scale = np.zeros(work.batch)
     for index, group in enumerate(schedule.groups):
         # each close gathers its group's leaf weights itself, so no slab
         # outlives its group
         first = group.steps[0]
         if not first.chain:
-            sums = (_slot_sums(group, table, work, counter) if codes is None
-                    else _table_sums(group, tables.groups[index], codes, work, counter))
+            sums = (_slot_sums(group, work) if codes is None
+                    else _table_sums(group, work.tables.groups[index], codes, work))
             out = _messages(group, sums[..., None, None], work)
         elif first.kind == "center":
-            out = _close_ring(group, table, outputs, work, counter)
+            out = _close_ring(group, work)
         else:
-            out = _close_slots(group, table, outputs, work, counter)
+            out = _close_slots(group, work)
         _observe(group, out.shape[-2:], bond_observer)
         log_scale += _renormalize(out)
-        outputs.append(out)
+        work.outputs.append(out)
         out = sums = None  # no name holds a message past its last reader
 
     # every output but the seed's has been released by its last reader; the
     # seed's slots are its codes on leg 0, and a label's slot is its key.
     # The mantissas are a copy, so the next call leaves them alone
-    mantissas = outputs[-1].reshape(len(log_scale), -1)[
+    mantissas = work.outputs[-1].reshape(len(log_scale), -1)[
         :, [label.key() for label in schedule.labels]]
     work.finish()
     schedule.workspaces.append(work)
@@ -531,14 +540,6 @@ def _observe(
         bond_observer.update((step.name, bonds) for step in group.steps)
 
 
-def _credit(counter: OpCounter | None, group: StepGroup, category: str,
-            count: int) -> None:
-    """Charge each node of the group its own ``count`` MACs of ``category``."""
-    if counter is not None:
-        for step in group.steps:
-            counter.add(step.name, category, count)
-
-
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``a @ b`` into ``out``; over an inner dimension of 1, the broadcast
     product, which is bit-identical (each element is one multiply) and
@@ -546,8 +547,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return (np.multiply if a.shape[-1] == 1 else np.matmul)(a, b, out=out)
 
 
-def _leaf_weights(group: StepGroup, table: np.ndarray, work: _Workspace,
-                  counter: OpCounter | None) -> np.ndarray | None:
+def _leaf_weights(group: StepGroup, work: _Workspace) -> np.ndarray | None:
     """The group's leaf weights, (batch, nodes, entries) over the plan's
     digit rows, or None without leaf legs.
 
@@ -555,7 +555,7 @@ def _leaf_weights(group: StepGroup, table: np.ndarray, work: _Workspace,
     group's qubits on it and then the digit columns of the plan's rows,
     weigh every node's entries, multiplied in leg order.
     """
-    plan, first = group.plan, group.steps[0]
+    plan, first, table = group.plan, group.steps[0], work.table
     weights: np.ndarray | None = None
     for (leg, _), qubits in zip(first.leaf_legs, group.qubits.T):
         # no name keeps a gathered slab past its product
@@ -564,12 +564,11 @@ def _leaf_weights(group: StepGroup, table: np.ndarray, work: _Workspace,
             weights = work.gather(rows, plan.digits[:, leg], 2)
         else:
             weights *= work.gather(rows, plan.digits[:, leg], 2)
-    _credit(counter, group, "leaf", len(plan.digits) * len(first.leaf_legs))
+    work.credit(group, "leaf", len(plan.digits) * len(first.leaf_legs))
     return weights
 
 
-def _slot_sums(group: StepGroup, table: np.ndarray, work: _Workspace,
-               counter: OpCounter | None) -> np.ndarray:
+def _slot_sums(group: StepGroup, work: _Workspace) -> np.ndarray:
     """Slot sums of nodes without children, entry by entry: (batch, nodes,
     slots).
 
@@ -577,25 +576,24 @@ def _slot_sums(group: StepGroup, table: np.ndarray, work: _Workspace,
     reduction along the weights' last axis.
     """
     first = group.steps[0]
-    weights = _leaf_weights(group, table, work, counter)
+    weights = _leaf_weights(group, work)
     # the seed's slot sums (radius 1) are the class values themselves: a
     # final scalar reduction, which OpCounter does not count
     if first.kind != "center":
-        _credit(counter, group, "combine", weights.shape[-1])
+        work.credit(group, "combine", weights.shape[-1])
     shape = weights.shape[:2] + (_slots(first),)
     return weights.reshape(shape + (-1,)).sum(axis=-1, out=work.take(shape))
 
 
 def _table_sums(group: StepGroup, tables: tuple[np.ndarray, np.ndarray],
-                codes: np.ndarray, work: _Workspace,
-                counter: OpCounter | None) -> np.ndarray:
+                codes: np.ndarray, work: _Workspace) -> np.ndarray:
     """Slot sums of nodes without children, read from their
     :class:`NodeTables` stack: (batch, nodes, slots), one row per node at
     the base-4 pattern of its leaf qubits' ``codes``."""
     stack, first_rows = tables
     digits = codes[:, group.qubits]
     pattern = digits @ 4 ** np.arange(digits.shape[-1] - 1, -1, -1)
-    _credit(counter, group, "leaf", stack.shape[1])
+    work.credit(group, "leaf", stack.shape[1])
     return work.gather(stack, pattern + first_rows, 0)
 
 
@@ -604,21 +602,20 @@ def _slots(step: ScheduleStep) -> int:
     return 4 ** (len(step.in_legs) + (step.deferred_leg is not None))
 
 
-def _tries(group: StepGroup, outputs: list[np.ndarray | None], work: _Workspace,
-           counter: OpCounter | None) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _tries(group: StepGroup, work: _Workspace) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The prefix and suffix products of the group's split chain.
 
     Per chain position, its nodes' children's messages are read from
-    their groups' ``outputs`` along the node axis, (batch, nodes, 4, rows,
+    their groups' outputs along the node axis, (batch, nodes, 4, rows,
     cols), as the group's ``positions`` lay them out: a view of a run of
     nodes, else one gather by index, joined where they sit in several
     groups.  The outputs no later group reads, its ``spent``, are then
     released, and the factors go into the two tries of
-    :func:`_trie`: Pᵀ from transposed factors, so that a slot's gathered
+    :func:`_trie`: Pᵀ from factors read transposed, so that a slot's gathered
     prefixes are one GEMM operand by reshape, and S from contiguous ones.
     A side the chain lacks is None.
     """
-    plan = group.plan
+    plan, outputs = group.plan, work.outputs
     mats = []
     for pieces in group.positions:
         parts = [outputs[source][:, nodes] if isinstance(nodes, slice)
@@ -630,34 +627,37 @@ def _tries(group: StepGroup, outputs: list[np.ndarray | None], work: _Workspace,
     for source in group.spent:
         outputs[source] = None
     split = len(plan.prefix)
-    return (_trie(group, [m.mT for m in mats[:split]], plan.prefix, work, counter),
-            _trie(group, mats[split:][::-1], plan.suffix, work, counter))
+    return (_trie(group, mats[:split], plan.prefix, work, transposed=True),
+            _trie(group, mats[split:][::-1], plan.suffix, work))
 
 
 def _trie(group: StepGroup, factors: list[np.ndarray], levels: tuple[np.ndarray, ...],
-          work: _Workspace, counter: OpCounter | None) -> np.ndarray | None:
+          work: _Workspace, transposed: bool = False) -> np.ndarray | None:
     """One product per node and trie node, (batch, nodes, trie nodes, rows,
     cols), level by level.
 
     A level multiplies each trie node above from the left by its factor's
     matrices for its children's last digits; parents broadcast over their
-    fan-out, so only the factor is gathered.
+    fan-out, so only the factor is gathered.  ``transposed`` reads the
+    gathered matrices as their transposes, so the factor stays C-ordered:
+    ``take`` copies any other source whole.
     """
     out = None
     for factor, digits in zip(factors, levels):
         picked = work.gather(factor, digits, 2)
+        if transposed:
+            picked = picked.mT
         if out is not None:
             above = out[:, :, :, None]
             picked = _matmul(picked, above, work.take(
                 above.shape[:3] + picked.shape[3:-1] + above.shape[-1:]))
-            _credit(counter, group, "matmul", picked[0, 0].size * above.shape[-2])
+            work.credit(group, "matmul", picked[0, 0].size * above.shape[-2])
         out = picked.reshape(picked.shape[:2] + (-1,) + picked.shape[-2:])
     return out
 
 
 def _pair_sums(group: StepGroup, rows: slice, weights: np.ndarray | None,
-               suffix: np.ndarray, work: _Workspace,
-               counter: OpCounter | None) -> np.ndarray:
+               suffix: np.ndarray, work: _Workspace) -> np.ndarray:
     """Σ w·S of each (slot, prefix) pair among the plan's ``rows``: (batch,
     nodes, pairs, rows, cols).
 
@@ -670,7 +670,7 @@ def _pair_sums(group: StepGroup, rows: slice, weights: np.ndarray | None,
     if weights is not None:
         sums *= weights[:, :, rows, None, None]
     # the weighting, then the runs' accumulation
-    _credit(counter, group, "combine", (1 + (weights is not None)) * sums[0, 0].size)
+    work.credit(group, "combine", (1 + (weights is not None)) * sums[0, 0].size)
     run = len(plan.digits) // len(plan.pair_prefix)
     if run > 1:
         runs = sums.reshape(sums.shape[:2] + (-1, run) + sums.shape[-2:])
@@ -678,8 +678,7 @@ def _pair_sums(group: StepGroup, rows: slice, weights: np.ndarray | None,
     return sums
 
 
-def _close_slots(group: StepGroup, table: np.ndarray, outputs: list[np.ndarray | None],
-                 work: _Workspace, counter: OpCounter | None) -> np.ndarray:
+def _close_slots(group: StepGroup, work: _Workspace) -> np.ndarray:
     """Messages of a group with children: per node and output slot, one GEMM
     [P₁ … P_R]·[Σw·S₁; …; Σw·S_R] over the slot's R prefixes.
 
@@ -690,37 +689,36 @@ def _close_slots(group: StepGroup, table: np.ndarray, outputs: list[np.ndarray |
     pair, whose sum is the slot's matrix.
     """
     plan, first = group.plan, group.steps[0]
-    weights = _leaf_weights(group, table, work, counter)
-    prefix, suffix = _tries(group, outputs, work, counter)
-    out = _pair_sums(group, slice(None), weights, suffix, work, counter)
+    weights = _leaf_weights(group, work)
+    prefix, suffix = _tries(group, work)
+    out = _pair_sums(group, slice(None), weights, suffix, work)
     batch, size, pairs, _, d_r = out.shape
     if prefix is not None:
         picked = work.gather(prefix, plan.pair_prefix, 2)
-        _credit(counter, group, "matmul", picked[0, 0].size * d_r)
+        work.credit(group, "matmul", picked[0, 0].size * d_r)
         shape = (batch, size, _slots(first), -1)
         stacked = picked.reshape(shape + picked.shape[-1:]).mT
         out = _matmul(stacked, out.reshape(shape + (d_r,)),
                       work.take(stacked.shape[:-1] + (d_r,)))
     # the sum of each slot's pairs
-    _credit(counter, group, "combine", pairs * out.shape[-2] * d_r)
+    work.credit(group, "combine", pairs * out.shape[-2] * d_r)
     return _messages(group, out, work)
 
 
-def _close_ring(group: StepGroup, table: np.ndarray, outputs: list[np.ndarray | None],
-                work: _Workspace, counter: OpCounter | None) -> np.ndarray:
+def _close_ring(group: StepGroup, work: _Workspace) -> np.ndarray:
     """The seed's message, (batch, 1, slots, 1, 1), one output slot of its
     plan's rows at a time, which keeps the gathered matrices small."""
-    weights = _leaf_weights(group, table, work, counter)
-    prefix, suffix = _tries(group, outputs, work, counter)
+    weights = _leaf_weights(group, work)
+    prefix, suffix = _tries(group, work)
     out = work.take((len(suffix), 1, _slots(group.steps[0])))
     for slot in range(out.shape[-1]):
-        _trace_slot(group, slot, weights, prefix, suffix, out[..., slot], work, counter)
+        _trace_slot(group, slot, weights, prefix, suffix, out[..., slot], work)
     return _messages(group, out[..., None, None], work)
 
 
 def _trace_slot(group: StepGroup, slot: int, weights: np.ndarray | None,
                 prefix: np.ndarray | None, suffix: np.ndarray, out: np.ndarray,
-                work: _Workspace, counter: OpCounter | None) -> None:
+                work: _Workspace) -> None:
     """The seed's (batch, 1) sums of output ``slot``, into ``out``.
 
     tr(P·Σw·S) = ⟨Pᵀ, Σw·S⟩ summed over the slot's prefixes is one
@@ -730,13 +728,12 @@ def _trace_slot(group: StepGroup, slot: int, weights: np.ndarray | None,
     """
     plan = group.plan
     size, pairs = len(plan.digits) // 4, len(plan.pair_prefix) // 4
-    sums = _pair_sums(group, slice(slot * size, (slot + 1) * size), weights, suffix,
-                      work, counter)
+    sums = _pair_sums(group, slice(slot * size, (slot + 1) * size), weights, suffix, work)
     if prefix is None:
         np.einsum("...ii->...", sums).sum(axis=-1, out=out)
         return
     picked = work.gather(prefix, plan.pair_prefix[slot * pairs:][:pairs], 2)
-    _credit(counter, group, "trace", picked[0, 0].size)
+    work.credit(group, "trace", picked[0, 0].size)
     np.vecdot(picked.reshape(picked.shape[:2] + (-1,)),
               sums.reshape(sums.shape[:2] + (-1,)), out=out)
 
@@ -782,6 +779,7 @@ def decode(
     error, so it reproduces the syndrome and lands in the chosen class;
     the error's packed rows give both the leaf table and the correction.
     """
+    _check_qubits(schedule, noise.n, "noise model")
     ex, ez = _pure_error_rows(layout, syndrome)
     table = likelihoods_network(layout, schedule, noise,
                                 leaves=packed_leaf_probabilities(noise, ex, ez))

@@ -10,10 +10,11 @@ sets each resulting PCG64 state on one generator that draws that trial's
 row.  Sampling works on a chunk's bit-packed numpy words at once.  One
 ``likelihoods_network`` call decodes the chunk's sampled errors E
 themselves along a batch axis, reading every outer-ring node's message
-(the seed's at radius 1) as one row of the runner's
-:class:`~tenqec.decoder.NodeTables`, at the pattern of E's codes on that
-node; the runner fills those tables once for its noise model and owns
-them.  Row L of E's decode holds the likelihood of the class of E times
+(the seed's at radius 1) as one row of the
+:class:`~tenqec.decoder.NodeTables` of the runner's noise model, at the
+pattern of E's codes on that node; the schedule's workspace fills those
+tables on the first chunk and keeps them until it serves another noise
+model.  Row L of E's decode holds the likelihood of the class of E times
 L.  Every pure error has class 0, which the runner checks on
 construction, so permuting each row's columns by E's class bits gives the
 decode of E's syndrome's pure error, in canonical label order, with no
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import NodeTables, NoiseModel, argmax_labels, likelihoods_network
+from .decoder import NoiseModel, argmax_labels, likelihoods_network
 from .holographic import ContractionSchedule, HolographicLayout
 
 CSV_HEADER = ("radius", "n", "p", "trials", "failures", "failure_rate", "std_err")
@@ -108,12 +109,11 @@ class TrialRunner:
 
     A logical class is held as the code's class bits
     (:meth:`~tenqec.stabilizer.StabilizerCode.class_bits`), so label L has
-    bits L.x | L.z << k.  ``tables`` holds the
-    :class:`~tenqec.decoder.NodeTables` of the runner's schedule and noise
-    model, filled once, on construction.  ``cols[c, M]`` is the column, in
-    the decode of an error of class bits c, of canonical label M: the label
-    with bits M's XOR c.  A code with a pure error outside class 0 raises
-    ValueError.
+    bits L.x | L.z << k.  Its decodes read the node tables that the
+    schedule's workspace fills for ``noise`` on the first chunk; the runner
+    keeps none of its own.  ``cols[c, M]`` is the column, in the decode of
+    an error of class bits c, of canonical label M: the label with bits M's
+    XOR c.  A code with a pure error outside class 0 raises ValueError.
     """
 
     def __init__(
@@ -140,7 +140,6 @@ class TrialRunner:
         column = np.argsort(self.label_bits)  # the column of each label's bits
         self.cols = column[self.label_bits ^ np.arange(len(column), dtype=np.uint64)[:, None]]
         self.cum = np.cumsum(noise.probs, axis=1)
-        self.tables = NodeTables(schedule, noise)
         # one generator per runner; uniforms sets its state for each trial
         self.bits = np.random.PCG64(0)
         self.rng = np.random.Generator(self.bits)
@@ -196,8 +195,7 @@ class TrialRunner:
         """(B, labels) mantissas of (B, words) packed errors, each decoded
         against itself and read in canonical label order (``cols``), and
         their (B,) class bits."""
-        out = likelihoods_network(self.layout, self.schedule, self.noise,
-                                  errors=(ex, ez), tables=self.tables)
+        out = likelihoods_network(self.layout, self.schedule, self.noise, errors=(ex, ez))
         classes = self.code.class_bits(ex, ez)
         return np.take_along_axis(out.mantissas, self.cols[classes], axis=1), classes
 

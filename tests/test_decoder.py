@@ -1,12 +1,15 @@
 """Network likelihood evaluation and its bookkeeping."""
 
 import dataclasses
+import gc
 import itertools
 import mmap
 import os
+import pickle
 import re
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -15,7 +18,6 @@ import pytest
 from conftest import first_call_memory, pure_error
 from tenqec import (
     ExhaustiveDecoder,
-    NodeTables,
     NoiseModel,
     OpCounter,
     PauliString,
@@ -28,6 +30,7 @@ from tenqec import (
 from tenqec.decoder import (
     TIE_RTOL,
     LikelihoodTable,
+    NodeTables,
     argmax_labels,
     packed_leaf_probabilities,
 )
@@ -52,6 +55,14 @@ def test_noise_model_validation():
     assert model.n == 3
     assert np.allclose(model.probs.sum(axis=1), 1.0)
     assert np.allclose(model.probs[:, 0], 0.7)
+    # the model keeps a read-only copy, so the node tables a decode fills
+    # from it can never go stale under a write
+    rows = np.full((3, 4), 0.25)
+    model = NoiseModel(rows)
+    rows[0] = (1.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(model.probs, np.full((3, 4), 0.25))
+    with pytest.raises(ValueError, match="read-only"):
+        model.probs[0, 0] = 0.5
 
 
 def test_leaf_probabilities_identity_pure_error():
@@ -322,21 +333,84 @@ def test_results_do_not_depend_on_earlier_calls(holo, three_block_chain, radius)
     assert np.array_equal(first.log_scales, kept[1])
 
 
+@pytest.mark.parametrize("radius", [1, 3, "chain"])
+def test_node_tables_follow_the_noise_model(holo, three_block_chain, radius):
+    # errors= calls that alternate two noise models on one schedule each
+    # read their own model's tables: every call gives the bytes of a fresh
+    # schedule's call, and the workspace keeps one model's tables at a time
+    layout = three_block_chain[0] if radius == "chain" else holo[radius][0]
+    rows = np.random.default_rng(3).dirichlet(np.ones(4), size=layout.n)
+    models = (NoiseModel.depolarizing(layout.n, 0.18), NoiseModel(rows))
+    errors = _errors(layout.n, 3, 8)
+    wants = [likelihoods_network(layout, holographic.schedule_for(layout), noise,
+                                 errors=errors) for noise in models]
+    schedule = holographic.schedule_for(layout)
+    for noise, want in [*zip(models, wants)] * 2:
+        got = likelihoods_network(layout, schedule, noise, errors=errors)
+        assert got.mantissas.tobytes() == want.mantissas.tobytes()
+        assert got.log_scales.tobytes() == want.log_scales.tobytes()
+        (work,) = schedule.workspaces
+        assert work.noise is noise
+
+
+def test_schedule_with_node_tables_is_freed_when_dropped(holo):
+    # the tables refer to no schedule, so a schedule that has decoded
+    # packed errors leaves no cycle behind: dropping it frees it, its
+    # buffer and its tables without the cycle collector.  A pickled copy
+    # carries neither buffer nor tables and fills its own
+    layout, _ = holo[2]
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    schedule = holographic.schedule_for(layout)
+    errors = _errors(layout.n, 2, 0)
+    want = likelihoods_network(layout, schedule, noise, errors=errors)
+    (work,) = schedule.workspaces
+    (copied,) = pickle.loads(pickle.dumps(schedule)).workspaces
+    assert copied.tables is None and copied.buffer.size == 0 and not copied.layouts
+    got = likelihoods_network(layout, pickle.loads(pickle.dumps(schedule)), noise,
+                              errors=errors)
+    assert got.mantissas.tobytes() == want.mantissas.tobytes()
+    kept = [weakref.ref(obj) for obj in (work, work.buffer, work.tables)]
+    del work
+    gc.disable()
+    try:
+        del schedule
+        assert [ref() for ref in kept] == [None] * 3
+    finally:
+        gc.enable()
+
+
+def test_errors_read_in_any_memory_order(holo):
+    # Fortran-ordered rows decode as the C-ordered ones do
+    layout, schedule = holo[3]
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    ex, ez = _errors(layout.n, 4, 6)
+    assert ex.shape[1] > 1
+    want = likelihoods_network(layout, schedule, noise, errors=(ex, ez))
+    got = likelihoods_network(layout, schedule, noise,
+                              errors=(np.asfortranarray(ex), np.asfortranarray(ez)))
+    assert got.mantissas.tobytes() == want.mantissas.tobytes()
+    assert got.log_scales.tobytes() == want.log_scales.tobytes()
+
+
 def test_threads_decode_on_one_schedule(holo):
-    # concurrent calls never share a buffer: each pops its own workspace
-    # from the schedule and puts it back, so results match serial ones
+    # concurrent calls never share a buffer or node tables: each pops its
+    # own workspace from the schedule and puts it back, so results match
+    # serial ones, leaf tables and packed errors alike
     layout, _ = holo[4]
     noise = NoiseModel.depolarizing(layout.n, 0.18)
     rng = np.random.default_rng(11)
-    batches = [_random_leaves(rng, noise, int(b)) for b in rng.integers(1, 4, size=16)]
-    serial = [likelihoods_network(layout, holographic.schedule_for(layout), noise,
-                                  leaves=b) for b in batches]
+    batches = []
+    for b in rng.integers(1, 4, size=16):
+        batches += [{"leaves": _random_leaves(rng, noise, int(b))},
+                    {"errors": _errors(layout.n, int(b), len(batches))}]
+    serial = [likelihoods_network(layout, holographic.schedule_for(layout), noise, **b)
+              for b in batches]
     schedule = holographic.schedule_for(layout)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(4) as pool:
-            futures = [pool.submit(likelihoods_network, layout, schedule, noise, leaves=b)
+            futures = [pool.submit(likelihoods_network, layout, schedule, noise, **b)
                        for b in batches]
             got = [future.result(timeout=60) for future in futures]
     finally:
@@ -695,6 +769,27 @@ def test_schedule_from_another_layout_raises(holo, layout_radius,
                             Syndrome(len(layout.code.stabilizers), 1))
 
 
+@pytest.mark.parametrize("qubits", [30, 40])
+def test_noise_model_of_another_size_raises(holo, qubits):
+    # a syndrome, packed errors and decode() read the noise model, and the
+    # message names its size, not a leaf table the caller never passed;
+    # an arbitrary leaf table ignores the model
+    layout, schedule = holo[2]
+    noise = NoiseModel.depolarizing(qubits, 0.1)
+    syndrome = Syndrome(len(layout.code.stabilizers), 5)
+    message = f"schedule has {layout.n} leaf qubits, noise model has {qubits}"
+    for call in (lambda: likelihoods_network(layout, schedule, noise, syndrome),
+                 lambda: likelihoods_network(layout, schedule, noise,
+                                             errors=_errors(layout.n, 2, 0)),
+                 lambda: decode(layout, schedule, noise, syndrome)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    right = NoiseModel.depolarizing(layout.n, 0.1)
+    got = likelihoods_network(layout, schedule, noise, leaves=right.probs)
+    want = likelihoods_network(layout, schedule, right, leaves=right.probs)
+    assert got.mantissas.tobytes() == want.mantissas.tobytes()
+
+
 def _leaf_stack(n, noise, count, seed):
     """Leaf tables of ``count`` random Pauli errors, on a batch axis."""
     rng = np.random.default_rng(seed)
@@ -723,8 +818,7 @@ def test_node_tables_match_entry_by_entry_weights(holo, three_block_chain, radiu
     noise = NoiseModel.depolarizing(layout.n, p)
     errors = _errors(layout.n, chunk_size(schedule) if full_chunk else 1,
                      [round(100 * p), full_chunk])
-    got = likelihoods_network(layout, schedule, noise, errors=errors,
-                              tables=NodeTables(schedule, noise))
+    got = likelihoods_network(layout, schedule, noise, errors=errors)
     want = likelihoods_network(layout, schedule, noise,
                                leaves=packed_leaf_probabilities(noise, *errors))
     assert got.labels == want.labels
@@ -796,7 +890,7 @@ def test_node_tables_charge_one_read_per_slot(holo, radius, fill_macs):
     for batch in (1, chunk_size(schedule)):
         counter = OpCounter()
         likelihoods_network(layout, schedule, noise, errors=_errors(layout.n, batch, 0),
-                            tables=tables, counter=counter)
+                            counter=counter)
         counts.append((counter.by_category, counter.by_node))
     assert counts[0] == counts[1]
     by_category, by_node = counts[0]
@@ -822,16 +916,6 @@ def test_pure_error_input_validation(holo):
                                          r"and int64, are not \(B, 1\) uint64 words"):
         likelihoods_network(layout, schedule, noise,
                             errors=(ex.astype(np.int64), ez.astype(np.int64)))
-    # packed errors are read only from the caller's node tables
-    with pytest.raises(ValueError, match="pass tables="):
-        likelihoods_network(layout, schedule, noise, errors=(ex, ez))
-    equal = NoiseModel.depolarizing(layout.n, 0.1)
-    for tables in (NodeTables(schedule, equal), NodeTables(_unfused(schedule), noise)):
-        with pytest.raises(ValueError, match="another schedule or noise model"):
-            likelihoods_network(layout, schedule, noise, errors=(ex, ez), tables=tables)
-    with pytest.raises(ValueError, match="only with packed errors"):
-        likelihoods_network(layout, schedule, noise, leaves=noise.probs,
-                            tables=NodeTables(schedule, noise))
     with pytest.raises(ValueError, match="leaf qubits"):
         NodeTables(holo[3][1], noise)
 
@@ -867,10 +951,8 @@ def test_batched_leaves_match_row_calls(holo, holo5_topology, three_block_chain,
     seed = 0 if radius == "chain" else radius
     leaves = _leaf_stack(layout.n, noise, batch, seed)
     ex, ez = _errors(layout.n, batch, seed)
-    tables = NodeTables(schedule, noise)
     stacked = (likelihoods_network(layout, schedule, noise, leaves=leaves),
-               likelihoods_network(layout, schedule, noise, errors=(ex, ez),
-                                   tables=tables))
+               likelihoods_network(layout, schedule, noise, errors=(ex, ez)))
     for out in stacked:
         assert out.labels == schedule.labels
         assert out.mantissas.shape == (batch, len(out.labels))
@@ -878,7 +960,7 @@ def test_batched_leaves_match_row_calls(holo, holo5_topology, three_block_chain,
     for b in range(batch):
         table = likelihoods_network(layout, schedule, noise, leaves=leaves[b])
         row = likelihoods_network(layout, schedule, noise,
-                                  errors=(ex[b : b + 1], ez[b : b + 1]), tables=tables)
+                                  errors=(ex[b : b + 1], ez[b : b + 1]))
         wants = ((table.mantissas, table.log_scale), (row.mantissas[0], row.log_scales[0]))
         for out, (mantissas, log_scale) in zip(stacked, wants):
             assert np.array_equal(out.mantissas[b], mantissas)

@@ -228,11 +228,12 @@ def test_runner_with_per_qubit_noise_decides_as_leaf_tables(holo, monkeypatch, r
     rows = np.array([[0.7, 0.1, 0.1, 0.1], [0.8, 0.02, 0.1, 0.08], [0.75, 0.15, 0.05, 0.05]])
     noise = NoiseModel(rows[np.random.default_rng(radius).integers(0, 3, layout.n)])
     runner = harness.TrialRunner(layout, schedule, noise)
-    assert any(entry is not None and len(set(entry[1])) > 1 for entry in runner.tables.groups)
+    assert any(entry is not None and len(set(entry[1])) > 1
+               for entry in decoder.NodeTables(schedule, noise).groups)
     calls = []
 
-    def both(layout, schedule, noise, *, errors, tables):
-        got = likelihoods_network(layout, schedule, noise, errors=errors, tables=tables)
+    def both(layout, schedule, noise, *, errors):
+        got = likelihoods_network(layout, schedule, noise, errors=errors)
         want = likelihoods_network(
             layout, schedule, noise,
             leaves=decoder.packed_leaf_probabilities(noise, *errors))
@@ -258,7 +259,7 @@ def _syndrome_route(runner, ex, ez):
     code = runner.code
     px, pz = code.pure_error_rows(code.syndromes(ex, ez))
     out = likelihoods_network(runner.layout, runner.schedule, runner.noise,
-                              errors=(px, pz), tables=runner.tables)
+                              errors=(px, pz))
     chosen = runner.label_bits[decoder.argmax_labels(out.mantissas)]
     return chosen ^ code.class_bits(px, pz), out.mantissas
 
@@ -268,9 +269,9 @@ def _recorded(monkeypatch):
     errors and the mantissas they decide on."""
     seen = []
 
-    def network(*args, errors, tables):
+    def network(*args, errors):
         seen.append(errors)
-        return likelihoods_network(*args, errors=errors, tables=tables)
+        return likelihoods_network(*args, errors=errors)
 
     def decide(mantissas):
         seen.append(mantissas)
@@ -317,8 +318,7 @@ def test_tied_trials_take_the_earliest_canonical_label(holo, monkeypatch):
     runner.run_trial(11, 18, range(runner.chunk))
     (ex, ez), canonical = seen
     classes = runner.code.class_bits(ex, ez)
-    own = likelihoods_network(layout, schedule, runner.noise, errors=(ex, ez),
-                              tables=runner.tables).mantissas
+    own = likelihoods_network(layout, schedule, runner.noise, errors=(ex, ez)).mantissas
     tied = own >= own.max(axis=1, keepdims=True) * (1 - TIE_RTOL)
     rows = np.flatnonzero((tied.sum(axis=1) > 1) & (classes != 0))
     assert rows.size

@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import pure_error
 from tenqec import (
     ExhaustiveDecoder,
-    NodeTables,
     NoiseModel,
     PauliString,
     Syndrome,
@@ -136,8 +135,7 @@ def test_network_matches_dense_reference(holo, radius, p):
                                    table.mantissas, rtol=1e-10, atol=0)
         # the outer ring read from node tables
         rows = likelihoods_network(layout, schedule, noise,
-                                   errors=code.pure_error_rows(Syndrome(m, bits).bit_array()[None]),
-                                   tables=NodeTables(schedule, noise))
+                                   errors=code.pure_error_rows(Syndrome(m, bits).bit_array()[None]))
         np.testing.assert_allclose(mantissas * np.exp(log_scale - rows.log_scales[0]),
                                    rows.mantissas[0], rtol=1e-10, atol=0)
 
@@ -175,9 +173,8 @@ def test_generated_chains_match_dense_reference(chain):
     errors = [PauliString.from_codes(codes.tolist())
               for codes in rng.integers(0, 4, size=(batch, n))]
     ex, ez = pack(errors, n)
-    tables = NodeTables(schedule, noise)
     by_leaves = likelihoods_network(layout, schedule, noise, leaves=leaves)
-    by_errors = likelihoods_network(layout, schedule, noise, errors=(ex, ez), tables=tables)
+    by_errors = likelihoods_network(layout, schedule, noise, errors=(ex, ez))
     for weights, out in ((leaves, by_leaves),
                          (packed_leaf_probabilities(noise, ex, ez), by_errors)):
         for b in range(batch):
@@ -187,8 +184,7 @@ def test_generated_chains_match_dense_reference(chain):
     # batched rows are bit for bit their one-row calls
     for b in range(batch):
         one = likelihoods_network(layout, schedule, noise, leaves=leaves[b])
-        row = likelihoods_network(layout, schedule, noise, errors=(ex[b : b + 1], ez[b : b + 1]),
-                                  tables=tables)
+        row = likelihoods_network(layout, schedule, noise, errors=(ex[b : b + 1], ez[b : b + 1]))
         assert np.array_equal(by_leaves.mantissas[b], one.mantissas)
         assert by_leaves.log_scales[b] == one.log_scale
         assert np.array_equal(by_errors.mantissas[b], row.mantissas[0])
@@ -198,7 +194,7 @@ def test_generated_chains_match_dense_reference(chain):
     # checks that every pure error has class bits 0)
     runner = TrialRunner(layout, schedule, noise)
     canonical, _ = runner.canonical(ex, ez)
-    pure = likelihoods_network(layout, schedule, noise, tables=runner.tables,
+    pure = likelihoods_network(layout, schedule, noise,
                                errors=code.pure_error_rows(code.syndromes(ex, ez)))
     np.testing.assert_allclose(canonical, pure.mantissas, rtol=1e-12, atol=0)
     assert np.array_equal(argmax_labels(canonical), argmax_labels(pure.mantissas))
