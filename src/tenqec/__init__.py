@@ -55,47 +55,3 @@ from .tensor import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CodeTensor",
-    "ContractionPreconditionError",
-    "DecodeResult",
-    "DependentGeneratorsError",
-    "DuplicateEntryError",
-    "ExhaustiveDecoder",
-    "HolographicLayout",
-    "LayoutNode",
-    "LegBinding",
-    "LikelihoodTable",
-    "Likelihoods",
-    "McPoint",
-    "NoiseModel",
-    "OpCounter",
-    "PauliString",
-    "StabilizerCode",
-    "Syndrome",
-    "ThresholdFit",
-    "build_layout",
-    "chain_layout",
-    "code_from_json_dict",
-    "code_to_json_dict",
-    "class_labels",
-    "contract",
-    "crossing_point",
-    "decode",
-    "exhaustive_contract",
-    "exhaustive_failure_rate",
-    "fit_threshold",
-    "leaf_probabilities",
-    "likelihoods_network",
-    "predicted_op_count",
-    "read_points",
-    "run_mc",
-    "run_point",
-    "schedule_for",
-    "seven_qubit_state",
-    "six_qubit_code",
-    "solve_pure_errors",
-    "spans_same_group",
-    "write_points",
-]

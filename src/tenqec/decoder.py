@@ -54,7 +54,7 @@ from .stabilizer import Syndrome
 TIE_RTOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)  # compared and hashed by identity
 class NoiseModel:
     """Independent per-qubit Pauli noise: probs[i, g] for I, X, Y, Z."""
 

@@ -1,13 +1,15 @@
 """Monte Carlo estimation of logical failure rates and threshold fits.
 
-Trials are reproducible by construction: trial t of point i under master
-seed s draws the stream of default_rng(SeedSequence([s, i, t])), so
-results do not depend on how trials are split across workers, and a rerun
-with the same arguments is byte-identical.  Trials run in chunks sized by
-:func:`chunk_size`.  A chunk computes its trials' stream seeds at once: it
-runs SeedSequence's hash as uint32 array operations across the trials and
-sets each resulting PCG64 state on one generator that draws that trial's
-row.  Sampling works on a chunk's bit-packed numpy words at once.  One
+Trials are reproducible by construction.  Point i under master seed s is
+keyed once, K = SeedSequence([s, i]).generate_state(2, np.uint64), and trial
+t draws Generator(Philox(key=K, counter=t * w)).random(n), with w =
+ceil(n / 4): Philox4x64 is a counter-based generator, and each counter
+step gives one block of four doubles, so trial t owns blocks t * w + 1 ..
+(t + 1) * w.  A chunk of consecutive trials is then one contiguous draw
+(:meth:`TrialRunner.uniforms`), results do not depend on how trials are
+split into chunks or across workers, and a rerun with the same arguments
+is byte-identical.  Trials run in chunks sized by :func:`chunk_size`.
+Sampling works on a chunk's bit-packed numpy words at once.  One
 ``likelihoods_network`` call decodes the chunk's sampled errors E
 themselves along a batch axis, reading every outer-ring node's message
 (the seed's at radius 1) as one row of the
@@ -27,12 +29,10 @@ count.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 import multiprocessing
 import numbers
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -52,17 +52,6 @@ FIT_NU_RANGE = (0.8, 6.0)
 FIT_GRID = 21
 FIT_STAGES = 5
 FIT_SHRINK = 0.25
-# SeedSequence's hash (numpy.random.SeedSequence, pool of 4 uint32 words):
-# (initial value, multiplier) of the running constants of mix_entropy's
-# hashmix and of generate_state, and the two factors of mix
-HASH_A = (0x43B0D7E5, 0x931E8875)
-HASH_B = (0x8B51F9DD, 0x58F38DED)
-MIX_L, MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-# PCG64's multiplier: seeded with (initstate, initseq), it starts from
-# inc = initseq << 1 | 1 and state = (initstate + inc) * PCG_MULT + inc
-PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-MASK32 = (1 << 32) - 1
-MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,46 +129,30 @@ class TrialRunner:
         column = np.argsort(self.label_bits)  # the column of each label's bits
         self.cols = column[self.label_bits ^ np.arange(len(column), dtype=np.uint64)[:, None]]
         self.cum = np.cumsum(noise.probs, axis=1)
-        # one generator per runner; uniforms sets its state for each trial
-        self.bits = np.random.PCG64(0)
-        self.rng = np.random.Generator(self.bits)
 
     def uniforms(self, seed: int, point_index: int, trials: range) -> np.ndarray:
-        """(len(trials), n) uniforms: row j is the stream of
-        default_rng(SeedSequence([seed, point_index, trials[j]])).random(n).
+        """(len(trials), n) uniforms: row j is trial trials[j]'s stream.
 
-        The chunk's PCG64 seeds come from one vectorized SeedSequence hash;
-        each row then sets its seeded state on ``self.bits`` and draws.
+        Trial t draws Generator(Philox(key=K, counter=t * w)).random(n),
+        where K = SeedSequence([seed, point_index]).generate_state(2,
+        np.uint64) and w = ceil(n / 4).  Those streams fill consecutive
+        blocks of four doubles, so the chunk is one draw of len(trials)
+        rows of 4w doubles, each cut to its first n.
         """
         if trials.step != 1:
             raise ValueError(f"trials must be a range of step 1, got {trials!r}")
-        head = _words(seed) + _words(point_index)
-        # pieces of the range that share t >> 32, so each has one word count
-        cuts = [trials.start,
-                *range((trials.start >> 32) + 1 << 32, trials.stop, 1 << 32),
-                trials.stop]
-        seeds = np.concatenate(
-            [_pcg_seeds(_entropy(head, lo, hi)) for lo, hi in zip(cuts, cuts[1:])],
-            axis=1,
-        )
-        u = np.empty((len(trials), self.code.n))
-        for row, (s_hi, s_lo, q_hi, q_lo) in zip(u, zip(*seeds.tolist())):
-            inc = (q_hi << 65 | q_lo << 1 | 1) & MASK128
-            state = ((s_hi << 64 | s_lo) + inc) * PCG_MULT + inc & MASK128
-            self.bits.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-            self.rng.random(out=row)
-        return u
+        w = -(-self.code.n // 4)
+        key = np.random.SeedSequence([seed, point_index]).generate_state(2, np.uint64)
+        philox = np.random.Philox(key=key, counter=trials.start * w)
+        return np.random.Generator(philox).random((len(trials), 4 * w))[:, :self.code.n]
 
     def run_trial(self, seed: int, point_index: int, trials: range) -> int:
         """Sample and decode a chunk of trials; returns how many failed.
 
-        Trial t draws the stream of default_rng(SeedSequence([seed,
-        point_index, t])), whatever chunk it runs in; the chunk computes
-        those streams' seeds at once (see :meth:`uniforms`).  A trial
-        fails when the label decided on its :meth:`canonical` mantissas is
-        not its error's class.
+        Trial t draws its own counter range of the point's Philox stream
+        (see :meth:`uniforms`), whatever chunk it runs in.  A trial fails
+        when the label decided on its :meth:`canonical` mantissas is not
+        its error's class.
         """
         code, n = self.code, self.code.n
         u = self.uniforms(seed, point_index, trials)
@@ -198,80 +171,6 @@ class TrialRunner:
         out = likelihoods_network(self.layout, self.schedule, self.noise, errors=(ex, ez))
         classes = self.code.class_bits(ex, ez)
         return np.take_along_axis(out.mantissas, self.cols[classes], axis=1), classes
-
-
-def _words(value: int) -> list[int]:
-    """A nonnegative integer's little-endian uint32 words, as SeedSequence
-    splits it (0 is one word)."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"seed entropy must be nonnegative, got {value}")
-    return [value >> shift & MASK32
-            for shift in range(0, max(value.bit_length(), 1), 32)]
-
-
-def _entropy(head: list[int], lo: int, hi: int) -> np.ndarray:
-    """SeedSequence entropy words of head + words(t) for t in [lo, hi),
-    trials that share t >> 32, as a (words, hi - lo) uint32 array.
-
-    Fewer than 4 words are zero-padded to 4: SeedSequence hashes a missing
-    pool word as 0, so the padding changes no state.
-    """
-    words = head + [0] + (_words(lo >> 32) if lo >> 32 else [])
-    out = np.zeros((max(len(words), 4), hi - lo), dtype=np.uint32)
-    out[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    out[len(head)] = np.arange(lo & MASK32, (lo & MASK32) + hi - lo)
-    return out
-
-
-@functools.cache
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The first ``count`` values init * mult**j mod 2**32 of a running hash
-    constant, as a (count, 1) uint32 column."""
-    return np.array(
-        [init * pow(mult, j, 1 << 32) & MASK32 for j in range(count)],
-        dtype=np.uint32,
-    )[:, None]
-
-
-def _hashmix(value: np.ndarray, consts: np.ndarray, j: int, m: int) -> np.ndarray:
-    """SeedSequence's hashmix calls j .. j + m - 1 on ``value``, one per row
-    of the (m, rows) result."""
-    value = (value ^ consts[j:j + m]) * consts[j + 1:j + m + 1]
-    return value ^ value >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of two uint32 arrays."""
-    out = MIX_L * x - MIX_R * y
-    return out ^ out >> 16
-
-
-# mix_entropy's cross-mix: each pool word in turn into the three others
-CROSS_MIX = tuple((src, [dst for dst in range(4) if dst != src]) for src in range(4))
-
-
-def _pcg_seeds(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(column).generate_state(4, np.uint64) for each column of
-    a (words >= 4, rows) uint32 entropy array, as a (4, rows) uint64 array.
-
-    This is mix_entropy into a pool of 4 words, then generate_state, with
-    each step one uint32 operation across the rows.
-    """
-    consts = _hash_constants(*HASH_A, 4 * len(entropy) + 1)
-    pool = _hashmix(entropy[:4], consts, 0, 4)
-    j = 4
-    for src, dst in CROSS_MIX:
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, j, 3))
-        j += 3
-    # entropy past the pool mixes each word into every pool word
-    for word in entropy[4:]:
-        pool = _mix(pool, _hashmix(word, consts, j, 4))
-        j += 4
-    state = _hashmix(np.concatenate([pool, pool]), _hash_constants(*HASH_B, 9), 0, 8)
-    # 8 uint32 words read as 4 little-endian uint64 words
-    state = state.astype(np.uint64)
-    return state[0::2] | state[1::2] << 32
 
 
 def _count_failures(job) -> int:
@@ -298,8 +197,8 @@ def run_point(
 
     The trials split into one job per worker, and every job runs through
     :func:`_count_failures`: a single non-empty job runs in-process, two or
-    more in forked processes.  The per-trial seeding makes the result the
-    same for every worker count.
+    more in forked processes.  Each trial draws its own counter range of the
+    point's Philox stream, so the result is the same for every worker count.
     """
     for name, value, least in (("trials", trials, 1), ("seed", seed, 0),
                                ("point_index", point_index, 0), ("workers", workers, 1)):

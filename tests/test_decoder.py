@@ -65,6 +65,15 @@ def test_noise_model_validation():
         model.probs[0, 0] = 0.5
 
 
+def test_noise_models_compare_by_identity():
+    # the workspace matches a model by identity, so equal-valued models are
+    # distinct keys, and comparing them never asks an array for its truth
+    a, b = NoiseModel.depolarizing(3, 0.1), NoiseModel.depolarizing(3, 0.1)
+    assert (a == b) is False
+    assert a == a and a != b
+    assert {a: "a", b: "b"}[a] == "a"
+
+
 def test_leaf_probabilities_identity_pure_error():
     model = NoiseModel.depolarizing(2, 0.3)
     leaves = leaf_probabilities(model, PauliString.identity(2))
