@@ -44,7 +44,6 @@ from .stabilizer import (
     six_qubit_code,
     seven_qubit_state,
     solve_pure_errors,
-    spans_same_group,
 )
 from .tensor import (
     CodeTensor,

@@ -722,9 +722,11 @@ def _trace_slot(group: StepGroup, slot: int, weights: np.ndarray | None,
     """The seed's (batch, 1) sums of output ``slot``, into ``out``.
 
     tr(P·Σw·S) = ⟨Pᵀ, Σw·S⟩ summed over the slot's prefixes is one
-    contiguous ``np.vecdot`` of the gathered Pᵀ with the pairs' Σw·S, with
-    no matmul or strided trace.  With no prefix (bond 1) the sums' traces
-    are added.
+    contiguous ``np.vecdot`` of the slot's Pᵀ with the pairs' Σw·S, with
+    no matmul or strided trace.  Where every slot reads the whole prefix
+    trie in order (the plan's ``whole_prefix``, the seed's 4 slots from
+    radius 2 on), Pᵀ is read in place; otherwise the slot's prefixes are
+    gathered.  With no prefix (bond 1) the sums' traces are added.
     """
     plan = group.plan
     size, pairs = len(plan.digits) // 4, len(plan.pair_prefix) // 4
@@ -732,7 +734,8 @@ def _trace_slot(group: StepGroup, slot: int, weights: np.ndarray | None,
     if prefix is None:
         np.einsum("...ii->...", sums).sum(axis=-1, out=out)
         return
-    picked = work.gather(prefix, plan.pair_prefix[slot * pairs:][:pairs], 2)
+    picked = prefix if plan.whole_prefix else work.gather(
+        prefix, plan.pair_prefix[slot * pairs:][:pairs], 2)
     work.credit(group, "trace", picked[0, 0].size)
     np.vecdot(picked.reshape(picked.shape[:2] + (-1,)),
               sums.reshape(sums.shape[:2] + (-1,)), out=out)

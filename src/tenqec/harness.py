@@ -8,8 +8,10 @@ step gives one block of four doubles, so trial t owns blocks t * w + 1 ..
 (t + 1) * w.  A chunk of consecutive trials is then one contiguous draw
 (:meth:`TrialRunner.uniforms`), results do not depend on how trials are
 split into chunks or across workers, and a rerun with the same arguments
-is byte-identical.  Trials run in chunks sized by :func:`chunk_size`.
-Sampling works on a chunk's bit-packed numpy words at once.  One
+is byte-identical.  Trials run in chunks sized by :func:`chunk_size` from
+the working set that the schedule's workspace learned on its first
+``errors=`` call, so a new schedule's first chunk is one trial.  Sampling
+works on a chunk's bit-packed numpy words at once.  One
 ``likelihoods_network`` call decodes the chunk's sampled errors E
 themselves along a batch axis, reading every outer-ring node's message
 (the seed's at radius 1) as one row of the
@@ -43,9 +45,9 @@ from .holographic import ContractionSchedule, HolographicLayout
 
 CSV_HEADER = ("radius", "n", "p", "trials", "failures", "failure_rate", "std_err")
 CSV_TYPES = (int, int, float, int, int, float, float)
-# Bytes of decoder temporaries that one chunk of trials may take (see
+# Bytes of the learned errors= layout that one chunk of trials may fill (see
 # chunk_size): larger chunks cut per-call overhead but raise the peak RSS.
-CHUNK_BYTES = 1 << 20
+CHUNK_BYTES = 3 << 19
 # fit_threshold: (p_th, nu) search box, grid points per axis, stages, shrink.
 FIT_P_RANGE = (0.05, 0.40)
 FIT_NU_RANGE = (0.8, 6.0)
@@ -82,15 +84,19 @@ class ThresholdFit:
 
 def chunk_size(schedule: ContractionSchedule) -> int:
     """Trials per chunk, each one row of its ``likelihoods_network`` call:
-    CHUNK_BYTES // schedule.row_bytes.
+    CHUNK_BYTES // the bytes per row of the schedule's learned ``errors=``
+    layout, or 1 until a call on the schedule has learned it.
 
-    512 at radius 1, 85 at radius 2, 21 at radius 3 and 4 at radius 4 (an
-    inner ring's bond matrices), and 1 from radius 5 on.  At radii 1-3 the
-    charge is the entry-by-entry leaf weights, which the runner's
-    ``errors=`` calls do not allocate, so those chunks peak well under
-    CHUNK_BYTES; the sizes stay pinned as policy.
+    A schedule's workspace lays out the working set of its first
+    ``errors=`` call per batch row (:class:`~tenqec.decoder._Workspace`), so
+    a first one-trial chunk teaches the size of every later one: 24,576
+    trials at radius 1, 1,365 at radius 2, 68 at radius 3, 5 at radius 4
+    (64, 1,152, 23,040 and 286,720 bytes per row), and 1 from radius 5 on.
     """
-    return max(1, CHUNK_BYTES // schedule.row_bytes)
+    # a workspace keys its layouts by whether the source is a leaf table,
+    # and counts their totals in float64 per batch row
+    rows = [8 * work.layouts[False][2] for work in schedule.workspaces if False in work.layouts]
+    return max(1, CHUNK_BYTES // rows[0]) if rows else 1
 
 
 class TrialRunner:
@@ -123,7 +129,6 @@ class TrialRunner:
         self.schedule = schedule
         self.noise = noise
         self.code = code
-        self.chunk = chunk_size(schedule)
         self.label_bits = np.array([label.x | label.z << code.k for label in schedule.labels],
                                    dtype=np.uint64)
         column = np.argsort(self.label_bits)  # the column of each label's bits
@@ -174,13 +179,17 @@ class TrialRunner:
 
 
 def _count_failures(job) -> int:
-    """Failures among trials [lo, hi) of one point, run in the runner's chunks."""
+    """Failures among trials [lo, hi) of one point, in chunks whose size
+    :func:`chunk_size` reads afresh for each, so the first chunk on a new
+    schedule is one trial and teaches the rest theirs."""
     layout, schedule, noise, seed, point_index, lo, hi = job
     runner = TrialRunner(layout, schedule, noise)
-    return sum(
-        runner.run_trial(seed, point_index, range(t, min(t + runner.chunk, hi)))
-        for t in range(lo, hi, runner.chunk)
-    )
+    failures = 0
+    while lo < hi:
+        chunk = range(lo, min(lo + chunk_size(schedule), hi))
+        failures += runner.run_trial(seed, point_index, chunk)
+        lo = chunk.stop
+    return failures
 
 
 def run_point(

@@ -128,7 +128,9 @@ class SplitPlan:
     extends alike.  ``digits`` are the block's entry rows sorted by
     (output slot, prefix), in equal runs per slot and per pair, so the
     executor sums them by reshaping; ``entry_suffix`` and ``pair_prefix``
-    index the tries' last levels.
+    index the tries' last levels.  ``whole_prefix`` says that every output
+    slot's pairs read each node of the prefix trie's last level once, in
+    order, so a slot's prefixes are that level itself.
     """
 
     prefix: tuple[np.ndarray, ...]
@@ -136,6 +138,7 @@ class SplitPlan:
     digits: np.ndarray  # (entries, legs) intp
     entry_suffix: np.ndarray  # (entries,) intp
     pair_prefix: np.ndarray  # (pairs,) intp
+    whole_prefix: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,14 +183,15 @@ class ContractionSchedule:
     partitions the steps into step groups in ascending height, so every
     child's group precedes its parent's and the center's group comes
     last.  Steps of one fusion key share a group up to ``row_bytes``, the
-    bytes charged per leaf-stack row for the largest group's temporaries,
-    which sizes the Monte Carlo chunks: the unfused grouping's largest
-    charge, in which only leaf-only steps share a group, so fusing never
-    raises it.  Groups are derived from ``steps`` and ``block`` on
-    construction, each with its :class:`SplitPlan` and the pieces its
-    children's messages are read from, so a schedule rebuilt with other
-    steps or another table (``dataclasses.replace``) is regrouped,
-    replanned and rerouted, never left stale.  ``workspaces`` keeps the
+    bytes charged per leaf-stack row for the largest group's temporaries:
+    the unfused grouping's largest charge, in which only leaf-only steps
+    share a group, so fusing never raises it.  It is the fusion cap only;
+    Monte Carlo chunks are sized by the working set a call learns
+    (:func:`tenqec.harness.chunk_size`).  Groups are derived from ``steps``
+    and ``block`` on construction, each with its :class:`SplitPlan` and the
+    pieces its children's messages are read from, so a schedule rebuilt
+    with other steps or another table (``dataclasses.replace``) is
+    regrouped, replanned and rerouted, never left stale.  ``workspaces`` keeps the
     executor's working memory while the schedule lives, one buffer per
     concurrent call; a rebuilt or unpickled schedule learns its own.
     Raises ValueError if a step comes before one of its children.
@@ -299,8 +303,11 @@ def _split_plan(block: np.ndarray, chain_legs: tuple[int, ...],
     run = run[run > 0]
     if np.ptp(run):
         raise ValueError("uneven entries per (slot, prefix) pair")
-    return SplitPlan(prefix, suffix, block[order], at_suffix[order],
-                     at_prefix[order][:: run[0]])
+    pair_prefix = at_prefix[order][:: run[0]]
+    # a slot's prefixes ascend and are distinct, so as many as the level
+    # has nodes are all of them
+    return SplitPlan(prefix, suffix, block[order], at_suffix[order], pair_prefix,
+                     len(pair_prefix) == 4 ** len(slot_legs) * (int(at_prefix.max()) + 1))
 
 
 def _trie(keys: list[np.ndarray]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:

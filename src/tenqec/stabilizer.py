@@ -519,15 +519,6 @@ def solve_pure_errors(
     return errors
 
 
-def spans_same_group(
-    a: Sequence[PauliString], b: Sequence[PauliString]
-) -> bool:
-    """True iff two generator lists generate the same phase-free group."""
-    rows_a = [_symplectic_row(p) for p in a]
-    rows_b = [_symplectic_row(p) for p in b]
-    return gf2_row_space(rows_a) == gf2_row_space(rows_b)
-
-
 # ---------------------------------------------------------------------------
 # Built-in codes
 # ---------------------------------------------------------------------------

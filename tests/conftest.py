@@ -1,13 +1,16 @@
 """Shared fixtures: built-in codes and cached holographic layouts, the
-one-operator pure error that reference checks read, and the working memory
-of a schedule's first decode."""
+one-operator pure error and the group comparison that reference checks
+read, the working memory of a schedule's first decode, and the Monte Carlo
+chunks it learns."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from tenqec import (
     CodeTensor,
+    NoiseModel,
     build_layout,
     chain_layout,
     schedule_for,
@@ -15,7 +18,9 @@ from tenqec import (
     seven_qubit_state,
 )
 from tenqec.decoder import likelihoods_network
+from tenqec.harness import chunk_size
 from tenqec.pauli import unpack
+from tenqec.stabilizer import gf2_row_space
 
 
 def pure_error(code, syndrome):
@@ -24,9 +29,17 @@ def pure_error(code, syndrome):
     return unpack(*code.pure_error_rows(syndrome.bit_array()[None]), code.n)[0]
 
 
-def first_call_memory(layout, noise, leaves):
-    """The ``tracemalloc`` peak of a ``leaves=`` decode on a fresh schedule,
-    and the bytes of the buffer layout it learns.
+def spans_same_group(a, b):
+    """True iff two generator lists generate the same phase-free group:
+    equal GF(2) row spaces of the operators' symplectic rows z | x << n."""
+    def space(ops):
+        return gf2_row_space(op.z | op.x << op.n for op in ops)
+    return space(a) == space(b)
+
+
+def first_call_memory(layout, noise, leaves=None, *, errors=None):
+    """The ``tracemalloc`` peak of a ``leaves=`` or ``errors=`` decode on a
+    fresh schedule, and the bytes of the buffer layout it learns.
 
     A schedule keeps its working memory in a buffer that ``tracemalloc``
     does not see, so only its first call, which allocates every array
@@ -36,13 +49,29 @@ def first_call_memory(layout, noise, leaves):
     schedule = schedule_for(layout)
     tracemalloc.start()
     try:
-        likelihoods_network(layout, schedule, noise, leaves=leaves)
+        likelihoods_network(layout, schedule, noise, leaves=leaves, errors=errors)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    batch = 1 if leaves.ndim == 2 else len(leaves)
+    batch = len(errors[0]) if leaves is None else 1 if leaves.ndim == 2 else len(leaves)
     (work,) = schedule.workspaces
     return peak, max(8 * batch * total for _, _, total in work.layouts.values())
+
+
+def learned_row_bytes(schedule):
+    """Bytes per batch row of the layout that the schedule's first
+    ``errors=`` call learned."""
+    return next(8 * work.layouts[False][2] for work in schedule.workspaces
+                if False in work.layouts)
+
+
+def learned_chunk(layout, schedule):
+    """Trials per Monte Carlo chunk on ``schedule``, after one ``errors=``
+    decode of an identity row, which teaches a fresh schedule its layout."""
+    identity = np.zeros((1, (layout.n + 63) // 64), dtype=np.uint64)
+    likelihoods_network(layout, schedule, NoiseModel.depolarizing(layout.n, 0.18),
+                        errors=(identity, identity))
+    return chunk_size(schedule)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import pure_error
+from conftest import pure_error, spans_same_group
 from tenqec import (
     CodeTensor,
     ContractionPreconditionError,
@@ -41,7 +41,6 @@ from tenqec import (
     run_point,
     schedule_for,
     seven_qubit_state,
-    spans_same_group,
     write_points,
 )
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import learned_chunk
 from tenqec import (
     CodeTensor,
     LegBinding,
@@ -152,10 +153,11 @@ def test_builds_and_trials_make_no_per_row_operators(monkeypatch, holo):
         counts.append(len(made))
     assert counts[0] == counts[1] > 0
     layout, schedule = holo[4]
+    chunk = learned_chunk(layout, schedule)
     made.clear()
     runner = harness.TrialRunner(layout, schedule,
                                  decoder.NoiseModel.depolarizing(layout.n, 0.15))
-    runner.run_trial(7, 0, range(runner.chunk))
+    runner.run_trial(7, 0, range(chunk))
     assert made == []
 
 

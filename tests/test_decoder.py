@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import first_call_memory, pure_error
+from conftest import first_call_memory, learned_chunk, pure_error
 from tenqec import (
     ExhaustiveDecoder,
     NoiseModel,
@@ -35,7 +35,6 @@ from tenqec.decoder import (
     packed_leaf_probabilities,
 )
 from tenqec import decoder, holographic
-from tenqec.harness import chunk_size
 from tenqec.pauli import pack
 from tenqec.tensor import class_labels
 
@@ -276,12 +275,11 @@ def test_radius_five_decode_memory_stays_small(holo5_topology):
 
 @pytest.mark.parametrize("radius, batch", [(3, 21), (4, 4)])
 def test_chunk_decode_memory_stays_near_its_charge(holo, radius, batch):
-    # one chunk-sized leaves= call: the schedule's row_bytes sizes the
-    # chunks, so the temporaries must stay near batch times it (1.04 and
-    # 1.30 times with the (B, n, 4) table read in place; a leaf-weight slab
-    # kept across groups read 1.85 at radius 4)
+    # a leaves= call of B rows: the temporaries must stay near B times the
+    # schedule's row_bytes charge (1.04 and 1.30 times with the (B, n, 4)
+    # table read in place; a leaf-weight slab kept across groups read 1.85
+    # at radius 4)
     layout, schedule = holo[radius]
-    assert chunk_size(schedule) == batch
     noise = NoiseModel.depolarizing(layout.n, 0.18)
     rng = np.random.default_rng(radius)
     ops = [PauliString.from_codes(codes.tolist())
@@ -815,6 +813,27 @@ def _errors(n, count, seed):
                  for codes in rng.integers(0, 4, size=(count, n))], n)
 
 
+def test_seed_gathers_the_prefixes_of_a_trie_it_does_not_read_whole():
+    # every layout's seed reads its whole prefix trie per slot, in order, in
+    # place; a seed chain of six children in another order does not, and
+    # gathers each slot's prefixes.  At bond dimension 1 any chain order
+    # contracts to the same sums
+    layout = holographic.chain_layout([(0, leg, 0) for leg in range(6)])
+    schedule = holographic.schedule_for(layout)
+    *steps, seed = schedule.steps
+    chain = tuple(seed.chain[i] for i in (0, 1, 3, 2, 4, 5))
+    moved = dataclasses.replace(schedule, steps=(*steps, dataclasses.replace(seed, chain=chain)))
+    assert schedule.groups[-1].plan.whole_prefix
+    assert not moved.groups[-1].plan.whole_prefix
+    noise = NoiseModel.depolarizing(layout.n, 0.18)
+    errors = _errors(layout.n, 5, 6)
+    for source in ({"leaves": packed_leaf_probabilities(noise, *errors)}, {"errors": errors}):
+        want = likelihoods_network(layout, schedule, noise, **source)
+        got = likelihoods_network(layout, moved, noise, **source)
+        np.testing.assert_allclose(got.mantissas, want.mantissas, rtol=1e-12)
+        np.testing.assert_allclose(got.log_scales, want.log_scales, rtol=1e-12)
+
+
 @pytest.mark.parametrize("radius", [1, 2, 3, 4, "chain"])
 @pytest.mark.parametrize("p", [0.05, 0.18, 0.3])
 @pytest.mark.parametrize("full_chunk", [False, True], ids=["B1", "chunk"])
@@ -822,10 +841,14 @@ def test_node_tables_match_entry_by_entry_weights(holo, three_block_chain, radiu
                                                   full_chunk):
     # a group without children reads its slot sums from node tables, the
     # same positive terms summed in another order; a chain node with
-    # children and leaf legs still weighs its entries
+    # children and leaf legs still weighs its entries.  A full chunk runs
+    # on a schedule of its own, whose leaf-table buffer (53 MB at radius 1)
+    # goes with the test
     layout, schedule = three_block_chain if radius == "chain" else holo[radius]
+    if full_chunk:
+        schedule = holographic.schedule_for(layout)
     noise = NoiseModel.depolarizing(layout.n, p)
-    errors = _errors(layout.n, chunk_size(schedule) if full_chunk else 1,
+    errors = _errors(layout.n, learned_chunk(layout, schedule) if full_chunk else 1,
                      [round(100 * p), full_chunk])
     got = likelihoods_network(layout, schedule, noise, errors=errors)
     want = likelihoods_network(layout, schedule, noise,
@@ -896,7 +919,7 @@ def test_node_tables_charge_one_read_per_slot(holo, radius, fill_macs):
     entries = OpCounter()
     likelihoods_network(layout, schedule, noise, leaves=noise.probs, counter=entries)
     counts = []
-    for batch in (1, chunk_size(schedule)):
+    for batch in (1, learned_chunk(layout, schedule)):
         counter = OpCounter()
         likelihoods_network(layout, schedule, noise, errors=_errors(layout.n, batch, 0),
                             counter=counter)

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import first_call_memory
+from conftest import first_call_memory, learned_chunk, learned_row_bytes
 from tenqec import (
     McPoint,
     NoiseModel,
@@ -237,7 +237,7 @@ def test_decodes_leave_the_operator_tuples_unbuilt():
     result = decode(layout, schedule, noise, Syndrome(code.n - code.k, 0b1011001))
     assert code._groups is None
     assert code.syndrome(result.correction).bits == 0b1011001
-    harness.TrialRunner(layout, schedule, noise).run_trial(3, 0, range(harness.chunk_size(schedule)))
+    harness.TrialRunner(layout, schedule, noise).run_trial(3, 0, range(learned_chunk(layout, schedule)))
     assert code._groups is None
 
 
@@ -250,6 +250,7 @@ def test_runner_with_per_qubit_noise_decides_as_leaf_tables(holo, monkeypatch, r
     rows = np.array([[0.7, 0.1, 0.1, 0.1], [0.8, 0.02, 0.1, 0.08], [0.75, 0.15, 0.05, 0.05]])
     noise = NoiseModel(rows[np.random.default_rng(radius).integers(0, 3, layout.n)])
     runner = harness.TrialRunner(layout, schedule, noise)
+    chunk = learned_chunk(layout, schedule)
     assert any(entry is not None and len(set(entry[1])) > 1
                for entry in decoder.NodeTables(schedule, noise).groups)
     calls = []
@@ -266,8 +267,8 @@ def test_runner_with_per_qubit_noise_decides_as_leaf_tables(holo, monkeypatch, r
         return got
 
     monkeypatch.setattr(harness, "likelihoods_network", both)
-    failures = sum(runner.run_trial(4, 0, range(t, t + runner.chunk))
-                   for t in range(0, 3 * runner.chunk, runner.chunk))
+    failures = sum(runner.run_trial(4, 0, range(t, t + chunk))
+                   for t in range(0, 3 * chunk, chunk))
     assert len(calls) == 3 and failures > 0
 
 
@@ -313,10 +314,11 @@ def test_own_error_decisions_equal_the_syndrome_route(holo, three_block_chain, m
     # does, tied trials included, and counts the same failures
     layout, schedule = three_block_chain if radius == "chain" else holo[radius]
     runner = harness.TrialRunner(layout, schedule, NoiseModel.depolarizing(layout.n, p))
+    chunk = learned_chunk(layout, schedule)
     seen = _recorded(monkeypatch)
     ties = 0
-    for start in range(0, chunks * runner.chunk, runner.chunk):
-        failures = runner.run_trial(11, round(100 * p), range(start, start + runner.chunk))
+    for start in range(0, chunks * chunk, chunk):
+        failures = runner.run_trial(11, round(100 * p), range(start, start + chunk))
         (ex, ez), canonical = seen[-2:]
         want, mantissas = _syndrome_route(runner, ex, ez)
         np.testing.assert_allclose(canonical, mantissas, rtol=1e-12)
@@ -336,8 +338,9 @@ def test_tied_trials_take_the_earliest_canonical_label(holo, monkeypatch):
     # some of those trials
     layout, schedule = holo[1]
     runner = harness.TrialRunner(layout, schedule, NoiseModel.depolarizing(layout.n, 0.18))
+    chunk = learned_chunk(layout, schedule)
     seen = _recorded(monkeypatch)
-    runner.run_trial(11, 18, range(runner.chunk))
+    runner.run_trial(11, 18, range(chunk))
     (ex, ez), canonical = seen
     classes = runner.code.class_bits(ex, ez)
     own = likelihoods_network(layout, schedule, runner.noise, errors=(ex, ez)).mantissas
@@ -477,15 +480,16 @@ def _sweep_bytes(tmp_path, layout, schedule, trials, workers=1):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("radius, trials", [(1, 2000), (2, 400), (3, 200)])
+@pytest.mark.parametrize("radius, trials", [(1, 2000), (2, 400), (3, 200), (4, 60)])
 def test_csv_bytes_ignore_chunk_size_and_workers(tmp_path, monkeypatch, holo,
                                                  radius, trials):
-    # the pinned runs, with chunks of 1, 7 and every trial at once, and
-    # with chunks of 7 split across two workers
+    # the pinned runs at the learned chunks, then with chunks of 1, 7 and
+    # every trial at once, and with chunks of 7 and the learned ones split
+    # across two workers (whose copies of the schedule start at one trial)
     layout, schedule = holo[radius]
     want = _sweep_bytes(tmp_path, layout, schedule, trials)
-    per_trial = schedule.row_bytes
-    for chunk, workers in ((1, 1), (7, 1), (trials, 1), (7, 2)):
+    learned, per_trial = harness.chunk_size(schedule), learned_row_bytes(schedule)
+    for chunk, workers in ((1, 1), (7, 1), (trials, 1), (7, 2), (learned, 2)):
         monkeypatch.setattr(harness, "CHUNK_BYTES", chunk * per_trial)
         assert harness.chunk_size(schedule) == chunk
         got = _sweep_bytes(tmp_path, layout, schedule, trials, workers)
@@ -493,22 +497,36 @@ def test_csv_bytes_ignore_chunk_size_and_workers(tmp_path, monkeypatch, holo,
 
 
 def test_chunk_sizes_follow_the_schedule(holo, holo5_topology):
-    # radius 1 is sized by the seed's leaf weights, radii 2 and 3 by the
-    # outer ring's leaf group, radius 4 by its inner rings' bond matrices
-    sizes = [harness.chunk_size(holo[r][1]) for r in (1, 2, 3, 4)]
-    assert sizes == [512, 85, 21, 4]
-    assert harness.chunk_size(holo5_topology[1]) == 1
+    # a fresh schedule runs one trial, and the errors= layout that trial
+    # learns sizes every later chunk: bytes per row grow with the seed's
+    # bond matrices from radius 3 on
+    rows, sizes = [], []
+    for radius in (1, 2, 3, 4, 5):
+        layout = holo5_topology[0] if radius == 5 else holo[radius][0]
+        schedule = schedule_for(layout)
+        assert harness.chunk_size(schedule) == 1
+        if radius == 5:  # no code to sample from; one errors= call alike
+            sizes.append(learned_chunk(layout, schedule))
+        else:
+            run_point(layout, schedule, 0.18, 1, seed=0)
+            sizes.append(harness.chunk_size(schedule))
+        rows.append(learned_row_bytes(schedule))
+    assert rows == [64, 1152, 23040, 286720, 4587520]
+    assert sizes == [24576, 1365, 68, 5, 1]
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3, 4])
 def test_full_chunk_memory_stays_near_the_budget(holo, radius):
-    # a full chunk's contraction peaks near CHUNK_BYTES (about 1.0-1.03x
-    # measured); twice that would mean the sizing rule has gone stale
+    # a full chunk's errors= call, as the runner makes it, learns a layout
+    # within CHUNK_BYTES, and allocates little beside it
     layout, schedule = holo[radius]
+    chunk = learned_chunk(layout, schedule)
     noise = NoiseModel.depolarizing(layout.n, 0.18)
-    leaves = np.repeat(noise.probs[None], harness.chunk_size(schedule), axis=0)
-    peak, learned = first_call_memory(layout, noise, leaves)
-    assert max(peak, learned) < 2 * harness.CHUNK_BYTES
+    words = np.random.default_rng(radius).integers(
+        0, 2**63, size=(2, chunk, (layout.n + 63) // 64), dtype=np.uint64)
+    peak, learned = first_call_memory(layout, noise, errors=tuple(words))
+    assert learned <= harness.CHUNK_BYTES
+    assert peak < 2 * harness.CHUNK_BYTES
 
 
 def test_monte_carlo_convergence_rate(holo):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pure_error
+from conftest import pure_error, spans_same_group
 from tenqec import (
     CodeTensor,
     DependentGeneratorsError,
@@ -23,7 +23,6 @@ from tenqec import (
     contract,
     leaf_probabilities,
     solve_pure_errors,
-    spans_same_group,
 )
 from tenqec.pauli import pack, unpack
 from tenqec.stabilizer import gf2_rank

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import spans_same_group
 from tenqec import (
     CodeTensor,
     ContractionPreconditionError,
@@ -20,7 +21,6 @@ from tenqec import (
     exhaustive_contract,
     seven_qubit_state,
     six_qubit_code,
-    spans_same_group,
 )
 
 
