@@ -39,7 +39,6 @@ from .stabilizer import (
     DependentGeneratorsError,
     StabilizerCode,
     Syndrome,
-    code_from_json_dict,
     code_to_json_dict,
     six_qubit_code,
     seven_qubit_state,

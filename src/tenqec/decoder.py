@@ -90,10 +90,10 @@ def leaf_probabilities(noise: NoiseModel, pure_error: PauliString) -> np.ndarray
     Column g is the probability of the recovery-shifted Pauli on that
     qubit, whose code is the XOR of the two codes.
     """
-    return packed_leaf_probabilities(noise, *pack([pure_error], noise.n))[0]
+    return _packed_leaf_probabilities(noise, *pack([pure_error], noise.n))[0]
 
 
-def packed_leaf_probabilities(
+def _packed_leaf_probabilities(
     noise: NoiseModel, ex: np.ndarray, ez: np.ndarray
 ) -> np.ndarray:
     """Leaf tables of bit-packed errors, one per row of ``ex``/``ez``.
@@ -223,7 +223,8 @@ class _Workspace:
 
     def __init__(self) -> None:
         self.buffer = np.empty(0)
-        # per source: (offsets, sizes, total), in float64 per batch row
+        # per source, keyed by whether it is a leaf table: (offsets, sizes,
+        # total), in float64 per batch row; read through learned_row_bytes
         self.layouts: dict[bool, tuple[list[int], list[int], int]] = {}
         self.noise = self.tables = None  # a NoiseModel and its NodeTables
 
@@ -290,6 +291,13 @@ class _Workspace:
         self.refs, self.outputs, self.table, self.counter = [], [], None, None
 
 
+def learned_row_bytes(schedule: ContractionSchedule) -> int | None:
+    """Bytes per batch row of the layout that the schedule's first
+    ``errors=`` call learned, or None before such a call has."""
+    return next((8 * work.layouts[False][2] for work in schedule.workspaces
+                 if False in work.layouts), None)
+
+
 # XOR4[p, d] = d ^ p: row[XOR4] is the leaf-weight matrix W[p, d] = row[d ^ p]
 # of a qubit whose error has code p, for its noise row
 XOR4 = np.arange(4)[:, None] ^ np.arange(4)
@@ -350,13 +358,6 @@ def _check_qubits(schedule: ContractionSchedule, n: int, owner: str) -> None:
         raise ValueError(f"schedule has {qubits} leaf qubits, {owner} has {n}")
 
 
-def _pure_error_rows(layout: HolographicLayout, syndrome: Syndrome) -> tuple[np.ndarray, ...]:
-    """The packed (words,) x and z rows of the syndrome's pure error."""
-    if layout.code is None:
-        raise ValueError("layout carries no code to map the syndrome")
-    return layout.code.pure_error_rows(syndrome.bit_array())
-
-
 def _fill(block: np.ndarray, legs: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     """The (4^L, slots) table of a node whose leaf legs, then slot legs, are
     ``legs`` (all the block's), from the dense block tensor in that leg
@@ -411,9 +412,9 @@ def likelihoods_network(
     schedule whose leaf qubits do not number ``layout.n`` and, for a
     syndrome or packed errors, a noise model whose qubits do not:
 
-    - ``syndrome``: the leaf table ``packed_leaf_probabilities(noise,
-      *layout.code.pure_error_rows(bits))`` of its bits, weighed entry by
-      entry;
+    - ``syndrome``: the leaf table of its pure error, whose packed rows
+      ``layout.code.pure_error_rows`` gives, weighed entry by entry; this
+      is the route :func:`decode` takes;
     - ``leaves``: an arbitrary leaf table, weighed entry by entry;
     - ``errors``: (B, words) uint64 x and z rows of any operators, as
       :func:`tenqec.pauli.pack` writes them, whose label L then holds the
@@ -423,7 +424,7 @@ def likelihoods_network(
       qubits' codes; the workspace that serves the call fills them when
       it last served another noise model object, or none.  A node with
       children and leaf legs (chains only) still weighs its entries, from
-      ``packed_leaf_probabilities``.
+      the errors' own leaf table.
 
     Both sources of a group's slot sums feed the same message layout and
     renormalization.  ``leaves`` of shape (B, n, 4) and ``errors``
@@ -449,7 +450,10 @@ def likelihoods_network(
     if leaves is None:
         _check_qubits(schedule, noise.n, "noise model")
     if syndrome is not None:
-        leaves = packed_leaf_probabilities(noise, *_pure_error_rows(layout, syndrome))
+        if layout.code is None:
+            raise ValueError("layout carries no code to map the syndrome")
+        leaves = _packed_leaf_probabilities(
+            noise, *layout.code.pure_error_rows(syndrome.bit_array()))
     codes = None
     if errors is not None:
         ex, ez = map(np.ascontiguousarray, errors)
@@ -461,7 +465,7 @@ def likelihoods_network(
                              f"words with B >= 1")
         codes = _codes(layout.n, ex, ez)
         if any(group.steps[0].chain and group.qubits.size for group in schedule.groups):
-            leaves = packed_leaf_probabilities(noise, ex, ez)
+            leaves = _packed_leaf_probabilities(noise, ex, ez)
     table = None
     if leaves is not None:
         leaves = np.asarray(leaves)
@@ -778,15 +782,12 @@ def decode(
 ) -> DecodeResult:
     """Most likely logical class for a syndrome, plus a matching recovery.
 
-    The correction is the class representative times the syndrome's pure
-    error, so it reproduces the syndrome and lands in the chosen class;
-    the error's packed rows give both the leaf table and the correction.
+    The syndrome goes to :func:`likelihoods_network` as it is.  The
+    correction is the class representative times the syndrome's pure
+    error, so it reproduces the syndrome and lands in the chosen class.
     """
-    _check_qubits(schedule, noise.n, "noise model")
-    ex, ez = _pure_error_rows(layout, syndrome)
-    table = likelihoods_network(layout, schedule, noise,
-                                leaves=packed_leaf_probabilities(noise, ex, ez))
+    table = likelihoods_network(layout, schedule, noise, syndrome)
     label = table.argmax_class()
-    pure_error = unpack(ex[None], ez[None], layout.n)[0]
+    pure_error = unpack(*layout.code.pure_error_rows(syndrome.bit_array()[None]), layout.n)[0]
     correction = layout.code.class_representative(label) * pure_error
     return DecodeResult(table=table, label=label, correction=correction)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import NoiseModel, argmax_labels, likelihoods_network
+from .decoder import NoiseModel, argmax_labels, learned_row_bytes, likelihoods_network
 from .holographic import ContractionSchedule, HolographicLayout
 
 CSV_HEADER = ("radius", "n", "p", "trials", "failures", "failure_rate", "std_err")
@@ -88,15 +88,13 @@ def chunk_size(schedule: ContractionSchedule) -> int:
     layout, or 1 until a call on the schedule has learned it.
 
     A schedule's workspace lays out the working set of its first
-    ``errors=`` call per batch row (:class:`~tenqec.decoder._Workspace`), so
+    ``errors=`` call per batch row (:func:`~tenqec.decoder.learned_row_bytes`), so
     a first one-trial chunk teaches the size of every later one: 24,576
     trials at radius 1, 1,365 at radius 2, 68 at radius 3, 5 at radius 4
     (64, 1,152, 23,040 and 286,720 bytes per row), and 1 from radius 5 on.
     """
-    # a workspace keys its layouts by whether the source is a leaf table,
-    # and counts their totals in float64 per batch row
-    rows = [8 * work.layouts[False][2] for work in schedule.workspaces if False in work.layouts]
-    return max(1, CHUNK_BYTES // rows[0]) if rows else 1
+    row = learned_row_bytes(schedule)
+    return 1 if row is None else max(1, CHUNK_BYTES // row)
 
 
 class TrialRunner:

@@ -133,7 +133,8 @@ class StabilizerCode:
     constructor checks only this form and raises ValueError naming the
     field it rejects; it holds the arrays, made read-only, without a copy.
     :meth:`of` packs operators into this form, and
-    :meth:`from_operators` (or the JSON loader) also checks the relations.
+    :meth:`from_operators` also solves for the pure errors and checks the
+    relations.
     The operator tuples are built on first use and kept; no query builds them.
     Equality and the hash compare n, k and the rows.
     """
@@ -203,19 +204,15 @@ class StabilizerCode:
         stabilizers: Sequence[PauliString | str],
         logical_x: Sequence[PauliString | str] = (),
         logical_z: Sequence[PauliString | str] = (),
-        *,
-        n: int | None = None,
-        pure_errors: Sequence[PauliString | str] | None = None,
     ) -> "StabilizerCode":
-        """Assemble and check a code; pure errors are solved for if absent."""
+        """Assemble and check a code, solving for its pure errors."""
         stabs = tuple(_as_pauli(p) for p in stabilizers)
         lx = tuple(_as_pauli(p) for p in logical_x)
         lz = tuple(_as_pauli(p) for p in logical_z)
         ops = stabs + lx + lz
-        if n is None:
-            if not ops:
-                raise ValueError("cannot infer n from an empty operator list")
-            n = ops[0].n
+        if not ops:
+            raise ValueError("cannot infer n from an empty operator list")
+        n = ops[0].n
         if len(lx) != len(lz):
             raise ValueError("logical_x and logical_z must pair up")
         k = len(lx)
@@ -223,11 +220,7 @@ class StabilizerCode:
             raise ValueError(
                 f"need n-k={n - k} stabilizers for n={n}, k={k}; got {len(stabs)}"
             )
-        if pure_errors is None:
-            pure = tuple(solve_pure_errors(stabs, lx, lz))
-        else:
-            pure = tuple(_as_pauli(p) for p in pure_errors)
-        code = cls.of(n, k, stabs, lx, lz, pure)
+        code = cls.of(n, k, stabs, lx, lz, solve_pure_errors(stabs, lx, lz))
         code.validate()
         return code
 
@@ -559,12 +552,14 @@ def seven_qubit_state() -> StabilizerCode:
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange
+# JSON output
 # ---------------------------------------------------------------------------
 
 
 def code_to_json_dict(code: StabilizerCode) -> dict:
-    """Plain-text JSON description; Pauli operators as I/X/Y/Z strings."""
+    """Plain-text JSON description; Pauli operators as I/X/Y/Z strings.
+    No command reads it back: ``StabilizerCode.of`` rebuilds the code from
+    its fields."""
     return {
         "n": code.n,
         "k": code.k,
@@ -573,29 +568,3 @@ def code_to_json_dict(code: StabilizerCode) -> dict:
         "logical_z": [a.to_text() for a in code.logical_z],
         "pure_errors": [e.to_text() for e in code.pure_errors],
     }
-
-
-def code_from_json_dict(data: dict) -> StabilizerCode:
-    """Load a code description: integers ``n`` and ``k`` (optional) and
-    arrays of Pauli strings, whose pure errors are optional and re-solved.
-    A missing or mistyped field raises ValueError naming it; so does a non-object."""
-    if not isinstance(data, dict):
-        raise ValueError("code description must be a JSON object")
-    for name in ("n", "stabilizers"):
-        if name not in data:
-            raise ValueError(f"code description missing field {name!r}")
-    for name in ("n", "k"):
-        if type(data.get(name, 0)) is not int:
-            raise ValueError(f"code description field {name!r} must be an integer")
-    for name in ("stabilizers", "logical_x", "logical_z", "pure_errors"):
-        value = data.get(name, [])
-        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-            raise ValueError(
-                f"code description field {name!r} must be an array of strings")
-    code = StabilizerCode.from_operators(
-        data["stabilizers"], data.get("logical_x", []), data.get("logical_z", []),
-        n=data["n"], pure_errors=data.get("pure_errors"),
-    )
-    if data.get("k", code.k) != code.k:
-        raise ValueError("declared k does not match the operator lists")
-    return code

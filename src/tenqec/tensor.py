@@ -17,9 +17,8 @@ checks them as such, exhaustively.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -111,29 +110,6 @@ class CodeTensor:
                     table[row, i] = (key >> (2 * i)) & 3
             out[label] = table
         return out
-
-    def entry(self, label: PauliString,
-              indices: Sequence[int] | numbers.Integral) -> int:
-        """The 0/1 tensor entry for a class label and an index string.
-
-        ``indices`` is a sequence of n per-qubit codes or their base-4 key,
-        a Python or numpy integer; a bool raises ValueError, as it is no key.
-        """
-        if isinstance(indices, (bool, np.bool_)):
-            raise ValueError(f"index key {indices!r} is a bool, not an integer")
-        if isinstance(indices, numbers.Integral):
-            key = int(indices)
-            if not 0 <= key < 4 ** self.code.n:
-                raise ValueError(f"index key {key} outside [0, 4^{self.code.n})")
-        else:
-            codes = list(indices)
-            if len(codes) != self.code.n:
-                raise ValueError("index string length must equal n")
-            key = PauliString.from_codes(codes).key()
-        table = self.class_tables.get(label)
-        if table is None:
-            raise ValueError(f"unknown class label {label}")
-        return 1 if key in table else 0
 
     def self_check(self, *, seed: int = 7) -> "CheckReport":
         """Verify the indicator-tensor laws on the enumerated classes.

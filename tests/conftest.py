@@ -58,13 +58,6 @@ def first_call_memory(layout, noise, leaves=None, *, errors=None):
     return peak, max(8 * batch * total for _, _, total in work.layouts.values())
 
 
-def learned_row_bytes(schedule):
-    """Bytes per batch row of the layout that the schedule's first
-    ``errors=`` call learned."""
-    return next(8 * work.layouts[False][2] for work in schedule.workspaces
-                if False in work.layouts)
-
-
 def learned_chunk(layout, schedule):
     """Trials per Monte Carlo chunk on ``schedule``, after one ``errors=``
     decode of an identity row, which teaches a fresh schedule its layout."""

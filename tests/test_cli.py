@@ -8,6 +8,64 @@ import pytest
 from tenqec import harness, read_points
 from tenqec.cli import main
 
+# `tenqec decode` output, recorded from the network decoder at radius 1
+# byte for byte: the seed's slot sums there are numpy reductions, with no
+# BLAS call, so no kernel may move a printed digit
+DECODE_R1 = {
+    0: (
+        "syndrome: +++++\n"
+        "log_scale: -0.6307705006910436\n"
+        "class I: 0.9987371378353507\n"
+        "class X: 0.0004209540548831824\n"
+        "class Z: 0.0004209540548831824\n"
+        "class Y: 0.0004209540548831824\n"
+        "argmax: I\n"
+        "correction: IIIIII\n"
+    ),
+    2: (
+        "syndrome: +-+++\n"
+        "log_scale: -3.922001846975806\n"
+        "class I: 0.8302584452060089\n"
+        "class X: 0.03771032492463088\n"
+        "class Z: 0.09432090494472932\n"
+        "class Y: 0.03771032492463088\n"
+        "argmax: I\n"
+        "correction: ZIZIZI\n"
+    ),
+    19: (
+        "syndrome: --++-\n"
+        "log_scale: -7.073277179764645\n"
+        "class I: 0.24999999999999997\n"
+        "class X: 0.25\n"
+        "class Z: 0.24999999999999997\n"
+        "class Y: 0.24999999999999994\n"
+        "argmax: I\n"
+        "correction: ZZXYYX\n"
+    ),
+}
+
+# at radii 2 and 3 the seed's trace and the GEMMs may reach BLAS: the
+# decision and correction exactly, each class share to 1e-12 relative
+# (radius, syndrome, p, shares of I, X, Z, Y, argmax, correction)
+DECODE_DECISIONS = [
+    (2, 25894380271, 0.1,
+     (0.048566053305029215, 0.1043399855924037, 0.8139645065629053, 0.03312945453966173),
+     "Z", "XYYIZIXXXXIIXXXXIXXYYIZXIXYIXIXIZIYI"),
+    (2, 33800, 0.05,
+     (0.9131229537887365, 0.01865206863027588, 0.06629645929142973, 0.0019285182895578527),
+     "I", "IXYXYIIIIIIXIXYXYXIIIIIIIIIIIIIXYXYI"),
+    (3, 1133871628288, 0.05,
+     (1.0, 5.107164520337327e-19, 9.262629504983855e-23, 1.9752869156190258e-22),
+     "I", ("IXIIIIYXYXIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII"
+      "IIIIIZZXIIXXYZIIXXYZIIIZZXIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII"
+      "IIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII")),
+    (3, 20654293155783277431577156696389697986062680353052, 0.01,
+     (0.48866592678776577, 0.009200157249219213, 0.24855251366463824, 0.25358140229837683),
+     "I", ("IXZZXXXYYXXIIZXXIXIIIIXXXXYZIXXXIZXYYXIIXZZXZIIIIIIIIYXXYIII"
+      "ZZXXZZXZXXXXXIIXIZIYXIYXXYIXIIIIIXYZYIIZZXZIIXXZIIIXYYXIIIII"
+      "IXYYZIXXIZYYXIIZIYIIYYYZXXIYYXXXXYZIXIZIYIIXYXYXIIIIII")),
+]
+
 
 def test_build_code_builtin(tmp_path, capsys):
     out = tmp_path / "six.json"
@@ -110,6 +168,24 @@ def test_decode_rejects_wrong_syndrome_length(capsys):
         assert main(["decode", "--radius", "1", f"--syndrome={value}", "--p", "0.1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: syndrome value {value} out of range for 5 bits")
+
+
+@pytest.mark.parametrize("syndrome", sorted(DECODE_R1))
+def test_decode_output_is_pinned_at_radius_one(capsys, syndrome):
+    assert main(["decode", "--radius", "1", "--syndrome", str(syndrome), "--p", "0.1"]) == 0
+    assert capsys.readouterr().out == DECODE_R1[syndrome]
+
+
+@pytest.mark.parametrize("radius, syndrome, p, shares, label, correction", DECODE_DECISIONS,
+                         ids=[f"r{case[0]}-p{case[2]}" for case in DECODE_DECISIONS])
+def test_decode_decision_is_pinned(capsys, radius, syndrome, p, shares, label, correction):
+    argv = ["decode", "--radius", str(radius), "--syndrome", str(syndrome), "--p", str(p)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [f"argmax: {label}", f"correction: {correction}"]
+    names, values = zip(*(line.split(": ") for line in lines[2:6]))
+    assert names == ("class I", "class X", "class Z", "class Y")
+    np.testing.assert_allclose([float(v) for v in values], shares, rtol=1e-12, atol=0)
 
 
 def test_mc_run_writes_csv(tmp_path, capsys):

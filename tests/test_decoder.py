@@ -31,8 +31,8 @@ from tenqec.decoder import (
     TIE_RTOL,
     LikelihoodTable,
     NodeTables,
+    _packed_leaf_probabilities,
     argmax_labels,
-    packed_leaf_probabilities,
 )
 from tenqec import decoder, holographic
 from tenqec.pauli import pack
@@ -107,7 +107,7 @@ def test_packed_leaf_probabilities_match_row_calls():
     rng = np.random.default_rng(3)
     model = NoiseModel(rng.dirichlet(np.ones(4), size=n))
     ops = [PauliString.from_codes(c.tolist()) for c in rng.integers(0, 4, (5, n))]
-    stacked = packed_leaf_probabilities(model, *pack(ops, n))
+    stacked = _packed_leaf_probabilities(model, *pack(ops, n))
     want = np.array([leaf_probabilities(model, op) for op in ops])
     assert np.array_equal(stacked, want)
 
@@ -284,7 +284,7 @@ def test_chunk_decode_memory_stays_near_its_charge(holo, radius, batch):
     rng = np.random.default_rng(radius)
     ops = [PauliString.from_codes(codes.tolist())
            for codes in rng.integers(0, 4, size=(batch, layout.n))]
-    leaves = packed_leaf_probabilities(noise, *pack(ops, layout.n))
+    leaves = _packed_leaf_probabilities(noise, *pack(ops, layout.n))
     peak, learned = first_call_memory(layout, noise, leaves)
     assert max(peak, learned) <= 1.5 * schedule.row_bytes * batch
 
@@ -299,7 +299,7 @@ def test_schedule_keeps_its_working_memory(holo, holo5_topology, radius, batch):
     rng = np.random.default_rng(radius)
     ops = [PauliString.from_codes(codes.tolist())
            for codes in rng.integers(0, 4, size=(batch, layout.n))]
-    leaves = packed_leaf_probabilities(noise, *pack(ops, layout.n))
+    leaves = _packed_leaf_probabilities(noise, *pack(ops, layout.n))
     peaks = []
     for _ in range(2):
         tracemalloc.start()
@@ -313,7 +313,7 @@ def test_schedule_keeps_its_working_memory(holo, holo5_topology, radius, batch):
 
 def _random_leaves(rng, noise, batch):
     codes = rng.integers(0, 4, size=(batch, noise.n))
-    return packed_leaf_probabilities(noise, *pack(
+    return _packed_leaf_probabilities(noise, *pack(
         [PauliString.from_codes(row.tolist()) for row in codes], noise.n))
 
 
@@ -827,7 +827,7 @@ def test_seed_gathers_the_prefixes_of_a_trie_it_does_not_read_whole():
     assert not moved.groups[-1].plan.whole_prefix
     noise = NoiseModel.depolarizing(layout.n, 0.18)
     errors = _errors(layout.n, 5, 6)
-    for source in ({"leaves": packed_leaf_probabilities(noise, *errors)}, {"errors": errors}):
+    for source in ({"leaves": _packed_leaf_probabilities(noise, *errors)}, {"errors": errors}):
         want = likelihoods_network(layout, schedule, noise, **source)
         got = likelihoods_network(layout, moved, noise, **source)
         np.testing.assert_allclose(got.mantissas, want.mantissas, rtol=1e-12)
@@ -852,7 +852,7 @@ def test_node_tables_match_entry_by_entry_weights(holo, three_block_chain, radiu
                      [round(100 * p), full_chunk])
     got = likelihoods_network(layout, schedule, noise, errors=errors)
     want = likelihoods_network(layout, schedule, noise,
-                               leaves=packed_leaf_probabilities(noise, *errors))
+                               leaves=_packed_leaf_probabilities(noise, *errors))
     assert got.labels == want.labels
     np.testing.assert_allclose(got.mantissas, want.mantissas, rtol=1e-12)
     np.testing.assert_allclose(got.log_scales, want.log_scales, rtol=1e-12)
@@ -882,7 +882,7 @@ def test_syndromes_decode_from_the_codes_packed_rows(holo, three_block_chain, mo
         got = likelihoods_network(layout, schedule, noise, syndrome)
         want = likelihoods_network(
             layout, schedule, noise,
-            leaves=packed_leaf_probabilities(noise, *code.pure_error_rows(bits)))
+            leaves=_packed_leaf_probabilities(noise, *code.pure_error_rows(bits)))
         assert np.array_equal(got.mantissas, want.mantissas)
         assert got.log_scale == want.log_scale
         result = decode(layout, schedule, noise, syndrome)

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import first_call_memory, learned_chunk, learned_row_bytes
+from conftest import first_call_memory, learned_chunk
 from tenqec import (
     McPoint,
     NoiseModel,
@@ -28,7 +28,7 @@ from tenqec import (
     write_points,
 )
 from tenqec import decoder, harness
-from tenqec.decoder import TIE_RTOL
+from tenqec.decoder import TIE_RTOL, learned_row_bytes
 
 
 def test_run_point_deterministic(holo):
@@ -259,7 +259,7 @@ def test_runner_with_per_qubit_noise_decides_as_leaf_tables(holo, monkeypatch, r
         got = likelihoods_network(layout, schedule, noise, errors=errors)
         want = likelihoods_network(
             layout, schedule, noise,
-            leaves=decoder.packed_leaf_probabilities(noise, *errors))
+            leaves=decoder._packed_leaf_probabilities(noise, *errors))
         np.testing.assert_allclose(got.mantissas, want.mantissas, rtol=1e-12)
         assert np.array_equal(decoder.argmax_labels(got.mantissas),
                               decoder.argmax_labels(want.mantissas))

@@ -30,7 +30,7 @@ from tenqec import (
     seven_qubit_state,
     six_qubit_code,
 )
-from tenqec.decoder import argmax_labels, packed_leaf_probabilities
+from tenqec.decoder import _packed_leaf_probabilities, argmax_labels
 from tenqec.harness import TrialRunner
 from tenqec.holographic import BLOCK_LEGS, CENTER_LEGS
 from tenqec.oracle import _class_digit_tables
@@ -176,7 +176,7 @@ def test_generated_chains_match_dense_reference(chain):
     by_leaves = likelihoods_network(layout, schedule, noise, leaves=leaves)
     by_errors = likelihoods_network(layout, schedule, noise, errors=(ex, ez))
     for weights, out in ((leaves, by_leaves),
-                         (packed_leaf_probabilities(noise, ex, ez), by_errors)):
+                         (_packed_leaf_probabilities(noise, ex, ez), by_errors)):
         for b in range(batch):
             mantissas, log_scale = dense_likelihoods(layout, weights[b], schedule.labels)
             np.testing.assert_allclose(mantissas * np.exp(log_scale - out.log_scales[b]),
