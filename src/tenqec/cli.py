@@ -8,6 +8,7 @@ Exit codes: 0 on success, 1 on usage errors, 2 when verification fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -46,21 +47,13 @@ BUILTINS = {"six_qubit": six_qubit_code, "seven_qubit_state": seven_qubit_state}
 
 
 def _layout_sidecar(layout) -> dict:
-    return {
-        "radius": layout.radius,
-        "n": layout.n,
-        "boundary": [[name, leg] for name, leg in layout.boundary],
-        "nodes": {
-            name: {
-                "kind": node.kind,
-                "layer": node.layer,
-                "in_links": [list(link) for link in node.in_links],
-                "children": [list(link) for link in node.children],
-                "leaf_legs": list(node.leaf_legs),
-            }
-            for name, node in layout.nodes.items()
-        },
-    }
+    """The layout's radius, n, boundary and nodes, each node its
+    :class:`~tenqec.holographic.LayoutNode` fields but ``name``."""
+    nodes = {name: dataclasses.asdict(node) for name, node in layout.nodes.items()}
+    for node in nodes.values():
+        del node["name"]
+    return {"radius": layout.radius, "n": layout.n, "boundary": layout.boundary,
+            "nodes": nodes}
 
 
 def _write_json(payload: dict, path: str | None) -> None:
@@ -210,14 +203,7 @@ def _cmd_fit_threshold(args) -> int:
     points = []
     for path in args.csv:
         points.extend(read_points(path))
-    fit = fit_threshold(points)
-    payload = {
-        "p_th": fit.p_th,
-        "nu": fit.nu,
-        "coeffs": list(fit.coeffs),
-        "rss": fit.rss,
-    }
-    _write_json(payload, args.out)
+    _write_json(dataclasses.asdict(fit_threshold(points)), args.out)
     return 0
 
 

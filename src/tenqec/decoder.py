@@ -61,6 +61,8 @@ class NoiseModel:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.probs):
+            raise ValueError("probs must be real, got a complex array")
         p = np.array(self.probs, dtype=np.float64)  # read-only below, as node tables assume
         if p.ndim != 2 or p.shape[1] != 4:
             raise ValueError("probs must have shape (n, 4)")
@@ -469,6 +471,8 @@ def likelihoods_network(
     table = None
     if leaves is not None:
         leaves = np.asarray(leaves)
+        if np.iscomplexobj(leaves):
+            raise ValueError(f"leaf table must be real, got dtype {leaves.dtype}")
         if (leaves.ndim not in (2, 3) or leaves.shape[-2:] != (layout.n, 4)
                 or not leaves.size):
             raise ValueError(f"leaf table of shape {leaves.shape} is not (n, 4) or "

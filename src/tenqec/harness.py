@@ -31,20 +31,20 @@ count.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import multiprocessing
 import numbers
+import typing
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .decoder import NoiseModel, argmax_labels, learned_row_bytes, likelihoods_network
 from .holographic import ContractionSchedule, HolographicLayout
 
-CSV_HEADER = ("radius", "n", "p", "trials", "failures", "failure_rate", "std_err")
-CSV_TYPES = (int, int, float, int, int, float, float)
 # Bytes of the learned errors= layout that one chunk of trials may fill (see
 # chunk_size): larger chunks cut per-call overhead but raise the peak RSS.
 CHUNK_BYTES = 3 << 19
@@ -67,6 +67,11 @@ class McPoint:
     failures: int
     failure_rate: float
     std_err: float
+
+
+# a sweep CSV's columns are McPoint's fields, parsed by their annotated types
+CSV_HEADER = tuple(f.name for f in fields(McPoint))
+CSV_TYPES = tuple(typing.get_type_hints(McPoint).values())
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,19 +180,16 @@ class TrialRunner:
         classes = self.code.class_bits(ex, ez)
         return np.take_along_axis(out.mantissas, self.cols[classes], axis=1), classes
 
-
-def _count_failures(job) -> int:
-    """Failures among trials [lo, hi) of one point, in chunks whose size
-    :func:`chunk_size` reads afresh for each, so the first chunk on a new
-    schedule is one trial and teaches the rest theirs."""
-    layout, schedule, noise, seed, point_index, lo, hi = job
-    runner = TrialRunner(layout, schedule, noise)
-    failures = 0
-    while lo < hi:
-        chunk = range(lo, min(lo + chunk_size(schedule), hi))
-        failures += runner.run_trial(seed, point_index, chunk)
-        lo = chunk.stop
-    return failures
+    def count(self, seed: int, point_index: int, trials: range) -> int:
+        """Failures among ``trials``, run in chunks whose size :func:`chunk_size`
+        reads afresh for each, so the first chunk on a new schedule is one
+        trial and teaches the rest theirs."""
+        failures, lo = 0, trials.start
+        while lo < trials.stop:
+            chunk = range(lo, min(lo + chunk_size(self.schedule), trials.stop))
+            failures += self.run_trial(seed, point_index, chunk)
+            lo = chunk.stop
+        return failures
 
 
 def run_point(
@@ -202,10 +204,12 @@ def run_point(
 ) -> McPoint:
     """Estimate the failure rate at one noise strength.
 
-    The trials split into one job per worker, and every job runs through
-    :func:`_count_failures`: a single non-empty job runs in-process, two or
-    more in forked processes.  Each trial draws its own counter range of the
-    point's Philox stream, so the result is the same for every worker count.
+    One :class:`TrialRunner` serves the point, and the trials split into
+    one range per worker, each counted by :meth:`TrialRunner.count`: a
+    single non-empty range runs in-process, two or more in forked
+    processes, each of which unpickles its own copy of the runner, layout
+    and schedule.  Each trial draws its own counter range of the point's
+    Philox stream, so the result is the same for every worker count.
     """
     for name, value, least in (("trials", trials, 1), ("seed", seed, 0),
                                ("point_index", point_index, 0), ("workers", workers, 1)):
@@ -216,15 +220,14 @@ def run_point(
                              else f"{name} must be at least 1, got {value}" if least
                              else f"{name} must be nonnegative, got {value}")
     trials, workers = int(trials), int(workers)
-    noise = NoiseModel.depolarizing(layout.n, p)
-    bounds = np.linspace(0, trials, workers + 1).astype(int)
-    jobs = [(layout, schedule, noise, seed, point_index, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if len(jobs) == 1:
-        failures = _count_failures(jobs[0])
+    runner = TrialRunner(layout, schedule, NoiseModel.depolarizing(layout.n, p))
+    bounds = np.linspace(0, trials, workers + 1).astype(int).tolist()
+    ranges = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    if len(ranges) == 1:
+        failures = runner.count(seed, point_index, ranges[0])
     else:
-        with multiprocessing.get_context("fork").Pool(len(jobs)) as pool:
-            failures = sum(pool.map(_count_failures, jobs))
+        with multiprocessing.get_context("fork").Pool(len(ranges)) as pool:
+            failures = sum(pool.map(functools.partial(runner.count, seed, point_index), ranges))
     rate = failures / trials
     return McPoint(
         radius=layout.radius,
@@ -257,20 +260,14 @@ def run_mc(
 
 
 def write_points(path: str, points: list[McPoint]) -> None:
-    """Write points as CSV; floats use repr so reruns match byte for byte."""
+    """Write points as CSV, one row of each point's field values; floats
+    use repr so reruns match byte for byte."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for pt in points:
-            writer.writerow([
-                pt.radius,
-                pt.n,
-                repr(float(pt.p)),
-                pt.trials,
-                pt.failures,
-                repr(float(pt.failure_rate)),
-                repr(float(pt.std_err)),
-            ])
+            writer.writerow([repr(float(v)) if kind is float else v
+                             for kind, v in zip(CSV_TYPES, astuple(pt))])
 
 
 def read_text(path: str) -> str:

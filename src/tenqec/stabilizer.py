@@ -85,24 +85,11 @@ class Syndrome:
             raise ValueError("syndrome bits exceed length")
 
     @classmethod
-    def from_signs(cls, signs: Iterable[int]) -> "Syndrome":
-        bits = 0
-        length = 0
-        for s in signs:
-            if s == -1:
-                bits |= 1 << length
-            elif s != 1:
-                raise ValueError(f"syndrome signs must be +1/-1, got {s}")
-            length += 1
-        return cls(length, bits)
-
-    @classmethod
     def from_text(cls, text: str) -> "Syndrome":
         """Parse '+-++...' with '-' marking a flipped generator."""
-        try:
-            return cls.from_signs(1 if c == "+" else -1 if c == "-" else None for c in text)
-        except ValueError:
-            raise ValueError(f"invalid syndrome text {text!r}") from None
+        if set(text) - {"+", "-"}:
+            raise ValueError(f"invalid syndrome text {text!r}")
+        return cls(len(text), int("0" + text[::-1].replace("+", "0").replace("-", "1"), 2))
 
     def bit_array(self) -> np.ndarray:
         """The (length,) uint8 array of the bits, 1 where a generator reads -1."""

@@ -1,5 +1,7 @@
 """Command-line interface, exercised through main() with argv lists."""
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -90,6 +92,23 @@ def test_build_code_holographic_with_sidecar(tmp_path):
     assert sidecar["radius"] == 2
     assert len(sidecar["boundary"]) == 36
     assert len(sidecar["nodes"]) == 7
+
+
+# sha256 of the layout sidecar that `build-code --holographic --radius r
+# --out` writes; each node entry is its LayoutNode's fields but the name
+SIDECAR_SHA256 = {
+    2: "2714dddaf46b900396a1ceacc3dc71a635966e5e6d5229cae60f78a445dfaf8f",
+    3: "e16c62a1e7863520f624f65e19fe8a9e441788d06619c1e1f35cb180b2ea9094",
+}
+
+
+@pytest.mark.parametrize("radius", sorted(SIDECAR_SHA256))
+def test_build_code_sidecar_bytes_are_pinned(tmp_path, radius):
+    out = tmp_path / "code.json"
+    assert main(["build-code", "--holographic", "--radius", str(radius),
+                 "--out", str(out)]) == 0
+    data = (tmp_path / "code.layout.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SIDECAR_SHA256[radius]
 
 
 def test_build_code_sidecar_beside_a_dotted_directory(tmp_path, monkeypatch):
@@ -321,6 +340,26 @@ def test_fit_threshold_from_csv(tmp_path, capsys):
     # without --out the same JSON goes to stdout
     assert main(["fit-threshold", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == fit
+
+
+def test_fit_threshold_json_is_the_fit_record(tmp_path):
+    # the JSON holds ThresholdFit's fields, in field order, with the values
+    # of an in-process fit on the same CSVs; its bytes are not pinned, since
+    # the fit goes through LAPACK
+    from tenqec import McPoint, ThresholdFit, fit_threshold, write_points
+
+    paths = []
+    for radius, n in ((2, 36), (3, 174)):
+        rows = [McPoint(radius, n, p, 500, 0, 0.2 + 0.6 * (p - 0.19) * n ** 0.4, 0.01)
+                for p in (0.16, 0.17, 0.18, 0.19, 0.2, 0.21)]
+        paths.append(str(tmp_path / f"r{radius}.csv"))
+        write_points(paths[-1], rows)
+    out = tmp_path / "fit.json"
+    assert main(["fit-threshold", *paths, "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    assert list(got) == [field.name for field in dataclasses.fields(ThresholdFit)]
+    want = fit_threshold([pt for path in paths for pt in read_points(path)])
+    assert got == {**dataclasses.asdict(want), "coeffs": list(want.coeffs)}
 
 
 def test_fit_threshold_single_radius_fails(tmp_path, capsys):

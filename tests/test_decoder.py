@@ -64,6 +64,15 @@ def test_noise_model_validation():
         model.probs[0, 0] = 0.5
 
 
+def test_complex_noise_model_raises():
+    # a cast to float64 would drop the imaginary part behind a ComplexWarning,
+    # even where it is zero
+    probs = NoiseModel.depolarizing(3, 0.3).probs
+    for bad in (probs + 1j, probs.astype(np.complex64), probs.astype(complex).tolist()):
+        with pytest.raises(ValueError, match="probs must be real, got a complex array"):
+            NoiseModel(bad)
+
+
 def test_noise_models_compare_by_identity():
     # the workspace matches a model by identity, so equal-valued models are
     # distinct keys, and comparing them never asks an array for its truth
@@ -962,6 +971,18 @@ def test_bad_leaf_entries_raise(holo, bad, batched):
     leaves = _leaf_stack(layout.n, noise, 3, 4)
     leaves[-1, 2, 1] = bad
     with pytest.raises(ValueError, match="finite and nonnegative"):
+        likelihoods_network(
+            layout, schedule, noise, leaves=leaves if batched else leaves[-1]
+        )
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_complex_leaf_table_raises(holo, batched):
+    # a cast to float64 would drop the imaginary part behind a ComplexWarning
+    layout, schedule = holo[1]
+    noise = NoiseModel.depolarizing(layout.n, 0.1)
+    leaves = _leaf_stack(layout.n, noise, 3, 4) + 1j
+    with pytest.raises(ValueError, match="leaf table must be real, got dtype complex128"):
         likelihoods_network(
             layout, schedule, noise, leaves=leaves if batched else leaves[-1]
         )

@@ -1,6 +1,7 @@
 """Layered layout construction, scheduling, and the work bound."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -185,6 +186,19 @@ def test_center_table_is_the_seed(holo, six_tensor):
         for label in schedule.labels:
             assert sorted(_keys(runs[label.key()][:, 1:])) == sorted(
                 _keys(seed[label]))
+
+
+def test_every_seed_plan_reads_its_prefix_trie_in_place():
+    # the seed's trace reads its slots' prefixes in place when the plan's
+    # whole_prefix is set, and gathers them otherwise.  Every seed chain that
+    # schedule_for can build, block legs 1-6 in ascending order, sets it, so
+    # the gather runs only for hand-built chain orders
+    subsets = [legs for size in range(2, 7) for legs in itertools.combinations(range(1, 7), size)]
+    assert len(subsets) == 57
+    for legs in subsets:
+        assert _split_plan(_block_digits(), legs, (0,)).whole_prefix, legs
+    for radius in range(2, 7):
+        assert schedule_for(build_layout(radius, with_code=False)).groups[-1].plan.whole_prefix
 
 
 def test_uneven_slots_raise():

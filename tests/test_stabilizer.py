@@ -388,8 +388,12 @@ def test_spans_same_group(six_code):
 def test_syndrome_text_round_trip():
     syn = Syndrome.from_text("+-+-")
     assert syn.to_text() == "+-+-"
-    assert Syndrome.from_signs((1, -1, 1, -1)) == syn
     assert syn.bits == 0b1010
+    assert Syndrome.from_text("") == Syndrome(0, 0)
+    assert Syndrome.from_text("+" + "-" * 69) == Syndrome(70, (1 << 70) - 2)
+    for text in ("+1-", "+ -", "0"):
+        with pytest.raises(ValueError, match=re.escape(f"invalid syndrome text {text!r}")):
+            Syndrome.from_text(text)
 
 
 @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 3995])
