@@ -192,6 +192,21 @@ class TrialRunner:
         return failures
 
 
+# The runner a forked worker counts with, set in the worker by the pool's
+# initializer: the fork inherits it, so no task pickles the layout,
+# schedule or noise.
+_RUNNER: TrialRunner | None = None
+
+
+def _adopt(runner: TrialRunner) -> None:
+    global _RUNNER
+    _RUNNER = runner
+
+
+def _count(seed: int, point_index: int, trials: range) -> int:
+    return _RUNNER.count(seed, point_index, trials)
+
+
 def run_point(
     layout: HolographicLayout,
     schedule: ContractionSchedule,
@@ -207,9 +222,9 @@ def run_point(
     One :class:`TrialRunner` serves the point, and the trials split into
     one range per worker, each counted by :meth:`TrialRunner.count`: a
     single non-empty range runs in-process, two or more in forked
-    processes, each of which unpickles its own copy of the runner, layout
-    and schedule.  Each trial draws its own counter range of the point's
-    Philox stream, so the result is the same for every worker count.
+    processes, which inherit the runner through the pool's initializer, so
+    no task pickles it.  Each trial draws its own counter range of the
+    point's Philox stream, so the result is the same for every worker count.
     """
     for name, value, least in (("trials", trials, 1), ("seed", seed, 0),
                                ("point_index", point_index, 0), ("workers", workers, 1)):
@@ -226,8 +241,9 @@ def run_point(
     if len(ranges) == 1:
         failures = runner.count(seed, point_index, ranges[0])
     else:
-        with multiprocessing.get_context("fork").Pool(len(ranges)) as pool:
-            failures = sum(pool.map(functools.partial(runner.count, seed, point_index), ranges))
+        with multiprocessing.get_context("fork").Pool(
+                len(ranges), initializer=_adopt, initargs=(runner,)) as pool:
+            failures = sum(pool.map(functools.partial(_count, seed, point_index), ranges))
     rate = failures / trials
     return McPoint(
         radius=layout.radius,

@@ -24,10 +24,13 @@ bound legs and set to the block's canonical matching product from a 4- or
 16-entry table (derived once per in-leg tuple and per build with
 ``StabilizerCode.canonicalized_on``, as ``contract`` does).  Bound
 columns stay in place and are never read again.  The live columns, the
-layout's leaf legs, are gathered once, at the end, by
-:func:`~tenqec.pauli.gather`'s C-ordered column gather, into the packed
+layout's leaf legs, are gathered once, at the end, into the packed
 tableaux that :class:`~tenqec.stabilizer.StabilizerCode` holds; no
-operator is built.
+operator is built.  The tableaux are sparse (under 1.5% of their bytes
+nonzero from radius 4 on, 0.08% at radius 6), and
+:func:`~tenqec.pauli.gather` moves only their set bits, so this gather
+and the one of ``StabilizerCode.permuted`` to boundary order cost about
+as many operations as there are set bits, not rows times columns.
 
 Chains of tensors (open trees of blocks, used for small worked examples)
 share the node derivation, the assembler, and :func:`schedule_for`, with
@@ -407,7 +410,9 @@ def build_layout(radius: int, *, with_code: bool = True) -> HolographicLayout:
     if with_code:
         raw, live = _assemble(list(nodes.values()))
         position = {slot: q for q, slot in enumerate(live)}
-        code = raw.permuted([position[slot] for slot in boundary])
+        order = [position[slot] for slot in boundary]
+        del position  # before permuted's gathers, which set the build's peak memory
+        code = raw.permuted(order)
 
     return HolographicLayout(
         radius=radius,
@@ -495,16 +500,19 @@ def _assemble(
     """
     seed = six_qubit_code()
     index = {node.name: i for i, node in enumerate(nodes)}
-    live = [(node.name, leg) for node in reversed(nodes) for leg in node.leaf_legs]
+    # the live columns, last node first; their (node, leg) slots are listed
+    # only after both halves are gathered, when the build's memory peaks
+    columns = np.fromiter((NODE_COLUMNS * i + leg for i in reversed(range(len(nodes)))
+                           for leg in nodes[i].leaf_legs), dtype=np.intp)
     # Rows: stabilizers [0, m), pure errors [m, 2m), logical X, logical Z,
     # as StabilizerCode holds them; the contracted code has n - k stabilizers.
     k = seed.k
-    m = len(live) - k
+    m = len(columns) - k
     x, z = _tableau(nodes, index, seed, m)
-    columns = [NODE_COLUMNS * index[name] + leg for name, leg in live]
     # each tableau half is freed once gathered, before the next is gathered
     x = gather(x, columns)
     z = gather(z, columns)
+    live = [(node.name, leg) for node in reversed(nodes) for leg in node.leaf_legs]
     return StabilizerCode(len(live), k, x, z), live
 
 

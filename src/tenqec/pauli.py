@@ -35,8 +35,13 @@ _CHAR_TO_CODE = {c: i for i, c in enumerate(PAULI_CHARS)}
 # I, X, Y, Z as their x bit, then as their z bit
 _TEXT_BITS = (str.maketrans(PAULI_CHARS, "0110"), str.maketrans(PAULI_CHARS, "0011"))
 
-# Rows per numpy gather in gather(): bounds the unpacked bit matrix.
-GATHER_ROWS = 32
+# Nonzero source words per push in gather(): bounds its index arrays.
+GATHER_WORDS = 512
+# The eight bit lanes of a byte, as a column.
+_LANES = np.arange(8, dtype=np.uint8)[:, None]
+# The bits of each byte value, little-endian, one bool per byte of a uint64.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                           bitorder="little").view("<u8").ravel()
 
 
 def _bits_to_code(x: int, z: int) -> int:
@@ -256,21 +261,71 @@ def gather(rows: np.ndarray, columns: Sequence[int]) -> np.ndarray:
     """Packed rows whose bit i is bit ``columns[i]`` of each row of ``rows``.
 
     ``rows`` is a (rows, words) uint64 array as from :func:`pack`, and so
-    is the result, with the words of len(columns) qubits.  The columns are
-    gathered in blocks of GATHER_ROWS rows, with ``take``: a fancy index on
-    the column axis returns an F-ordered array, which ``packbits`` along a
-    row packs about 25 times slower than a C-ordered one.
+    is the result, with the words of len(columns) qubits.  A column that is
+    negative, past the last bit of a row, or repeated raises ValueError.
+
+    Only set bits move.  One pass finds the nonzero words; then, for
+    GATHER_WORDS of them at a time, with the bits of no column masked off,
+    only their nonzero bytes are unpacked, each set bit goes through the
+    (source byte, bit) column map to its place among the output bits, and
+    the places are ORed into the output bytes one bit lane at a time.  So
+    the cost is that pass plus a few operations per set bit, where
+    unpacking every bit cost rows times source bits: the tableaux of code
+    assembly have under 1.5% of their bytes nonzero from radius 4 on.  On
+    dense random rows (2000 rows of 16 words) it is 11 to 16 times slower
+    than unpacking every bit.
     """
+    n_words = rows.shape[1]
     cols = np.asarray(columns, dtype=np.intp)
+    if len(cols) and (cols.min() < 0 or cols.max() >= 64 * n_words):
+        bad = cols[(cols < 0) | (cols >= 64 * n_words)][0]
+        raise ValueError(f"column {bad} is out of range for rows of {64 * n_words} bits")
+    # the output column of each source bit, by (source byte, bit); -1 for none
+    where = np.full((8 * n_words, 8), -1, dtype=np.int32)
+    where.reshape(-1)[cols] = np.arange(len(cols))
+    mapped = where >= 0
+    if np.count_nonzero(mapped) < len(cols):
+        distinct, counts = np.unique(cols, return_counts=True)
+        raise ValueError(f"column {distinct[counts > 1][0]} is gathered twice")
+    mask = np.packbits(mapped, bitorder="little").view("<u8")
+    flat = rows.reshape(-1)
+    nonzero = flat.nonzero()[0]
     out = np.zeros((len(rows), words(len(cols))), dtype="<u8")
-    out_bytes = out.view(np.uint8)
-    for start in range(0, len(rows), GATHER_ROWS):
-        block = rows[start : start + GATHER_ROWS]
-        bits = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little").take(cols, axis=1)
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        del bits  # before the next block's bits are unpacked
-        out_bytes[start : start + len(packed), : packed.shape[1]] = packed
+    for start in range(0, len(nonzero), GATHER_WORDS):
+        _push(flat, nonzero[start : start + GATHER_WORDS], where, mask, out)
     return out
+
+
+def _push(flat: np.ndarray, word: np.ndarray, where: np.ndarray, mask: np.ndarray,
+          out: np.ndarray) -> None:
+    """OR the mapped set bits of the source words ``flat[word]`` into ``out``."""
+    bit = _places(flat, word, where, mask, 64 * out.shape[1])
+    lane = (bit & 7).astype(np.uint8)
+    bit >>= 3  # now the output byte
+    # in lane order, so that no two bits ORed at once share an output byte
+    bit = bit[np.flatnonzero(lane == _LANES) % len(lane)]
+    packed = out.reshape(-1).view(np.uint8)
+    start = 0
+    for b, stop in enumerate(np.bincount(lane, minlength=8).cumsum().tolist()):
+        packed[bit[start:stop]] |= np.uint8(1 << b)
+        start = stop
+
+
+def _places(flat: np.ndarray, word: np.ndarray, where: np.ndarray, mask: np.ndarray,
+            width: int) -> np.ndarray:
+    """Each mapped set bit of ``flat[word]`` as its place among the output
+    bits, row * width + column."""
+    n_words = len(mask)
+    live = (flat[word] & mask[word % n_words]).view(np.uint8)
+    at = live.nonzero()[0]
+    values = live[at]
+    row, byte = np.divmod(word[at >> 3] * 8 + at % 8, 8 * n_words)
+    del live, at  # the index arrays below set the build's peak memory
+    column = np.take(where, byte, axis=0)[_BYTE_BITS[values].view(bool).reshape(-1, 8)]
+    del byte
+    bit = np.repeat(row * width, np.bitwise_count(values))
+    bit += column
+    return bit
 
 
 def odd_overlaps(

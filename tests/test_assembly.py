@@ -39,6 +39,9 @@ CODE_DIGESTS = {
 # logical X and logical Z of build_layout(5).code, measured on the
 # one-node-at-a-time packed assembler that the per-layer one replaced.
 RADIUS_FIVE_DIGEST = "04cd7e9588c7df5f2dbbd2539e49d59ea25241f28b09e0308ec8c5c4a85c0dc2"
+# the same digest of build_layout(6).code, measured on the dense column
+# gather that the set-bit one replaced
+RADIUS_SIX_DIGEST = "dce9e2cd8bb7b0059c9be7bd4de07e67584814f8f7a781a4ca8dce8eaa990a68"
 CHAINS = ([(0, 5, 0)], [(0, 5, 0), (1, 6, 0)])
 
 
@@ -104,18 +107,28 @@ def radius_five_code():
     return build_layout(5).code
 
 
-def test_radius_five_code_digest(radius_five_code):
+def packed_digest(code):
     # the stored rows are the stabilizers, pure errors, logical X and logical
     # Z in order, so each group's x then z bytes are its rows' slices
-    code = radius_five_code
     m = code.n - code.k
     h = hashlib.sha256()
     for rows in (slice(0, m), slice(m, 2 * m), slice(2 * m, 2 * m + code.k),
                  slice(2 * m + code.k, None)):
         for bits in (code.x[rows], code.z[rows]):
-            h.update(bits.tobytes())
-    assert h.hexdigest() == RADIUS_FIVE_DIGEST
-    assert code._groups is None  # no operator was built
+            h.update(bits.data)
+    return h.hexdigest()
+
+
+def test_radius_five_code_digest(radius_five_code):
+    assert packed_digest(radius_five_code) == RADIUS_FIVE_DIGEST
+    assert radius_five_code._groups is None  # no operator was built
+
+
+def test_radius_six_code_digest():
+    code = build_layout(6).code
+    assert (code.n, code.k) == (19146, 1)
+    assert packed_digest(code) == RADIUS_SIX_DIGEST
+    assert code._groups is None
 
 
 def test_radius_five_code(radius_five_code):

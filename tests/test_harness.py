@@ -142,6 +142,21 @@ def test_workers_match_single_thread(holo):
     assert serial == forked
 
 
+def test_forked_workers_inherit_the_runner(tmp_path, monkeypatch, holo):
+    # no task pickles the point's runner: the fork inherits it, so a runner
+    # that cannot be pickled counts the same failures on two workers
+    layout, schedule = holo[2]
+
+    def refuse(runner):
+        raise TypeError("a TrialRunner was pickled")
+
+    monkeypatch.setattr(harness.TrialRunner, "__reduce__", refuse)
+    serial = run_point(layout, schedule, 0.19, 60, seed=13)
+    assert run_point(layout, schedule, 0.19, 60, seed=13, workers=2) == serial
+    assert (_sweep_bytes(tmp_path, layout, schedule, 400, workers=2)
+            == _sweep_bytes(tmp_path, layout, schedule, 400))
+
+
 def test_a_single_job_runs_in_process(monkeypatch, holo):
     # one trial over three workers leaves one non-empty job: no pool is made
     layout, schedule = holo[2]
@@ -485,7 +500,7 @@ def test_csv_bytes_ignore_chunk_size_and_workers(tmp_path, monkeypatch, holo,
                                                  radius, trials):
     # the pinned runs at the learned chunks, then with chunks of 1, 7 and
     # every trial at once, and with chunks of 7 and the learned ones split
-    # across two workers (whose copies of the schedule start at one trial)
+    # across two workers (which inherit the schedule as it is at the fork)
     layout, schedule = holo[radius]
     want = _sweep_bytes(tmp_path, layout, schedule, trials)
     learned, per_trial = harness.chunk_size(schedule), learned_row_bytes(schedule)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tenqec import PauliString
-from tenqec.pauli import GATHER_ROWS, gather, pack, unpack
+from tenqec.pauli import GATHER_WORDS, gather, pack, unpack
 
 
 def all_paulis(n):
@@ -120,12 +120,11 @@ def test_pack_unpack_gathers_columns(ops, rnd):
     assert unpack(*moved, len(columns)) == [op.restrict(columns) for op in ops]
 
 
-@pytest.mark.parametrize("rows", [0, 1, GATHER_ROWS - 1, GATHER_ROWS, GATHER_ROWS + 1,
-                                  2 * GATHER_ROWS + 1])
+@pytest.mark.parametrize("rows", [0, 1, 31, 32, 33, 65])
 @pytest.mark.parametrize("n", [7, 64, 130])
 @pytest.mark.parametrize("order", ["ascending", "shuffled", "partial"])
 def test_unpack_equals_restrict(rows, n, order):
-    """Row counts across gather-block edges, widths off a byte and over words."""
+    """Row counts, widths off a byte and over words."""
     rng = np.random.default_rng([rows, n])
     bits = lambda: int.from_bytes(rng.bytes(-(-n // 8)), "little") & ((1 << n) - 1)
     ops = [PauliString(n, bits(), bits()) for _ in range(rows)]
@@ -137,6 +136,65 @@ def test_unpack_equals_restrict(rows, n, order):
     x, z = (gather(half, columns) for half in pack(ops, n))
     assert x.shape == z.shape == (rows, max(1, -(-len(columns) // 64)))
     assert unpack(x, z, len(columns)) == [op.restrict(columns) for op in ops]
+
+
+def restricted_rows(ops, columns):
+    """The packed x and z rows of ``ops`` restricted to ``columns``, one
+    operator at a time."""
+    return pack([op.restrict(columns) for op in ops], len(columns))
+
+
+@pytest.mark.parametrize("nonzero", [GATHER_WORDS - 1, GATHER_WORDS, GATHER_WORDS + 1,
+                                     2 * GATHER_WORDS + 1])
+def test_gather_across_push_edges(nonzero):
+    """Nonzero source words across the edges of the runs that are pushed
+    together, a row's words split between two runs included."""
+    rng = np.random.default_rng(nonzero)
+    rows = np.zeros((nonzero, 3), dtype="<u8")
+    rows.reshape(-1)[rng.choice(rows.size, size=nonzero, replace=False)] = rng.integers(
+        1, 2**63, size=nonzero, dtype=np.uint64)
+    ops = unpack(rows, np.zeros_like(rows), 192)
+    columns = rng.permutation(192).tolist()
+    assert np.array_equal(gather(rows, columns), restricted_rows(ops, columns)[0])
+
+
+@pytest.mark.parametrize("fill", ["zero", "full"])
+@pytest.mark.parametrize("n", [7, 64, 65, 128, 130])
+def test_gather_of_empty_and_full_rows(fill, n):
+    """All-zero rows, and rows with every bit set, padding included."""
+    rows = np.full((5, (n + 63) // 64), 0 if fill == "zero" else 2**64 - 1, dtype="<u8")
+    columns = np.random.default_rng(n).permutation(n).tolist()
+    bits = 0 if fill == "zero" else (1 << n) - 1
+    moved = gather(rows, columns)
+    assert unpack(moved, moved, n) == [PauliString(n, bits, bits).restrict(columns)] * 5
+
+
+@pytest.mark.parametrize("columns", [[0, 63, 64, 127, 128, 191], [191, 128, 127, 64, 63, 0],
+                                     [63, 64], [127, 0, 128]])
+def test_gather_at_word_edges(columns):
+    rng = np.random.default_rng(len(columns))
+    ops = [PauliString(192, *(int.from_bytes(rng.bytes(24), "little") for _ in "xz"))
+           for _ in range(9)]
+    x, z = pack(ops, 192)
+    want = restricted_rows(ops, columns)
+    assert np.array_equal(gather(x, columns), want[0])
+    assert np.array_equal(gather(z, columns), want[1])
+
+
+@pytest.mark.parametrize("columns, bad", [([-1], -1), ([3, -64], -64), ([64], 64),
+                                          ([0, 200], 200)])
+def test_gather_rejects_a_column_out_of_range(columns, bad):
+    rows = np.ones((2, 1), dtype="<u8")
+    with pytest.raises(ValueError, match=f"column {bad} is out of range"):
+        gather(rows, columns)
+
+
+@pytest.mark.parametrize("columns, repeated", [([0, 0], 0), ([5, 1, 7, 1], 1),
+                                               ([63, 2, 63, 2], 2)])
+def test_gather_rejects_a_repeated_column(columns, repeated):
+    rows = np.ones((2, 1), dtype="<u8")
+    with pytest.raises(ValueError, match=f"column {repeated} is gathered twice"):
+        gather(rows, columns)
 
 
 def test_single_places_one_operator():
